@@ -26,6 +26,7 @@ from pilotspace import (
     estimated_variation_space,
     ls_model,
     variation_space,
+    verify_optimality_certificates,
 )
 
 P, sigma2 = 1.0, 1.0
@@ -47,7 +48,7 @@ design = design_observation_matrix(dec, P, sigma2=sigma2)
 ref = crb_min(dec.c, 3, noise, P)
 print(f"couplings {np.round(dec.c, 9)}, pilot length {design.n_columns} (= ceil(3/2))")
 print(f"achieved CRB {design.achieved_crb:.9f} vs closed form {ref.value:.9f}")
-certs = design.certificates
+certs = verify_optimality_certificates(dec, design)
 print(f"certificates: off-diagonal {certs['diagonal_residual']:.1e}, "
       f"d_k {certs['dk_residual']:.1e}, total power {certs['total_power']:.12f}")
 

@@ -5,8 +5,7 @@ Channels are drawn from a simplified clustered model (1..7 clusters,
 uniform azimuths with a separation floor, exponentially decaying mean
 cluster powers) and azimuth estimates are perturbed by up to Delta.
 Both strategy bounds are averaged over the realizations; trials are
-seeded independently so runs are reproducible and parallelizable
-(set PILOTSPACE_THREADS to use more workers).
+seeded independently so runs are reproducible.
 
 Saves multipath_bounds.png when matplotlib is importable.
 """

@@ -32,7 +32,7 @@ from .models import (
     ls_model,
     physical_model,
 )
-from .pilot import design_observation_matrix
+from .pilot import design_observation_matrix, verify_optimality_certificates
 from .rlinalg import RankDeficientError
 from .variation import canonical_decompose, variation_space
 
@@ -150,6 +150,7 @@ def cmd_design(args):
     basis = basis_factory()
     decomp = canonical_decompose(basis)
     design = design_observation_matrix(decomp, args.power, sigma2=args.sigma2)
+    certs = verify_optimality_certificates(decomp, design)
     ref = crb_min(decomp.c, decomp.n_params, NoiseModel(args.sigma2), args.power)
     report = {
         "model": args.model,
@@ -165,14 +166,12 @@ def cmd_design(args):
         "crb_min": ref.value,
         "crb_min_lower_bound": ref.lower_bound,
         "crb_min_upper_bound": ref.upper_bound,
-        "column_powers": [float(v) for v in design.certificates["column_powers"]],
-        "column_powers_expected": [
-            float(v) for v in design.certificates["column_powers_expected"]
-        ],
+        "column_powers": [float(v) for v in certs["column_powers"]],
+        "column_powers_expected": [float(v) for v in certs["column_powers_expected"]],
         "certificates": {
-            "diagonal_residual": design.certificates["diagonal_residual"],
-            "dk_residual": design.certificates["dk_residual"],
-            "total_power": design.certificates["total_power"],
+            "diagonal_residual": certs["diagonal_residual"],
+            "dk_residual": certs["dk_residual"],
+            "total_power": certs["total_power"],
         },
     }
     if args.output:
@@ -204,6 +203,8 @@ def _load_theta(path, expected_len=None):
     ):
         raise ConfigError(f"{path}: theta must be a JSON array of numbers")
     theta = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ConfigError(f"{path}: theta has non-finite entries (NaN or Infinity)")
     if expected_len is not None and theta.shape[0] != expected_len:
         raise ConfigError(
             f"{path}: theta has length {theta.shape[0]}, expected {expected_len}"

@@ -23,15 +23,12 @@ The multipath generator is a deliberately simplified clustered model:
 the number of clusters is uniform on {1..7}, main-cluster azimuths are
 uniform with a separation floor, and per-cluster mean powers decay
 exponentially with cluster index (normalized to unit total).  Trials
-are deterministic given (seed, trial index) and may run in parallel
-(capped by the PILOTSPACE_THREADS environment variable).
+are deterministic given (seed, trial index).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +42,6 @@ from .models import (
     physical_variation_space,
     steering_derivative,
     steering_matrix,
-    steering_vector,
 )
 from .pilot import design_observation_matrix
 from .rlinalg import RankDeficientError
@@ -185,7 +181,7 @@ def ac_strategy_bound(true_paths, estimated_azimuths, config):
         raise ValueError("need one estimated azimuth per true path")
     geom = config.geometry
     L = true_paths.n_paths
-    h = _channel_of(geom, true_paths)
+    h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
     E_hat = steering_matrix(geom, estimated_azimuths)
     M = math.sqrt(config.power / L) * E_hat
 
@@ -211,7 +207,7 @@ def proposed_strategy_bound(true_paths, estimated_azimuths, config):
         raise ValueError("need one estimated azimuth per true path")
     geom = config.geometry
     L = true_paths.n_paths
-    h = _channel_of(geom, true_paths)
+    h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
 
     est_space = estimated_variation_space(geom, estimated_azimuths)
     design = design_observation_matrix(canonical_decompose(est_space), config.power)
@@ -223,13 +219,6 @@ def proposed_strategy_bound(true_paths, estimated_azimuths, config):
         crb_coefficient=_crb_coefficient(true_basis, design.M, config.power, h),
         bias=0.0,
     )
-
-
-def _channel_of(geom, paths):
-    h = np.zeros(geom.n_antennas, dtype=complex)
-    for b, phi in zip(paths.gains, paths.azimuths):
-        h += b * steering_vector(geom, phi)
-    return h
 
 
 def run_single_path(config):
@@ -358,16 +347,9 @@ def run_multipath(config):
     """Monte-Carlo multipath sweep, averaged over config.n_trials channels.
 
     Rows hold the arithmetic mean of the per-trial relative bounds.
-    Deterministic for a fixed seed; trials run in parallel when
-    PILOTSPACE_THREADS is set above 1.
+    Deterministic for a fixed seed.
     """
-    n_workers = int(os.environ.get("PILOTSPACE_THREADS", "1"))
-    indices = range(config.n_trials)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(lambda t: _multipath_trial(config, t), indices))
-    else:
-        outcomes = [_multipath_trial(config, t) for t in indices]
+    outcomes = [_multipath_trial(config, t) for t in range(config.n_trials)]
 
     psnr_lin = np.array([10.0 ** (db / 10.0) for db in config.psnr_grid_db])
     rows = []

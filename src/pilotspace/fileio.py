@@ -46,6 +46,8 @@ def matrix_from_json_obj(obj):
     for i, row in enumerate(data):
         for j, (re, im) in enumerate(row):
             M[i, j] = complex(re, im)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix has non-finite entries (NaN or Infinity)")
     return M
 
 
@@ -57,7 +59,11 @@ def write_matrix(path, M):
 
 def read_matrix(path):
     with open(path) as fh:
-        return matrix_from_json_obj(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return matrix_from_json_obj(obj)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def write_json(path, obj):

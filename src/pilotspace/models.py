@@ -87,26 +87,34 @@ class SystemDims:
             raise ValueError("cannot select more pilot subcarriers than subcarriers")
 
 
+def _steering_columns(geom, azimuths):
+    """Steering columns E = (e(phi_l)) and their derivatives dE = (de/dphi_l).
+
+    E_nl = exp(j pi (n - (N_t-1)/2) sin(phi_l)) / sqrt(N_t) and
+    dE_nl = j pi (n - (N_t-1)/2) cos(phi_l) E_nl.  Because the offsets
+    sum to zero, e(phi)^H de/dphi = 0 exactly; at endfire
+    (phi = +/- pi/2) the derivative vanishes.
+    """
+    azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))
+    offsets = geom.offsets[:, None]
+    E = np.exp(1j * (np.pi * offsets * np.sin(azimuths))) / math.sqrt(geom.n_antennas)
+    dE = 1j * np.pi * offsets * np.cos(azimuths) * E
+    return E, dE
+
+
 def steering_vector(geom, azimuth):
     """Unit-norm array response e(phi) of the centered ULA."""
-    phase = np.pi * geom.offsets * math.sin(azimuth)
-    return np.exp(1j * phase) / math.sqrt(geom.n_antennas)
+    return _steering_columns(geom, azimuth)[0][:, 0]
 
 
 def steering_derivative(geom, azimuth):
-    """d e(phi) / d phi.
-
-    Entrywise j pi (n - (N_t-1)/2) cos(phi) e_n(phi).  Because the
-    offsets sum to zero, e(phi)^H de/dphi = 0 exactly; at endfire
-    (phi = +/- pi/2) the derivative vanishes.
-    """
-    e = steering_vector(geom, azimuth)
-    return 1j * np.pi * geom.offsets * math.cos(azimuth) * e
+    """d e(phi) / d phi (see ``_steering_columns``)."""
+    return _steering_columns(geom, azimuth)[1][:, 0]
 
 
 def steering_matrix(geom, azimuths):
     """Columns e(phi_l) for a list of azimuths."""
-    return np.stack([steering_vector(geom, a) for a in np.atleast_1d(azimuths)], axis=1)
+    return _steering_columns(geom, azimuths)[0]
 
 
 def ls_model(n_tx):
@@ -152,19 +160,15 @@ def physical_model(geom, n_paths):
 
     def evaluate(theta):
         gains, azimuths = split(theta)
-        h = np.zeros(n_tx, dtype=complex)
-        for b, phi in zip(gains, azimuths):
-            h += b * steering_vector(geom, phi)
-        return h
+        return steering_matrix(geom, azimuths) @ gains
 
     def gradient(theta):
         gains, azimuths = split(theta)
+        E, dE = _steering_columns(geom, azimuths)
         cols = np.empty((n_tx, 3 * n_paths), dtype=complex)
-        for l, (b, phi) in enumerate(zip(gains, azimuths)):
-            e = steering_vector(geom, phi)
-            cols[:, 3 * l] = e
-            cols[:, 3 * l + 1] = 1j * e
-            cols[:, 3 * l + 2] = b * steering_derivative(geom, phi)
+        cols[:, 0::3] = E
+        cols[:, 1::3] = 1j * E
+        cols[:, 2::3] = gains * dE
         return cols
 
     return ParametricChannelModel(
@@ -224,11 +228,11 @@ def _steering_span(geom, azimuths, source):
     azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))
     if not np.all(np.isfinite(azimuths)):
         raise ValueError("azimuths must be finite")
-    gens = []
-    for phi in azimuths:
-        e = steering_vector(geom, phi)
-        gens += [e, -1j * e, steering_derivative(geom, phi)]
-    G = np.stack(gens, axis=1)
+    E, dE = _steering_columns(geom, azimuths)
+    G = np.empty((geom.n_antennas, 3 * azimuths.shape[0]), dtype=complex)
+    G[:, 0::3] = E
+    G[:, 1::3] = -1j * E
+    G[:, 2::3] = dE
     try:
         basis, _ = r_orthonormalize(G)
     except (RankDeficientError, ValueError) as err:

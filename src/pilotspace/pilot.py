@@ -30,12 +30,12 @@ from .variation import VariationSpaceBasis
 
 @dataclass(frozen=True)
 class PilotDesign:
-    """Optimal observation matrix with its certificates.
+    """Optimal observation matrix.
 
     ``C_norm`` is the normalization constant C; ``achieved_crb`` is the
     CRB of the design against the decomposition it was built from, at
-    the given noise level.  ``certificates`` holds the residuals of the
-    optimality conditions (see ``verify_optimality_certificates``).
+    the given noise level.  The residuals of the optimality conditions
+    come from ``verify_optimality_certificates``.
     """
 
     M: np.ndarray
@@ -43,7 +43,6 @@ class PilotDesign:
     C_norm: float
     sigma2: float
     achieved_crb: float
-    certificates: dict
 
     @property
     def n_columns(self):
@@ -60,10 +59,8 @@ class OracleResult:
 def design_observation_matrix(decomp, power, sigma2=1.0):
     """Build the CRB-optimal observation matrix of minimal size.
 
-    Constructs the closed-form columns and cross-checks them against
-    the equivalent V S D product form (selection matrix S pairing
-    (v_k, w_k) into v_k + j w_k, diagonal power loading D); the two
-    routes must agree to 1e-10.
+    Column k is sqrt(P/C) (v_k + j w_k) / (1 + c_k)^(3/4), plus the
+    scaled lone vector when the parameter count is odd.
 
     Parameters
     ----------
@@ -77,8 +74,6 @@ def design_observation_matrix(decomp, power, sigma2=1.0):
         raise ValueError(f"power must be positive, got {power}")
     c = np.asarray(decomp.c, dtype=float)
     n_pairs = c.shape[0]
-    n_params = decomp.n_params
-    n_cols = n_pairs + decomp.epsilon
 
     C = 2.0 * np.sum(1.0 / np.sqrt(1.0 + c)) + decomp.epsilon
     scale = math.sqrt(power / C)
@@ -91,41 +86,13 @@ def design_observation_matrix(decomp, power, sigma2=1.0):
         cols.append(scale * decomp.lone_vector)
     M = np.stack(cols, axis=1)
 
-    # Equivalent product form M = V S D.
-    S = np.zeros((n_params, n_cols), dtype=complex)
-    for k in range(n_pairs):
-        S[2 * k, k] = 1.0
-        S[2 * k + 1, k] = 1j
-    diag = list((1.0 + c) ** -0.75)
-    if decomp.epsilon:
-        S[-1, -1] = 1.0
-        diag.append(1.0)
-    D = scale * np.diag(diag)
-    M_product = decomp.V @ S @ D
-    route_gap = np.linalg.norm(M - M_product)
-    if route_gap > 1e-10 * (1.0 + np.linalg.norm(M)):
-        raise AssertionError(
-            f"design route mismatch: ||direct - VSD|| = {route_gap:.3e}"
-        )
-
-    noise = NoiseModel(sigma2)
-    achieved = crb_via_variation_space(RBasis(decomp.V), M, noise).value
-    design = PilotDesign(
-        M=M,
-        power=float(power),
-        C_norm=float(C),
-        sigma2=float(sigma2),
-        achieved_crb=float(achieved),
-        certificates={},
-    )
-    certs = verify_optimality_certificates(decomp, design)
+    achieved = crb_via_variation_space(RBasis(decomp.V), M, NoiseModel(sigma2)).value
     return PilotDesign(
         M=M,
         power=float(power),
         C_norm=float(C),
         sigma2=float(sigma2),
         achieved_crb=float(achieved),
-        certificates=certs,
     )
 
 

@@ -135,6 +135,33 @@ class TestCrbCommand:
         )
         assert code == 1
 
+    def test_non_finite_matrix_exit_1(self, tmp_path, capsys):
+        # Python's json reads NaN/Infinity literals; they must not reach LAPACK.
+        m_path = tmp_path / "m.json"
+        fileio.write_matrix(m_path, np.array([[np.nan + 0j], [1.0]]))
+        theta = tmp_path / "theta.json"
+        theta.write_text("[0.0, 0.0, 0.0, 0.0]")
+        code = run_cli(
+            "crb", "--model", "ls", "--nt", "2", "--theta", str(theta),
+            "--m", str(m_path),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(m_path) in err and "non-finite" in err
+
+    def test_non_finite_theta_exit_1(self, tmp_path, capsys):
+        m_path = tmp_path / "m.json"
+        fileio.write_matrix(m_path, np.eye(2))
+        theta = tmp_path / "theta.json"
+        theta.write_text("[0.0, Infinity, 0.0, 0.0]")
+        code = run_cli(
+            "crb", "--model", "ls", "--nt", "2", "--theta", str(theta),
+            "--m", str(m_path),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(theta) in err and "non-finite" in err
+
     def test_identify_drops_crb_field(self, tmp_path, capsys):
         m_path = tmp_path / "m.json"
         run_cli(

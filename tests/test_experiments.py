@@ -276,12 +276,6 @@ class TestRunMultipath:
         assert table.sorted_rows() == table2.sorted_rows()
         assert diag == diag2
 
-    def test_parallel_equals_serial(self, multipath_outcome, monkeypatch):
-        (table, _), config = multipath_outcome
-        monkeypatch.setenv("PILOTSPACE_THREADS", "4")
-        table_par, _ = run_multipath(config)
-        assert table.sorted_rows() == table_par.sorted_rows()
-
     def test_matched_slope_exact(self, multipath_outcome):
         (table, _), _ = multipath_outcome
         grid, pr = table.values(PROPOSED_STRATEGY, 0.0)

@@ -137,6 +137,24 @@ class TestPhysicalModel:
             for _ in range(5):
                 assert_gradient_matches_fd(model, random_theta(model, rng))
 
+    def test_matches_per_path_loop(self):
+        # Reference: one steering vector per path, summed in a Python loop.
+        geom = UlaGeometry(16)
+        model = physical_model(geom, 4)
+        theta = random_theta(model, np.random.default_rng(2))
+        gains = theta[0::3] + 1j * theta[1::3]
+        h = np.zeros(16, dtype=complex)
+        cols = []
+        for b, phi in zip(gains, theta[2::3]):
+            e = np.exp(1j * np.pi * geom.offsets * math.sin(phi)) / 4.0
+            de = 1j * np.pi * geom.offsets * math.cos(phi) * e
+            h += b * e
+            cols += [e, 1j * e, b * de]
+        np.testing.assert_allclose(model.evaluate(theta), h, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(
+            model.gradient(theta), np.stack(cols, axis=1), rtol=1e-14, atol=1e-15
+        )
+
     def test_variation_space_generators(self):
         # For real positive gains the gradient span equals the
         # azimuth-only span {e, -je, de/dphi} per path.

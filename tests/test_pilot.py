@@ -8,6 +8,7 @@ import pytest
 from pilotspace.crb import NoiseModel, check_identifiability, crb_min, crb_via_variation_space
 from pilotspace.models import (
     UlaGeometry,
+    estimated_variation_space,
     ls_model,
     physical_model,
     steering_derivative,
@@ -29,6 +30,27 @@ def random_complex(rng, *shape):
 def random_decomposition(rng, n_dim, n_params):
     basis, _ = r_orthonormalize(random_complex(rng, n_dim, n_params))
     return VariationSpaceBasis(basis), canonical_decompose(basis)
+
+
+def assert_matches_product_form(dec, power):
+    """The closed-form columns equal the product form M = V S D.
+
+    S pairs (v_k, w_k) into v_k + j w_k (and selects the lone vector),
+    D is the diagonal power loading sqrt(P/C) (1 + c_k)^(-3/4).
+    """
+    design = design_observation_matrix(dec, power)
+    c = np.asarray(dec.c, dtype=float)
+    S = np.zeros((dec.n_params, design.n_columns), dtype=complex)
+    for k in range(c.shape[0]):
+        S[2 * k, k] = 1.0
+        S[2 * k + 1, k] = 1j
+    diag = list((1.0 + c) ** -0.75)
+    if dec.epsilon:
+        S[-1, -1] = 1.0
+        diag.append(1.0)
+    D = math.sqrt(power / design.C_norm) * np.diag(diag)
+    M = design.M
+    assert np.linalg.norm(M - dec.V @ S @ D) <= 1e-10 * (1.0 + np.linalg.norm(M))
 
 
 class TestDesignObservationMatrix:
@@ -99,6 +121,17 @@ class TestDesignObservationMatrix:
         assert np.linalg.norm(design.M) ** 2 == pytest.approx(1.0, rel=1e-9)
         assert check_identifiability(vb, design.M).identifiable
 
+    @pytest.mark.parametrize("n_params", [2, 3, 4, 5, 6, 9])
+    def test_matches_product_form(self, n_params):
+        rng = np.random.default_rng(n_params)
+        _, dec = random_decomposition(rng, n_params + 2, n_params)
+        assert_matches_product_form(dec, 3.0)
+
+    def test_ula_matches_product_form(self):
+        geom = UlaGeometry(64)
+        dec = canonical_decompose(estimated_variation_space(geom, [0.3, -0.7, 1.1]))
+        assert_matches_product_form(dec, 1.5)
+
     def test_rejects_bad_power(self):
         rng = np.random.default_rng(20)
         _, dec = random_decomposition(rng, 5, 3)
@@ -113,7 +146,7 @@ class TestOptimalityCertificates:
         P = 3.0
         _, dec = random_decomposition(rng, n_params + 2, n_params)
         design = design_observation_matrix(dec, P)
-        certs = design.certificates
+        certs = verify_optimality_certificates(dec, design)
         assert certs["diagonal_residual"] <= 1e-9 * P
         assert certs["dk_residual"] <= 1e-9 * P
         assert certs["column_powers"] == pytest.approx(
@@ -131,7 +164,6 @@ class TestOptimalityCertificates:
             C_norm=design.C_norm,
             sigma2=1.0,
             achieved_crb=0.0,
-            certificates={},
         )
         certs = verify_optimality_certificates(dec, fake)
         assert certs["diagonal_residual"] > 1e-6 or certs["dk_residual"] > 1e-6
@@ -145,7 +177,7 @@ class TestOptimalityCertificates:
         assert dec.c == pytest.approx([0.0], abs=1e-12)
         P = 2.0
         design = design_observation_matrix(dec, P)
-        certs = design.certificates
+        certs = verify_optimality_certificates(dec, design)
         assert certs["diagonal_residual"] <= 1e-9 * P
         assert certs["dk_residual"] <= 1e-9 * P
         v, w = dec.pair(0)
