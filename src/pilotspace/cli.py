@@ -220,6 +220,11 @@ def _crb_payload(args):
     model, basis_factory = _model_from_args(
         args, n_params_hint=None if theta is None else theta.shape[0]
     )
+    if M.shape[0] != model.n_dims:
+        raise ConfigError(
+            f"{args.m}: M has {M.shape[0]} rows, but the model's ambient "
+            f"dimension is {model.n_dims}"
+        )
     if theta is not None:
         if theta.shape[0] != model.n_params:
             raise ConfigError(
@@ -263,7 +268,8 @@ def cmd_experiment(args):
     if args.kind == "single-path":
         table = run_single_path(config)
     else:
-        table, _ = run_multipath(config)
+        table, info = run_multipath(config)
+        print(f"redraws: {info['redraws']}", file=sys.stderr)
     if args.output:
         fileio.write_curve_table(args.output, table)
         print(f"wrote {args.output}", file=sys.stderr)

@@ -5,10 +5,15 @@ the relative MSE (MSE / ||h||^2) as a function of the potential SNR
 pSNR = P_t ||h||^2 / sigma^2:
 
 * angle-constrained -- azimuths frozen at their estimates, pilots
-  sqrt(P_t/L) (e(phi_1^), ..., e(phi_L^)) of duration L; the bound is
-  max(relative bias of the frozen-angle subspace, relative CRB of the
-  gains-only model).  The bias term does not depend on the noise level,
-  so the curve flattens at high pSNR.
+  sqrt(P_t/L) E_hat with E_hat = (e(phi_1^), ..., e(phi_L^)), of
+  duration L; the bound is max(relative bias of the frozen-angle
+  subspace, relative CRB of the gains-only model).  The bias term does
+  not depend on the noise level, so the curve flattens at high pSNR.
+  With these pilots the gains-only CRB is sigma^2 (L/P_t)
+  Tr[(E_hat^H E_hat)^{-1}], so its coefficient (relative CRB times pSNR)
+  is L Tr[(E_hat^H E_hat)^{-1}] = L ||R^{-1}||_F^2 = L sum_k 1/s_k^2,
+  with E_hat = QR and s_k the singular values of E_hat; the SVD that
+  rank-checks E_hat for the bias term supplies them.
 * proposed -- pilots of duration ceil(3L/2) built from the estimated
   variation space; the bound is the relative CRB of the full physical
   model evaluated at the true parameters against those (mismatched)
@@ -17,7 +22,10 @@ pSNR = P_t ||h||^2 / sigma^2:
 The pSNR axis is swept by varying sigma^2 at fixed transmit power and
 fixed channel, so pilot designs are constant along a sweep and each
 strategy reduces to a coefficient (CRB * pSNR) plus an optional bias
-floor.
+floor.  A multipath trial builds the true channel and the true
+variation space once and shares them across its Delta values; at
+Delta = 0 the estimates equal the true azimuths, so the true space also
+serves as the estimated one.
 
 The multipath generator is a deliberately simplified clustered model:
 the number of clusters is uniform on {1..7}, main-cluster azimuths are
@@ -33,11 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crb import NoiseModel, crb_via_variation_space
+from .crb import EIG_RTOL, NoiseModel, crb_via_variation_space
 from .models import (
     UlaGeometry,
     PathSet,
-    angle_constrained_model,
     estimated_variation_space,
     physical_variation_space,
     steering_derivative,
@@ -45,7 +52,7 @@ from .models import (
 )
 from .pilot import design_observation_matrix
 from .rlinalg import RankDeficientError
-from .variation import canonical_decompose, variation_space
+from .variation import canonical_decompose
 
 AC_STRATEGY = "AngleConstrained"
 PROPOSED_STRATEGY = "Proposed"
@@ -150,8 +157,11 @@ def relative_crb(true_basis, M, sigma2, h):
     return report.value / float(np.linalg.norm(h) ** 2)
 
 
-def relative_bias(h, E_hat):
-    """Squared relative residual of projecting h onto range(E_hat)."""
+def _projection_floor(h, E_hat):
+    """Relative bias of range(E_hat) and the singular values of E_hat.
+
+    Raises RankDeficientError when E_hat has dependent columns.
+    """
     h = np.asarray(h, dtype=complex).ravel()
     E_hat = np.atleast_2d(np.asarray(E_hat, dtype=complex))
     s = np.linalg.svd(E_hat, compute_uv=False)
@@ -160,7 +170,12 @@ def relative_bias(h, E_hat):
     Q, _ = np.linalg.qr(E_hat)
     resid = h - Q @ (np.conj(Q.T) @ h)
     hnorm2 = float(np.linalg.norm(h) ** 2)
-    return min(1.0, max(0.0, float(np.linalg.norm(resid) ** 2) / hnorm2))
+    return min(1.0, max(0.0, float(np.linalg.norm(resid) ** 2) / hnorm2)), s
+
+
+def relative_bias(h, E_hat):
+    """Squared relative residual of projecting h onto range(E_hat)."""
+    return _projection_floor(h, E_hat)[0]
 
 
 def _crb_coefficient(true_basis, M, power, h):
@@ -169,50 +184,67 @@ def _crb_coefficient(true_basis, M, power, h):
     return rel_at_unit_sigma * psnr(power, h, 1.0)
 
 
-def ac_strategy_bound(true_paths, estimated_azimuths, config):
-    """Bound of the angle-constrained tracking strategy.
-
-    Pilots sqrt(P_t/L) E_hat of duration L; CRB term from the
-    gains-only model at the estimated azimuths, bias term from the
-    projection residual of the true channel onto range(E_hat).
-    """
+def _check_estimates(true_paths, estimated_azimuths):
     estimated_azimuths = np.atleast_1d(np.asarray(estimated_azimuths, dtype=float))
     if estimated_azimuths.shape[0] != true_paths.n_paths:
         raise ValueError("need one estimated azimuth per true path")
-    geom = config.geometry
-    L = true_paths.n_paths
-    h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
-    E_hat = steering_matrix(geom, estimated_azimuths)
-    M = math.sqrt(config.power / L) * E_hat
+    return estimated_azimuths
 
-    ac_model = angle_constrained_model(geom, estimated_azimuths)
-    ac_basis = variation_space(ac_model, np.zeros(2 * L))
+
+def ac_strategy_bound(true_paths, estimated_azimuths, config, *, h=None):
+    """Bound of the angle-constrained tracking strategy.
+
+    Pilots sqrt(P_t/L) E_hat of duration L; CRB term from the
+    gains-only model at the estimated azimuths in closed form (see the
+    module docstring; +inf where its compression is singular), bias
+    term from the projection residual of the true channel onto
+    range(E_hat).  ``h`` is the true channel, computed from
+    ``true_paths`` when omitted.
+    """
+    estimated_azimuths = _check_estimates(true_paths, estimated_azimuths)
+    L = true_paths.n_paths
+    if h is None:
+        h = steering_matrix(config.geometry, true_paths.azimuths) @ true_paths.gains
+    bias, s = _projection_floor(h, steering_matrix(config.geometry, estimated_azimuths))
+    # The compression of M M^H to span_R(E_hat, jE_hat) has the eigenvalues
+    # (P/L) s_k^2, each twice: apply crb_via_variation_space's singularity test.
+    if s[-1] ** 2 <= EIG_RTOL * s[0] ** 2:
+        coefficient = math.inf
+    else:
+        coefficient = L * float(np.sum(1.0 / s**2))
     return StrategyBound(
         strategy=AC_STRATEGY,
         pilot_length=L,
-        crb_coefficient=_crb_coefficient(ac_basis, M, config.power, h),
-        bias=relative_bias(h, E_hat),
+        crb_coefficient=coefficient,
+        bias=bias,
     )
 
 
-def proposed_strategy_bound(true_paths, estimated_azimuths, config):
+def proposed_strategy_bound(true_paths, estimated_azimuths, config, *, h=None,
+                            true_basis=None):
     """Bound of the proposed tracking strategy.
 
     Pilots of duration ceil(3L/2) designed from the estimated variation
     space; the CRB is evaluated with the variation space of the full
-    physical model at the true parameters (no bias term).
+    physical model at the true parameters (no bias term).  ``h`` and
+    ``true_basis`` (the true channel and
+    ``physical_variation_space(geom, true_paths.azimuths)``) are
+    computed when omitted.  Estimates equal to the true azimuths reuse
+    the true basis as the estimated space.
     """
-    estimated_azimuths = np.atleast_1d(np.asarray(estimated_azimuths, dtype=float))
-    if estimated_azimuths.shape[0] != true_paths.n_paths:
-        raise ValueError("need one estimated azimuth per true path")
+    estimated_azimuths = _check_estimates(true_paths, estimated_azimuths)
     geom = config.geometry
     L = true_paths.n_paths
-    h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
+    if h is None:
+        h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
+    if true_basis is None:
+        true_basis = physical_variation_space(geom, true_paths.azimuths)
 
-    est_space = estimated_variation_space(geom, estimated_azimuths)
+    if np.array_equal(estimated_azimuths, true_paths.azimuths):
+        est_space = true_basis
+    else:
+        est_space = estimated_variation_space(geom, estimated_azimuths)
     design = design_observation_matrix(canonical_decompose(est_space), config.power)
-
-    true_basis = physical_variation_space(geom, true_paths.azimuths)
     return StrategyBound(
         strategy=PROPOSED_STRATEGY,
         pilot_length=math.ceil(3 * L / 2),
@@ -327,12 +359,16 @@ def _multipath_trial(config, trial_index):
                 max_retries=config.max_redraws,
             )
             unit = rng.uniform(-1.0, 1.0, size=paths.n_paths)
+            h = steering_matrix(geom, paths.azimuths) @ paths.gains
+            true_basis = physical_variation_space(geom, paths.azimuths)
             results = {}
             for delta in deltas:
+                # At Delta = 0, est equals paths.azimuths bit for bit.
                 est = paths.azimuths + math.radians(delta) * unit
                 results[delta] = (
-                    ac_strategy_bound(paths, est, config),
-                    proposed_strategy_bound(paths, est, config),
+                    ac_strategy_bound(paths, est, config, h=h),
+                    proposed_strategy_bound(paths, est, config, h=h,
+                                            true_basis=true_basis),
                 )
             return results, redraw
         except RankDeficientError:

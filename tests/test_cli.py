@@ -8,6 +8,7 @@ import pytest
 
 from pilotspace import fileio
 from pilotspace.cli import load_run_config, main
+from pilotspace.experiments import run_multipath
 from pilotspace.models import UlaGeometry, steering_derivative, steering_vector
 
 
@@ -162,6 +163,21 @@ class TestCrbCommand:
         err = capsys.readouterr().err
         assert str(theta) in err and "non-finite" in err
 
+    @pytest.mark.parametrize("command", ["crb", "identify"])
+    def test_m_row_count_mismatch_exit_1(self, tmp_path, capsys, command):
+        m_path = tmp_path / "m.json"
+        fileio.write_matrix(m_path, np.ones((3, 2), dtype=complex))
+        theta = tmp_path / "theta.json"
+        theta.write_text("[0.0, 0.0, 0.0, 0.0]")
+        code = run_cli(
+            command, "--model", "ls", "--nt", "2", "--theta", str(theta),
+            "--m", str(m_path),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(m_path) in err
+        assert "3 rows" in err and "dimension is 2" in err
+
     def test_identify_drops_crb_field(self, tmp_path, capsys):
         m_path = tmp_path / "m.json"
         run_cli(
@@ -225,6 +241,14 @@ class TestExperimentCommand:
         assert run_cli("experiment", "multipath", "--config", str(config_file),
                        "--output", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_multipath_reports_redraws(self, config_file, capsys):
+        assert run_cli("experiment", "multipath", "--config", str(config_file)) == 0
+        captured = capsys.readouterr()
+        table, info = run_multipath(load_run_config(config_file))
+        # The count goes to stderr; stdout stays the curve CSV alone.
+        assert captured.out == fileio.curve_table_csv(table)
+        assert captured.err.splitlines() == [f"redraws: {info['redraws']}"]
 
     def test_plot_script_emitted(self, tmp_path, config_file):
         out, script = tmp_path / "sp.csv", tmp_path / "sp.gp"

@@ -10,6 +10,7 @@ from pilotspace.experiments import (
     AC_STRATEGY,
     PROPOSED_STRATEGY,
     ExperimentConfig,
+    _crb_coefficient,
     ac_strategy_bound,
     generate_clustered_channel,
     ls_gain_estimate,
@@ -24,12 +25,15 @@ from pilotspace.experiments import (
 from pilotspace.models import (
     PathSet,
     UlaGeometry,
+    angle_constrained_model,
     estimated_variation_space,
     physical_model,
+    physical_variation_space,
     steering_matrix,
     steering_vector,
 )
 from pilotspace.pilot import design_observation_matrix
+from pilotspace.rlinalg import RankDeficientError
 from pilotspace.variation import canonical_decompose, variation_space
 
 SINGLE_PATH_RATIO = 2 * (1 / math.sqrt(2) + 0.5) ** 2  # Proposed/AC floor ratio
@@ -174,6 +178,89 @@ class TestStrategyBounds:
         paths = PathSet(gains=[1.0], azimuths=[0.0])
         with pytest.raises(ValueError, match="per true path"):
             ac_strategy_bound(paths, [0.0, 0.1], config)
+
+
+def _separated_paths(rng, L, floor_deg=2.0):
+    """L paths with azimuths in (-60, 60) deg whose sines are floor-separated."""
+    while True:
+        az = rng.uniform(-math.radians(60.0), math.radians(60.0), size=L)
+        sines = np.sin(az)
+        gaps = np.abs(sines[:, None] - sines[None, :])[np.triu_indices(L, 1)]
+        if L == 1 or gaps.min() >= math.sin(math.radians(floor_deg)):
+            gains = rng.normal(size=L) + 1j * rng.normal(size=L)
+            return PathSet(gains=gains, azimuths=az)
+
+
+def _general_ac_coefficient(paths, est, config):
+    """AC coefficient through the gains-only model's variation space."""
+    geom = config.geometry
+    L = paths.n_paths
+    basis = variation_space(angle_constrained_model(geom, est), np.zeros(2 * L))
+    M = math.sqrt(config.power / L) * steering_matrix(geom, est)
+    h = steering_matrix(geom, paths.azimuths) @ paths.gains
+    return _crb_coefficient(basis, M, config.power, h)
+
+
+class TestAcClosedForm:
+    @pytest.mark.parametrize("L", range(1, 8))
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 5.0])
+    def test_matches_general_route(self, L, delta):
+        config = ExperimentConfig(power=2.5)
+        rng = np.random.default_rng([11, L, int(delta)])
+        paths = _separated_paths(rng, L)
+        est = paths.azimuths + math.radians(delta) * rng.uniform(-1.0, 1.0, size=L)
+        closed = ac_strategy_bound(paths, est, config).crb_coefficient
+        assert math.isfinite(closed)
+        assert closed == pytest.approx(
+            _general_ac_coefficient(paths, est, config), rel=1e-12
+        )
+
+    def test_singular_compression_is_infinite(self):
+        # Estimates 1e-8 rad apart pass the rank test of E_hat but leave the
+        # compression singular: both routes report a non-identifiable pair.
+        config = ExperimentConfig()
+        paths = PathSet(gains=[1.0, 0.5j], azimuths=[0.3, -0.4])
+        est = [0.3, 0.3 + 1e-8]
+        bound = ac_strategy_bound(paths, est, config)
+        assert bound.crb_coefficient == math.inf
+        assert _general_ac_coefficient(paths, est, config) == math.inf
+        assert 0.0 <= bound.bias <= 1.0
+
+    def test_coincident_estimates_raise(self):
+        config = ExperimentConfig()
+        paths = PathSet(gains=[1.0, 0.5j], azimuths=[0.3, -0.4])
+        with pytest.raises(RankDeficientError):
+            ac_strategy_bound(paths, [0.3, 0.3], config)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 5.0])
+    def test_precomputed_inputs_give_equal_bounds(self, delta):
+        config = ExperimentConfig()
+        geom = config.geometry
+        rng = np.random.default_rng([12, int(delta)])
+        paths = _separated_paths(rng, 4)
+        est = paths.azimuths + math.radians(delta) * rng.uniform(-1.0, 1.0, size=4)
+        h = steering_matrix(geom, paths.azimuths) @ paths.gains
+        true_basis = physical_variation_space(geom, paths.azimuths)
+        proposed = proposed_strategy_bound(paths, est, config)
+        assert proposed_strategy_bound(
+            paths, est, config, h=h, true_basis=true_basis
+        ).crb_coefficient == proposed.crb_coefficient
+        assert ac_strategy_bound(paths, est, config, h=h) == ac_strategy_bound(
+            paths, est, config
+        )
+
+    def test_exact_estimates_match_estimated_space_route(self):
+        config = ExperimentConfig()
+        geom = config.geometry
+        paths = _separated_paths(np.random.default_rng(13), 3)
+        h = steering_matrix(geom, paths.azimuths) @ paths.gains
+        est_space = estimated_variation_space(geom, paths.azimuths)
+        M = design_observation_matrix(canonical_decompose(est_space), config.power).M
+        expected = _crb_coefficient(
+            physical_variation_space(geom, paths.azimuths), M, config.power, h
+        )
+        bound = proposed_strategy_bound(paths, paths.azimuths.copy(), config)
+        assert bound.crb_coefficient == expected
 
 
 class TestRunSinglePath:
