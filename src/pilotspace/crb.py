@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rlinalg import RankDeficientError, compression_matrix, r_orthonormalize
+from .rlinalg import compression_matrix, numerical_rank, stacked_real
 from .variation import VariationSpaceBasis
 
 # A compression (or FIM) counts as singular when its smallest eigenvalue
@@ -48,6 +48,14 @@ class CrbReport:
 
     ``value`` is +inf exactly when ``identifiable`` is False.  ``fim``
     is only populated by the gradient-based form.
+
+    ``min_eig_compression`` is the smallest eigenvalue of the compression
+    Re{U^H M M^H U} for a real-orthonormal basis U of the variation space.
+    The basis-based forms use the basis they are given.  The direct form
+    takes U = Q[:n] + j Q[n:] from the orthonormal factor Q of one
+    Householder QR of the stacked gradient [Re; Im]: it spans the same
+    space, and the eigenvalues do not depend on the basis.  The direct
+    form reports 0.0 when the gradient is rank deficient.
     """
 
     value: float
@@ -89,11 +97,16 @@ class CrbMinResult:
 def fim(model, theta, M, noise):
     """Fisher information matrix (2/sigma^2) Re{dh^H M M^H dh}."""
     grad = np.asarray(model.gradient(np.asarray(theta, dtype=float)), dtype=complex)
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    return _fisher(grad, np.atleast_2d(np.asarray(M, dtype=complex)), noise)
+
+
+def _fisher(grad, M, noise):
     if M.shape[0] != grad.shape[0]:
         raise ValueError(
             f"M has {M.shape[0]} rows but the gradient has {grad.shape[0]}"
         )
+    if not np.all(np.isfinite(M)):
+        raise ValueError("observation matrix M contains non-finite entries")
     X = np.conj(M.T) @ grad
     I = (2.0 / noise.sigma2) * (X.real.T @ X.real + X.imag.T @ X.imag)
     return 0.5 * (I + I.T)
@@ -124,8 +137,10 @@ def crb_direct(model, theta, M, noise):
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(model.gradient(theta), dtype=complex)
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("gradient contains non-finite entries")
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    I = fim(model, theta, M, noise)
+    I = _fisher(grad, M, noise)
     min_eig, max_eig = _sym_eig_range(I)
     fim_scale = (
         (2.0 / noise.sigma2)
@@ -133,13 +148,7 @@ def crb_direct(model, theta, M, noise):
         * float(np.linalg.norm(grad) ** 2)
     )
 
-    # Diagnostic eigenvalue of the compression, when the variation space exists.
-    try:
-        basis, _ = r_orthonormalize(grad)
-        comp_min, _ = _sym_eig_range(compression_matrix(basis, M))
-    except RankDeficientError:
-        comp_min = 0.0
-
+    comp_min = _compression_min_eig(grad, M)
     if _is_singular(min_eig, max_eig, fim_scale):
         return CrbReport(
             value=math.inf, identifiable=False, min_eig_compression=comp_min, fim=I
@@ -149,6 +158,25 @@ def crb_direct(model, theta, M, noise):
     return CrbReport(
         value=value, identifiable=True, min_eig_compression=comp_min, fim=I
     )
+
+
+def _compression_min_eig(grad, M):
+    """Smallest compression eigenvalue on span_R(grad), 0.0 if rank deficient.
+
+    Takes U = Q[:n] + j Q[n:] from one Householder QR of [Re; Im] grad
+    and forms Re/Im{M^H U} from real products of views, so neither U nor
+    M^H U is built as a complex matrix.
+    """
+    n, k = grad.shape
+    Q, R = np.linalg.qr(stacked_real(grad), mode="reduced")
+    if numerical_rank(np.linalg.svd(R, compute_uv=False)) < k:
+        return 0.0
+    Qr, Qi = Q[:n], Q[n:]
+    Mr, Mi = M.real, M.imag
+    Xr = Mr.T @ Qr + Mi.T @ Qi
+    Xi = Mr.T @ Qi - Mi.T @ Qr
+    C = Xr.T @ Xr + Xi.T @ Xi
+    return _sym_eig_range(0.5 * (C + C.T))[0]
 
 
 def crb_via_variation_space(basis, M, noise):

@@ -206,22 +206,28 @@ def angle_constrained_model(geom, fixed_azimuths):
     )
 
 
-def _degenerate_azimuths(azimuths, tol=1e-8):
-    """Indices behind a steering-span rank collapse: aliased pairs, endfire."""
-    sines = np.sin(azimuths)
-    pairs = [
-        (i, j)
-        for i in range(len(azimuths))
-        for j in range(i + 1, len(azimuths))
-        if abs(sines[i] - sines[j]) <= tol
-    ]
-    endfire = [i for i, phi in enumerate(azimuths) if abs(math.cos(phi)) <= tol]
-    parts = []
-    if pairs:
-        parts.append(f"aliased azimuth pairs (equal sines) at indices {pairs}")
-    if endfire:
-        parts.append(f"endfire azimuths (vanishing derivative) at indices {endfire}")
-    return "; ".join(parts) if parts else "near-degenerate generator set"
+# Generators of the steering span, per path, in column order.
+_SPAN_GENERATORS = ("e(phi_{})", "-j e(phi_{})", "de/dphi(phi_{})")
+# A generator collapses when its weight in the null space of the rank
+# test is at least this fraction of the largest weight.
+NULL_WEIGHT_RTOL = 1e-3
+
+
+def _collapsing_generators(null_space):
+    """Name the span generators behind a rank collapse, and their azimuths.
+
+    ``null_space`` holds the null right-singular vectors of the rank
+    test's factor (``RankDeficientError.null_space``): each column is a
+    real coefficient vector x with G x ~ 0.  A generator's weight is the
+    norm of its row, which does not depend on the basis of the null space.
+    """
+    if null_space is None:
+        return "near-degenerate generator set"
+    weights = np.linalg.norm(null_space, axis=1)
+    cols = np.flatnonzero(weights >= NULL_WEIGHT_RTOL * weights.max())
+    names = [_SPAN_GENERATORS[g % 3].format(g // 3) for g in cols]
+    paths = sorted({int(g) // 3 for g in cols})
+    return f"collapsing generators {', '.join(names)} at azimuth indices {paths}"
 
 
 def _steering_span(geom, azimuths, source):
@@ -236,11 +242,13 @@ def _steering_span(geom, azimuths, source):
     try:
         basis, _ = r_orthonormalize(G)
     except (RankDeficientError, ValueError) as err:
+        null_space = getattr(err, "null_space", None)
         raise RankDeficientError(
             f"{source} variation space is rank deficient for azimuths "
-            f"{np.round(np.degrees(azimuths), 3).tolist()} deg: "
-            f"{_degenerate_azimuths(azimuths)} ({err})",
+            f"{np.degrees(azimuths).tolist()} deg: "
+            f"{_collapsing_generators(null_space)} ({err})",
             rank=getattr(err, "rank", None),
+            null_space=null_space,
         ) from err
     return VariationSpaceBasis(basis=basis, source=source)
 

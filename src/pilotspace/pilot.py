@@ -19,34 +19,42 @@ minimizes the CRB by projected gradient descent on the power sphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .crb import NoiseModel, crb_via_variation_space
 from .rlinalg import RBasis
-from .variation import VariationSpaceBasis
+from .variation import CanonicalDecomposition, VariationSpaceBasis
 
 
 @dataclass(frozen=True)
 class PilotDesign:
     """Optimal observation matrix.
 
-    ``C_norm`` is the normalization constant C; ``achieved_crb`` is the
-    CRB of the design against the decomposition it was built from, at
-    the given noise level.  The residuals of the optimality conditions
-    come from ``verify_optimality_certificates``.
+    ``C_norm`` is the normalization constant C; ``decomp`` is the
+    decomposition the design was built from.  ``achieved_crb`` is the
+    CRB of the design against that decomposition at the given noise
+    level; it is computed on first access and cached, so a caller that
+    needs only ``M`` never pays for it.  The residuals of the optimality
+    conditions come from ``verify_optimality_certificates``.
     """
 
     M: np.ndarray
     power: float
     C_norm: float
     sigma2: float
-    achieved_crb: float
+    decomp: CanonicalDecomposition = field(repr=False, compare=False)
 
     @property
     def n_columns(self):
         return self.M.shape[1]
+
+    @cached_property
+    def achieved_crb(self):
+        basis = RBasis(self.decomp.V)
+        return float(crb_via_variation_space(basis, self.M, NoiseModel(self.sigma2)).value)
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ def design_observation_matrix(decomp, power, sigma2=1.0):
     power : float
         Frobenius-norm-squared budget ||M||_F^2.
     sigma2 : float
-        Noise variance used for the reported achieved CRB.
+        Noise variance of the design's ``achieved_crb`` (computed on access).
     """
     if not (power > 0):
         raise ValueError(f"power must be positive, got {power}")
@@ -85,14 +93,12 @@ def design_observation_matrix(decomp, power, sigma2=1.0):
     if decomp.epsilon:
         cols.append(scale * decomp.lone_vector)
     M = np.stack(cols, axis=1)
-
-    achieved = crb_via_variation_space(RBasis(decomp.V), M, NoiseModel(sigma2)).value
     return PilotDesign(
         M=M,
         power=float(power),
         C_norm=float(C),
         sigma2=float(sigma2),
-        achieved_crb=float(achieved),
+        decomp=decomp,
     )
 
 

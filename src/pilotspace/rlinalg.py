@@ -31,13 +31,17 @@ COUPLING_SNAP = 1e-12      # couplings below this are snapped to exactly 0
 class RankDeficientError(ValueError):
     """A matrix expected to have full column rank over R does not.
 
-    Carries the detected numerical rank so callers can report which
-    generators collapsed.
+    Carries the detected numerical rank and, when ``r_orthonormalize``
+    raised it, ``null_space``: a real (k x (k - rank)) matrix whose
+    orthonormal columns are the null right-singular vectors of the
+    factored matrix, i.e. the real coefficient vectors x with G x ~ 0.
+    Its nonzero rows name the generators that collapsed.
     """
 
-    def __init__(self, message, rank=None):
+    def __init__(self, message, rank=None, null_space=None):
         super().__init__(message)
         self.rank = rank
+        self.null_space = null_space
 
 
 class NotSkewSymmetricError(ValueError):
@@ -122,9 +126,9 @@ def r_inner(x, y):
 
 def real_gram(X, Y=None):
     """Re{X^H Y} for complex matrices (Y defaults to X)."""
-    if Y is None:
-        Y = X
-    return np.real(np.conj(X.T) @ Y)
+    X = np.asarray(X)
+    Y = X if Y is None else np.asarray(Y)
+    return X.real.T @ Y.real + X.imag.T @ Y.imag
 
 
 def stacked_real(G):
@@ -133,12 +137,33 @@ def stacked_real(G):
     return np.vstack([G.real, G.imag])
 
 
-def real_rank(G, rtol=RANK_RTOL):
-    """Numerical rank of the columns of G over the reals."""
-    s = np.linalg.svd(stacked_real(np.atleast_2d(G)), compute_uv=False)
+def numerical_rank(s, rtol=RANK_RTOL):
+    """Count of descending singular values s above rtol * s[0]."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rtol * s[0]))
+
+
+def real_rank(G, rtol=RANK_RTOL):
+    """Numerical rank of the columns of G over the reals."""
+    return numerical_rank(
+        np.linalg.svd(stacked_real(np.atleast_2d(G)), compute_uv=False), rtol
+    )
+
+
+def _positive_triangle(X):
+    """R of a real QR of [Re{X}; Im{X}], rows signed to a positive diagonal."""
+    R = np.linalg.qr(stacked_real(X), mode="r")
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    return signs[:, None] * R
+
+
+def _solve_right(X, R):
+    """X R^{-1} for upper-triangular R (both inputs finite by construction)."""
+    return scipy.linalg.solve_triangular(
+        R, X.T, lower=False, trans="T", check_finite=False
+    ).T
 
 
 def r_orthonormalize(G):
@@ -147,7 +172,8 @@ def r_orthonormalize(G):
     Runs a real QR decomposition of the stacked matrix [Re{G}; Im{G}]
     and maps the triangular factor back: U = G R^{-1}.  The result
     satisfies U R = G with R real upper-triangular (positive diagonal)
-    and Re{U^H U} = Id.
+    and Re{U^H U} = Id.  The rank test uses the singular values of the
+    first pass's k x k triangle, which equal those of the stacked matrix.
 
     Parameters
     ----------
@@ -163,31 +189,29 @@ def r_orthonormalize(G):
     ------
     RankDeficientError
         If the columns are real-linearly dependent (numerical rank below
-        k at relative threshold 1e-10).
+        k at relative threshold 1e-10); ``null_space`` holds the
+        dependent coefficient vectors.
     """
     G = np.atleast_2d(np.asarray(G, dtype=complex))
     if not np.all(np.isfinite(G)):
         raise ValueError("input matrix contains non-finite entries")
-    n, k = G.shape
-    Gs = stacked_real(G)
-    rank = real_rank(G)
+    k = G.shape[1]
+    R1 = _positive_triangle(G)
+    rank = numerical_rank(np.linalg.svd(R1, compute_uv=False))
     if rank < k:
+        # Error path only: the null right-singular vectors of the same
+        # triangle name the collapsing generators.
+        _, _, Vh = np.linalg.svd(R1)
         raise RankDeficientError(
             f"columns are linearly dependent over R: numerical rank {rank} < {k}",
             rank=rank,
+            null_space=Vh[rank:].T,
         )
-    def _qr_pass(X):
-        _, R = np.linalg.qr(stacked_real(X), mode="reduced")
-        # Fix the sign convention: positive diagonal.
-        signs = np.sign(np.diag(R))
-        signs[signs == 0] = 1.0
-        R = signs[:, None] * R
-        return scipy.linalg.solve_triangular(R, X.T, lower=False, trans="T").T, R
-
     # Two passes ("twice is enough"): the second repairs the loss of
     # orthonormality that a single pass suffers on ill-conditioned input.
-    U, R1 = _qr_pass(G)
-    U, R2 = _qr_pass(U)
+    U = _solve_right(G, R1)
+    R2 = _positive_triangle(U)
+    U = _solve_right(U, R2)
     return RBasis(U), R2 @ R1
 
 
@@ -203,6 +227,9 @@ def skew_canonical_form(A, reorder_tol=None):
 
     Raises
     ------
+    ValueError
+        If A has non-finite entries (checked before the skew test, which
+        NaN would pass).
     NotSkewSymmetricError
         If ||A + A^T||_F > 1e-10 (1 + ||A||_F).
     """
@@ -210,6 +237,8 @@ def skew_canonical_form(A, reorder_tol=None):
     K = A.shape[0]
     if A.shape != (K, K):
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("skew canonical form: input matrix contains non-finite entries")
     norm_a = np.linalg.norm(A)
     if np.linalg.norm(A + A.T) > 1e-10 * (1.0 + norm_a):
         raise NotSkewSymmetricError(
@@ -220,7 +249,7 @@ def skew_canonical_form(A, reorder_tol=None):
     if reorder_tol is None:
         reorder_tol = COUPLING_SNAP * max(1.0, norm_a)
 
-    T, Q = scipy.linalg.schur(A, output="real")
+    T, Q = scipy.linalg.schur(A, output="real", check_finite=False)
 
     # The Schur form of a skew-symmetric matrix is block diagonal: 2x2
     # skew blocks carrying +/-c on the off diagonal, 1x1 zeros elsewhere.
@@ -278,12 +307,15 @@ def compression_matrix(basis, M):
     """Compression Re{U^H M M^H U} of M M^H to span_R(U).
 
     Returns a real symmetric positive semi-definite (dim x dim) matrix.
+    Raises ValueError if M has the wrong row count or non-finite entries.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.shape[0] != basis.ambient_dim:
         raise ValueError(
             f"M has {M.shape[0]} rows, expected ambient dim {basis.ambient_dim}"
         )
+    if not np.all(np.isfinite(M)):
+        raise ValueError("observation matrix M contains non-finite entries")
     X = np.conj(M.T) @ basis.U          # (n_obs, dim)
     C = X.real.T @ X.real + X.imag.T @ X.imag
     return 0.5 * (C + C.T)

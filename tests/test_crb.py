@@ -16,7 +16,7 @@ from pilotspace.crb import (
     fim,
 )
 from pilotspace.pilot import design_observation_matrix
-from pilotspace.rlinalg import RBasis, compression_matrix, r_orthonormalize
+from pilotspace.rlinalg import RBasis, compression_matrix, r_orthonormalize, stacked_real
 from pilotspace.variation import (
     ParametricChannelModel,
     canonical_decompose,
@@ -107,6 +107,103 @@ class TestCrbDirect:
         assert not rep.identifiable
         assert math.isinf(rep.value)
         assert rep.fim is not None
+
+
+class TestCrbDirectDiagnostic:
+    """min_eig_compression of the direct form comes from one Householder QR."""
+
+    @staticmethod
+    def orthonormalize_route(G, M):
+        basis, _ = r_orthonormalize(G)
+        return np.linalg.eigvalsh(compression_matrix(basis, M))[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_orthonormalize_route(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(3, 10))
+        k = int(rng.integers(1, 2 * n))
+        G = random_complex(rng, n, k)
+        M = random_complex(rng, n, n)
+        rep = crb_direct(constant_gradient_model(G), np.zeros(k), M, NoiseModel(0.7))
+        assert rep.min_eig_compression == pytest.approx(
+            self.orthonormalize_route(G, M), rel=1e-10
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_on_graded_columns(self, seed):
+        # Column norms spread over six decades (cond ~1e6), as gains and
+        # derivative columns of very different size give in the physical model.
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(4, 10))
+        k = int(rng.integers(2, n + 1))
+        G = random_complex(rng, n, k) * np.logspace(0, 6, k)
+        assert np.linalg.cond(stacked_real(G)) > 1e5
+        M = random_complex(rng, n, n)
+        rep = crb_direct(constant_gradient_model(G), np.zeros(k), M, NoiseModel(1.0))
+        assert rep.min_eig_compression == pytest.approx(
+            self.orthonormalize_route(G, M), rel=1e-10
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_on_near_dependent_columns(self, seed):
+        # A column within 1e-6 of another (cond ~3e6): the computed span
+        # itself moves by ~eps * cond, so the two routes agree to ~1e-9.
+        rng = np.random.default_rng(400 + seed)
+        n = int(rng.integers(4, 10))
+        k = int(rng.integers(2, n + 1))
+        G = random_complex(rng, n, k)
+        G[:, -1] = G[:, 0] + 1e-6 * G[:, -1]
+        assert np.linalg.cond(stacked_real(G)) > 1e5
+        M = random_complex(rng, n, n)
+        rep = crb_direct(constant_gradient_model(G), np.zeros(k), M, NoiseModel(1.0))
+        assert rep.min_eig_compression == pytest.approx(
+            self.orthonormalize_route(G, M), rel=1e-8
+        )
+
+    def test_zero_on_rank_deficient_gradient(self):
+        rng = np.random.default_rng(500)
+        G = random_complex(rng, 6, 3)
+        G[:, 2] = 2.0 * G[:, 0] - G[:, 1]
+        rep = crb_direct(constant_gradient_model(G), np.zeros(3), random_complex(rng, 6, 3),
+                         NoiseModel(1.0))
+        assert rep.min_eig_compression == 0.0
+        assert not rep.identifiable and math.isinf(rep.value)
+
+    def test_builds_no_basis(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("crb_direct built a second basis")
+
+        monkeypatch.setattr(RBasis, "__post_init__", forbidden)
+        model, M = random_instance(np.random.default_rng(501), 6, 4, 3)
+        assert crb_direct(model, np.zeros(4), M, NoiseModel(1.0)).identifiable
+
+
+class TestNonFiniteObservation:
+    """A NaN in M is an error, not a bound of nan declared identifiable."""
+
+    @pytest.fixture
+    def bad(self):
+        rng = np.random.default_rng(600)
+        model, M = random_instance(rng, 6, 4, 3)
+        M[2, 1] = np.nan
+        return model, variation_space(model, np.zeros(4)), M
+
+    def test_via_variation_space(self, bad):
+        _, basis, M = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            crb_via_variation_space(basis, M, NoiseModel(1.0))
+
+    def test_check_identifiability(self, bad):
+        _, basis, M = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_identifiability(basis, M)
+
+    def test_direct_and_fim(self, bad):
+        model, _, M = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            crb_direct(model, np.zeros(4), M, NoiseModel(1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            fim(model, np.zeros(4), M, NoiseModel(1.0))
 
 
 class TestCrbViaVariationSpace:

@@ -255,6 +255,41 @@ class TestEstimatedVariationSpace:
             assert np.linalg.norm(a.U[:, k] - project_r(b.basis, a.U[:, k])) <= 1e-10
 
 
+class TestDegeneracyDiagnosis:
+    """The error names the generators in the null space of the rank test."""
+
+    def test_nearly_coincident_azimuths(self):
+        azimuths = [0.3, 0.3 + 1e-6]
+        with pytest.raises(RankDeficientError) as excinfo:
+            physical_variation_space(UlaGeometry(64), azimuths)
+        message = str(excinfo.value)
+        assert "collapsing generators e(phi_0), e(phi_1) at azimuth indices [0, 1]" in message
+        # Full precision: the two azimuths print differently.
+        for phi in azimuths:
+            assert repr(math.degrees(phi)) in message
+
+    def test_endfire_names_the_derivative(self):
+        with pytest.raises(RankDeficientError, match=r"de/dphi\(phi_1\) at azimuth indices \[1\]"):
+            estimated_variation_space(UlaGeometry(16), [0.2, -math.pi / 2])
+
+    def test_names_only_the_colliding_paths(self):
+        with pytest.raises(RankDeficientError) as excinfo:
+            estimated_variation_space(UlaGeometry(64), [0.1, -0.5, 0.1])
+        assert "at azimuth indices [0, 2]" in str(excinfo.value)
+        assert excinfo.value.rank == 6
+
+    def test_null_space_is_a_dependency(self):
+        geom = UlaGeometry(64)
+        azimuths = [0.4, 0.4]
+        with pytest.raises(RankDeficientError) as excinfo:
+            physical_variation_space(geom, azimuths)
+        N = excinfo.value.null_space
+        G = physical_model(geom, 2).gradient(np.array([1.0, 0.0, 0.4, 1.0, 0.0, 0.4]))
+        G[:, 1::3] *= -1.0          # the span uses -j e, the gradient j e
+        assert N.shape == (6, 3)
+        assert np.linalg.norm(G @ N) <= 1e-12 * np.linalg.norm(G)
+
+
 class TestWellSeparatedSteering:
     def test_near_orthonormal_columns(self):
         geom = UlaGeometry(64)

@@ -132,6 +132,33 @@ class TestDesignObservationMatrix:
         dec = canonical_decompose(estimated_variation_space(geom, [0.3, -0.7, 1.1]))
         assert_matches_product_form(dec, 1.5)
 
+    @pytest.mark.parametrize("n_params", [2, 3, 6, 9])
+    def test_achieved_crb_is_the_variation_space_bound(self, n_params):
+        rng = np.random.default_rng(40 + n_params)
+        sigma2 = 0.45
+        _, dec = random_decomposition(rng, n_params + 2, n_params)
+        design = design_observation_matrix(dec, 1.7, sigma2=sigma2)
+        ref = crb_via_variation_space(dec.rbasis(), design.M, NoiseModel(sigma2)).value
+        assert design.achieved_crb == ref
+
+    def test_achieved_crb_on_first_access(self, monkeypatch):
+        import pilotspace.pilot
+
+        calls = []
+        real = pilotspace.pilot.crb_via_variation_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pilotspace.pilot, "crb_via_variation_space", counting)
+        _, dec = random_decomposition(np.random.default_rng(50), 6, 5)
+        design = design_observation_matrix(dec, 2.0)
+        assert calls == []
+        first = design.achieved_crb
+        assert design.achieved_crb == first
+        assert len(calls) == 1
+
     def test_rejects_bad_power(self):
         rng = np.random.default_rng(20)
         _, dec = random_decomposition(rng, 5, 3)
@@ -163,7 +190,7 @@ class TestOptimalityCertificates:
             power=1.0,
             C_norm=design.C_norm,
             sigma2=1.0,
-            achieved_crb=0.0,
+            decomp=dec,
         )
         certs = verify_optimality_certificates(dec, fake)
         assert certs["diagonal_residual"] > 1e-6 or certs["dk_residual"] > 1e-6

@@ -14,7 +14,9 @@ from pilotspace.rlinalg import (
     r_inner,
     r_orthonormalize,
     real_gram,
+    real_rank,
     skew_canonical_form,
+    stacked_real,
 )
 
 
@@ -115,6 +117,87 @@ class TestROrthonormalize:
         assert excinfo.value.rank == 1
 
 
+class TestRankFromTriangle:
+    """The rank test runs on the first QR pass's triangle, not on [Re; Im] G."""
+
+    @staticmethod
+    def rank_of(G):
+        try:
+            basis, _ = r_orthonormalize(G)
+        except RankDeficientError as err:
+            return err.rank, err
+        return basis.dim, None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_generator_sets(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 10))
+        k = int(rng.integers(1, 2 * n + 1))
+        G = random_complex(rng, n, k)
+        assert self.rank_of(G)[0] == real_rank(G) == k
+
+    @pytest.mark.parametrize("rank", [1, 2, 4, 5])
+    def test_random_low_rank(self, rank):
+        # k real combinations of `rank` complex columns: real rank `rank`.
+        rng = np.random.default_rng(rank)
+        G = random_complex(rng, 6, rank) @ rng.normal(size=(rank, 7))
+        got, err = self.rank_of(G)
+        assert got == real_rank(G) == rank
+        assert err.null_space.shape == (7, 7 - rank)
+
+    @pytest.mark.parametrize("gap, full", [(1e-6, True), (1e-3, True), (1e-14, False)])
+    def test_near_dependent_away_from_threshold(self, gap, full):
+        rng = np.random.default_rng(7)
+        G = random_complex(rng, 8, 4)
+        G[:, 3] = G[:, 0] - 0.5 * G[:, 1] + gap * G[:, 3]
+        got, _ = self.rank_of(G)
+        assert got == real_rank(G) == (4 if full else 3)
+
+    def test_coincident_azimuths(self):
+        from pilotspace.models import UlaGeometry, steering_derivative, steering_vector
+
+        geom = UlaGeometry(64)
+        cols = []
+        for phi in (0.4, -0.2, 0.4):
+            e = steering_vector(geom, phi)
+            cols += [e, -1j * e, steering_derivative(geom, phi)]
+        G = np.stack(cols, axis=1)
+        got, err = self.rank_of(G)
+        assert got == real_rank(G) == 6
+        assert isinstance(err, RankDeficientError)
+
+    def test_wide_input(self):
+        # More columns than real dimensions: the triangle is 2n x k.
+        G = random_complex(np.random.default_rng(9), 2, 5)
+        got, err = self.rank_of(G)
+        assert got == real_rank(G) == 4
+        assert err.null_space.shape == (5, 1)
+
+    def test_null_space_spans_the_dependencies(self):
+        rng = np.random.default_rng(10)
+        b = random_complex(rng, 5)
+        G = np.stack([b, 1j * b, random_complex(rng, 5), -2.0 * b], axis=1)
+        _, err = self.rank_of(G)
+        N = err.null_space
+        assert N.shape == (4, 1)
+        assert np.allclose(N.T @ N, np.eye(1), atol=1e-12)
+        assert np.linalg.norm(stacked_real(G) @ N) <= 1e-12 * np.linalg.norm(G)
+        # The dependency b + (-2 b)/2 involves columns 0 and 3 only.
+        assert np.flatnonzero(np.abs(N[:, 0]) > 1e-8).tolist() == [0, 3]
+
+
+class TestRealGram:
+    def test_matches_complex_product(self):
+        rng = np.random.default_rng(11)
+        X, Y = random_complex(rng, 7, 3), random_complex(rng, 7, 4)
+        assert np.allclose(real_gram(X, Y), np.real(np.conj(X.T) @ Y), rtol=1e-13, atol=1e-13)
+        assert np.allclose(real_gram(X), np.real(np.conj(X.T) @ X), rtol=1e-13, atol=1e-13)
+
+    def test_real_input(self):
+        X = np.random.default_rng(12).normal(size=(5, 3))
+        assert np.allclose(real_gram(X), X.T @ X, rtol=1e-14, atol=1e-14)
+
+
 class TestSkewCanonicalForm:
     def test_elementary_block(self):
         A = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -175,6 +258,16 @@ class TestSkewCanonicalForm:
         A = np.array([[0.0, -1e-14], [1e-14, 0.0]])
         form = skew_canonical_form(A)
         assert form.gamma == pytest.approx([0.0], abs=0)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN passes the skew test (nan > tol is False), so it is checked first.
+        A = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
+        A[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite") as excinfo:
+            skew_canonical_form(A)
+        assert not isinstance(excinfo.value, NotSkewSymmetricError)
 
 
 class TestProjectR:
@@ -245,6 +338,15 @@ class TestCompressionMatrix:
         basis, _ = r_orthonormalize(random_complex(rng, 5, 2))
         with pytest.raises(ValueError, match="rows"):
             compression_matrix(basis, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        rng = np.random.default_rng(14)
+        basis, _ = r_orthonormalize(random_complex(rng, 5, 2))
+        M = random_complex(rng, 5, 2)
+        M[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            compression_matrix(basis, M)
 
 
 class TestRBasisValidation:
