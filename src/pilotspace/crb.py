@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rlinalg import compression_matrix, numerical_rank, stacked_real
+from .rlinalg import compression_matrix, solve_right, stacked_real, triangle_rank
 from .variation import VariationSpaceBasis
 
 # A compression (or FIM) counts as singular when its smallest eigenvalue
@@ -55,7 +55,10 @@ class CrbReport:
     takes U = Q[:n] + j Q[n:] from the orthonormal factor Q of one
     Householder QR of the stacked gradient [Re; Im]: it spans the same
     space, and the eigenvalues do not depend on the basis.  The direct
-    form reports 0.0 when the gradient is rank deficient.
+    form reports 0.0 when the gradient is rank deficient, as decided by
+    ``triangle_rank`` on that QR's triangle (an SVD only when its
+    inverse-norm certificate fails).  The direct form's ``value`` comes
+    from a Cholesky factor of ``fim``.
     """
 
     value: float
@@ -132,8 +135,9 @@ def _is_singular(min_eig, max_eig, scale):
 def crb_direct(model, theta, M, noise):
     """CRB from the gradient: Tr[dh FIM^{-1} dh^H].
 
-    The inversion goes through a linear solve against the gradient.  A
-    singular Fisher matrix yields an infinite, non-identifiable report.
+    A singular Fisher matrix yields an infinite, non-identifiable report.
+    Otherwise the Fisher matrix I = L L^T is factored by Cholesky and the
+    value is ||L^{-1} [Re dh; Im dh]^T||_F^2.
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(model.gradient(theta), dtype=complex)
@@ -153,8 +157,8 @@ def crb_direct(model, theta, M, noise):
         return CrbReport(
             value=math.inf, identifiable=False, min_eig_compression=comp_min, fim=I
         )
-    X = np.linalg.solve(I, np.conj(grad.T))
-    value = float(np.real(np.einsum("ik,ki->", grad, X)))
+    L = np.linalg.cholesky(I)
+    value = float(np.linalg.norm(solve_right(stacked_real(grad), L.T)) ** 2)
     return CrbReport(
         value=value, identifiable=True, min_eig_compression=comp_min, fim=I
     )
@@ -169,7 +173,7 @@ def _compression_min_eig(grad, M):
     """
     n, k = grad.shape
     Q, R = np.linalg.qr(stacked_real(grad), mode="reduced")
-    if numerical_rank(np.linalg.svd(R, compute_uv=False)) < k:
+    if triangle_rank(R) < k:
         return 0.0
     Qr, Qi = Q[:n], Q[n:]
     Mr, Mi = M.real, M.imag

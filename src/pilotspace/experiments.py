@@ -51,7 +51,7 @@ from .models import (
     steering_matrix,
 )
 from .pilot import design_observation_matrix
-from .rlinalg import RankDeficientError
+from .rlinalg import RankDeficientError, numerical_rank
 from .variation import canonical_decompose
 
 AC_STRATEGY = "AngleConstrained"
@@ -165,7 +165,7 @@ def _projection_floor(h, E_hat):
     h = np.asarray(h, dtype=complex).ravel()
     E_hat = np.atleast_2d(np.asarray(E_hat, dtype=complex))
     s = np.linalg.svd(E_hat, compute_uv=False)
-    if s[0] == 0.0 or np.sum(s > 1e-10 * s[0]) < E_hat.shape[1]:
+    if numerical_rank(s) < E_hat.shape[1]:
         raise RankDeficientError("E_hat is rank deficient")
     Q, _ = np.linalg.qr(E_hat)
     resid = h - Q @ (np.conj(Q.T) @ h)
@@ -420,7 +420,7 @@ def ls_gain_estimate(y, M, E_hat):
     y = np.asarray(y, dtype=complex).ravel()
     A = np.conj(np.atleast_2d(M).T) @ np.atleast_2d(E_hat)
     s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0 or np.sum(s > 1e-10 * s[0]) < A.shape[1]:
+    if numerical_rank(s) < A.shape[1]:
         raise ValueError("gains are not identifiable from these observations")
     gains, *_ = np.linalg.lstsq(A, y, rcond=None)
     return gains

@@ -8,6 +8,8 @@ in that setting:
 
 * ``r_inner`` / ``r_orthonormalize`` -- Gram-Schmidt with the real inner
   product, implemented through a real QR of the stacked [Re; Im] matrix.
+* ``triangle_rank`` -- numerical rank of a QR triangle, certified full
+  from one triangular inverse where possible, else from its SVD.
 * ``skew_canonical_form`` -- real Schur decomposition of a skew-symmetric
   matrix, reordered into the canonical 2x2 block form with nonnegative,
   descending couplings.
@@ -25,6 +27,11 @@ import numpy as np
 import scipy.linalg
 
 RANK_RTOL = 1e-10          # numerical-rank threshold, relative to largest singular value
+# triangle_rank skips the SVD when ||R||_F ||R^{-1}||_F RANK_RTOL is below
+# this margin.  The margin decides only whether the SVD is skipped, never
+# the verdict: the product bounds sigma_max/sigma_min from above, and the
+# factor 2 absorbs the rounding of the computed inverse.
+RANK_CERT_MARGIN = 0.5
 COUPLING_SNAP = 1e-12      # couplings below this are snapped to exactly 0
 
 
@@ -151,6 +158,24 @@ def real_rank(G, rtol=RANK_RTOL):
     )
 
 
+def triangle_rank(R):
+    """Numerical rank of an upper-triangular R: numerical_rank(svd(R)).
+
+    One triangular inversion certifies full rank without the SVD:
+    sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F).  Falls back to
+    the singular values for a wide triangle, a zero diagonal entry, or a
+    product that is non-finite or fails RANK_CERT_MARGIN.
+    """
+    k = R.shape[1]
+    if k > 0 and R.shape == (k, k):
+        R_inv, info = scipy.linalg.lapack.dtrtri(R)   # info > 0: zero diagonal
+        bound = np.linalg.norm(R) * np.linalg.norm(R_inv)
+        # A NaN or inf bound fails the comparison.
+        if info == 0 and bound * RANK_RTOL < RANK_CERT_MARGIN:
+            return k
+    return numerical_rank(np.linalg.svd(R, compute_uv=False))
+
+
 def _positive_triangle(X):
     """R of a real QR of [Re{X}; Im{X}], rows signed to a positive diagonal."""
     R = np.linalg.qr(stacked_real(X), mode="r")
@@ -159,8 +184,8 @@ def _positive_triangle(X):
     return signs[:, None] * R
 
 
-def _solve_right(X, R):
-    """X R^{-1} for upper-triangular R (both inputs finite by construction)."""
+def solve_right(X, R):
+    """X R^{-1} for a real upper-triangular R; both inputs must be finite."""
     return scipy.linalg.solve_triangular(
         R, X.T, lower=False, trans="T", check_finite=False
     ).T
@@ -172,8 +197,10 @@ def r_orthonormalize(G):
     Runs a real QR decomposition of the stacked matrix [Re{G}; Im{G}]
     and maps the triangular factor back: U = G R^{-1}.  The result
     satisfies U R = G with R real upper-triangular (positive diagonal)
-    and Re{U^H U} = Id.  The rank test uses the singular values of the
-    first pass's k x k triangle, which equal those of the stacked matrix.
+    and Re{U^H U} = Id.  The rank test runs on the first pass's k x k
+    triangle, whose singular values equal those of the stacked matrix:
+    ``triangle_rank`` certifies full rank from its inverse and takes the
+    singular values only when the certificate fails.
 
     Parameters
     ----------
@@ -197,7 +224,7 @@ def r_orthonormalize(G):
         raise ValueError("input matrix contains non-finite entries")
     k = G.shape[1]
     R1 = _positive_triangle(G)
-    rank = numerical_rank(np.linalg.svd(R1, compute_uv=False))
+    rank = triangle_rank(R1)
     if rank < k:
         # Error path only: the null right-singular vectors of the same
         # triangle name the collapsing generators.
@@ -209,9 +236,9 @@ def r_orthonormalize(G):
         )
     # Two passes ("twice is enough"): the second repairs the loss of
     # orthonormality that a single pass suffers on ill-conditioned input.
-    U = _solve_right(G, R1)
+    U = solve_right(G, R1)
     R2 = _positive_triangle(U)
-    U = _solve_right(U, R2)
+    U = solve_right(U, R2)
     return RBasis(U), R2 @ R1
 
 

@@ -132,6 +132,7 @@ def variation_space(model, theta):
         raise RankDeficientError(
             f"dim_R(variation space) < N_p for model '{model.name}': {err}",
             rank=err.rank,
+            null_space=err.null_space,
         ) from err
     return VariationSpaceBasis(basis=basis, source=model.name)
 

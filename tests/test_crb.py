@@ -178,6 +178,66 @@ class TestCrbDirectDiagnostic:
         assert crb_direct(model, np.zeros(4), M, NoiseModel(1.0)).identifiable
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Names of the np.linalg.svd / np.linalg.solve calls made during a test."""
+    calls = []
+    for name in ("svd", "solve"):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestCrbDirectFactorizations:
+    """Full rank is certified without an SVD and the FIM is solved by Cholesky."""
+
+    @staticmethod
+    def solve_route(G, M, noise):
+        # Reference: Tr[dh I^{-1} dh^H] through a general linear solve.
+        I = fim(constant_gradient_model(G), np.zeros(G.shape[1]), M, noise)
+        return float(np.real(np.einsum("ik,ki->", G, np.linalg.solve(I, np.conj(G.T)))))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_value_matches_linear_solve(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = int(rng.integers(3, 10))
+        k = int(rng.integers(1, 2 * n + 1))
+        G = random_complex(rng, n, k)
+        if seed % 2:
+            G = G * np.logspace(0, 2, k)
+        M = random_complex(rng, n, n)
+        noise = NoiseModel(0.7)
+        rep = crb_direct(constant_gradient_model(G), np.zeros(k), M, noise)
+        assert rep.identifiable
+        assert rep.value == pytest.approx(self.solve_route(G, M, noise), rel=1e-10)
+
+    def test_success_path_skips_svd_and_solve(self, linalg_calls):
+        from pilotspace.models import ls_model
+
+        rng = np.random.default_rng(710)
+        model, M = random_instance(rng, 6, 4, 3)
+        assert crb_direct(model, np.zeros(4), M, NoiseModel(1.0)).identifiable
+        # LS: the stacked gradient is square (k = 2n).
+        rep = crb_direct(ls_model(5), np.zeros(10), random_complex(rng, 5, 5), NoiseModel(1.0))
+        assert rep.identifiable
+        assert linalg_calls == []
+
+    def test_rank_deficient_gradient_uses_svd(self, linalg_calls):
+        rng = np.random.default_rng(711)
+        G = random_complex(rng, 6, 3)
+        G = np.concatenate([G, G[:, :1]], axis=1)
+        rep = crb_direct(constant_gradient_model(G), np.zeros(4), random_complex(rng, 6, 6),
+                         NoiseModel(1.0))
+        assert rep.min_eig_compression == 0.0
+        assert not rep.identifiable
+        assert linalg_calls == ["svd"]
+
+
 class TestNonFiniteObservation:
     """A NaN in M is an error, not a bound of nan declared identifiable."""
 

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotspace.rlinalg import (
+    RANK_CERT_MARGIN,
+    RANK_RTOL,
     NotSkewSymmetricError,
     RankDeficientError,
     RBasis,
     compression_matrix,
+    numerical_rank,
     project_r,
     r_inner,
     r_orthonormalize,
@@ -17,6 +21,7 @@ from pilotspace.rlinalg import (
     real_rank,
     skew_canonical_form,
     stacked_real,
+    triangle_rank,
 )
 
 
@@ -184,6 +189,156 @@ class TestRankFromTriangle:
         assert np.linalg.norm(stacked_real(G) @ N) <= 1e-12 * np.linalg.norm(G)
         # The dependency b + (-2 b)/2 involves columns 0 and 3 only.
         assert np.flatnonzero(np.abs(N[:, 0]) > 1e-8).tolist() == [0, 3]
+
+
+def svd_rank(R):
+    return numerical_rank(np.linalg.svd(R, compute_uv=False))
+
+
+def triangle_with_ratio(rng, k, ratio, positive=False):
+    """QR triangle of a k x k matrix whose sigma_min / sigma_max is ``ratio``."""
+    Q1, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    R = np.linalg.qr((Q1 * np.geomspace(1.0, ratio, k)) @ Q2, mode="r")
+    if positive:
+        R = np.sign(np.diag(R))[:, None] * R
+    return R
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+class TestTriangleRank:
+    """The inverse-norm certificate skips the SVD but never changes the rank."""
+
+    RATIOS = np.concatenate([np.geomspace(1e-13, 1.0, 27), np.geomspace(5e-11, 5e-9, 41)])
+
+    @pytest.mark.parametrize("positive", [False, True])
+    @pytest.mark.parametrize("k", [2, 7, 24])
+    def test_verdict_equals_svd_verdict(self, k, positive):
+        rng = np.random.default_rng(1000 * k + positive)
+        for ratio in self.RATIOS:
+            R = triangle_with_ratio(rng, k, ratio, positive)
+            assert triangle_rank(R) == svd_rank(R), ratio
+
+    def test_threshold_band_reaches_both_verdicts(self):
+        rng = np.random.default_rng(5)
+        ranks = [svd_rank(triangle_with_ratio(rng, 7, r)) for r in self.RATIOS]
+        assert min(ranks) < 7 == max(ranks)
+
+    @pytest.mark.parametrize("k", [2, 7, 24])
+    def test_certified_without_svd(self, k, svd_calls):
+        # ||R||_F ||R^{-1}||_F <= k / ratio, which passes the certificate.
+        rng = np.random.default_rng(k)
+        for ratio in np.geomspace(1e-8 * k / 24, 1.0, 9):
+            assert k / ratio * RANK_RTOL < RANK_CERT_MARGIN
+            assert triangle_rank(triangle_with_ratio(rng, k, ratio)) == k
+        assert svd_calls == []
+
+    def test_zero_diagonal(self, svd_calls):
+        R = np.triu(np.random.default_rng(6).normal(size=(5, 5)))
+        R[2, 2] = 0.0
+        assert triangle_rank(R) == svd_rank(R) == 4
+        assert svd_calls[0] is False
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_wide_triangle(self, rows, svd_calls):
+        R = np.triu(np.random.default_rng(rows).normal(size=(rows, 5)))
+        assert triangle_rank(R) == svd_rank(R) == rows
+        assert svd_calls[0] is False
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_bound(self, svd_calls):
+        # ||R^{-1}||_F = 1e200 and ||R||_F = 1e200: the product overflows.
+        R = np.array([[1e200, 1.0], [0.0, 1e-200]])
+        assert triangle_rank(R) == svd_rank(R) == 1
+        assert svd_calls[0] is False
+
+
+def svd_ranked_r_orthonormalize(G):
+    """Reference: r_orthonormalize with the rank always from the triangle's SVD.
+
+    Returns (U, R, rank, null_space); U and R are None when rank deficient.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=complex))
+    k = G.shape[1]
+
+    def positive_triangle(X):
+        R = np.linalg.qr(stacked_real(X), mode="r")
+        signs = np.sign(np.diag(R))
+        signs[signs == 0] = 1.0
+        return signs[:, None] * R
+
+    def solve_right(X, R):
+        return scipy.linalg.solve_triangular(R, X.T, lower=False, trans="T").T
+
+    R1 = positive_triangle(G)
+    rank = svd_rank(R1)
+    if rank < k:
+        _, _, Vh = np.linalg.svd(R1)
+        return None, None, rank, Vh[rank:].T
+    U = solve_right(G, R1)
+    R2 = positive_triangle(U)
+    U = solve_right(U, R2)
+    return U, R2 @ R1, k, None
+
+
+def graded(rng, n, k):
+    return random_complex(rng, n, k) * np.logspace(0, 6, k)
+
+
+def near_dependent(rng, n, k, gap):
+    G = random_complex(rng, n, k)
+    G[:, -1] = G[:, 0] + gap * G[:, -1]
+    return G
+
+
+class TestOrthonormalizeMatchesSvdRanked:
+    """The certificate decides only the rank: U, R and the error path equal
+    those of the SVD-ranked reference bit for bit."""
+
+    INPUTS = {
+        "random": lambda rng: random_complex(rng, 9, 7),
+        "square-stacked": lambda rng: random_complex(rng, 6, 12),
+        "graded": lambda rng: graded(rng, 9, 6),
+        "near-dependent-1e-6": lambda rng: near_dependent(rng, 8, 5, 1e-6),
+        "near-dependent-1e-9": lambda rng: near_dependent(rng, 8, 5, 1e-9),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_bits(self, kind, seed):
+        G = self.INPUTS[kind](np.random.default_rng(seed))
+        U_ref, R_ref, _, _ = svd_ranked_r_orthonormalize(G)
+        basis, R = r_orthonormalize(G)
+        assert np.array_equal(basis.U, U_ref)
+        assert np.array_equal(R, R_ref)
+
+    @pytest.mark.parametrize("kind", ["random", "square-stacked", "graded", "near-dependent-1e-6"])
+    def test_success_path_skips_svd(self, kind, svd_calls):
+        r_orthonormalize(self.INPUTS[kind](np.random.default_rng(4)))
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("gap", [1e-14, 0.0])
+    def test_error_path_unchanged(self, gap, svd_calls):
+        G = near_dependent(np.random.default_rng(3), 8, 5, gap)
+        _, _, rank_ref, null_ref = svd_ranked_r_orthonormalize(G)
+        del svd_calls[:]
+        with pytest.raises(RankDeficientError) as info:
+            r_orthonormalize(G)
+        assert svd_calls[-1] is True
+        assert info.value.rank == rank_ref == 4
+        assert np.array_equal(info.value.null_space, null_ref)
 
 
 class TestRealGram:

@@ -5,7 +5,13 @@ import pytest
 from scipy.stats import ortho_group
 
 from pilotspace.models import UlaGeometry, steering_derivative, steering_vector
-from pilotspace.rlinalg import RankDeficientError, RBasis, project_r, r_orthonormalize
+from pilotspace.rlinalg import (
+    RankDeficientError,
+    RBasis,
+    project_r,
+    r_orthonormalize,
+    stacked_real,
+)
 from pilotspace.variation import (
     ParametricChannelModel,
     VariationSpaceBasis,
@@ -74,6 +80,17 @@ class TestVariationSpace:
         model = constant_gradient_model(np.stack([b, 2 * b], axis=1))
         with pytest.raises(RankDeficientError, match="dim_R"):
             variation_space(model, np.zeros(2))
+
+    def test_rank_deficient_keeps_null_space(self):
+        rng = np.random.default_rng(4)
+        G = random_complex(rng, 6, 3)
+        G = np.concatenate([G, G[:, 1:2]], axis=1)   # column 3 duplicates column 1
+        with pytest.raises(RankDeficientError) as info:
+            variation_space(constant_gradient_model(G), np.zeros(4))
+        N = info.value.null_space
+        assert info.value.rank == 3
+        assert N.shape == (4, 1)
+        assert np.linalg.norm(stacked_real(G) @ N) <= 1e-12 * np.linalg.norm(G)
 
     def test_theta_length_checked(self):
         model = constant_gradient_model(np.eye(3, dtype=complex))
