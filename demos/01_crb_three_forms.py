@@ -45,7 +45,7 @@ noise = NoiseModel(sigma2=0.5)
 direct = crb_direct(model, theta, M, noise)
 basis = variation_space(model, theta)
 via = crb_via_variation_space(basis, M, noise)
-comp = compression_matrix(basis.basis, M)
+comp = compression_matrix(basis, M)
 intrinsic = 0.5 * noise.sigma2 * np.trace(np.linalg.inv(comp))
 
 print(f"gradient + Fisher matrix : {direct.value:.12f}")

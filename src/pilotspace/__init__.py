@@ -14,7 +14,6 @@ from .rlinalg import (
 from .variation import (
     CanonicalDecomposition,
     ParametricChannelModel,
-    VariationSpaceBasis,
     canonical_decompose,
     variation_space,
     verify_eigenspace_property,
@@ -39,7 +38,6 @@ from .pilot import (
 )
 from .models import (
     PathSet,
-    SystemDims,
     UlaGeometry,
     angle_constrained_model,
     estimated_variation_space,
@@ -60,10 +58,8 @@ from .experiments import (
     StrategyBound,
     ac_strategy_bound,
     generate_clustered_channel,
-    ls_gain_estimate,
     proposed_strategy_bound,
     psnr,
-    refine_angles,
     relative_bias,
     relative_crb,
     run_multipath,

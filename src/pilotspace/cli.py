@@ -59,6 +59,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite_number(value):
+    """True for a JSON number (not a bool) that is finite as a double."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def load_run_config(path, seed_override=None):
     """Parse and validate a run-configuration JSON file."""
     try:
@@ -89,6 +99,13 @@ def load_run_config(path, seed_override=None):
         expected = _EXPERIMENT_KEYS[key]
         if not isinstance(value, expected) or isinstance(value, bool):
             raise ConfigError(f"{path}: experiment.{key} has the wrong type")
+        if isinstance(value, list):
+            if not all(_finite_number(v) for v in value):
+                raise ConfigError(
+                    f"{path}: experiment.{key} entries must be finite numbers"
+                )
+        elif not _finite_number(value):
+            raise ConfigError(f"{path}: experiment.{key} must be finite")
         if key in _POSITIVE_KEYS and not value > 0:
             raise ConfigError(f"{path}: experiment.{key} must be positive")
         kwargs[key] = value

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rlinalg import compression_matrix, solve_right, stacked_real, triangle_rank
-from .variation import VariationSpaceBasis
+from .rlinalg import compression_matrix, solve_right, stacked_real
 
 # A compression (or FIM) counts as singular when its smallest eigenvalue
 # falls below this fraction of the largest.
@@ -46,24 +45,20 @@ class NoiseModel:
 class CrbReport:
     """Cramer-Rao bound value with identifiability diagnostics.
 
-    ``value`` is +inf exactly when ``identifiable`` is False.  ``fim``
-    is only populated by the gradient-based form.
+    ``value`` is +inf exactly when ``identifiable`` is False.  Each form
+    reports the matrix it factors and leaves the other field ``None``:
 
-    ``min_eig_compression`` is the smallest eigenvalue of the compression
-    Re{U^H M M^H U} for a real-orthonormal basis U of the variation space.
-    The basis-based forms use the basis they are given.  The direct form
-    takes U = Q[:n] + j Q[n:] from the orthonormal factor Q of one
-    Householder QR of the stacked gradient [Re; Im]: it spans the same
-    space, and the eigenvalues do not depend on the basis.  The direct
-    form reports 0.0 when the gradient is rank deficient, as decided by
-    ``triangle_rank`` on that QR's triangle (an SVD only when its
-    inverse-norm certificate fails).  The direct form's ``value`` comes
-    from a Cholesky factor of ``fim``.
+    * ``min_eig_compression`` -- the smallest eigenvalue of the
+      compression Re{U^H M M^H U} on the given basis U; set by the
+      basis forms, ``None`` for the direct form.
+    * ``fim`` -- the Fisher matrix; set by the direct form, whose
+      verdict is the eigenvalue test on it and whose ``value`` comes
+      from its Cholesky factor; ``None`` for the basis forms.
     """
 
     value: float
     identifiable: bool
-    min_eig_compression: float
+    min_eig_compression: float | None = None
     fim: np.ndarray | None = None
 
 
@@ -137,7 +132,8 @@ def crb_direct(model, theta, M, noise):
 
     A singular Fisher matrix yields an infinite, non-identifiable report.
     Otherwise the Fisher matrix I = L L^T is factored by Cholesky and the
-    value is ||L^{-1} [Re dh; Im dh]^T||_F^2.
+    value is ||L^{-1} [Re dh; Im dh]^T||_F^2.  The report carries ``fim``
+    and no compression eigenvalue.
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(model.gradient(theta), dtype=complex)
@@ -151,36 +147,11 @@ def crb_direct(model, theta, M, noise):
         * float(np.linalg.norm(M) ** 2)
         * float(np.linalg.norm(grad) ** 2)
     )
-
-    comp_min = _compression_min_eig(grad, M)
     if _is_singular(min_eig, max_eig, fim_scale):
-        return CrbReport(
-            value=math.inf, identifiable=False, min_eig_compression=comp_min, fim=I
-        )
+        return CrbReport(value=math.inf, identifiable=False, fim=I)
     L = np.linalg.cholesky(I)
     value = float(np.linalg.norm(solve_right(stacked_real(grad), L.T)) ** 2)
-    return CrbReport(
-        value=value, identifiable=True, min_eig_compression=comp_min, fim=I
-    )
-
-
-def _compression_min_eig(grad, M):
-    """Smallest compression eigenvalue on span_R(grad), 0.0 if rank deficient.
-
-    Takes U = Q[:n] + j Q[n:] from one Householder QR of [Re; Im] grad
-    and forms Re/Im{M^H U} from real products of views, so neither U nor
-    M^H U is built as a complex matrix.
-    """
-    n, k = grad.shape
-    Q, R = np.linalg.qr(stacked_real(grad), mode="reduced")
-    if triangle_rank(R) < k:
-        return 0.0
-    Qr, Qi = Q[:n], Q[n:]
-    Mr, Mi = M.real, M.imag
-    Xr = Mr.T @ Qr + Mi.T @ Qi
-    Xi = Mr.T @ Qi - Mi.T @ Qr
-    C = Xr.T @ Xr + Xi.T @ Xi
-    return _sym_eig_range(0.5 * (C + C.T))[0]
+    return CrbReport(value=value, identifiable=True, fim=I)
 
 
 def crb_via_variation_space(basis, M, noise):
@@ -189,8 +160,6 @@ def crb_via_variation_space(basis, M, noise):
     (sigma^2 / 2) Tr[Re{U^H M M^H U}^{-1}]; invariant under any real
     orthogonal change of basis U -> U B.
     """
-    if isinstance(basis, VariationSpaceBasis):
-        basis = basis.basis
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     comp = compression_matrix(basis, M)
     eigs = np.linalg.eigvalsh(comp)
@@ -211,8 +180,6 @@ def check_identifiability(basis, M):
     the compression Re{U^H M M^H U} must be nonsingular.  Also reports
     the necessary observation count ceil(N_p / 2).
     """
-    if isinstance(basis, VariationSpaceBasis):
-        basis = basis.basis
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     n_given = M.shape[1]
     n_required = math.ceil(basis.dim / 2)

@@ -47,7 +47,6 @@ from .models import (
     PathSet,
     estimated_variation_space,
     physical_variation_space,
-    steering_derivative,
     steering_matrix,
 )
 from .pilot import design_observation_matrix
@@ -82,6 +81,19 @@ class ExperimentConfig:
             raise ValueError("power must be positive")
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be >= 1")
+        if self.endfire_margin_deg >= 90.0:
+            raise ValueError(
+                "separation_floor_deg + max|delta_deg| must be below 90 deg, "
+                f"got {self.endfire_margin_deg}"
+            )
+
+    @property
+    def endfire_margin_deg(self):
+        """Endfire margin of drawn azimuths: perturbed estimates drift by up
+        to max|Delta|, so the separation floor plus that drift."""
+        return self.separation_floor_deg + max(
+            (abs(d) for d in self.delta_deg), default=0.0
+        )
 
     @property
     def geometry(self):
@@ -345,15 +357,13 @@ def _multipath_trial(config, trial_index):
     rng = np.random.default_rng([config.seed, trial_index])
     geom = config.geometry
     deltas = config.delta_deg
-    # Perturbed estimates can drift toward endfire by up to max(Delta).
-    margin = config.separation_floor_deg + (max(deltas) if deltas else 0.0)
     for redraw in range(config.max_redraws):
         try:
             paths = generate_clustered_channel(
                 rng,
                 geom,
                 separation_floor_deg=config.separation_floor_deg,
-                endfire_margin_deg=margin,
+                endfire_margin_deg=config.endfire_margin_deg,
                 cluster_decay=config.cluster_decay,
                 min_gain=config.min_gain,
                 max_retries=config.max_redraws,
@@ -409,69 +419,3 @@ def run_multipath(config):
                 )
     table = CurveTable(rows=tuple(rows))
     return table, {"redraws": total_redraws}
-
-
-def ls_gain_estimate(y, M, E_hat):
-    """Least-squares path gains from observations y = M^H h + n.
-
-    Solves y ~ (M^H E_hat) b; requires the composite matrix to have
-    full column rank (identifiable configuration).
-    """
-    y = np.asarray(y, dtype=complex).ravel()
-    A = np.conj(np.atleast_2d(M).T) @ np.atleast_2d(E_hat)
-    s = np.linalg.svd(A, compute_uv=False)
-    if numerical_rank(s) < A.shape[1]:
-        raise ValueError("gains are not identifiable from these observations")
-    gains, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return gains
-
-
-def refine_angles(y, M, initial_azimuths, steps):
-    """Gradient-descent azimuth refinement (demonstration-grade).
-
-    Minimizes ||y - M^H h(b, phi)||^2 over the azimuths with the gains
-    profiled out by least squares at every step (variable projection),
-    using backtracking line search and a fixed outer step count.
-    Zero steps returns the initial azimuths unchanged.
-    """
-    y = np.asarray(y, dtype=complex).ravel()
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    phi = np.atleast_1d(np.asarray(initial_azimuths, dtype=float)).copy()
-    geom = UlaGeometry(M.shape[0])
-
-    def objective(angles):
-        E = steering_matrix(geom, angles)
-        gains = ls_gain_estimate(y, M, E)
-        resid = y - np.conj(M.T) @ (E @ gains)
-        return float(np.linalg.norm(resid) ** 2), gains, resid
-
-    f, gains, resid = objective(phi)
-    for _ in range(steps):
-        # Variable projection: at the LS-optimal gains, the objective's
-        # azimuth gradient needs no gain-sensitivity term.
-        grad = np.array(
-            [
-                -2.0
-                * np.real(
-                    np.vdot(resid, np.conj(M.T) @ (gains[l] * steering_derivative(geom, phi[l])))
-                )
-                for l in range(phi.shape[0])
-            ]
-        )
-        gnorm = np.abs(grad).max()
-        if gnorm == 0.0:
-            break
-        # Cap the azimuth move to a fraction of the beamwidth (~2/N_t):
-        # longer jumps land in sidelobe valleys of the likelihood.
-        step = 0.5 / (geom.n_antennas * gnorm)
-        for _ in range(40):
-            cand = phi - step * grad
-            try:
-                f_new, gains_new, resid_new = objective(cand)
-            except ValueError:
-                f_new = np.inf
-            if f_new < f:
-                phi, f, gains, resid = cand, f_new, gains_new, resid_new
-                break
-            step *= 0.5
-    return phi

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rlinalg import RankDeficientError, r_orthonormalize
-from .variation import ParametricChannelModel, VariationSpaceBasis
+from .variation import ParametricChannelModel
 
 
 @dataclass(frozen=True)
@@ -67,24 +67,6 @@ class PathSet:
         out[1::3] = self.gains.imag
         out[2::3] = self.azimuths
         return out
-
-
-@dataclass(frozen=True)
-class SystemDims:
-    """Dimensions of a generic MIMO-OFDM pilot setup."""
-
-    n_tx: int
-    n_rx: int
-    n_subcarriers: int
-    n_pilot_subcarriers: int
-    pilot_duration: int
-
-    def __post_init__(self):
-        for name in ("n_tx", "n_rx", "n_subcarriers", "n_pilot_subcarriers", "pilot_duration"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.n_pilot_subcarriers > self.n_subcarriers:
-            raise ValueError("cannot select more pilot subcarriers than subcarriers")
 
 
 def _steering_columns(geom, azimuths):
@@ -230,7 +212,7 @@ def _collapsing_generators(null_space):
     return f"collapsing generators {', '.join(names)} at azimuth indices {paths}"
 
 
-def _steering_span(geom, azimuths, source):
+def _steering_span(geom, azimuths, origin):
     azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))
     if not np.all(np.isfinite(azimuths)):
         raise ValueError("azimuths must be finite")
@@ -244,34 +226,35 @@ def _steering_span(geom, azimuths, source):
     except (RankDeficientError, ValueError) as err:
         null_space = getattr(err, "null_space", None)
         raise RankDeficientError(
-            f"{source} variation space is rank deficient for azimuths "
+            f"{origin} variation space is rank deficient for azimuths "
             f"{np.degrees(azimuths).tolist()} deg: "
             f"{_collapsing_generators(null_space)} ({err})",
             rank=getattr(err, "rank", None),
             null_space=null_space,
         ) from err
-    return VariationSpaceBasis(basis=basis, source=source)
+    return basis
 
 
 def physical_variation_space(geom, azimuths):
     """Variation space of the physical multipath model, from azimuths alone.
 
-    Real-orthonormal span of {e(phi_l), -j e(phi_l), de/dphi_l} per
-    path: the azimuths determine the space, the path gains do not
+    An ``RBasis`` of the real span of {e(phi_l), -j e(phi_l), de/dphi_l}
+    per path: the azimuths determine the space, the path gains do not
     (gains only phase-rotate the derivative directions, which leaves
     every design and bound built from the space unchanged).
     """
-    return _steering_span(geom, azimuths, source="physical")
+    return _steering_span(geom, azimuths, origin="physical")
 
 
 def estimated_variation_space(geom, estimated_azimuths):
     """Variation-space estimate from azimuth estimates alone.
 
-    Same span construction as ``physical_variation_space`` but tagged
-    as estimated.  Fails for (near-)coincident or endfire estimates,
+    Same span construction (and ``RBasis``) as
+    ``physical_variation_space``; the rank-deficiency error calls the
+    space estimated.  Fails for (near-)coincident or endfire estimates,
     where the generators degenerate.
     """
-    return _steering_span(geom, estimated_azimuths, source="estimated")
+    return _steering_span(geom, estimated_azimuths, origin="estimated")
 
 
 def kron_observation(X, F, n_rx):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .crb import NoiseModel, crb_via_variation_space
 from .rlinalg import RBasis
-from .variation import CanonicalDecomposition, VariationSpaceBasis
+from .variation import CanonicalDecomposition
 
 
 @dataclass(frozen=True)
@@ -173,10 +173,9 @@ def brute_force_optimal_crb(
     Returns the best CRB value found; ``converged`` is False when the
     iteration budget ran out while the best restart was still improving.
     Non-identifiable iterates evaluate to +inf, so an infeasible column
-    count (below ceil(N_p/2)) returns inf.
+    count (below ceil(N_p/2)) returns inf.  ``basis`` is the ``RBasis``
+    of the variation space.
     """
-    if isinstance(basis, VariationSpaceBasis):
-        basis = basis.basis
     U = basis.U
     n_dim, n_params = U.shape
     rng = np.random.default_rng(seed)

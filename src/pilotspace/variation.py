@@ -6,6 +6,9 @@ vectors x.  It is a real-linear subspace of C^{N_d} and generally not a
 complex one.  Decomposing it into complex-orthogonal planes, each carrying
 a coupling c_k in [0, 1] that measures how close the plane is to a complex
 line, is what makes the Cramer-Rao bound optimizable in closed form.
+
+A variation space is handed around as an ``rlinalg.RBasis``: the bounds
+depend on the space only, through any real-orthonormal basis of it.
 """
 
 from __future__ import annotations
@@ -43,31 +46,6 @@ class ParametricChannelModel:
 
 
 @dataclass(frozen=True)
-class VariationSpaceBasis:
-    """Real-orthonormal basis of a variation space, tagged with its origin.
-
-    ``source`` records where the basis came from: the model name for an
-    exact variation space, or ``"estimated"`` for a basis built from
-    estimated parameters.
-    """
-
-    basis: RBasis
-    source: str = "model"
-
-    @property
-    def U(self):
-        return self.basis.U
-
-    @property
-    def dim(self):
-        return self.basis.dim
-
-    @property
-    def ambient_dim(self):
-        return self.basis.ambient_dim
-
-
-@dataclass(frozen=True)
 class CanonicalDecomposition:
     """Canonical basis V = (v_1, w_1, ..., [v_lone]) with couplings c.
 
@@ -79,7 +57,6 @@ class CanonicalDecomposition:
     V: np.ndarray
     c: np.ndarray
     epsilon: int  # 1 if the dimension is odd (a lone unpaired vector), else 0
-    source: str = "model"
     n_params: int = field(init=False)
 
     def __post_init__(self):
@@ -105,12 +82,10 @@ class CanonicalDecomposition:
         """Imaginary part of V^H V in exact arithmetic."""
         return skew_block_matrix(self.c, self.n_params)
 
-    def rbasis(self):
-        return RBasis(self.V)
-
 
 def variation_space(model, theta):
-    """Real-orthonormal basis of the variation space of ``model`` at ``theta``.
+    """Real-orthonormal basis (an ``RBasis``) of the variation space of
+    ``model`` at ``theta``.
 
     Raises
     ------
@@ -134,26 +109,22 @@ def variation_space(model, theta):
             rank=err.rank,
             null_space=err.null_space,
         ) from err
-    return VariationSpaceBasis(basis=basis, source=model.name)
+    return basis
 
 
-def canonical_decompose(vbasis):
+def canonical_decompose(basis):
     """Decompose a variation space into complex-orthogonal coupled planes.
 
-    Computes the canonical form of Im{U^H U} and rotates the basis:
-    V = U B.  The couplings c are the descending block values; the real
-    span of V equals that of U.
+    ``basis`` is an ``RBasis`` of the space.  Computes the canonical form
+    of Im{U^H U} and rotates the basis: V = U B.  The couplings c are the
+    descending block values; the real span of V equals that of U.
     """
-    if isinstance(vbasis, RBasis):
-        vbasis = VariationSpaceBasis(basis=vbasis)
-    A = np.imag(np.conj(vbasis.U.T) @ vbasis.U)
+    A = np.imag(np.conj(basis.U.T) @ basis.U)
     form = skew_canonical_form(A)
-    V = vbasis.U @ form.B
     return CanonicalDecomposition(
-        V=V,
+        V=basis.U @ form.B,
         c=np.clip(form.gamma, 0.0, 1.0),
-        epsilon=vbasis.dim % 2,
-        source=vbasis.source,
+        epsilon=basis.dim % 2,
     )
 
 

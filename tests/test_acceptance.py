@@ -40,7 +40,6 @@ from pilotspace.pilot import (
 from pilotspace.rlinalg import compression_matrix, r_orthonormalize
 from pilotspace.variation import (
     ParametricChannelModel,
-    VariationSpaceBasis,
     canonical_decompose,
     variation_space,
 )
@@ -88,7 +87,7 @@ def test_criterion_01_cross_form_equivalence():
         done += 1
         basis = variation_space(model, theta)
         via = crb_via_variation_space(basis, M, noise)
-        comp = compression_matrix(basis.basis, M)
+        comp = compression_matrix(basis, M)
         intrinsic = 0.5 * noise.sigma2 * float(np.trace(np.linalg.inv(comp)))
         for name, value in (("variation", via.value), ("compression", intrinsic)):
             if abs(value - direct.value) > 1e-8 * direct.value:
@@ -109,8 +108,7 @@ def test_criterion_02_closed_form_vs_oracle():
     for idx in range(10):
         n_params = [2, 3, 4, 5][idx % 4]
         n_dim = int(rng.integers(max(2, (n_params + 1) // 2), 9))
-        basis, _ = r_orthonormalize(random_complex(rng, n_dim, n_params))
-        vb = VariationSpaceBasis(basis)
+        vb, _ = r_orthonormalize(random_complex(rng, n_dim, n_params))
         dec = canonical_decompose(vb)
         P = float(rng.uniform(0.5, 2.0))
         ref = crb_min(dec.c, n_params, NoiseModel(1.0), P)
@@ -310,8 +308,7 @@ def test_criterion_09_identifiability():
     for idx in range(50):
         n_dim = int(rng.integers(2, 10))
         n_params = int(rng.integers(2, min(2 * n_dim, 8) + 1))
-        basis, _ = r_orthonormalize(random_complex(rng, n_dim, n_params))
-        vb = VariationSpaceBasis(basis)
+        vb, _ = r_orthonormalize(random_complex(rng, n_dim, n_params))
         M_short = random_complex(rng, n_dim, math.ceil(n_params / 2) - 1)
         verdict = check_identifiability(vb, M_short)
         rep = crb_via_variation_space(vb, M_short, noise)

@@ -2,12 +2,13 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pilotspace import fileio
-from pilotspace.cli import load_run_config, main
+from pilotspace.cli import ConfigError, load_run_config, main
 from pilotspace.experiments import run_multipath
 from pilotspace.models import UlaGeometry, steering_derivative, steering_vector
 
@@ -302,6 +303,35 @@ class TestRunConfigValidation:
                                     "experiment": {"n_trials": "many"}}))
         with pytest.raises(ValueError, match="wrong type"):
             load_run_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("psnr_grid_db", [float("nan"), 0]),
+        ("psnr_grid_db", [0, float("inf")]),
+        ("delta_deg", [True]),
+        ("delta_deg", ["x"]),
+        ("delta_deg", [[1.0]]),
+        ("delta_deg", [None]),
+        ("power", float("inf")),
+        ("separation_floor_deg", float("inf")),
+        ("cluster_decay", float("nan")),
+    ], ids=["nan-entry", "inf-entry", "bool-entry", "string-entry", "list-entry",
+            "null-entry", "inf-power", "inf-floor", "nan-decay"])
+    def test_non_finite_or_non_number_exit_1(self, tmp_path, capsys, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schema_version": 1, "experiment": {key: value}}))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: experiment.{key} ")):
+            load_run_config(path)
+        assert run_cli("experiment", "single-path", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and f"experiment.{key}" in err
+
+    def test_endfire_margin_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "experiment": {"delta_deg": [400], "n_trials": 1}}))
+        assert run_cli("experiment", "multipath", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "below 90 deg" in err
 
     def test_seed_override(self, tmp_path):
         path = tmp_path / "c.json"

@@ -13,10 +13,8 @@ from pilotspace.experiments import (
     _crb_coefficient,
     ac_strategy_bound,
     generate_clustered_channel,
-    ls_gain_estimate,
     proposed_strategy_bound,
     psnr,
-    refine_angles,
     relative_bias,
     relative_crb,
     run_multipath,
@@ -58,6 +56,38 @@ class TestExperimentConfig:
             ExperimentConfig(n_trials=0)
         with pytest.raises(ValueError, match="power"):
             ExperimentConfig(power=0.0)
+
+
+class TestEndfireMargin:
+    """Drawn azimuths keep the separation floor plus max|Delta| from endfire."""
+
+    def test_default_margin(self):
+        assert ExperimentConfig().endfire_margin_deg == 7.0
+
+    @pytest.mark.parametrize("deltas", [(-5.0,), (0.0, -5.0, 1.0), (-5.0, 5.0)])
+    def test_negative_delta_counts_by_magnitude(self, deltas, monkeypatch):
+        import pilotspace.experiments
+
+        margins = []
+        draw = pilotspace.experiments.generate_clustered_channel
+
+        def recording(*args, **kwargs):
+            margins.append(kwargs["endfire_margin_deg"])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(pilotspace.experiments, "generate_clustered_channel", recording)
+        run_multipath(ExperimentConfig(delta_deg=deltas, n_trials=2,
+                                       psnr_grid_db=(0.0,)))
+        assert margins and set(margins) == {7.0}
+
+    @pytest.mark.parametrize("floor, deltas", [(2.0, (400.0,)), (2.0, (88.0,)),
+                                               (2.0, (0.0, -88.0)), (90.0, ())])
+    def test_margin_at_or_past_endfire_rejected(self, floor, deltas):
+        with pytest.raises(ValueError, match="below 90 deg"):
+            ExperimentConfig(separation_floor_deg=floor, delta_deg=deltas)
+
+    def test_margin_below_endfire_accepted(self):
+        assert ExperimentConfig(delta_deg=(-87.5,)).endfire_margin_deg == 89.5
 
 
 class TestPsnr:
@@ -387,44 +417,3 @@ class TestRunMultipath:
         _, ac = table.values(AC_STRATEGY, 0.0)
         _, pr = table.values(PROPOSED_STRATEGY, 0.0)
         assert np.all(ac <= pr * (1 + 1e-12))
-
-
-class TestEstimators:
-    def test_noiseless_gain_recovery(self):
-        geom = UlaGeometry(32)
-        azimuths = np.array([0.3, -0.5])
-        gains = np.array([1.0 - 0.5j, 0.3 + 0.2j])
-        E = steering_matrix(geom, azimuths)
-        h = E @ gains
-        est_space = estimated_variation_space(geom, azimuths)
-        M = design_observation_matrix(canonical_decompose(est_space), 1.0).M
-        y = np.conj(M.T) @ h
-        recovered = ls_gain_estimate(y, M, E)
-        assert np.allclose(recovered, gains, atol=1e-9)
-
-    def test_non_identifiable_gains(self):
-        geom = UlaGeometry(8)
-        E = steering_matrix(geom, [0.1, 0.2])
-        M = steering_vector(geom, 1.0).reshape(-1, 1)  # one observation, two gains
-        with pytest.raises(ValueError, match="identifiable"):
-            ls_gain_estimate(np.zeros(1, dtype=complex), M, E)
-
-    def test_zero_steps_keeps_azimuths(self):
-        geom = UlaGeometry(16)
-        M = design_observation_matrix(
-            canonical_decompose(estimated_variation_space(geom, [0.0])), 1.0
-        ).M
-        y = np.conj(M.T) @ steering_vector(geom, 0.01)
-        out = refine_angles(y, M, [0.0], steps=0)
-        assert out == pytest.approx([0.0])
-
-    def test_descent_recovers_single_path(self):
-        geom = UlaGeometry(64)
-        phi_true = math.radians(1.0)   # estimate initialized at 0, truth at 1 deg
-        h = steering_vector(geom, phi_true)
-        M = design_observation_matrix(
-            canonical_decompose(estimated_variation_space(geom, [0.0])), 1.0
-        ).M
-        y = np.conj(M.T) @ h
-        refined = refine_angles(y, M, [0.0], steps=60)
-        assert abs(refined[0] - phi_true) <= 1e-4
