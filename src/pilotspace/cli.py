@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fileio
 from .crb import NoiseModel, check_identifiability, crb_min, crb_via_variation_space
-from .experiments import ExperimentConfig, run_multipath, run_single_path
+from .experiments import DrawError, ExperimentConfig, run_multipath, run_single_path
 from .models import (
     UlaGeometry,
     angle_constrained_model,
@@ -285,7 +285,10 @@ def cmd_experiment(args):
     if args.kind == "single-path":
         table = run_single_path(config)
     else:
-        table, info = run_multipath(config)
+        try:
+            table, info = run_multipath(config)
+        except DrawError as err:
+            raise ConfigError(f"{args.config}: {err}") from err
         print(f"redraws: {info['redraws']}", file=sys.stderr)
     if args.output:
         fileio.write_curve_table(args.output, table)

@@ -52,8 +52,9 @@ class CrbReport:
       compression Re{U^H M M^H U} on the given basis U; set by the
       basis forms, ``None`` for the direct form.
     * ``fim`` -- the Fisher matrix; set by the direct form, whose
-      verdict is the eigenvalue test on it and whose ``value`` comes
-      from its Cholesky factor; ``None`` for the basis forms.
+      verdict is the eigenvalue test on its Jacobi-scaled copy and whose
+      ``value`` comes from its Cholesky factor; ``None`` for the basis
+      forms.
     """
 
     value: float
@@ -115,22 +116,49 @@ def _sym_eig_range(S):
     return float(eigs[0]), float(eigs[-1])
 
 
+# An eigenvalue (or FIM diagonal entry) at or below this fraction of its
+# a-priori scale is rounding noise: the matrix counts as exactly zero there.
+ZERO_RTOL = 1e-14
+
+
 def _is_singular(min_eig, max_eig, scale):
-    """Singularity test with an absolute floor.
+    """Singularity test with an absolute floor; elementwise on arrays.
 
     ``scale`` is an a-priori upper bound on the achievable largest
     eigenvalue (the observation energy); without it an exactly-zero
     matrix would pass the relative test on rounding noise alone.
     """
-    if max_eig <= 1e-14 * max(scale, 1e-300):
+    floor = ZERO_RTOL * np.maximum(scale, 1e-300)
+    return (max_eig <= floor) | (min_eig <= EIG_RTOL * max_eig)
+
+
+def _fim_is_singular(I, grad, M, noise):
+    """Eigenvalue test on the Jacobi-scaled Fisher matrix D^{-1/2} I D^{-1/2}.
+
+    D = diag(I).  Rescaling a parameter rescales a row and a column of I
+    but leaves the scaled matrix, like the CRB, unchanged, so the verdict
+    does not depend on parameter units.  A diagonal entry at the noise
+    level of its bound (2/sigma^2) ||M||_F^2 ||dh_i||^2 is a parameter no
+    observation sees: singular.
+    """
+    d = np.diag(I)
+    bound = (2.0 / noise.sigma2) * float(np.linalg.norm(M) ** 2) * np.sum(
+        np.abs(grad) ** 2, axis=0
+    )
+    if np.any(d <= ZERO_RTOL * np.maximum(bound, 1e-300)):
         return True
-    return min_eig <= EIG_RTOL * max_eig
+    s = 1.0 / np.sqrt(d)
+    min_eig, max_eig = _sym_eig_range(s[:, None] * I * s)
+    # The scaled diagonal is all ones, so max_eig >= 1 and only the
+    # relative test can fire.
+    return bool(_is_singular(min_eig, max_eig, 1.0))
 
 
 def crb_direct(model, theta, M, noise):
     """CRB from the gradient: Tr[dh FIM^{-1} dh^H].
 
-    A singular Fisher matrix yields an infinite, non-identifiable report.
+    A singular Fisher matrix (see ``_fim_is_singular``: the test runs on
+    the Jacobi-scaled matrix) yields an infinite, non-identifiable report.
     Otherwise the Fisher matrix I = L L^T is factored by Cholesky and the
     value is ||L^{-1} [Re dh; Im dh]^T||_F^2.  The report carries ``fim``
     and no compression eigenvalue.
@@ -141,13 +169,7 @@ def crb_direct(model, theta, M, noise):
         raise ValueError("gradient contains non-finite entries")
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     I = _fisher(grad, M, noise)
-    min_eig, max_eig = _sym_eig_range(I)
-    fim_scale = (
-        (2.0 / noise.sigma2)
-        * float(np.linalg.norm(M) ** 2)
-        * float(np.linalg.norm(grad) ** 2)
-    )
-    if _is_singular(min_eig, max_eig, fim_scale):
+    if _fim_is_singular(I, grad, M, noise):
         return CrbReport(value=math.inf, identifiable=False, fim=I)
     L = np.linalg.cholesky(I)
     value = float(np.linalg.norm(solve_right(stacked_real(grad), L.T)) ** 2)

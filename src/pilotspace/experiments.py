@@ -13,7 +13,8 @@ pSNR = P_t ||h||^2 / sigma^2:
   Tr[(E_hat^H E_hat)^{-1}], so its coefficient (relative CRB times pSNR)
   is L Tr[(E_hat^H E_hat)^{-1}] = L ||R^{-1}||_F^2 = L sum_k 1/s_k^2,
   with E_hat = QR and s_k the singular values of E_hat; the SVD that
-  rank-checks E_hat for the bias term supplies them.
+  rank-checks E_hat supplies them, and its left vectors the projection
+  of the bias term.
 * proposed -- pilots of duration ceil(3L/2) built from the estimated
   variation space; the bound is the relative CRB of the full physical
   model evaluated at the true parameters against those (mismatched)
@@ -22,10 +23,24 @@ pSNR = P_t ||h||^2 / sigma^2:
 The pSNR axis is swept by varying sigma^2 at fixed transmit power and
 fixed channel, so pilot designs are constant along a sweep and each
 strategy reduces to a coefficient (CRB * pSNR) plus an optional bias
-floor.  A multipath trial builds the true channel and the true
-variation space once and shares them across its Delta values; at
-Delta = 0 the estimates equal the true azimuths, so the true space also
-serves as the estimated one.
+floor.
+
+A multipath trial computes its Delta values together.  It builds the
+true channel, the true variation space and the (nDelta, L) array of
+azimuth estimates once; the AC bounds of all Delta come from one
+steering call and one batched SVD, and the Proposed coefficients from
+one batched compression of the stacked pilot matrices on the true basis
+and one batched eigvalsh.  The estimated variation space, its canonical
+decomposition (real Schur form) and the pilot design stay per Delta:
+where the estimated space has repeated or zero couplings the pilots
+depend on which basis of that subspace the Schur form returns, so any
+change of rounding in those steps would move the Proposed curve at
+Delta > 0.  At Delta = 0 the estimates equal the true azimuths, so the
+true space also serves as the estimated one.  ``ac_strategy_bound``,
+``proposed_strategy_bound`` and ``relative_bias`` are batch-of-one calls
+into the same kernels, and ``run_single_path`` goes through them.  The
+curves average (n_trials, nDelta) coefficient and bias arrays with one
+broadcast over the pSNR grid.
 
 The multipath generator is a deliberately simplified clustered model:
 the number of clusters is uniform on {1..7}, main-cluster azimuths are
@@ -41,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crb import EIG_RTOL, NoiseModel, crb_via_variation_space
+from .crb import EIG_RTOL, NoiseModel, _is_singular, crb_via_variation_space
 from .models import (
     UlaGeometry,
     PathSet,
@@ -50,11 +65,15 @@ from .models import (
     steering_matrix,
 )
 from .pilot import design_observation_matrix
-from .rlinalg import RankDeficientError, numerical_rank
+from .rlinalg import RANK_RTOL, RankDeficientError
 from .variation import canonical_decompose
 
 AC_STRATEGY = "AngleConstrained"
 PROPOSED_STRATEGY = "Proposed"
+
+
+class DrawError(RuntimeError):
+    """The configuration admits no channel within its draw or redraw budget."""
 
 
 @dataclass(frozen=True)
@@ -169,31 +188,76 @@ def relative_crb(true_basis, M, sigma2, h):
     return report.value / float(np.linalg.norm(h) ** 2)
 
 
-def _projection_floor(h, E_hat):
-    """Relative bias of range(E_hat) and the singular values of E_hat.
+def _ac_bounds(h, E_hats):
+    """AC coefficients and relative biases of a stack of E_hat (B, N_t, L).
 
-    Raises RankDeficientError when E_hat has dependent columns.
+    One batched SVD E_hat = U S W^H: the coefficient is the closed form
+    L sum_k 1/s_k^2 (+inf where crb_via_variation_space's singularity
+    test fires: the compression eigenvalues are (P/L) s_k^2, each twice),
+    and U projects h onto range(E_hat) for the bias.  Raises
+    RankDeficientError when any E_hat has dependent columns.
     """
-    h = np.asarray(h, dtype=complex).ravel()
-    E_hat = np.atleast_2d(np.asarray(E_hat, dtype=complex))
-    s = np.linalg.svd(E_hat, compute_uv=False)
-    if numerical_rank(s) < E_hat.shape[1]:
+    U, s, _ = np.linalg.svd(E_hats, full_matrices=False)
+    L = E_hats.shape[-1]
+    if np.any(np.sum(s > RANK_RTOL * s[:, :1], axis=1) < L):
         raise RankDeficientError("E_hat is rank deficient")
-    Q, _ = np.linalg.qr(E_hat)
-    resid = h - Q @ (np.conj(Q.T) @ h)
+    coords = np.conj(np.swapaxes(U, 1, 2)) @ h
+    resid = h - (U @ coords[..., None])[..., 0]
     hnorm2 = float(np.linalg.norm(h) ** 2)
-    return min(1.0, max(0.0, float(np.linalg.norm(resid) ** 2) / hnorm2)), s
+    bias = np.clip(np.linalg.norm(resid, axis=1) ** 2 / hnorm2, 0.0, 1.0)
+    singular = s[:, -1] ** 2 <= EIG_RTOL * s[:, 0] ** 2
+    coefficient = np.where(singular, math.inf, L * np.sum(1.0 / s**2, axis=1))
+    return coefficient, bias
 
 
 def relative_bias(h, E_hat):
     """Squared relative residual of projecting h onto range(E_hat)."""
-    return _projection_floor(h, E_hat)[0]
+    h = np.asarray(h, dtype=complex).ravel()
+    E_hat = np.atleast_2d(np.asarray(E_hat, dtype=complex))
+    return float(_ac_bounds(h, E_hat[None])[1][0])
+
+
+def _crb_coefficients(true_basis, Ms, power, h):
+    """Relative CRB times pSNR of each pilot matrix in the stack Ms (B, N_t, m).
+
+    The pSNR axis varies sigma^2 only, so this is the relative CRB at
+    sigma^2 = 1 times the pSNR at sigma^2 = 1.  One batched compression
+    Re{U^H M M^H U} on the true basis and one batched eigvalsh;
+    crb_via_variation_space's singularity test gives +inf.
+    """
+    X = np.conj(np.swapaxes(Ms, 1, 2)) @ true_basis.U          # (B, m, dim)
+    C = np.swapaxes(X.real, 1, 2) @ X.real + np.swapaxes(X.imag, 1, 2) @ X.imag
+    eigs = np.linalg.eigvalsh(0.5 * (C + np.swapaxes(C, 1, 2)))
+    energy = np.linalg.norm(Ms, axis=(1, 2)) ** 2
+    singular = _is_singular(eigs[:, 0], eigs[:, -1], energy)
+    safe = np.where(singular[:, None], 1.0, eigs)
+    rel_at_unit_sigma = 0.5 * np.sum(1.0 / safe, axis=1) / float(np.linalg.norm(h) ** 2)
+    return np.where(singular, math.inf, rel_at_unit_sigma * psnr(power, h, 1.0))
 
 
 def _crb_coefficient(true_basis, M, power, h):
-    """Relative CRB times pSNR (independent of sigma^2 along the sweep)."""
-    rel_at_unit_sigma = relative_crb(true_basis, M, 1.0, h)
-    return rel_at_unit_sigma * psnr(power, h, 1.0)
+    """Relative CRB times pSNR of one pilot matrix (independent of sigma^2)."""
+    return float(_crb_coefficients(true_basis, M[None], power, h)[0])
+
+
+def _steering_stack(geom, estimates):
+    """E_hat of each row of azimuth estimates (B, L), stacked as (B, N_t, L)."""
+    B, L = estimates.shape
+    E = steering_matrix(geom, estimates.ravel())
+    return E.reshape(geom.n_antennas, B, L).transpose(1, 0, 2)
+
+
+def _proposed_pilots(geom, estimates, true_azimuths, true_basis, power):
+    """Pilots designed from the variation space at the estimated azimuths.
+
+    Estimates equal to the true azimuths reuse the true basis as the
+    estimated space.
+    """
+    if np.array_equal(estimates, true_azimuths):
+        est_space = true_basis
+    else:
+        est_space = estimated_variation_space(geom, estimates)
+    return design_observation_matrix(canonical_decompose(est_space), power).M
 
 
 def _check_estimates(true_paths, estimated_azimuths):
@@ -214,21 +278,15 @@ def ac_strategy_bound(true_paths, estimated_azimuths, config, *, h=None):
     ``true_paths`` when omitted.
     """
     estimated_azimuths = _check_estimates(true_paths, estimated_azimuths)
-    L = true_paths.n_paths
+    geom = config.geometry
     if h is None:
-        h = steering_matrix(config.geometry, true_paths.azimuths) @ true_paths.gains
-    bias, s = _projection_floor(h, steering_matrix(config.geometry, estimated_azimuths))
-    # The compression of M M^H to span_R(E_hat, jE_hat) has the eigenvalues
-    # (P/L) s_k^2, each twice: apply crb_via_variation_space's singularity test.
-    if s[-1] ** 2 <= EIG_RTOL * s[0] ** 2:
-        coefficient = math.inf
-    else:
-        coefficient = L * float(np.sum(1.0 / s**2))
+        h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
+    coefficient, bias = _ac_bounds(h, _steering_stack(geom, estimated_azimuths[None]))
     return StrategyBound(
         strategy=AC_STRATEGY,
-        pilot_length=L,
-        crb_coefficient=coefficient,
-        bias=bias,
+        pilot_length=true_paths.n_paths,
+        crb_coefficient=float(coefficient[0]),
+        bias=float(bias[0]),
     )
 
 
@@ -251,18 +309,46 @@ def proposed_strategy_bound(true_paths, estimated_azimuths, config, *, h=None,
         h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
     if true_basis is None:
         true_basis = physical_variation_space(geom, true_paths.azimuths)
-
-    if np.array_equal(estimated_azimuths, true_paths.azimuths):
-        est_space = true_basis
-    else:
-        est_space = estimated_variation_space(geom, estimated_azimuths)
-    design = design_observation_matrix(canonical_decompose(est_space), config.power)
+    M = _proposed_pilots(geom, estimated_azimuths, true_paths.azimuths, true_basis,
+                         config.power)
     return StrategyBound(
         strategy=PROPOSED_STRATEGY,
         pilot_length=math.ceil(3 * L / 2),
-        crb_coefficient=_crb_coefficient(true_basis, design.M, config.power, h),
+        crb_coefficient=_crb_coefficient(true_basis, M, config.power, h),
         bias=0.0,
     )
+
+
+def _curve_rows(config, ac_coefficient, ac_bias, proposed_coefficient, trials):
+    """Curve rows from (n, nDelta) coefficient and bias arrays.
+
+    Each row holds the mean over the n samples of max(bias, coefficient
+    / pSNR), one broadcast over samples, Delta values and the pSNR grid.
+    """
+    psnr_lin = np.array([10.0 ** (db / 10.0) for db in config.psnr_grid_db])
+    n = ac_coefficient.shape[0]
+    means = {
+        AC_STRATEGY: np.sum(
+            np.maximum(ac_bias[..., None], ac_coefficient[..., None] / psnr_lin), axis=0
+        ) / n,
+        PROPOSED_STRATEGY: np.sum(
+            np.maximum(0.0, proposed_coefficient[..., None] / psnr_lin), axis=0
+        ) / n,
+    }
+    rows = []
+    for i, delta in enumerate(config.delta_deg):
+        for strategy, mean in means.items():
+            for db, value in zip(config.psnr_grid_db, mean[i]):
+                rows.append(
+                    CurveRow(
+                        strategy=strategy,
+                        delta_deg=float(delta),
+                        psnr_db=float(db),
+                        relative_bound=float(value),
+                        trials=trials,
+                    )
+                )
+    return CurveTable(rows=tuple(rows))
 
 
 def run_single_path(config):
@@ -270,26 +356,17 @@ def run_single_path(config):
 
     Deterministic (no randomness); one row per (strategy, Delta, pSNR).
     """
-    rows = []
+    ac_coefficient, ac_bias, proposed_coefficient = [], [], []
     for delta in config.delta_deg:
         paths = PathSet(gains=[1.0], azimuths=[math.radians(delta)])
-        bounds = (
-            ac_strategy_bound(paths, [0.0], config),
-            proposed_strategy_bound(paths, [0.0], config),
+        ac = ac_strategy_bound(paths, [0.0], config)
+        ac_coefficient.append(ac.crb_coefficient)
+        ac_bias.append(ac.bias)
+        proposed_coefficient.append(
+            proposed_strategy_bound(paths, [0.0], config).crb_coefficient
         )
-        for bound in bounds:
-            for db in config.psnr_grid_db:
-                value = float(bound.relative_bound(10.0 ** (db / 10.0)))
-                rows.append(
-                    CurveRow(
-                        strategy=bound.strategy,
-                        delta_deg=float(delta),
-                        psnr_db=float(db),
-                        relative_bound=value,
-                        trials=1,
-                    )
-                )
-    return CurveTable(rows=tuple(rows))
+    return _curve_rows(config, np.array([ac_coefficient]), np.array([ac_bias]),
+                       np.array([proposed_coefficient]), trials=1)
 
 
 def generate_clustered_channel(rng, geom, separation_floor_deg=2.0,
@@ -317,16 +394,17 @@ def generate_clustered_channel(rng, geom, separation_floor_deg=2.0,
         endfire_margin_deg = separation_floor_deg
     margin = math.radians(endfire_margin_deg)
 
+    iu = np.triu_indices(L, 1)
+
     def admissible(cand):
-        if np.max(np.abs(np.sin(cand))) > math.cos(margin):
+        sines = np.sin(cand)
+        if np.max(np.abs(sines)) > math.cos(margin):
             return False
         if L == 1:
             return True
-        iu = np.triu_indices(L, 1)
         diff = np.abs(cand[:, None] - cand[None, :])[iu]
         if np.min(np.minimum(diff, 2.0 * np.pi - diff)) < floor:
             return False
-        sines = np.sin(cand)
         return bool(np.min(np.abs(sines[:, None] - sines[None, :])[iu]) >= math.sin(floor))
 
     azimuths = None
@@ -337,7 +415,7 @@ def generate_clustered_channel(rng, geom, separation_floor_deg=2.0,
             azimuths = cand
             break
     if azimuths is None:
-        raise RuntimeError(
+        raise DrawError(
             f"could not draw {L} azimuths separated by {separation_floor_deg} deg "
             f"in {max_retries} attempts"
         )
@@ -351,39 +429,44 @@ def generate_clustered_channel(rng, geom, separation_floor_deg=2.0,
 def _multipath_trial(config, trial_index):
     """One multipath realization: per-Delta strategy coefficients and biases.
 
-    Redraws the channel (within the trial's own rng stream) when any
-    estimated variation space degenerates; returns the redraw count.
+    Returns ``(ac_coefficient, ac_bias, proposed_coefficient)``, arrays
+    with one entry per Delta, and the redraw count.  Redraws the channel
+    (within the trial's own rng stream) when the true variation space or
+    any estimate's E_hat or variation space degenerates.
     """
     rng = np.random.default_rng([config.seed, trial_index])
     geom = config.geometry
-    deltas = config.delta_deg
+    radians = np.array([math.radians(d) for d in config.delta_deg])
     for redraw in range(config.max_redraws):
+        paths = generate_clustered_channel(
+            rng,
+            geom,
+            separation_floor_deg=config.separation_floor_deg,
+            endfire_margin_deg=config.endfire_margin_deg,
+            cluster_decay=config.cluster_decay,
+            min_gain=config.min_gain,
+            max_retries=config.max_redraws,
+        )
+        unit = rng.uniform(-1.0, 1.0, size=paths.n_paths)
+        # One row per Delta; at Delta = 0 the row equals paths.azimuths bit for bit.
+        estimates = paths.azimuths + radians[:, None] * unit
         try:
-            paths = generate_clustered_channel(
-                rng,
-                geom,
-                separation_floor_deg=config.separation_floor_deg,
-                endfire_margin_deg=config.endfire_margin_deg,
-                cluster_decay=config.cluster_decay,
-                min_gain=config.min_gain,
-                max_retries=config.max_redraws,
-            )
-            unit = rng.uniform(-1.0, 1.0, size=paths.n_paths)
             h = steering_matrix(geom, paths.azimuths) @ paths.gains
             true_basis = physical_variation_space(geom, paths.azimuths)
-            results = {}
-            for delta in deltas:
-                # At Delta = 0, est equals paths.azimuths bit for bit.
-                est = paths.azimuths + math.radians(delta) * unit
-                results[delta] = (
-                    ac_strategy_bound(paths, est, config, h=h),
-                    proposed_strategy_bound(paths, est, config, h=h,
-                                            true_basis=true_basis),
-                )
-            return results, redraw
+            ac_coefficient, ac_bias = _ac_bounds(h, _steering_stack(geom, estimates))
+            pilots = [
+                _proposed_pilots(geom, est, paths.azimuths, true_basis, config.power)
+                for est in estimates
+            ]
         except RankDeficientError:
             continue
-    raise RuntimeError(
+        # (nDelta, N_t, ceil(3L/2)), also when there is no Delta.
+        Ms = np.array(pilots).reshape(
+            len(pilots), geom.n_antennas, math.ceil(3 * paths.n_paths / 2)
+        )
+        proposed_coefficient = _crb_coefficients(true_basis, Ms, config.power, h)
+        return (ac_coefficient, ac_bias, proposed_coefficient), redraw
+    raise DrawError(
         f"trial {trial_index}: estimated variation space degenerate after "
         f"{config.max_redraws} redraws"
     )
@@ -396,26 +479,9 @@ def run_multipath(config):
     Deterministic for a fixed seed.
     """
     outcomes = [_multipath_trial(config, t) for t in range(config.n_trials)]
-
-    psnr_lin = np.array([10.0 ** (db / 10.0) for db in config.psnr_grid_db])
-    rows = []
-    total_redraws = sum(r for _, r in outcomes)
-    for delta in config.delta_deg:
-        sums = {AC_STRATEGY: np.zeros_like(psnr_lin), PROPOSED_STRATEGY: np.zeros_like(psnr_lin)}
-        for results, _ in outcomes:
-            for bound in results[delta]:
-                sums[bound.strategy] += bound.relative_bound(psnr_lin)
-        for strategy, acc in sums.items():
-            mean = acc / config.n_trials
-            for db, value in zip(config.psnr_grid_db, mean):
-                rows.append(
-                    CurveRow(
-                        strategy=strategy,
-                        delta_deg=float(delta),
-                        psnr_db=float(db),
-                        relative_bound=float(value),
-                        trials=config.n_trials,
-                    )
-                )
-    table = CurveTable(rows=tuple(rows))
-    return table, {"redraws": total_redraws}
+    ac_coefficient, ac_bias, proposed_coefficient = (
+        np.array(column) for column in zip(*(bounds for bounds, _ in outcomes))
+    )
+    table = _curve_rows(config, ac_coefficient, ac_bias, proposed_coefficient,
+                        trials=config.n_trials)
+    return table, {"redraws": sum(redraw for _, redraw in outcomes)}

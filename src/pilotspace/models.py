@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,11 +33,16 @@ class UlaGeometry:
         if self.n_antennas < 1:
             raise ValueError("need at least one antenna")
 
-    @property
+    @cached_property
     def offsets(self):
-        """Antenna positions in half-wavelength units, centered (sum = 0)."""
+        """Antenna positions in half-wavelength units, centered (sum = 0).
+
+        Computed once per geometry and read-only.
+        """
         n = self.n_antennas
-        return np.arange(n) - (n - 1) / 2.0
+        offsets = np.arange(n) - (n - 1) / 2.0
+        offsets.flags.writeable = False
+        return offsets
 
 
 @dataclass(frozen=True)

@@ -86,13 +86,14 @@ def design_observation_matrix(decomp, power, sigma2=1.0):
     C = 2.0 * np.sum(1.0 / np.sqrt(1.0 + c)) + decomp.epsilon
     scale = math.sqrt(power / C)
 
-    cols = []
-    for k in range(n_pairs):
-        v, w = decomp.pair(k)
-        cols.append(scale * (v + 1j * w) / (1.0 + c[k]) ** 0.75)
+    V = decomp.V
+    M = np.empty((V.shape[0], n_pairs + decomp.epsilon), dtype=complex)
+    pairs = V[:, 0:2 * n_pairs:2] + 1j * V[:, 1:2 * n_pairs:2]
+    # Scalar (libm) powers: numpy's SIMD power can round an ulp differently,
+    # which would move every design built from a coupling it rounds.
+    M[:, :n_pairs] = scale * pairs / np.array([(1.0 + ck) ** 0.75 for ck in c.tolist()])
     if decomp.epsilon:
-        cols.append(scale * decomp.lone_vector)
-    M = np.stack(cols, axis=1)
+        M[:, -1] = scale * decomp.lone_vector
     return PilotDesign(
         M=M,
         power=float(power),

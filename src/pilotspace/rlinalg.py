@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError, lapack
 
 RANK_RTOL = 1e-10          # numerical-rank threshold, relative to largest singular value
 # triangle_rank skips the SVD when ||R||_F ||R^{-1}||_F RANK_RTOL is below
@@ -168,7 +168,7 @@ def triangle_rank(R):
     """
     k = R.shape[1]
     if k > 0 and R.shape == (k, k):
-        R_inv, info = scipy.linalg.lapack.dtrtri(R)   # info > 0: zero diagonal
+        R_inv, info = lapack.dtrtri(R)   # info > 0: zero diagonal
         bound = np.linalg.norm(R) * np.linalg.norm(R_inv)
         # A NaN or inf bound fails the comparison.
         if info == 0 and bound * RANK_RTOL < RANK_CERT_MARGIN:
@@ -185,10 +185,26 @@ def _positive_triangle(X):
 
 
 def solve_right(X, R):
-    """X R^{-1} for a real upper-triangular R; both inputs must be finite."""
-    return scipy.linalg.solve_triangular(
-        R, X.T, lower=False, trans="T", check_finite=False
-    ).T
+    """X R^{-1} for a real upper-triangular R; both inputs must be finite.
+
+    Solves R^T Y = X^T with LAPACK ``trtrs`` (``ztrtrs`` for complex X),
+    passing the arguments ``scipy.linalg.solve_triangular(R, X.T,
+    trans="T")`` passes, so the result is bit-identical to it without
+    the wrapper's validation.
+    """
+    if X.size == 0:      # LAPACK rejects a zero leading dimension
+        return np.empty(X.shape, dtype=np.result_type(X, R, 1.0))
+    trtrs = lapack.ztrtrs if np.iscomplexobj(X) else lapack.dtrtrs
+    if R.flags.f_contiguous:
+        Y, info = trtrs(R, X.T, lower=0, trans=1)
+    else:
+        # trtrs expects Fortran order: solve with the transposed (lower) view.
+        Y, info = trtrs(R.T, X.T, lower=1, trans=0)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return Y.T
 
 
 def r_orthonormalize(G):
@@ -242,6 +258,28 @@ def r_orthonormalize(G):
     return RBasis(U), R2 @ R1
 
 
+def _no_select(x, y=None):
+    return None
+
+
+def _real_schur(A):
+    """Real Schur form A = Q T Q^T of a finite real square matrix.
+
+    Calls LAPACK ``dgees`` with its workspace query and the arguments
+    ``scipy.linalg.schur(A, output="real")`` passes, so T and Q are
+    bit-identical to it without the wrapper's validation.
+    """
+    work = lapack.dgees(_no_select, A, lwork=-1)[-2]
+    T, _, _, _, Q, _, info = lapack.dgees(
+        _no_select, A, lwork=int(work[0]), overwrite_a=False, sort_t=0
+    )
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return T, Q
+
+
 def skew_canonical_form(A, reorder_tol=None):
     """Canonical 2x2 block form of a real skew-symmetric matrix.
 
@@ -276,7 +314,7 @@ def skew_canonical_form(A, reorder_tol=None):
     if reorder_tol is None:
         reorder_tol = COUPLING_SNAP * max(1.0, norm_a)
 
-    T, Q = scipy.linalg.schur(A, output="real", check_finite=False)
+    T, Q = _real_schur(A)
 
     # The Schur form of a skew-symmetric matrix is block diagonal: 2x2
     # skew blocks carrying +/-c on the off diagonal, 1x1 zeros elsewhere.

@@ -273,6 +273,33 @@ class TestExperimentCommand:
         assert run_cli("experiment", "single-path", "--config", str(path)) == 1
         assert "psnr_grid_db" in capsys.readouterr().err
 
+    def test_infeasible_draws_exit_1(self, tmp_path, capsys):
+        # A margin of 82 deg leaves too little of the circle for 7 separated
+        # azimuths: the draw budget runs out.
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "experiment": {"delta_deg": [80], "n_trials": 20}}))
+        assert run_cli("experiment", "multipath", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: could not draw")
+        assert "Traceback" not in err
+
+    def test_redraws_exhausted_exit_1(self, tmp_path, capsys, monkeypatch):
+        import pilotspace.experiments
+        from pilotspace.rlinalg import RankDeficientError
+
+        def degenerate(geom, azimuths):
+            raise RankDeficientError("degenerate")
+
+        monkeypatch.setattr(pilotspace.experiments, "physical_variation_space", degenerate)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "experiment": {"n_trials": 1, "max_redraws": 3}}))
+        assert run_cli("experiment", "multipath", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: trial 0:")
+        assert "after 3 redraws" in err
+
 
 class TestRunConfigValidation:
     def test_missing_schema_version(self, tmp_path):

@@ -108,6 +108,35 @@ class TestCrbDirect:
         assert math.isinf(rep.value)
         assert rep.fim is not None
 
+    def test_graded_columns_match_basis_form(self):
+        # Column norms spread over six decades put cond(FIM) near 1e12, past
+        # 1/EIG_RTOL; the CRB itself does not depend on parameter units, and
+        # neither does the verdict on the Jacobi-scaled FIM.
+        for seed in range(300, 500):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 10))
+            k = int(rng.integers(2, n + 1))
+            G = random_complex(rng, n, k) * np.logspace(0, 6, k)
+            M = random_complex(rng, n, n)
+            rep = crb_direct(constant_gradient_model(G), np.zeros(k), M, NoiseModel(1.0))
+            ref = crb_via_variation_space(r_orthonormalize(G)[0], M, NoiseModel(1.0))
+            assert rep.identifiable and math.isfinite(rep.value), seed
+            assert rep.value == pytest.approx(ref.value, rel=1e-8), seed
+
+    def test_unobserved_parameter_is_singular(self):
+        # M is complex-orthogonal to the first gradient column up to rounding:
+        # that FIM diagonal entry is noise, and the Jacobi scaling must not
+        # blow it up into an identifiable direction.
+        rng = np.random.default_rng(503)
+        G = random_complex(rng, 6, 3)
+        q = G[:, :1] / np.linalg.norm(G[:, 0])
+        M = random_complex(rng, 6, 4)
+        M = M - q @ (np.conj(q.T) @ M)
+        rep = crb_direct(constant_gradient_model(G), np.zeros(3), M, NoiseModel(1.0))
+        assert not rep.identifiable and math.isinf(rep.value)
+        assert not crb_via_variation_space(r_orthonormalize(G)[0], M,
+                                           NoiseModel(1.0)).identifiable
+
 
 class TestCrbDirectDiagnostic:
     """The direct form factors the Fisher matrix only: no basis, no compression."""

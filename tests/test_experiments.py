@@ -5,12 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from pilotspace.crb import NoiseModel, crb_min
+from pilotspace.crb import EIG_RTOL, NoiseModel, crb_min
 from pilotspace.experiments import (
     AC_STRATEGY,
     PROPOSED_STRATEGY,
+    DrawError,
     ExperimentConfig,
+    StrategyBound,
+    _ac_bounds,
     _crb_coefficient,
+    _crb_coefficients,
+    _multipath_trial,
+    _proposed_pilots,
+    _steering_stack,
     ac_strategy_bound,
     generate_clustered_channel,
     proposed_strategy_bound,
@@ -31,7 +38,7 @@ from pilotspace.models import (
     steering_vector,
 )
 from pilotspace.pilot import design_observation_matrix
-from pilotspace.rlinalg import RankDeficientError
+from pilotspace.rlinalg import RankDeficientError, numerical_rank
 from pilotspace.variation import canonical_decompose, variation_space
 
 SINGLE_PATH_RATIO = 2 * (1 / math.sqrt(2) + 0.5) ** 2  # Proposed/AC floor ratio
@@ -417,3 +424,175 @@ class TestRunMultipath:
         _, ac = table.values(AC_STRATEGY, 0.0)
         _, pr = table.values(PROPOSED_STRATEGY, 0.0)
         assert np.all(ac <= pr * (1 + 1e-12))
+
+
+def _trial_draw(config, trial_index):
+    """The channel and per-Delta estimates of a trial that needs no redraw."""
+    rng = np.random.default_rng([config.seed, trial_index])
+    paths = generate_clustered_channel(
+        rng, config.geometry,
+        separation_floor_deg=config.separation_floor_deg,
+        endfire_margin_deg=config.endfire_margin_deg,
+        cluster_decay=config.cluster_decay, min_gain=config.min_gain,
+        max_retries=config.max_redraws,
+    )
+    unit = rng.uniform(-1.0, 1.0, size=paths.n_paths)
+    return paths, [paths.azimuths + math.radians(d) * unit for d in config.delta_deg]
+
+
+def _previous_trial(config, trial_index):
+    """The per-Delta multipath trial loop the batched trial replaced.
+
+    AC: singular values without vectors for the rank test and the closed
+    form, a QR for the bias; Proposed: crb_via_variation_space per Delta.
+    Returns (ac_coefficient, ac_bias, proposed_coefficient) lists.
+    """
+    rng = np.random.default_rng([config.seed, trial_index])
+    geom = config.geometry
+    for _ in range(config.max_redraws):
+        try:
+            paths = generate_clustered_channel(
+                rng, geom,
+                separation_floor_deg=config.separation_floor_deg,
+                endfire_margin_deg=config.endfire_margin_deg,
+                cluster_decay=config.cluster_decay, min_gain=config.min_gain,
+                max_retries=config.max_redraws,
+            )
+            unit = rng.uniform(-1.0, 1.0, size=paths.n_paths)
+            L = paths.n_paths
+            h = steering_matrix(geom, paths.azimuths) @ paths.gains
+            true_basis = physical_variation_space(geom, paths.azimuths)
+            out = ([], [], [])
+            for delta in config.delta_deg:
+                est = paths.azimuths + math.radians(delta) * unit
+                E_hat = steering_matrix(geom, est)
+                s = np.linalg.svd(E_hat, compute_uv=False)
+                if numerical_rank(s) < L:
+                    raise RankDeficientError("E_hat is rank deficient")
+                Q, _ = np.linalg.qr(E_hat)
+                resid = h - Q @ (np.conj(Q.T) @ h)
+                hnorm2 = float(np.linalg.norm(h) ** 2)
+                out[1].append(min(1.0, max(0.0, float(np.linalg.norm(resid) ** 2) / hnorm2)))
+                singular = s[-1] ** 2 <= EIG_RTOL * s[0] ** 2
+                out[0].append(math.inf if singular else L * float(np.sum(1.0 / s**2)))
+                if np.array_equal(est, paths.azimuths):
+                    est_space = true_basis
+                else:
+                    est_space = estimated_variation_space(geom, est)
+                M = design_observation_matrix(canonical_decompose(est_space), config.power).M
+                out[2].append(relative_crb(true_basis, M, 1.0, h) * psnr(config.power, h, 1.0))
+            return out
+        except RankDeficientError:
+            continue
+    raise RuntimeError("redraws exhausted")
+
+
+@pytest.fixture
+def skew_forms(monkeypatch):
+    """Every skew canonical form computed while the fixture is active."""
+    import pilotspace.variation
+
+    forms = []
+    real = pilotspace.variation.skew_canonical_form
+
+    def recording(A, *args, **kwargs):
+        form = real(A, *args, **kwargs)
+        forms.append(form)
+        return form
+
+    monkeypatch.setattr(pilotspace.variation, "skew_canonical_form", recording)
+    return forms
+
+
+class TestBatchedTrial:
+    """A multipath trial computes its Delta values together."""
+
+    CONFIG = ExperimentConfig(n_trials=10, seed=7)
+
+    @pytest.mark.parametrize("trial_index", range(4))
+    def test_batch_equals_per_delta_wrappers(self, trial_index):
+        config = self.CONFIG
+        (ac_coef, ac_bias, pr_coef), redraws = _multipath_trial(config, trial_index)
+        assert redraws == 0
+        paths, estimates = _trial_draw(config, trial_index)
+        for i, est in enumerate(estimates):
+            ac = ac_strategy_bound(paths, est, config)
+            assert (ac.crb_coefficient, ac.bias) == (ac_coef[i], ac_bias[i])
+            assert proposed_strategy_bound(paths, est, config).crb_coefficient == pr_coef[i]
+
+    def test_kernels_batch_equals_batch_of_one(self):
+        config = ExperimentConfig(delta_deg=(0.0, 0.5, 1.0, 5.0))
+        geom = config.geometry
+        paths, estimates = _trial_draw(config, 3)
+        h = steering_matrix(geom, paths.azimuths) @ paths.gains
+        true_basis = physical_variation_space(geom, paths.azimuths)
+        stack = _steering_stack(geom, np.array(estimates))
+        coef, bias = _ac_bounds(h, stack)
+        Ms = np.array([_proposed_pilots(geom, est, paths.azimuths, true_basis, config.power)
+                       for est in estimates])
+        pr = _crb_coefficients(true_basis, Ms, config.power, h)
+        for i, est in enumerate(estimates):
+            assert np.array_equal(stack[i], steering_matrix(geom, est))
+            one_coef, one_bias = _ac_bounds(h, stack[i:i + 1])
+            assert (one_coef[0], one_bias[0]) == (coef[i], bias[i])
+            assert relative_bias(h, stack[i]) == bias[i]
+            assert _crb_coefficient(true_basis, Ms[i], config.power, h) == pr[i]
+
+    def test_any_degenerate_estimate_raises(self):
+        config = ExperimentConfig()
+        geom = config.geometry
+        h = steering_matrix(geom, [0.3, -0.4]) @ np.array([1.0, 0.5j])
+        estimates = np.array([[0.3, -0.4], [0.3, 0.3]])
+        with pytest.raises(RankDeficientError):
+            _ac_bounds(h, _steering_stack(geom, estimates))
+
+    def test_matches_previous_loop_on_reference_trials(self, skew_forms):
+        # The seed-7 benchmark reference: configs 700000..700009, 10 trials each.
+        for seed in range(700_000, 700_010):
+            config = ExperimentConfig(n_trials=10, seed=seed)
+            for t in range(config.n_trials):
+                skew_forms.clear()
+                (ac_coef, ac_bias, pr_coef), _ = _multipath_trial(config, t)
+                batched = list(skew_forms)
+                skew_forms.clear()
+                previous = _previous_trial(config, t)
+                assert len(batched) == len(skew_forms) == len(config.delta_deg)
+                for new, old in zip(batched, skew_forms):
+                    assert np.array_equal(new.B, old.B)
+                    assert np.array_equal(new.gamma, old.gamma)
+                assert ac_coef == pytest.approx(previous[0], rel=1e-10, abs=0)
+                assert pr_coef == pytest.approx(previous[2], rel=1e-10, abs=0)
+                # A bias is a squared residual in [0, 1]; at Delta = 0 it is
+                # rounding noise (~1e-30) that differs between SVD and QR.
+                assert ac_bias == pytest.approx(previous[1], rel=1e-10, abs=1e-15)
+
+    def test_curves_match_per_bound_accumulation(self):
+        config = ExperimentConfig(n_trials=6, seed=11)
+        table, _ = run_multipath(config)
+        psnr_lin = np.array([10.0 ** (db / 10.0) for db in config.psnr_grid_db])
+        for i, delta in enumerate(config.delta_deg):
+            sums = {AC_STRATEGY: 0.0, PROPOSED_STRATEGY: 0.0}
+            for t in range(config.n_trials):
+                (ac_coef, ac_bias, pr_coef), _ = _multipath_trial(config, t)
+                sums[AC_STRATEGY] = sums[AC_STRATEGY] + StrategyBound(
+                    AC_STRATEGY, 1, ac_coef[i], ac_bias[i]).relative_bound(psnr_lin)
+                sums[PROPOSED_STRATEGY] = sums[PROPOSED_STRATEGY] + StrategyBound(
+                    PROPOSED_STRATEGY, 1, pr_coef[i]).relative_bound(psnr_lin)
+            for strategy, acc in sums.items():
+                _, values = table.values(strategy, delta)
+                assert np.array_equal(values, acc / config.n_trials)
+
+    def test_no_delta_values(self):
+        table, info = run_multipath(ExperimentConfig(delta_deg=(), n_trials=3))
+        assert table.rows == ()
+        assert info == {"redraws": 0}
+
+    def test_redraws_exhausted_is_a_draw_error(self, monkeypatch):
+        import pilotspace.experiments
+
+        def degenerate(geom, azimuths):
+            raise RankDeficientError("degenerate")
+
+        monkeypatch.setattr(pilotspace.experiments, "physical_variation_space", degenerate)
+        with pytest.raises(DrawError, match="after 2 redraws"):
+            run_multipath(ExperimentConfig(n_trials=1, max_redraws=2))

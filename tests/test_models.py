@@ -78,6 +78,14 @@ class TestSteeringVector:
         for n_tx in (4, 5, 64):
             assert UlaGeometry(n_tx).offsets.sum() == pytest.approx(0.0, abs=1e-12)
 
+    def test_offsets_computed_once_and_read_only(self):
+        geom = UlaGeometry(6)
+        offsets = geom.offsets
+        assert geom.offsets is offsets
+        assert np.array_equal(offsets, np.arange(6) - 2.5)
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[0] = 1.0
+
 
 class TestSteeringDerivative:
     @pytest.mark.parametrize("phi", [-0.9, 0.0, 0.3, 1.1])

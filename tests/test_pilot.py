@@ -54,6 +54,22 @@ def assert_matches_product_form(dec, power):
 
 
 class TestDesignObservationMatrix:
+    @pytest.mark.parametrize("n_params", [1, 2, 5, 6, 9])
+    def test_equals_per_pair_columns(self, n_params):
+        # Bit for bit the columns scale (v_k + j w_k) / (1 + c_k)^(3/4),
+        # built one pair at a time, plus the scaled lone vector.
+        rng = np.random.default_rng(40 + n_params)
+        for _ in range(20):
+            _, dec = random_decomposition(rng, 6, n_params)
+            c = dec.c
+            scale = math.sqrt(2.5 / (2.0 * np.sum(1.0 / np.sqrt(1.0 + c)) + dec.epsilon))
+            cols = [scale * (dec.pair(k)[0] + 1j * dec.pair(k)[1]) / (1.0 + c[k]) ** 0.75
+                    for k in range(c.shape[0])]
+            if dec.epsilon:
+                cols.append(scale * dec.lone_vector)
+            assert np.array_equal(design_observation_matrix(dec, 2.5).M,
+                                  np.stack(cols, axis=1))
+
     def test_ls_columns(self):
         n_tx, P = 4, 2.0
         vb = variation_space(ls_model(n_tx), np.zeros(2 * n_tx))

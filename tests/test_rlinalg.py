@@ -12,6 +12,8 @@ from pilotspace.rlinalg import (
     NotSkewSymmetricError,
     RankDeficientError,
     RBasis,
+    _positive_triangle,
+    _real_schur,
     compression_matrix,
     numerical_rank,
     project_r,
@@ -20,6 +22,7 @@ from pilotspace.rlinalg import (
     real_gram,
     real_rank,
     skew_canonical_form,
+    solve_right,
     stacked_real,
     triangle_rank,
 )
@@ -423,6 +426,91 @@ class TestSkewCanonicalForm:
         with pytest.raises(ValueError, match="non-finite") as excinfo:
             skew_canonical_form(A)
         assert not isinstance(excinfo.value, NotSkewSymmetricError)
+
+
+def _steering_span_inputs():
+    """(G, A) pairs shaped like a multipath trial's: G the 64 x 3L steering
+    span, A = Im{U^H U} of its real-orthonormal basis U."""
+    from pilotspace.models import UlaGeometry, _steering_columns
+
+    rng = np.random.default_rng(20)
+    out = []
+    for L in range(1, 8):
+        az = np.sort(rng.uniform(-1.2, 1.2, size=L)) + 0.04 * np.arange(L)
+        E, dE = _steering_columns(UlaGeometry(64), az)
+        G = np.empty((64, 3 * L), dtype=complex)
+        G[:, 0::3], G[:, 1::3], G[:, 2::3] = E, -1j * E, dE
+        U = r_orthonormalize(G)[0].U
+        out.append((G, np.imag(np.conj(U.T) @ U)))
+    return out
+
+
+class TestDirectLapackMatchesScipy:
+    """solve_right and the Schur step call LAPACK directly; the results are
+    those of scipy.linalg.solve_triangular / schur bit for bit."""
+
+    @staticmethod
+    def scipy_solve_right(X, R):
+        return scipy.linalg.solve_triangular(
+            R, X.T, lower=False, trans="T", check_finite=False
+        ).T
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 21, 64])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_solve_right_random(self, k, kind, order):
+        rng = np.random.default_rng([30, k])
+        R = np.array(np.triu(rng.normal(size=(k, k))) + 3 * np.eye(k), order=order)
+        X = rng.normal(size=(40, k)) if kind == "real" else random_complex(rng, 40, k)
+        got = solve_right(X, R)
+        want = self.scipy_solve_right(X, R)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_solve_right_multipath_shapes(self):
+        for G, _ in _steering_span_inputs():
+            R = _positive_triangle(G)
+            U = solve_right(G, R)
+            assert np.array_equal(U, self.scipy_solve_right(G, R))
+            R2 = _positive_triangle(U)
+            assert np.array_equal(solve_right(U, R2), self.scipy_solve_right(U, R2))
+
+    def test_solve_right_singular_raises(self):
+        R = np.triu(np.ones((3, 3)))
+        R[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve_right(np.ones((4, 3)), R)
+
+    @staticmethod
+    def check_schur(A):
+        T, Q = _real_schur(A)
+        T_ref, Q_ref = scipy.linalg.schur(A, output="real", check_finite=False)
+        assert np.array_equal(T, T_ref) and np.array_equal(Q, Q_ref)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 21])
+    def test_schur_random(self, k):
+        rng = np.random.default_rng([31, k])
+        A = rng.normal(size=(k, k))
+        self.check_schur(A)            # general
+        self.check_schur(A - A.T)      # skew-symmetric
+
+    def test_schur_multipath_shapes(self):
+        for _, A in _steering_span_inputs():
+            self.check_schur(0.5 * (A - A.T))
+
+    def test_skew_form_equals_scipy_schur_route(self, monkeypatch):
+        import pilotspace.rlinalg as rl
+
+        rng = np.random.default_rng(32)
+        inputs = [A for _, A in _steering_span_inputs()]
+        inputs += [(lambda B: B - B.T)(rng.normal(size=(k, k))) for k in (2, 5, 8, 13)]
+        direct = [skew_canonical_form(A) for A in inputs]
+        monkeypatch.setattr(rl, "_real_schur", lambda A: scipy.linalg.schur(
+            A, output="real", check_finite=False))
+        for A, form in zip(inputs, direct):
+            ref = skew_canonical_form(A)
+            assert np.array_equal(form.B, ref.B)
+            assert np.array_equal(form.gamma, ref.gamma)
 
 
 class TestProjectR:
