@@ -59,23 +59,12 @@ class ConfigError(ValueError):
     pass
 
 
-def _finite_number(value):
-    """True for a JSON number (not a bool) that is finite as a double."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:
-        return False
-
-
 def load_run_config(path, seed_override=None):
     """Parse and validate a run-configuration JSON file."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON: {err}") from err
+        doc = fileio.read_json(path)
+    except ValueError as err:       # invalid JSON; the message names the file
+        raise ConfigError(str(err)) from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     if "schema_version" not in doc:
@@ -100,11 +89,11 @@ def load_run_config(path, seed_override=None):
         if not isinstance(value, expected) or isinstance(value, bool):
             raise ConfigError(f"{path}: experiment.{key} has the wrong type")
         if isinstance(value, list):
-            if not all(_finite_number(v) for v in value):
+            if not all(fileio.finite_number(v) for v in value):
                 raise ConfigError(
                     f"{path}: experiment.{key} entries must be finite numbers"
                 )
-        elif not _finite_number(value):
+        elif not fileio.finite_number(value):
             raise ConfigError(f"{path}: experiment.{key} must be finite")
         if key in _POSITIVE_KEYS and not value > 0:
             raise ConfigError(f"{path}: experiment.{key} must be positive")
@@ -212,21 +201,15 @@ def _derived_report_path(matrix_path):
     return matrix_path + ".report.json"
 
 
-def _load_theta(path, expected_len=None):
-    with open(path) as fh:
-        values = json.load(fh)
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
+def _load_theta(path):
+    values = fileio.read_json(path)
+    if not isinstance(values, list) or not all(map(fileio.is_number, values)):
         raise ConfigError(f"{path}: theta must be a JSON array of numbers")
-    theta = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise ConfigError(f"{path}: theta has non-finite entries (NaN or Infinity)")
-    if expected_len is not None and theta.shape[0] != expected_len:
+    if not all(map(fileio.finite_number, values)):
         raise ConfigError(
-            f"{path}: theta has length {theta.shape[0]}, expected {expected_len}"
+            f"{path}: theta has non-finite entries (NaN, Infinity or beyond double range)"
         )
-    return theta
+    return np.asarray(values, dtype=float)
 
 
 def _crb_payload(args):
@@ -362,10 +345,7 @@ def main(argv=None):
     except RankDeficientError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as err:
+    except (OSError, ValueError) as err:     # ConfigError, invalid files
         print(f"error: {err}", file=sys.stderr)
         return 1
 

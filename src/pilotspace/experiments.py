@@ -267,20 +267,18 @@ def _check_estimates(true_paths, estimated_azimuths):
     return estimated_azimuths
 
 
-def ac_strategy_bound(true_paths, estimated_azimuths, config, *, h=None):
+def ac_strategy_bound(true_paths, estimated_azimuths, config):
     """Bound of the angle-constrained tracking strategy.
 
     Pilots sqrt(P_t/L) E_hat of duration L; CRB term from the
     gains-only model at the estimated azimuths in closed form (see the
     module docstring; +inf where its compression is singular), bias
     term from the projection residual of the true channel onto
-    range(E_hat).  ``h`` is the true channel, computed from
-    ``true_paths`` when omitted.
+    range(E_hat).
     """
     estimated_azimuths = _check_estimates(true_paths, estimated_azimuths)
     geom = config.geometry
-    if h is None:
-        h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
+    h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
     coefficient, bias = _ac_bounds(h, _steering_stack(geom, estimated_azimuths[None]))
     return StrategyBound(
         strategy=AC_STRATEGY,
@@ -290,25 +288,20 @@ def ac_strategy_bound(true_paths, estimated_azimuths, config, *, h=None):
     )
 
 
-def proposed_strategy_bound(true_paths, estimated_azimuths, config, *, h=None,
-                            true_basis=None):
+def proposed_strategy_bound(true_paths, estimated_azimuths, config):
     """Bound of the proposed tracking strategy.
 
     Pilots of duration ceil(3L/2) designed from the estimated variation
     space; the CRB is evaluated with the variation space of the full
-    physical model at the true parameters (no bias term).  ``h`` and
-    ``true_basis`` (the true channel and
-    ``physical_variation_space(geom, true_paths.azimuths)``) are
-    computed when omitted.  Estimates equal to the true azimuths reuse
-    the true basis as the estimated space.
+    physical model at the true parameters (no bias term).  Estimates
+    equal to the true azimuths reuse the true basis as the estimated
+    space.
     """
     estimated_azimuths = _check_estimates(true_paths, estimated_azimuths)
     geom = config.geometry
     L = true_paths.n_paths
-    if h is None:
-        h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
-    if true_basis is None:
-        true_basis = physical_variation_space(geom, true_paths.azimuths)
+    h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
+    true_basis = physical_variation_space(geom, true_paths.azimuths)
     M = _proposed_pilots(geom, estimated_azimuths, true_paths.azimuths, true_basis,
                          config.power)
     return StrategyBound(

@@ -35,19 +35,48 @@ def matrix_to_json_obj(M):
     }
 
 
+def is_number(value):
+    """True for a JSON number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def finite_number(value):
+    """True for a JSON number (not a bool) that is finite as a double."""
+    if not is_number(value):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def matrix_from_json_obj(obj):
+    """Matrix of a complex_matrix JSON object; ValueError if it is malformed.
+
+    Every entry must be an [re, im] pair of two finite JSON numbers.
+    """
     if not isinstance(obj, dict) or obj.get("type") != "complex_matrix":
         raise ValueError("not a complex_matrix JSON object")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows or any(len(r) != cols for r in data):
+    rows, cols, data = obj.get("rows"), obj.get("cols"), obj.get("data")
+    if not (_is_count(rows) and _is_count(cols)):
+        raise ValueError("rows and cols must be nonnegative integers")
+    if (not isinstance(data, list) or len(data) != rows
+            or any(not isinstance(r, list) or len(r) != cols for r in data)):
         raise ValueError("matrix data does not match the dims header")
     M = np.empty((rows, cols), dtype=complex)
     for i, row in enumerate(data):
-        for j, (re, im) in enumerate(row):
-            M[i, j] = complex(re, im)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries (NaN or Infinity)")
+        for j, pair in enumerate(row):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_number, pair))):
+                raise ValueError(f"entry [{i}][{j}] is not an [re, im] pair of numbers")
+            if not all(map(finite_number, pair)):
+                raise ValueError(
+                    f"entry [{i}][{j}] is non-finite (NaN, Infinity or beyond double range)"
+                )
+            M[i, j] = complex(*pair)
     return M
 
 
@@ -57,9 +86,17 @@ def write_matrix(path, M):
         fh.write("\n")
 
 
-def read_matrix(path):
+def read_json(path):
+    """Parsed JSON file; invalid JSON raises a ValueError naming the file."""
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:       # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: invalid JSON: {err}") from err
+
+
+def read_matrix(path):
+    obj = read_json(path)
     try:
         return matrix_from_json_obj(obj)
     except ValueError as err:

@@ -17,14 +17,53 @@ in that setting:
   real-orthonormal span and the compression of M M^H to it.
 
 All functions are pure and operate on immutable inputs.
+
+The three LAPACK routines used here (``dtrtri``, ``d/ztrtrs``, ``dgees``)
+are called on scipy's f2py extension ``scipy.linalg._flapack``, the
+module whose functions ``scipy.linalg.lapack`` re-exports.  It is loaded
+without importing the ``scipy.linalg`` package, whose import costs more
+than the rest of ``import pilotspace`` together, and registered under
+its own name, so a later ``import scipy.linalg`` shares the same module.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, lapack
+from numpy.linalg import LinAlgError
+
+
+def _load_flapack():
+    """scipy's ``scipy.linalg._flapack`` extension, without ``scipy.linalg``.
+
+    Imports only the top-level ``scipy`` package (which runs scipy's
+    platform library setup), then loads the extension file from its
+    ``linalg`` directory under its own name and registers it in
+    ``sys.modules``.  Reuses the registered module when one exists.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    path = (Path(scipy.__file__).parent / "linalg"
+            / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+    if not path.is_file():
+        raise ImportError(f"scipy's LAPACK extension not found at {path}", name=name,
+                          path=str(path))
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
 
 RANK_RTOL = 1e-10          # numerical-rank threshold, relative to largest singular value
 # triangle_rank skips the SVD when ||R||_F ||R^{-1}||_F RANK_RTOL is below
@@ -168,7 +207,7 @@ def triangle_rank(R):
     """
     k = R.shape[1]
     if k > 0 and R.shape == (k, k):
-        R_inv, info = lapack.dtrtri(R)   # info > 0: zero diagonal
+        R_inv, info = _flapack.dtrtri(R)   # info > 0: zero diagonal
         bound = np.linalg.norm(R) * np.linalg.norm(R_inv)
         # A NaN or inf bound fails the comparison.
         if info == 0 and bound * RANK_RTOL < RANK_CERT_MARGIN:
@@ -187,14 +226,15 @@ def _positive_triangle(X):
 def solve_right(X, R):
     """X R^{-1} for a real upper-triangular R; both inputs must be finite.
 
-    Solves R^T Y = X^T with LAPACK ``trtrs`` (``ztrtrs`` for complex X),
-    passing the arguments ``scipy.linalg.solve_triangular(R, X.T,
-    trans="T")`` passes, so the result is bit-identical to it without
-    the wrapper's validation.
+    Solves R^T Y = X^T with LAPACK ``dtrtrs`` (``ztrtrs`` for complex X),
+    called on scipy's extension module with the arguments that
+    ``scipy.linalg.solve_triangular(R, X.T, trans="T")`` passes to the
+    same routine, so the result is bit-identical to that wrapper's
+    without its validation or the ``scipy.linalg`` import.
     """
     if X.size == 0:      # LAPACK rejects a zero leading dimension
         return np.empty(X.shape, dtype=np.result_type(X, R, 1.0))
-    trtrs = lapack.ztrtrs if np.iscomplexobj(X) else lapack.dtrtrs
+    trtrs = _flapack.ztrtrs if np.iscomplexobj(X) else _flapack.dtrtrs
     if R.flags.f_contiguous:
         Y, info = trtrs(R, X.T, lower=0, trans=1)
     else:
@@ -265,12 +305,14 @@ def _no_select(x, y=None):
 def _real_schur(A):
     """Real Schur form A = Q T Q^T of a finite real square matrix.
 
-    Calls LAPACK ``dgees`` with its workspace query and the arguments
-    ``scipy.linalg.schur(A, output="real")`` passes, so T and Q are
-    bit-identical to it without the wrapper's validation.
+    Calls LAPACK ``dgees`` on scipy's extension module, with the
+    workspace query and the arguments that ``scipy.linalg.schur(A,
+    output="real")`` passes to the same routine, so T and Q are
+    bit-identical to that wrapper's without its validation or the
+    ``scipy.linalg`` import.
     """
-    work = lapack.dgees(_no_select, A, lwork=-1)[-2]
-    T, _, _, _, Q, _, info = lapack.dgees(
+    work = _flapack.dgees(_no_select, A, lwork=-1)[-2]
+    T, _, _, _, Q, _, info = _flapack.dgees(
         _no_select, A, lwork=int(work[0]), overwrite_a=False, sort_t=0
     )
     if info < 0:

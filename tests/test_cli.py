@@ -39,6 +39,22 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError, match="dims header"):
             fileio.read_matrix(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("rows", None, "nonnegative integers"),
+        ("cols", "2", "nonnegative integers"),
+        ("rows", 2.0, "nonnegative integers"),
+        ("data", 5, "dims header"),
+        ("data", [1, 2], "dims header"),
+    ])
+    def test_rejects_malformed_header(self, tmp_path, key, value, message):
+        path = tmp_path / "bad.json"
+        obj = fileio.matrix_to_json_obj(np.eye(2))
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=message) as excinfo:
+            fileio.read_matrix(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
 
 class TestDesignCommand:
     def test_ls_design_files(self, tmp_path, capsys):
@@ -156,6 +172,56 @@ class TestCrbCommand:
         fileio.write_matrix(m_path, np.eye(2))
         theta = tmp_path / "theta.json"
         theta.write_text("[0.0, Infinity, 0.0, 0.0]")
+        code = run_cli(
+            "crb", "--model", "ls", "--nt", "2", "--theta", str(theta),
+            "--m", str(m_path),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(theta) in err and "non-finite" in err
+
+    @pytest.mark.parametrize("data, problem", [
+        ([[1.0], [2.0]], "not an [re, im] pair"),
+        ([[["a", "b"]], [[1.0, 0.0]]], "not an [re, im] pair"),
+        ([[[True, 1]], [[1.0, 0.0]]], "not an [re, im] pair"),
+        ([[[1.0, 0.0, 0.0]], [[1.0, 0.0]]], "not an [re, im] pair"),
+        ([[[10**400, 0]], [[1.0, 0.0]]], "non-finite"),
+    ], ids=["number", "strings", "bool", "triple", "beyond-double"])
+    def test_malformed_matrix_entry_exit_1(self, tmp_path, capsys, data, problem):
+        m_path = tmp_path / "m.json"
+        obj = fileio.matrix_to_json_obj(np.ones((2, 1)))
+        obj["data"] = data
+        m_path.write_text(json.dumps(obj))
+        theta = tmp_path / "theta.json"
+        theta.write_text("[0.0, 0.0, 0.0, 0.0]")
+        code = run_cli(
+            "crb", "--model", "ls", "--nt", "2", "--theta", str(theta),
+            "--m", str(m_path),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{m_path}: entry [0][0]" in err and problem in err
+
+    @pytest.mark.parametrize("content", [b"{ nope", b"\xff\xfe[]"],
+                             ids=["invalid-json", "not-utf8"])
+    @pytest.mark.parametrize("flag", ["--m", "--theta"])
+    def test_invalid_json_names_file(self, tmp_path, capsys, flag, content):
+        files = {"--m": tmp_path / "m.json", "--theta": tmp_path / "theta.json"}
+        fileio.write_matrix(files["--m"], np.eye(2))
+        files["--theta"].write_text("[0.0, 0.0, 0.0, 0.0]")
+        files[flag].write_bytes(content)
+        code = run_cli(
+            "crb", "--model", "ls", "--nt", "2", "--theta", str(files["--theta"]),
+            "--m", str(files["--m"]),
+        )
+        assert code == 1
+        assert f"error: {files[flag]}: invalid JSON: " in capsys.readouterr().err
+
+    def test_theta_beyond_double_range_exit_1(self, tmp_path, capsys):
+        m_path = tmp_path / "m.json"
+        fileio.write_matrix(m_path, np.eye(2))
+        theta = tmp_path / "theta.json"
+        theta.write_text(f"[0.0, {10**400}, 0.0, 0.0]")
         code = run_cli(
             "crb", "--model", "ls", "--nt", "2", "--theta", str(theta),
             "--m", str(m_path),
@@ -306,6 +372,14 @@ class TestRunConfigValidation:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"experiment": {}}))
         with pytest.raises(ValueError, match="schema_version"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("content", [b"{ nope", b"\xff\xfe{}"],
+                             ids=["invalid-json", "not-utf8"])
+    def test_unparsable_file_names_path(self, tmp_path, content):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: invalid JSON: ")):
             load_run_config(path)
 
     def test_unknown_keys_rejected(self, tmp_path):

@@ -269,23 +269,6 @@ class TestAcClosedForm:
         with pytest.raises(RankDeficientError):
             ac_strategy_bound(paths, [0.3, 0.3], config)
 
-    @pytest.mark.parametrize("delta", [0.0, 1.0, 5.0])
-    def test_precomputed_inputs_give_equal_bounds(self, delta):
-        config = ExperimentConfig()
-        geom = config.geometry
-        rng = np.random.default_rng([12, int(delta)])
-        paths = _separated_paths(rng, 4)
-        est = paths.azimuths + math.radians(delta) * rng.uniform(-1.0, 1.0, size=4)
-        h = steering_matrix(geom, paths.azimuths) @ paths.gains
-        true_basis = physical_variation_space(geom, paths.azimuths)
-        proposed = proposed_strategy_bound(paths, est, config)
-        assert proposed_strategy_bound(
-            paths, est, config, h=h, true_basis=true_basis
-        ).crb_coefficient == proposed.crb_coefficient
-        assert ac_strategy_bound(paths, est, config, h=h) == ac_strategy_bound(
-            paths, est, config
-        )
-
     def test_exact_estimates_match_estimated_space_route(self):
         config = ExperimentConfig()
         geom = config.geometry

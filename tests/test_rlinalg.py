@@ -1,5 +1,11 @@
 """Tests for the real-inner-product linear algebra kernel."""
 
+import importlib.machinery
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -511,6 +517,66 @@ class TestDirectLapackMatchesScipy:
             ref = skew_canonical_form(A)
             assert np.array_equal(form.B, ref.B)
             assert np.array_equal(form.gamma, ref.gamma)
+
+
+def _run_python(code, *args):
+    """Run ``python -c code *args`` with this checkout's pilotspace importable."""
+    import pilotspace
+
+    src = str(Path(pilotspace.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestLapackLoader:
+    """rlinalg loads scipy's LAPACK extension without the scipy.linalg package."""
+
+    def test_import_leaves_scipy_linalg_unimported(self):
+        proc = _run_python("import sys, pilotspace; print('scipy.linalg' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_cli_design_leaves_scipy_linalg_unimported(self, tmp_path):
+        # runpy.run_module is what ``python -m pilotspace.cli`` runs.
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['pilotspace.cli'] + sys.argv[1:]\n"
+            "try:\n"
+            "    runpy.run_module('pilotspace.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exit_:\n"
+            "    assert exit_.code == 0, exit_.code\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        out = tmp_path / "M.json"
+        proc = _run_python(code, "design", "--model", "physical", "--nt", "16",
+                           "--azimuths=-20,5,40", "--power", "1.0", "--output", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+        assert out.is_file()
+
+    @pytest.mark.parametrize("first", ["pilotspace.rlinalg", "scipy.linalg"])
+    def test_shares_scipy_module_in_either_import_order(self, first):
+        second = "scipy.linalg" if first == "pilotspace.rlinalg" else "pilotspace.rlinalg"
+        code = (
+            "import sys, importlib\n"
+            f"importlib.import_module({first!r}); importlib.import_module({second!r})\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "import pilotspace.rlinalg as rl\n"
+            "assert rl._flapack is sys.modules['scipy.linalg._flapack']\n"
+            "for name in ('dgees', 'dtrtri', 'dtrtrs', 'ztrtrs'):\n"
+            "    assert getattr(lapack, name) is getattr(rl._flapack, name), name\n"
+        )
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_missing_extension_file_names_path(self, monkeypatch):
+        import pilotspace.rlinalg as rl
+
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        with pytest.raises(ImportError, match=r"_flapack\.missing\.so"):
+            rl._load_flapack()
 
 
 class TestProjectR:
