@@ -12,8 +12,12 @@ observations y = M^H h + n can be computed
 
 This script builds a random nonlinear-looking instance and shows the
 three numbers agree to machine precision, then breaks identifiability
-on purpose to show the bound turning infinite.
+on purpose to show the bound turning infinite.  Exits with status 1 if
+the forms disagree by more than 1e-9 relative or the undersized matrix
+gets a finite bound.
 """
+
+import sys
 
 import numpy as np
 
@@ -52,6 +56,9 @@ print(f"gradient + Fisher matrix : {direct.value:.12f}")
 print(f"variation-space basis    : {via.value:.12f}")
 print(f"inverse compression      : {intrinsic:.12f}")
 print(f"identifiable             : {direct.identifiable}")
+forms = (direct.value, via.value, intrinsic)
+spread = (max(forms) - min(forms)) / min(forms)
+print(f"relative spread          : {spread:.1e}")
 
 print()
 print("dropping to too few observations (ceil(N_p/2) - 1 columns):")
@@ -59,3 +66,8 @@ M_short = M[:, : (n_params + 1) // 2 - 1]
 verdict = check_identifiability(basis, M_short)
 rep = crb_via_variation_space(basis, M_short, noise)
 print(f"CRB = {rep.value}, verdict: {verdict.message}")
+
+if spread > 1e-9:
+    sys.exit(f"the three CRB forms disagree by {spread:.1e} relative")
+if rep.value != np.inf:
+    sys.exit(f"the undersized M has the finite CRB {rep.value}")

@@ -4,7 +4,6 @@ from .rlinalg import (
     NotSkewSymmetricError,
     RankDeficientError,
     RBasis,
-    SkewBlockForm,
     compression_matrix,
     project_r,
     r_inner,
@@ -61,7 +60,6 @@ from .experiments import (
     proposed_strategy_bound,
     psnr,
     relative_bias,
-    relative_crb,
     run_multipath,
     run_single_path,
 )

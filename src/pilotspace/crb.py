@@ -11,6 +11,13 @@ computed in three equivalent forms:
 * intrinsically, as the trace of the inverse compression of M M^H to
   the variation space (identical to the previous form numerically).
 
+``compression_spectra`` is the one kernel behind the basis forms: it
+takes a stack of observation matrices and returns the ascending
+eigenvalues of each compression with its singularity verdict.
+``crb_via_variation_space`` and ``check_identifiability`` call it with a
+stack of one, and the multipath experiment with the pilot matrices of
+all its Delta values at once.
+
 Non-identifiability (singular Fisher matrix / singular compression) is
 reported as an infinite bound, never as an exception, so parameter
 sweeps can pass through singular configurations.
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rlinalg import compression_matrix, solve_right, stacked_real
+from .rlinalg import COUPLING_SNAP, compression_matrix, real_gram, solve_right, stacked_real
 
 # A compression (or FIM) counts as singular when its smallest eigenvalue
 # falls below this fraction of the largest.
@@ -106,14 +113,8 @@ def _fisher(grad, M, noise):
         )
     if not np.all(np.isfinite(M)):
         raise ValueError("observation matrix M contains non-finite entries")
-    X = np.conj(M.T) @ grad
-    I = (2.0 / noise.sigma2) * (X.real.T @ X.real + X.imag.T @ X.imag)
+    I = (2.0 / noise.sigma2) * real_gram(np.conj(M.T) @ grad)
     return 0.5 * (I + I.T)
-
-
-def _sym_eig_range(S):
-    eigs = np.linalg.eigvalsh(S)
-    return float(eigs[0]), float(eigs[-1])
 
 
 # An eigenvalue (or FIM diagonal entry) at or below this fraction of its
@@ -148,10 +149,10 @@ def _fim_is_singular(I, grad, M, noise):
     if np.any(d <= ZERO_RTOL * np.maximum(bound, 1e-300)):
         return True
     s = 1.0 / np.sqrt(d)
-    min_eig, max_eig = _sym_eig_range(s[:, None] * I * s)
+    eigs = np.linalg.eigvalsh(s[:, None] * I * s)
     # The scaled diagonal is all ones, so max_eig >= 1 and only the
     # relative test can fire.
-    return bool(_is_singular(min_eig, max_eig, 1.0))
+    return bool(_is_singular(eigs[0], eigs[-1], 1.0))
 
 
 def crb_direct(model, theta, M, noise):
@@ -176,6 +177,18 @@ def crb_direct(model, theta, M, noise):
     return CrbReport(value=value, identifiable=True, fim=I)
 
 
+def compression_spectra(basis, Ms):
+    """Spectra of the compressions Re{U^H M M^H U} of a stack of matrices.
+
+    ``Ms`` has shape (B, ambient_dim, m).  Returns the (B, dim) ascending
+    eigenvalues of each compression and the (B,) boolean ``_is_singular``
+    verdicts, whose absolute floor scales with each energy ||M||_F^2.
+    """
+    eigs = np.linalg.eigvalsh(compression_matrix(basis, Ms))
+    energy = np.linalg.norm(Ms, axis=(-2, -1)) ** 2
+    return eigs, _is_singular(eigs[:, 0], eigs[:, -1], energy)
+
+
 def crb_via_variation_space(basis, M, noise):
     """CRB through a real-orthonormal variation-space basis.
 
@@ -183,10 +196,10 @@ def crb_via_variation_space(basis, M, noise):
     orthogonal change of basis U -> U B.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    comp = compression_matrix(basis, M)
-    eigs = np.linalg.eigvalsh(comp)
-    min_eig, max_eig = float(eigs[0]), float(eigs[-1])
-    if _is_singular(min_eig, max_eig, float(np.linalg.norm(M) ** 2)):
+    eigs, singular = compression_spectra(basis, M[None])
+    eigs = eigs[0]
+    min_eig = float(eigs[0])
+    if singular[0]:
         return CrbReport(
             value=math.inf, identifiable=False, min_eig_compression=min_eig
         )
@@ -203,13 +216,12 @@ def check_identifiability(basis, M):
     the necessary observation count ceil(N_p / 2).
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
+    eigs, singular = compression_spectra(basis, M[None])
+    min_eig, max_eig = float(eigs[0, 0]), float(eigs[0, -1])
     n_given = M.shape[1]
     n_required = math.ceil(basis.dim / 2)
     count_ok = n_given >= n_required
-    min_eig, max_eig = _sym_eig_range(compression_matrix(basis, M))
-    verdict = count_ok and not _is_singular(
-        min_eig, max_eig, float(np.linalg.norm(M) ** 2)
-    )
+    verdict = count_ok and not singular[0]
     if verdict:
         message = (
             "identifiable: the variation space meets im_C(M)^perp only at 0 "
@@ -249,7 +261,7 @@ def crb_min(c, n_params, noise, power):
         raise ValueError(
             f"expected {n_params // 2} couplings for {n_params} parameters, got {c.shape[0]}"
         )
-    if np.any(c < -1e-12) or np.any(c > 1.0 + 1e-12):
+    if np.any(c < -COUPLING_SNAP) or np.any(c > 1.0 + COUPLING_SNAP):
         raise ValueError("couplings must lie in [0, 1]")
     c = np.clip(c, 0.0, 1.0)
     epsilon = n_params % 2

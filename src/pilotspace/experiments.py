@@ -29,11 +29,12 @@ A multipath trial computes its Delta values together.  It builds the
 true channel, the true variation space and the (nDelta, L) array of
 azimuth estimates once; the AC bounds of all Delta come from one
 steering call and one batched SVD, and the Proposed coefficients from
-one batched compression of the stacked pilot matrices on the true basis
-and one batched eigvalsh.  The estimated variation space, its canonical
-decomposition (real Schur form) and the pilot design stay per Delta:
-where the estimated space has repeated or zero couplings the pilots
-depend on which basis of that subspace the Schur form returns, so any
+one call of ``crb.compression_spectra`` (the kernel behind every
+basis-form CRB and identifiability verdict) on the stacked pilot
+matrices and the true basis.  The estimated variation space, its
+canonical decomposition (real Schur form) and the pilot design stay
+per Delta: where the estimated space has repeated or zero couplings the
+pilots depend on which basis of that subspace the Schur form returns, so any
 change of rounding in those steps would move the Proposed curve at
 Delta > 0.  At Delta = 0 the estimates equal the true azimuths, so the
 true space also serves as the estimated one.  ``ac_strategy_bound``,
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crb import EIG_RTOL, NoiseModel, _is_singular, crb_via_variation_space
+from .crb import _is_singular, compression_spectra
 from .models import (
     UlaGeometry,
     PathSet,
@@ -65,7 +66,7 @@ from .models import (
     steering_matrix,
 )
 from .pilot import design_observation_matrix
-from .rlinalg import RANK_RTOL, RankDeficientError
+from .rlinalg import RankDeficientError, numerical_rank
 from .variation import canonical_decompose
 
 AC_STRATEGY = "AngleConstrained"
@@ -74,6 +75,10 @@ PROPOSED_STRATEGY = "Proposed"
 
 class DrawError(RuntimeError):
     """The configuration admits no channel within its draw or redraw budget."""
+
+
+_POSITIVE_FIELDS = ("n_antennas", "n_trials", "separation_floor_deg", "power",
+                    "cluster_decay", "min_gain", "max_redraws")
 
 
 @dataclass(frozen=True)
@@ -93,13 +98,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if len(self.psnr_grid_db) == 0:
-            raise ValueError("pSNR grid must not be empty")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if not (self.power > 0):
-            raise ValueError("power must be positive")
-        if self.n_antennas < 1:
-            raise ValueError("n_antennas must be >= 1")
+            raise ValueError("psnr_grid_db must not be empty")
+        for name in _POSITIVE_FIELDS:
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.endfire_margin_deg >= 90.0:
             raise ValueError(
                 "separation_floor_deg + max|delta_deg| must be below 90 deg, "
@@ -177,35 +181,26 @@ def psnr(power, h, sigma2):
     return power * float(np.linalg.norm(h) ** 2) / sigma2
 
 
-def relative_crb(true_basis, M, sigma2, h):
-    """CRB divided by the squared channel norm.
-
-    The basis is evaluated at the true parameters while M may come from
-    estimated ones (mismatched evaluation); returns +inf when the pair
-    is not identifiable.
-    """
-    report = crb_via_variation_space(true_basis, M, NoiseModel(sigma2))
-    return report.value / float(np.linalg.norm(h) ** 2)
-
-
 def _ac_bounds(h, E_hats):
     """AC coefficients and relative biases of a stack of E_hat (B, N_t, L).
 
     One batched SVD E_hat = U S W^H: the coefficient is the closed form
-    L sum_k 1/s_k^2 (+inf where crb_via_variation_space's singularity
-    test fires: the compression eigenvalues are (P/L) s_k^2, each twice),
+    L sum_k 1/s_k^2 (+inf where the singularity test of the basis forms
+    fires: the compression eigenvalues are (P/L) s_k^2, each twice; the
+    columns of E_hat have unit norm, so s_1^2 >= 1 and the absolute floor
+    ZERO_RTOL * L never fires),
     and U projects h onto range(E_hat) for the bias.  Raises
     RankDeficientError when any E_hat has dependent columns.
     """
     U, s, _ = np.linalg.svd(E_hats, full_matrices=False)
     L = E_hats.shape[-1]
-    if np.any(np.sum(s > RANK_RTOL * s[:, :1], axis=1) < L):
+    if np.any(numerical_rank(s) < L):
         raise RankDeficientError("E_hat is rank deficient")
     coords = np.conj(np.swapaxes(U, 1, 2)) @ h
     resid = h - (U @ coords[..., None])[..., 0]
     hnorm2 = float(np.linalg.norm(h) ** 2)
     bias = np.clip(np.linalg.norm(resid, axis=1) ** 2 / hnorm2, 0.0, 1.0)
-    singular = s[:, -1] ** 2 <= EIG_RTOL * s[:, 0] ** 2
+    singular = _is_singular(s[:, -1] ** 2, s[:, 0] ** 2, L)
     coefficient = np.where(singular, math.inf, L * np.sum(1.0 / s**2, axis=1))
     return coefficient, bias
 
@@ -221,23 +216,14 @@ def _crb_coefficients(true_basis, Ms, power, h):
     """Relative CRB times pSNR of each pilot matrix in the stack Ms (B, N_t, m).
 
     The pSNR axis varies sigma^2 only, so this is the relative CRB at
-    sigma^2 = 1 times the pSNR at sigma^2 = 1.  One batched compression
-    Re{U^H M M^H U} on the true basis and one batched eigvalsh;
-    crb_via_variation_space's singularity test gives +inf.
+    sigma^2 = 1 times the pSNR at sigma^2 = 1.  The compression spectra
+    on the true basis come from one ``compression_spectra`` call; a
+    singular compression gives +inf.
     """
-    X = np.conj(np.swapaxes(Ms, 1, 2)) @ true_basis.U          # (B, m, dim)
-    C = np.swapaxes(X.real, 1, 2) @ X.real + np.swapaxes(X.imag, 1, 2) @ X.imag
-    eigs = np.linalg.eigvalsh(0.5 * (C + np.swapaxes(C, 1, 2)))
-    energy = np.linalg.norm(Ms, axis=(1, 2)) ** 2
-    singular = _is_singular(eigs[:, 0], eigs[:, -1], energy)
+    eigs, singular = compression_spectra(true_basis, Ms)
     safe = np.where(singular[:, None], 1.0, eigs)
     rel_at_unit_sigma = 0.5 * np.sum(1.0 / safe, axis=1) / float(np.linalg.norm(h) ** 2)
     return np.where(singular, math.inf, rel_at_unit_sigma * psnr(power, h, 1.0))
-
-
-def _crb_coefficient(true_basis, M, power, h):
-    """Relative CRB times pSNR of one pilot matrix (independent of sigma^2)."""
-    return float(_crb_coefficients(true_basis, M[None], power, h)[0])
 
 
 def _steering_stack(geom, estimates):
@@ -307,7 +293,7 @@ def proposed_strategy_bound(true_paths, estimated_azimuths, config):
     return StrategyBound(
         strategy=PROPOSED_STRATEGY,
         pilot_length=math.ceil(3 * L / 2),
-        crb_coefficient=_crb_coefficient(true_basis, M, config.power, h),
+        crb_coefficient=float(_crb_coefficients(true_basis, M[None], config.power, h)[0]),
         bias=0.0,
     )
 

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .crb import NoiseModel, crb_via_variation_space
-from .rlinalg import RBasis
+from .rlinalg import COUPLING_SNAP, RBasis, real_gram
 from .variation import CanonicalDecomposition
 
 
@@ -103,26 +103,26 @@ def design_observation_matrix(decomp, power, sigma2=1.0):
     )
 
 
-def verify_optimality_certificates(decomp, design):
-    """Residuals of the optimality conditions for an observation matrix.
+def verify_optimality_certificates(design):
+    """Residuals of the optimality conditions for a design's matrix.
 
+    Reads the decomposition the design was built from (``design.decomp``).
     Builds the complex-orthogonal unit vectors
     u_k+- = (v_k +/- j w_k) / sqrt(2 (1 +/- c_k)) and reports
 
     * ``diagonal_residual`` -- max off-diagonal of Re{V^H M M^H V},
     * ``dk_residual`` -- max |d_k|, d_k = sqrt(1-c_k^2) Re{u_k+^H M M^H u_k-}
-      (u_k- is skipped where 1 - c_k <= 1e-12: the pair is a complex line
-      and u_k- is undefined),
+      (u_k- is skipped where 1 - c_k <= COUPLING_SNAP: the pair is a
+      complex line and u_k- is undefined),
     * ``column_powers`` -- measured ||M^H u_k+||^2 against the closed form
       2P / (C sqrt(1+c_k)), plus the lone-direction power P/C when present,
     * ``total_power`` -- sum of the measured powers.
     """
-    M = design.M
+    M, decomp = design.M, design.decomp
     c = np.asarray(decomp.c, dtype=float)
     P, C = design.power, design.C_norm
 
-    G = np.conj(M.T) @ decomp.V            # n_cols x n_params
-    comp = G.real.T @ G.real + G.imag.T @ G.imag
+    comp = real_gram(np.conj(M.T) @ decomp.V)
     off = comp - np.diag(np.diag(comp))
     diagonal_residual = float(np.abs(off).max()) if off.size else 0.0
 
@@ -135,7 +135,7 @@ def verify_optimality_certificates(decomp, design):
         p_meas = float(np.linalg.norm(np.conj(M.T) @ u_plus) ** 2)
         measured.append(p_meas)
         expected.append(2.0 * P / (C * math.sqrt(1.0 + c[k])))
-        if 1.0 - c[k] > 1e-12:
+        if 1.0 - c[k] > COUPLING_SNAP:
             u_minus = (v - 1j * w) / math.sqrt(2.0 * (1.0 - c[k]))
             d_k = math.sqrt(1.0 - c[k] ** 2) * float(
                 np.real(np.conj(u_plus) @ (M @ (np.conj(M.T) @ u_minus)))

@@ -14,7 +14,9 @@ in that setting:
   matrix, reordered into the canonical 2x2 block form with nonnegative,
   descending couplings.
 * ``project_r`` / ``compression_matrix`` -- orthogonal projection onto a
-  real-orthonormal span and the compression of M M^H to it.
+  real-orthonormal span and the compression of M M^H to it (of one
+  matrix M or a stack of them; ``real_gram`` and ``numerical_rank``
+  take stacks too).
 
 All functions are pure and operate on immutable inputs.
 
@@ -72,6 +74,10 @@ RANK_RTOL = 1e-10          # numerical-rank threshold, relative to largest singu
 # factor 2 absorbs the rounding of the computed inverse.
 RANK_CERT_MARGIN = 0.5
 COUPLING_SNAP = 1e-12      # couplings below this are snapped to exactly 0
+# Defect allowed in a structural property that holds in exact arithmetic
+# (orthonormality of an RBasis, skew symmetry of a canonical-form input),
+# relative to the size of the matrix.
+STRUCTURE_RTOL = 1e-10
 
 
 class RankDeficientError(ValueError):
@@ -123,32 +129,10 @@ class RBasis:
         object.__setattr__(self, "dim", U.shape[1])
         gram = real_gram(U)
         defect = np.linalg.norm(gram - np.eye(self.dim))
-        if defect > 1e-10 * self.dim:
+        if defect > STRUCTURE_RTOL * self.dim:
             raise ValueError(
                 f"columns are not real-orthonormal: ||Re(U^H U) - I||_F = {defect:.3e}"
             )
-
-
-@dataclass(frozen=True)
-class SkewBlockForm:
-    """Canonical form B^T A B = Gamma of a real skew-symmetric matrix A.
-
-    Gamma is block diagonal with 2x2 blocks [[0, -c_k], [c_k, 0]],
-    couplings sorted descending, plus a trailing 1x1 zero block when the
-    size is odd.
-    """
-
-    B: np.ndarray
-    gamma: np.ndarray
-    has_lone_vector: bool
-
-    @property
-    def size(self):
-        return self.B.shape[0]
-
-    def block_matrix(self):
-        """Rebuild Gamma from the couplings."""
-        return skew_block_matrix(self.gamma, self.size)
 
 
 def skew_block_matrix(gamma, size):
@@ -171,10 +155,11 @@ def r_inner(x, y):
 
 
 def real_gram(X, Y=None):
-    """Re{X^H Y} for complex matrices (Y defaults to X)."""
+    """Re{X^H Y} for complex matrices or stacks of them (Y defaults to X)."""
     X = np.asarray(X)
     Y = X if Y is None else np.asarray(Y)
-    return X.real.T @ Y.real + X.imag.T @ Y.imag
+    return (np.swapaxes(X.real, -1, -2) @ Y.real
+            + np.swapaxes(X.imag, -1, -2) @ Y.imag)
 
 
 def stacked_real(G):
@@ -183,17 +168,20 @@ def stacked_real(G):
     return np.vstack([G.real, G.imag])
 
 
-def numerical_rank(s, rtol=RANK_RTOL):
-    """Count of descending singular values s above rtol * s[0]."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+def numerical_rank(s):
+    """Count of descending singular values above RANK_RTOL times the largest.
+
+    Counts along the last axis: an int for one spectrum, an integer
+    array for a stack of them.  An empty or all-zero spectrum has rank 0.
+    """
+    rank = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+    return int(rank) if rank.ndim == 0 else rank
 
 
-def real_rank(G, rtol=RANK_RTOL):
+def real_rank(G):
     """Numerical rank of the columns of G over the reals."""
     return numerical_rank(
-        np.linalg.svd(stacked_real(np.atleast_2d(G)), compute_uv=False), rtol
+        np.linalg.svd(stacked_real(np.atleast_2d(G)), compute_uv=False)
     )
 
 
@@ -272,7 +260,7 @@ def r_orthonormalize(G):
     ------
     RankDeficientError
         If the columns are real-linearly dependent (numerical rank below
-        k at relative threshold 1e-10); ``null_space`` holds the
+        k at relative threshold RANK_RTOL); ``null_space`` holds the
         dependent coefficient vectors.
     """
     G = np.atleast_2d(np.asarray(G, dtype=complex))
@@ -322,7 +310,7 @@ def _real_schur(A):
     return T, Q
 
 
-def skew_canonical_form(A, reorder_tol=None):
+def skew_canonical_form(A):
     """Canonical 2x2 block form of a real skew-symmetric matrix.
 
     Computes an orthogonal B such that B^T A B is block diagonal with
@@ -332,13 +320,16 @@ def skew_canonical_form(A, reorder_tol=None):
     convention, and singleton (zero) columns are paired into c = 0
     blocks.
 
+    Returns ``(B, gamma)``: the orthogonal matrix and the couplings,
+    so that B^T A B = skew_block_matrix(gamma, K).
+
     Raises
     ------
     ValueError
         If A has non-finite entries (checked before the skew test, which
         NaN would pass).
     NotSkewSymmetricError
-        If ||A + A^T||_F > 1e-10 (1 + ||A||_F).
+        If ||A + A^T||_F > STRUCTURE_RTOL (1 + ||A||_F).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     K = A.shape[0]
@@ -347,14 +338,12 @@ def skew_canonical_form(A, reorder_tol=None):
     if not np.all(np.isfinite(A)):
         raise ValueError("skew canonical form: input matrix contains non-finite entries")
     norm_a = np.linalg.norm(A)
-    if np.linalg.norm(A + A.T) > 1e-10 * (1.0 + norm_a):
+    if np.linalg.norm(A + A.T) > STRUCTURE_RTOL * (1.0 + norm_a):
         raise NotSkewSymmetricError(
             f"||A + A^T||_F = {np.linalg.norm(A + A.T):.3e} exceeds tolerance"
         )
     A = 0.5 * (A - A.T)
-
-    if reorder_tol is None:
-        reorder_tol = COUPLING_SNAP * max(1.0, norm_a)
+    reorder_tol = COUPLING_SNAP * max(1.0, norm_a)
 
     T, Q = _real_schur(A)
 
@@ -395,7 +384,7 @@ def skew_canonical_form(A, reorder_tol=None):
         return c
 
     gamma = np.array([_snap(c) for c, _ in pairs])
-    return SkewBlockForm(B=B, gamma=gamma, has_lone_vector=(K % 2 == 1))
+    return B, gamma
 
 
 def project_r(basis, z):
@@ -413,16 +402,16 @@ def project_r(basis, z):
 def compression_matrix(basis, M):
     """Compression Re{U^H M M^H U} of M M^H to span_R(U).
 
-    Returns a real symmetric positive semi-definite (dim x dim) matrix.
+    Returns a real symmetric positive semi-definite (dim x dim) matrix,
+    or a stack of them for a stack of matrices M (..., ambient_dim, m).
     Raises ValueError if M has the wrong row count or non-finite entries.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    if M.shape[0] != basis.ambient_dim:
+    if M.shape[-2] != basis.ambient_dim:
         raise ValueError(
-            f"M has {M.shape[0]} rows, expected ambient dim {basis.ambient_dim}"
+            f"M has {M.shape[-2]} rows, expected ambient dim {basis.ambient_dim}"
         )
     if not np.all(np.isfinite(M)):
         raise ValueError("observation matrix M contains non-finite entries")
-    X = np.conj(M.T) @ basis.U          # (n_obs, dim)
-    C = X.real.T @ X.real + X.imag.T @ X.imag
-    return 0.5 * (C + C.T)
+    C = real_gram(np.conj(np.swapaxes(M, -1, -2)) @ basis.U)     # (..., dim, dim)
+    return 0.5 * (C + np.swapaxes(C, -1, -2))

@@ -13,7 +13,7 @@ depend on the space only, through any real-orthonormal basis of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,17 +56,21 @@ class CanonicalDecomposition:
 
     V: np.ndarray
     c: np.ndarray
-    epsilon: int  # 1 if the dimension is odd (a lone unpaired vector), else 0
-    n_params: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_params", self.V.shape[1])
-        if self.n_params % 2 != self.epsilon:
-            raise ValueError("parity flag inconsistent with basis size")
         if len(self.c) != self.n_params // 2:
             raise ValueError(
                 f"expected {self.n_params // 2} couplings, got {len(self.c)}"
             )
+
+    @property
+    def n_params(self):
+        return self.V.shape[1]
+
+    @property
+    def epsilon(self):
+        """1 if the dimension is odd (a lone unpaired vector), else 0."""
+        return self.n_params % 2
 
     def pair(self, k):
         """The k-th pair (v_k, w_k)."""
@@ -120,12 +124,8 @@ def canonical_decompose(basis):
     descending block values; the real span of V equals that of U.
     """
     A = np.imag(np.conj(basis.U.T) @ basis.U)
-    form = skew_canonical_form(A)
-    return CanonicalDecomposition(
-        V=basis.U @ form.B,
-        c=np.clip(form.gamma, 0.0, 1.0),
-        epsilon=basis.dim % 2,
-    )
+    B, gamma = skew_canonical_form(A)
+    return CanonicalDecomposition(V=basis.U @ B, c=np.clip(gamma, 0.0, 1.0))
 
 
 def verify_eigenspace_property(decomp):

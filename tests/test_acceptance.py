@@ -231,7 +231,7 @@ def test_criterion_06_optimality_certificates():
     for name, dec in cases:
         P = float(rng.uniform(0.5, 3.0))
         design = design_observation_matrix(dec, P)
-        certs = verify_optimality_certificates(dec, design)
+        certs = verify_optimality_certificates(design)
         if certs["diagonal_residual"] > 1e-9 * P:
             failures.append(f"{name}: off-diagonal residual")
         if certs["dk_residual"] > 1e-9 * P:

@@ -434,6 +434,15 @@ class TestRunConfigValidation:
         err = capsys.readouterr().err
         assert str(path) in err and "below 90 deg" in err
 
+    def test_negative_seed_names_file_and_key(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "experiment": {"seed": -1, "n_trials": 1}}))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: seed must be nonnegative")):
+            load_run_config(path)
+        assert run_cli("experiment", "multipath", "--config", str(path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: seed must be nonnegative")
+
     def test_seed_override(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"schema_version": 1, "experiment": {"seed": 3}}))

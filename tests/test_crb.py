@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from pilotspace.crb import (
     NoiseModel,
+    _is_singular,
     check_identifiability,
+    compression_spectra,
     crb_direct,
     crb_min,
     crb_via_variation_space,
@@ -252,6 +254,84 @@ class TestNonFiniteObservation:
             crb_direct(model, np.zeros(4), M, NoiseModel(1.0))
         with pytest.raises(ValueError, match="non-finite"):
             fim(model, np.zeros(4), M, NoiseModel(1.0))
+
+
+def previous_compression_spectrum(basis, M):
+    """The 2-D compression spectrum and verdict as the basis forms computed
+    them before the batched kernel."""
+    X = np.conj(M.T) @ basis.U
+    C = X.real.T @ X.real + X.imag.T @ X.imag
+    eigs = np.linalg.eigvalsh(0.5 * (C + C.T))
+    return eigs, bool(_is_singular(eigs[0], eigs[-1], float(np.linalg.norm(M) ** 2)))
+
+
+def previous_compression_spectra(basis, Ms):
+    """The stacked compression spectra and verdicts as the multipath trial
+    computed them before the batched kernel."""
+    X = np.conj(np.swapaxes(Ms, 1, 2)) @ basis.U
+    C = np.swapaxes(X.real, 1, 2) @ X.real + np.swapaxes(X.imag, 1, 2) @ X.imag
+    eigs = np.linalg.eigvalsh(0.5 * (C + np.swapaxes(C, 1, 2)))
+    energy = np.linalg.norm(Ms, axis=(1, 2)) ** 2
+    return eigs, _is_singular(eigs[:, 0], eigs[:, -1], energy)
+
+
+def kernel_inputs(rng, n_dim, k):
+    """A random basis and observation matrices of several widths, among them
+    undersized (singular) and zero ones."""
+    basis, _ = r_orthonormalize(random_complex(rng, n_dim, k))
+    widths = (1, math.ceil(k / 2), n_dim + 1)
+    Ms = [random_complex(rng, n_dim, m) for m in widths] + [np.zeros((n_dim, 2))]
+    return basis, Ms
+
+
+class TestCompressionKernel:
+    """compression_spectra is bit-identical to the code it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stack_of_one_equals_2d_code(self, seed):
+        rng = np.random.default_rng([40, seed])
+        n_dim = int(rng.integers(2, 9))
+        basis, Ms = kernel_inputs(rng, n_dim, int(rng.integers(1, 2 * n_dim + 1)))
+        for M in Ms:
+            eigs, singular = compression_spectra(basis, M[None])
+            ref_eigs, ref_singular = previous_compression_spectrum(basis, M)
+            assert eigs.shape == (1, basis.dim) and singular.shape == (1,)
+            assert np.array_equal(eigs[0], ref_eigs)
+            assert singular[0] == ref_singular
+            rep = crb_via_variation_space(basis, M, NoiseModel(0.7))
+            assert rep.min_eig_compression == ref_eigs[0]
+            assert rep.value == (math.inf if ref_singular
+                                 else 0.5 * 0.7 * float(np.sum(1.0 / ref_eigs)))
+            verdict = check_identifiability(basis, M)
+            assert (verdict.min_eig, verdict.max_eig) == (ref_eigs[0], ref_eigs[-1])
+        assert ref_singular            # the last matrix is zero
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("n_stack", [1, 2, 5])
+    def test_stack_equals_stacked_code(self, seed, n_stack):
+        rng = np.random.default_rng([41, seed])
+        n_dim, k = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+        basis, _ = r_orthonormalize(random_complex(rng, n_dim, k))
+        Ms = random_complex(rng, n_stack, n_dim, int(rng.integers(1, 6)))
+        Ms[-1] *= 0.0
+        eigs, singular = compression_spectra(basis, Ms)
+        ref_eigs, ref_singular = previous_compression_spectra(basis, Ms)
+        assert np.array_equal(eigs, ref_eigs)
+        assert np.array_equal(singular, ref_singular)
+        assert singular[-1]
+        for i in range(n_stack):
+            one_eigs, one_singular = compression_spectra(basis, Ms[i:i + 1])
+            assert np.array_equal(one_eigs[0], eigs[i])
+            assert one_singular[0] == singular[i]
+
+    def test_rejects_bad_stack(self):
+        basis, _ = r_orthonormalize(random_complex(np.random.default_rng(42), 5, 3))
+        with pytest.raises(ValueError, match="rows"):
+            compression_spectra(basis, np.ones((2, 4, 2), dtype=complex))
+        Ms = np.ones((2, 5, 2), dtype=complex)
+        Ms[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            compression_spectra(basis, Ms)
 
 
 class TestCrbViaVariationSpace:

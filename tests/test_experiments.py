@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pilotspace.crb import EIG_RTOL, NoiseModel, crb_min
+from pilotspace.crb import EIG_RTOL, NoiseModel, _is_singular, crb_min, crb_via_variation_space
 from pilotspace.experiments import (
     AC_STRATEGY,
     PROPOSED_STRATEGY,
@@ -13,7 +13,6 @@ from pilotspace.experiments import (
     ExperimentConfig,
     StrategyBound,
     _ac_bounds,
-    _crb_coefficient,
     _crb_coefficients,
     _multipath_trial,
     _proposed_pilots,
@@ -23,7 +22,6 @@ from pilotspace.experiments import (
     proposed_strategy_bound,
     psnr,
     relative_bias,
-    relative_crb,
     run_multipath,
     run_single_path,
 )
@@ -38,7 +36,7 @@ from pilotspace.models import (
     steering_vector,
 )
 from pilotspace.pilot import design_observation_matrix
-from pilotspace.rlinalg import RankDeficientError, numerical_rank
+from pilotspace.rlinalg import RANK_RTOL, RankDeficientError, numerical_rank, r_orthonormalize
 from pilotspace.variation import canonical_decompose, variation_space
 
 SINGLE_PATH_RATIO = 2 * (1 / math.sqrt(2) + 0.5) ** 2  # Proposed/AC floor ratio
@@ -63,6 +61,16 @@ class TestExperimentConfig:
             ExperimentConfig(n_trials=0)
         with pytest.raises(ValueError, match="power"):
             ExperimentConfig(power=0.0)
+
+    def test_zero_redraw_budget_rejected(self):
+        # A zero budget would make run_multipath fail without drawing once.
+        with pytest.raises(ValueError, match="max_redraws must be positive"):
+            ExperimentConfig(max_redraws=0)
+
+    @pytest.mark.parametrize("key", ["min_gain", "cluster_decay", "separation_floor_deg"])
+    def test_negative_draw_parameter_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be positive"):
+            ExperimentConfig(**{key: -1.0})
 
 
 class TestEndfireMargin:
@@ -112,6 +120,16 @@ class TestPsnr:
         assert psnr(P, h, sigma2) == pytest.approx(
             P * np.linalg.norm(h) ** 2 / sigma2, rel=1e-12
         )
+
+
+def relative_crb(true_basis, M, sigma2, h):
+    """CRB divided by the squared channel norm (+inf when not identifiable)."""
+    report = crb_via_variation_space(true_basis, M, NoiseModel(sigma2))
+    return report.value / float(np.linalg.norm(h) ** 2)
+
+
+def _crb_coefficient(true_basis, M, power, h):
+    return float(_crb_coefficients(true_basis, M[None], power, h)[0])
 
 
 class TestRelativeCrb:
@@ -487,6 +505,85 @@ def skew_forms(monkeypatch):
     return forms
 
 
+def previous_ac_bounds(h, E_hats):
+    """_ac_bounds as written before it called numerical_rank and _is_singular."""
+    U, s, _ = np.linalg.svd(E_hats, full_matrices=False)
+    L = E_hats.shape[-1]
+    if np.any(np.sum(s > RANK_RTOL * s[:, :1], axis=1) < L):
+        raise RankDeficientError("E_hat is rank deficient")
+    coords = np.conj(np.swapaxes(U, 1, 2)) @ h
+    resid = h - (U @ coords[..., None])[..., 0]
+    hnorm2 = float(np.linalg.norm(h) ** 2)
+    bias = np.clip(np.linalg.norm(resid, axis=1) ** 2 / hnorm2, 0.0, 1.0)
+    singular = s[:, -1] ** 2 <= EIG_RTOL * s[:, 0] ** 2
+    coefficient = np.where(singular, math.inf, L * np.sum(1.0 / s**2, axis=1))
+    return coefficient, bias
+
+
+def previous_crb_coefficients(true_basis, Ms, power, h):
+    """_crb_coefficients as written before it called compression_spectra."""
+    X = np.conj(np.swapaxes(Ms, 1, 2)) @ true_basis.U
+    C = np.swapaxes(X.real, 1, 2) @ X.real + np.swapaxes(X.imag, 1, 2) @ X.imag
+    eigs = np.linalg.eigvalsh(0.5 * (C + np.swapaxes(C, 1, 2)))
+    energy = np.linalg.norm(Ms, axis=(1, 2)) ** 2
+    singular = _is_singular(eigs[:, 0], eigs[:, -1], energy)
+    safe = np.where(singular[:, None], 1.0, eigs)
+    rel_at_unit_sigma = 0.5 * np.sum(1.0 / safe, axis=1) / float(np.linalg.norm(h) ** 2)
+    return np.where(singular, math.inf, rel_at_unit_sigma * psnr(power, h, 1.0))
+
+
+def unit_column_stack(rng, n_stack, n, L, gap):
+    """(n_stack, n, L) unit-norm columns; in the last matrix, column 1 is
+    column 0 plus ``gap`` times noise (L >= 2)."""
+    E = rng.normal(size=(n_stack, n, L)) + 1j * rng.normal(size=(n_stack, n, L))
+    if L >= 2:
+        E[-1, :, 1] = E[-1, :, 0] + gap * E[-1, :, 1]
+    return E / np.linalg.norm(E, axis=1, keepdims=True)
+
+
+class TestKernelsEqualPreviousCode:
+    """The trial's kernels are bit-identical to their inline versions."""
+
+    @pytest.mark.parametrize("n_stack", [1, 4])
+    @pytest.mark.parametrize("L", [1, 2, 3, 7])
+    @pytest.mark.parametrize("gap", [1.0, 1e-3, 1e-6, 1e-13])
+    def test_ac_bounds(self, n_stack, L, gap):
+        rng = np.random.default_rng([50, n_stack, L, int(-math.log10(gap))])
+        E = unit_column_stack(rng, n_stack, 16, L, gap)
+        h = rng.normal(size=16) + 1j * rng.normal(size=16)
+        try:
+            expected = previous_ac_bounds(h, E)
+        except RankDeficientError:
+            with pytest.raises(RankDeficientError):
+                _ac_bounds(h, E)
+            return
+        coefficient, bias = _ac_bounds(h, E)
+        assert np.array_equal(coefficient, expected[0])
+        assert np.array_equal(bias, expected[1])
+
+    def test_ac_bounds_cover_each_verdict(self):
+        # The gaps above reach all three outcomes: finite, +inf and rank deficient.
+        rng = np.random.default_rng(51)
+        h = rng.normal(size=16) + 1j * rng.normal(size=16)
+        coefficient, _ = _ac_bounds(h, unit_column_stack(rng, 2, 16, 2, 1e-6))
+        assert math.isfinite(coefficient[0]) and coefficient[1] == math.inf
+        with pytest.raises(RankDeficientError):
+            _ac_bounds(h, unit_column_stack(rng, 2, 16, 2, 1e-13))
+
+    @pytest.mark.parametrize("n_stack", [1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_crb_coefficients(self, n_stack, seed):
+        rng = np.random.default_rng([52, seed])
+        n, k = 12, int(rng.integers(2, 10))
+        true_basis, _ = r_orthonormalize(
+            rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))
+        m = int(rng.integers(1, k + 1))
+        Ms = rng.normal(size=(n_stack, n, m)) + 1j * rng.normal(size=(n_stack, n, m))
+        h = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.array_equal(_crb_coefficients(true_basis, Ms, 1.7, h),
+                              previous_crb_coefficients(true_basis, Ms, 1.7, h))
+
+
 class TestBatchedTrial:
     """A multipath trial computes its Delta values together."""
 
@@ -540,9 +637,9 @@ class TestBatchedTrial:
                 skew_forms.clear()
                 previous = _previous_trial(config, t)
                 assert len(batched) == len(skew_forms) == len(config.delta_deg)
-                for new, old in zip(batched, skew_forms):
-                    assert np.array_equal(new.B, old.B)
-                    assert np.array_equal(new.gamma, old.gamma)
+                for (B_new, gamma_new), (B_old, gamma_old) in zip(batched, skew_forms):
+                    assert np.array_equal(B_new, B_old)
+                    assert np.array_equal(gamma_new, gamma_old)
                 assert ac_coef == pytest.approx(previous[0], rel=1e-10, abs=0)
                 assert pr_coef == pytest.approx(previous[2], rel=1e-10, abs=0)
                 # A bias is a squared residual in [0, 1]; at Delta = 0 it is

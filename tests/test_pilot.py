@@ -189,7 +189,7 @@ class TestOptimalityCertificates:
         P = 3.0
         _, dec = random_decomposition(rng, n_params + 2, n_params)
         design = design_observation_matrix(dec, P)
-        certs = verify_optimality_certificates(dec, design)
+        certs = verify_optimality_certificates(design)
         assert certs["diagonal_residual"] <= 1e-9 * P
         assert certs["dk_residual"] <= 1e-9 * P
         assert certs["column_powers"] == pytest.approx(
@@ -208,7 +208,7 @@ class TestOptimalityCertificates:
             sigma2=1.0,
             decomp=dec,
         )
-        certs = verify_optimality_certificates(dec, fake)
+        certs = verify_optimality_certificates(fake)
         assert certs["diagonal_residual"] > 1e-6 or certs["dk_residual"] > 1e-6
 
     def test_quadrature_free_pair(self):
@@ -220,7 +220,7 @@ class TestOptimalityCertificates:
         assert dec.c == pytest.approx([0.0], abs=1e-12)
         P = 2.0
         design = design_observation_matrix(dec, P)
-        certs = verify_optimality_certificates(dec, design)
+        certs = verify_optimality_certificates(design)
         assert certs["diagonal_residual"] <= 1e-9 * P
         assert certs["dk_residual"] <= 1e-9 * P
         v, w = dec.pair(0)

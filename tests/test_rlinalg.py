@@ -27,6 +27,7 @@ from pilotspace.rlinalg import (
     r_orthonormalize,
     real_gram,
     real_rank,
+    skew_block_matrix,
     skew_canonical_form,
     solve_right,
     stacked_real,
@@ -350,6 +351,38 @@ class TestOrthonormalizeMatchesSvdRanked:
         assert np.array_equal(info.value.null_space, null_ref)
 
 
+def previous_numerical_rank(s):
+    """numerical_rank of one spectrum as written before it took stacks."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > RANK_RTOL * s[0]))
+
+
+class TestNumericalRank:
+    def test_stack_equals_row_loop(self):
+        rng = np.random.default_rng(60)
+        s = -np.sort(-np.abs(rng.normal(size=(7, 5))), axis=1)
+        s[1] = 0.0                                # all-zero row
+        s[2, 3:] = 1e-12 * s[2, 0]                # below the threshold
+        s[3, 2:] = RANK_RTOL * s[3, 0]            # at the threshold: not counted
+        s[4, 1:] = 2 * RANK_RTOL * s[4, 0]
+        ranks = numerical_rank(s)
+        assert ranks.tolist() == [previous_numerical_rank(row) for row in s]
+        assert ranks.tolist() == [numerical_rank(row) for row in s]
+        assert ranks.tolist()[:5] == [5, 0, 3, 2, 5]
+        assert numerical_rank(s[None]).tolist() == [ranks.tolist()]
+
+    def test_empty_input(self):
+        assert numerical_rank(np.empty(0)) == 0
+        assert numerical_rank(np.zeros(4)) == 0
+        assert numerical_rank(np.empty((3, 0))).tolist() == [0, 0, 0]
+        assert numerical_rank(np.empty((0, 4))).shape == (0,)
+
+    def test_one_spectrum_gives_int(self):
+        rank = numerical_rank(np.array([2.0, 1.0, 0.0]))
+        assert rank == 2 and type(rank) is int
+
+
 class TestRealGram:
     def test_matches_complex_product(self):
         rng = np.random.default_rng(11)
@@ -361,45 +394,53 @@ class TestRealGram:
         X = np.random.default_rng(12).normal(size=(5, 3))
         assert np.allclose(real_gram(X), X.T @ X, rtol=1e-14, atol=1e-14)
 
+    def test_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(13)
+        X, Y = random_complex(rng, 4, 7, 3), random_complex(rng, 4, 7, 2)
+        assert real_gram(X, Y).shape == (4, 3, 2)
+        for i in range(4):
+            assert np.array_equal(real_gram(X, Y)[i], real_gram(X[i], Y[i]))
+            assert np.array_equal(real_gram(X)[i], real_gram(X[i]))
+
 
 class TestSkewCanonicalForm:
     def test_elementary_block(self):
         A = np.array([[0.0, -1.0], [1.0, 0.0]])
-        form = skew_canonical_form(A)
-        assert form.gamma == pytest.approx([1.0])
-        assert np.allclose(form.B, np.eye(2))
-        assert not form.has_lone_vector
+        B, gamma = skew_canonical_form(A)
+        assert gamma == pytest.approx([1.0])
+        assert np.allclose(B, np.eye(2))
+        assert B.shape[0] % 2 == 0
 
     def test_zeros_odd(self):
-        form = skew_canonical_form(np.zeros((3, 3)))
-        assert form.gamma == pytest.approx([0.0])
-        assert form.has_lone_vector
+        B, gamma = skew_canonical_form(np.zeros((3, 3)))
+        assert gamma == pytest.approx([0.0])
+        assert B.shape[0] % 2 == 1
         # Any valid B is accepted; check the post-conditions.
-        assert np.linalg.norm(form.B.T @ form.B - np.eye(3)) <= 1e-10
-        assert np.linalg.norm(form.B.T @ np.zeros((3, 3)) @ form.B - form.block_matrix()) <= 1e-9
+        assert np.linalg.norm(B.T @ B - np.eye(3)) <= 1e-10
+        assert np.linalg.norm(B.T @ np.zeros((3, 3)) @ B - skew_block_matrix(gamma, 3)) <= 1e-9
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6, 7, 11, 12])
     def test_svd_oracle(self, k):
         rng = np.random.default_rng(k)
         A = rng.normal(size=(k, k))
         A = A - A.T
-        form = skew_canonical_form(A)
+        B, gamma = skew_canonical_form(A)
         # Each singular value of A appears once per 2x2 block.
         sv = np.linalg.svd(A, compute_uv=False)
         expected = sv[::2][: k // 2]
-        assert form.gamma == pytest.approx(expected, rel=1e-9, abs=1e-9)
-        assert np.all(np.diff(form.gamma) <= 1e-12)  # descending
-        assert form.has_lone_vector == (k % 2 == 1)
+        assert gamma == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert np.all(np.diff(gamma) <= 1e-12)  # descending
+        assert B.shape == (k, k) and gamma.shape == (k // 2,)
 
     @pytest.mark.parametrize("k", [2, 5, 8, 13])
     def test_reconstruction_and_sign_convention(self, k):
         rng = np.random.default_rng(100 + k)
         A = rng.normal(size=(k, k))
         A = A - A.T
-        form = skew_canonical_form(A)
-        gamma = form.block_matrix()
-        assert np.linalg.norm(form.B @ gamma @ form.B.T - A) <= 1e-9 * (1 + np.linalg.norm(A))
-        T = form.B.T @ A @ form.B
+        B, couplings = skew_canonical_form(A)
+        gamma = skew_block_matrix(couplings, k)
+        assert np.linalg.norm(B @ gamma @ B.T - A) <= 1e-9 * (1 + np.linalg.norm(A))
+        T = B.T @ A @ B
         assert np.linalg.norm(T - gamma) <= 1e-9 * (1 + np.linalg.norm(A))
         for i in range(k // 2):
             assert T[2 * i + 1, 2 * i] >= -1e-12  # c on the subdiagonal, nonnegative
@@ -410,9 +451,9 @@ class TestSkewCanonicalForm:
         G = random_complex(rng, 7, 5)
         basis, _ = r_orthonormalize(G)
         A = np.imag(np.conj(basis.U.T) @ basis.U)
-        form = skew_canonical_form(A)
-        assert np.all(form.gamma >= 0.0)
-        assert np.all(form.gamma <= 1.0)
+        _, gamma = skew_canonical_form(A)
+        assert np.all(gamma >= 0.0)
+        assert np.all(gamma <= 1.0)
 
     def test_rejects_non_skew(self):
         with pytest.raises(NotSkewSymmetricError):
@@ -420,8 +461,8 @@ class TestSkewCanonicalForm:
 
     def test_tiny_couplings_snap_to_zero(self):
         A = np.array([[0.0, -1e-14], [1e-14, 0.0]])
-        form = skew_canonical_form(A)
-        assert form.gamma == pytest.approx([0.0], abs=0)
+        _, gamma = skew_canonical_form(A)
+        assert gamma == pytest.approx([0.0], abs=0)
 
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -513,10 +554,10 @@ class TestDirectLapackMatchesScipy:
         direct = [skew_canonical_form(A) for A in inputs]
         monkeypatch.setattr(rl, "_real_schur", lambda A: scipy.linalg.schur(
             A, output="real", check_finite=False))
-        for A, form in zip(inputs, direct):
-            ref = skew_canonical_form(A)
-            assert np.array_equal(form.B, ref.B)
-            assert np.array_equal(form.gamma, ref.gamma)
+        for A, (B, gamma) in zip(inputs, direct):
+            B_ref, gamma_ref = skew_canonical_form(A)
+            assert np.array_equal(B, B_ref)
+            assert np.array_equal(gamma, gamma_ref)
 
 
 def _run_python(code, *args):
