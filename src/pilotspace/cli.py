@@ -9,13 +9,15 @@ experiment single-path reproduce the single-path bound curves (CSV)
 experiment multipath   reproduce the Monte-Carlo multipath curves (CSV)
 
 Exit codes: 0 success (a non-identifiable CRB is an answer, not a
-failure), 1 I/O, parse or config-schema errors, 2 rank-deficient
-variation space in ``design``.
+failure); 1 I/O, parse and value errors (run config, ``--seed -1``, a
+non-finite ``--sigma2``/``--power``, ``--report`` without ``--output``);
+2 rank-deficient variation space in ``design``, and argparse usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -38,25 +40,14 @@ from .variation import canonical_decompose, variation_space
 
 CONFIG_SCHEMA_VERSION = 1
 
-_EXPERIMENT_KEYS = {
-    "n_antennas": int,
-    "delta_deg": list,
-    "psnr_grid_db": list,
-    "n_trials": int,
-    "seed": int,
-    "separation_floor_deg": (int, float),
-    "power": (int, float),
-    "cluster_decay": (int, float),
-    "min_gain": (int, float),
-    "max_redraws": int,
-}
 
 class ConfigError(ValueError):
     pass
 
 
 def load_run_config(path, seed_override=None):
-    """Parse and validate a run-configuration JSON file."""
+    """Parse a run-configuration JSON file; ``ExperimentConfig`` checks the
+    values, and its message gets the path prefixed."""
     try:
         doc = fileio.read_json(path)
     except ValueError as err:       # invalid JSON; the message names the file
@@ -76,27 +67,13 @@ def load_run_config(path, seed_override=None):
     section = doc.get("experiment", {})
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: 'experiment' must be an object")
-    unknown = set(section) - set(_EXPERIMENT_KEYS)
+    unknown = set(section) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"{path}: unknown experiment key(s) {sorted(unknown)}")
-    kwargs = {}
-    for key, value in section.items():
-        expected = _EXPERIMENT_KEYS[key]
-        if not isinstance(value, expected) or isinstance(value, bool):
-            raise ConfigError(f"{path}: experiment.{key} has the wrong type")
-        if isinstance(value, list):
-            if not all(fileio.finite_number(v) for v in value):
-                raise ConfigError(
-                    f"{path}: experiment.{key} entries must be finite numbers"
-                )
-            value = tuple(float(v) for v in value)
-        elif not fileio.finite_number(value):
-            raise ConfigError(f"{path}: experiment.{key} must be finite")
-        kwargs[key] = value
     if seed_override is not None:
-        kwargs["seed"] = seed_override
+        section = {**section, "seed": seed_override}
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**section)
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
 
@@ -140,6 +117,8 @@ def _model_from_args(args, n_params_hint=None):
 
 
 def cmd_design(args):
+    if args.report and not args.output:
+        raise ConfigError("--report needs --output (without it the design goes to stdout)")
     _, basis_factory = _model_from_args(args)
     basis = basis_factory()
     decomp = canonical_decompose(basis)
@@ -273,13 +252,6 @@ def cmd_experiment(args):
     return 0
 
 
-def _nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be nonnegative")
-    return value
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pilotspace",
@@ -317,7 +289,7 @@ def build_parser():
     p_exp.add_argument("kind", choices=["single-path", "multipath"])
     p_exp.add_argument("--config", required=True, help="run configuration JSON")
     p_exp.add_argument("--output", help="CSV output path (stdout if omitted)")
-    p_exp.add_argument("--seed", type=_nonnegative_int,
+    p_exp.add_argument("--seed", type=int,
                        help="override the config seed (nonnegative)")
     p_exp.add_argument("--plot-script",
                        help="also write a gnuplot script to this path")

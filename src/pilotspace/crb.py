@@ -37,6 +37,12 @@ from .rlinalg import COUPLING_SNAP, compression_matrix, real_gram, solve_right, 
 EIG_RTOL = 1e-10
 
 
+def _check_finite_positive(name, value):
+    """ValueError naming ``name`` unless ``value`` is finite and positive."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """I.i.d. circular complex Gaussian observation noise of variance sigma2."""
@@ -44,8 +50,7 @@ class NoiseModel:
     sigma2: float
 
     def __post_init__(self):
-        if not (self.sigma2 > 0):
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        _check_finite_positive("sigma2", self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,7 @@ def _fisher(grad, M, noise):
 # An eigenvalue (or FIM diagonal entry) at or below this fraction of its
 # a-priori scale is rounding noise: the matrix counts as exactly zero there.
 ZERO_RTOL = 1e-14
+SCALE_FLOOR = 1e-300   # least scale of that test: M = 0 still gets a positive floor
 
 
 def _is_singular(min_eig, max_eig, scale):
@@ -129,7 +135,7 @@ def _is_singular(min_eig, max_eig, scale):
     eigenvalue (the observation energy); without it an exactly-zero
     matrix would pass the relative test on rounding noise alone.
     """
-    floor = ZERO_RTOL * np.maximum(scale, 1e-300)
+    floor = ZERO_RTOL * np.maximum(scale, SCALE_FLOOR)
     return (max_eig <= floor) | (min_eig <= EIG_RTOL * max_eig)
 
 
@@ -146,7 +152,7 @@ def _fim_is_singular(I, grad, M, noise):
     bound = (2.0 / noise.sigma2) * float(np.linalg.norm(M) ** 2) * np.sum(
         np.abs(grad) ** 2, axis=0
     )
-    if np.any(d <= ZERO_RTOL * np.maximum(bound, 1e-300)):
+    if np.any(d <= ZERO_RTOL * np.maximum(bound, SCALE_FLOOR)):
         return True
     s = 1.0 / np.sqrt(d)
     eigs = np.linalg.eigvalsh(s[:, None] * I * s)
@@ -254,8 +260,7 @@ def crb_min(c, n_params, noise, power):
     Evaluates (2 sigma^2 / P) (sum_k 1/sqrt(1 + c_k) + eps/2)^2 with
     eps = n_params mod 2, and attaches the universal bounds.
     """
-    if not (power > 0):
-        raise ValueError(f"power must be positive, got {power}")
+    _check_finite_positive("power", power)
     c = np.asarray(c, dtype=float).ravel()
     if c.shape[0] != n_params // 2:
         raise ValueError(

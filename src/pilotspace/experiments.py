@@ -53,11 +53,13 @@ are deterministic given (seed, trial index).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .crb import _is_singular, compression_spectra
+from .crb import _check_finite_positive, _is_singular, compression_spectra
+from .fileio import finite_number
 from .models import (
     UlaGeometry,
     PathSet,
@@ -77,13 +79,39 @@ class DrawError(RuntimeError):
     """The configuration admits no channel within its draw or redraw budget."""
 
 
-_POSITIVE_FIELDS = ("n_antennas", "n_trials", "separation_floor_deg", "power",
-                    "cluster_decay", "min_gain", "max_redraws")
+def _integer(name, value):
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _finite(name, value):
+    if finite_number(value):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _finite_sequence(name, value):
+    try:
+        return tuple(_finite(name, v) for v in value)
+    except (TypeError, ValueError):     # not iterable (or a 0-d array), or a bad entry
+        raise ValueError(
+            f"{name} must be a sequence of finite numbers, got {value!r}") from None
+
+
+# Check of each field annotation, in the order they run; returns the stored value.
+_FIELD_CHECKS = {"int": _integer, "float": _finite, "tuple": _finite_sequence}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared configuration of the single-path and multipath sweeps."""
+    """Shared configuration of the single-path and multipath sweeps.
+
+    The one validator of a sweep, for the library and the CLI alike:
+    ``int`` fields take integers, ``float`` fields finite numbers (bools
+    are neither) and ``tuple`` fields sequences of finite numbers, stored
+    as tuples of floats; then every scalar but ``seed`` must be positive.
+    """
 
     n_antennas: int = 64
     delta_deg: tuple = (0.0, 1.0, 5.0)
@@ -97,11 +125,15 @@ class ExperimentConfig:
     max_redraws: int = 100
 
     def __post_init__(self):
+        for kind, check in _FIELD_CHECKS.items():
+            for f in fields(self):
+                if f.type == kind:      # annotations are strings (PEP 563)
+                    object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
         if len(self.psnr_grid_db) == 0:
             raise ValueError("psnr_grid_db must not be empty")
-        for name in _POSITIVE_FIELDS:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for f in fields(self):
+            if f.type != "tuple" and f.name != "seed" and not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be positive, got {getattr(self, f.name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.endfire_margin_deg >= 90.0:
@@ -114,9 +146,7 @@ class ExperimentConfig:
     def endfire_margin_deg(self):
         """Endfire margin of drawn azimuths: perturbed estimates drift by up
         to max|Delta|, so the separation floor plus that drift."""
-        return self.separation_floor_deg + max(
-            (abs(d) for d in self.delta_deg), default=0.0
-        )
+        return self.separation_floor_deg + max(map(abs, self.delta_deg), default=0.0)
 
     @property
     def geometry(self):
@@ -176,8 +206,8 @@ class CurveTable:
 
 def psnr(power, h, sigma2):
     """Potential SNR P_t ||h||^2 / sigma^2."""
-    if not (power > 0 and sigma2 > 0):
-        raise ValueError("power and sigma2 must be positive")
+    _check_finite_positive("power", power)
+    _check_finite_positive("sigma2", sigma2)
     return power * float(np.linalg.norm(h) ** 2) / sigma2
 
 
@@ -348,9 +378,7 @@ def run_single_path(config):
                        np.array([proposed_coefficient]), trials=1)
 
 
-def generate_clustered_channel(rng, geom, separation_floor_deg=2.0,
-                               endfire_margin_deg=None, cluster_decay=1.0,
-                               min_gain=1e-3, max_retries=100):
+def generate_clustered_channel(rng, config):
     """Draw a multipath channel from the simplified clustered model.
 
     L is uniform on {1..7}; azimuths are i.i.d. uniform on the circle
@@ -364,14 +392,12 @@ def generate_clustered_channel(rng, geom, separation_floor_deg=2.0,
     (front-back ambiguity) and loses resolution at endfire, the floor
     is enforced three ways: pairwise circular azimuth distance >= floor,
     pairwise |sin(phi_i) - sin(phi_j)| >= sin(floor), and effective
-    angles at least ``endfire_margin_deg`` (default: the floor) away
-    from +/- 90 degrees.
+    angles at least ``endfire_margin_deg`` away from +/- 90 degrees.
+    Parameters come from ``config``; ``DrawError`` after ``max_redraws`` failed draws.
     """
     L = int(rng.integers(1, 8))
-    floor = math.radians(separation_floor_deg)
-    if endfire_margin_deg is None:
-        endfire_margin_deg = separation_floor_deg
-    margin = math.radians(endfire_margin_deg)
+    floor = math.radians(config.separation_floor_deg)
+    margin = math.radians(config.endfire_margin_deg)
 
     iu = np.triu_indices(L, 1)
 
@@ -387,7 +413,7 @@ def generate_clustered_channel(rng, geom, separation_floor_deg=2.0,
         return bool(np.min(np.abs(sines[:, None] - sines[None, :])[iu]) >= math.sin(floor))
 
     azimuths = None
-    for _ in range(max_retries):
+    for _ in range(config.max_redraws):
         cand = rng.uniform(0.0, 2.0 * np.pi, size=L)
         cand = np.mod(cand + np.pi, 2.0 * np.pi) - np.pi
         if admissible(cand):
@@ -395,12 +421,13 @@ def generate_clustered_channel(rng, geom, separation_floor_deg=2.0,
             break
     if azimuths is None:
         raise DrawError(
-            f"could not draw {L} azimuths separated by {separation_floor_deg} deg "
-            f"in {max_retries} attempts"
+            f"could not draw {L} azimuths separated by {config.separation_floor_deg} deg "
+            f"in {config.max_redraws} attempts"
         )
-    mean_powers = np.exp(-cluster_decay * np.arange(L))
+    mean_powers = np.exp(-config.cluster_decay * np.arange(L))
     mean_powers /= mean_powers.sum()
-    magnitudes = np.maximum(np.sqrt(mean_powers * rng.exponential(1.0, size=L)), min_gain)
+    magnitudes = np.maximum(np.sqrt(mean_powers * rng.exponential(1.0, size=L)),
+                            config.min_gain)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=L)
     return PathSet(gains=magnitudes * np.exp(1j * phases), azimuths=azimuths)
 
@@ -417,15 +444,7 @@ def _multipath_trial(config, trial_index):
     geom = config.geometry
     radians = np.array([math.radians(d) for d in config.delta_deg])
     for redraw in range(config.max_redraws):
-        paths = generate_clustered_channel(
-            rng,
-            geom,
-            separation_floor_deg=config.separation_floor_deg,
-            endfire_margin_deg=config.endfire_margin_deg,
-            cluster_decay=config.cluster_decay,
-            min_gain=config.min_gain,
-            max_retries=config.max_redraws,
-        )
+        paths = generate_clustered_channel(rng, config)
         unit = rng.uniform(-1.0, 1.0, size=paths.n_paths)
         # One row per Delta; at Delta = 0 the row equals paths.azimuths bit for bit.
         estimates = paths.azimuths + radians[:, None] * unit

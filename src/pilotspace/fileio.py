@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -36,12 +37,14 @@ def matrix_to_json_obj(M):
 
 
 def is_number(value):
-    """True for a JSON number: an int or float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a real number that is not a bool: a JSON number, or a NumPy
+    integer or floating scalar."""
+    # int and float first: the numbers.Real ABC check is ~5x slower.
+    return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
 
 
 def finite_number(value):
-    """True for a JSON number (not a bool) that is finite as a double."""
+    """True for a number (see ``is_number``) that is finite as a double."""
     if not is_number(value):
         return False
     try:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .crb import NoiseModel, crb_via_variation_space
+from .crb import NoiseModel, _check_finite_positive, crb_via_variation_space
 from .rlinalg import COUPLING_SNAP, RBasis, real_gram
 from .variation import CanonicalDecomposition
 
@@ -78,8 +78,8 @@ def design_observation_matrix(decomp, power, sigma2=1.0):
     sigma2 : float
         Noise variance of the design's ``achieved_crb`` (computed on access).
     """
-    if not (power > 0):
-        raise ValueError(f"power must be positive, got {power}")
+    _check_finite_positive("power", power)
+    _check_finite_positive("sigma2", sigma2)
     c = np.asarray(decomp.c, dtype=float)
     n_pairs = c.shape[0]
 

@@ -9,7 +9,7 @@ import pytest
 
 from pilotspace import fileio
 from pilotspace.cli import ConfigError, load_run_config, main
-from pilotspace.experiments import run_multipath
+from pilotspace.experiments import ExperimentConfig, run_multipath
 from pilotspace.models import UlaGeometry, steering_derivative, steering_vector
 
 
@@ -97,6 +97,37 @@ class TestDesignCommand:
         assert code == 2
         assert "rank deficient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--sigma2", "--power"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_noise_or_power_exit_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "M.json"
+        argv = {"--model": "physical", "--azimuths": "0,20", "--nt": "16",
+                "--power": "1", "--sigma2": "1", "--output": str(out)}
+        argv[flag] = value
+        code = run_cli("design", *[t for pair in argv.items() for t in pair])
+        assert code == 1
+        assert f"{flag[2:]} must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_path(self, tmp_path, capsys):
+        out, report = tmp_path / "M.json", tmp_path / "custom.json"
+        code = run_cli("design", "--model", "ls", "--nt", "3", "--power", "2",
+                       "--output", str(out), "--report", str(report))
+        assert code == 0
+        assert sorted(tmp_path.iterdir()) == [out, report]
+        assert json.loads(report.read_text())["n_columns"] == 3
+        assert capsys.readouterr().err == f"wrote {out} and {report}\n"
+
+    def test_report_without_output_exit_1(self, tmp_path, capsys):
+        report = tmp_path / "R.json"
+        code = run_cli("design", "--model", "ls", "--nt", "3", "--power", "2",
+                       "--report", str(report))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--report" in captured.err and "--output" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_stdout_payload(self, capsys):
         code = run_cli("design", "--model", "ls", "--nt", "2", "--power", "1")
         assert code == 0
@@ -141,6 +172,17 @@ class TestCrbCommand:
         assert payload["identifiable"] is False
         assert payload["crb"] == "inf"
         assert payload["nm_given"] == 1 and payload["nm_required"] == 2
+
+    @pytest.mark.parametrize("command", ["crb", "identify"])
+    def test_non_finite_sigma2_exit_1(self, tmp_path, capsys, command):
+        m = tmp_path / "M.json"
+        fileio.write_matrix(m, np.eye(4))
+        code = run_cli(command, "--model", "ls", "--nt", "4", "--m", str(m),
+                       "--sigma2", "inf")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "sigma2 must be finite and positive" in captured.err
+        assert captured.out == ""
 
     def test_malformed_json_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -402,29 +444,37 @@ class TestRunConfigValidation:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"schema_version": 1,
                                     "experiment": {"n_trials": "many"}}))
-        with pytest.raises(ValueError, match="wrong type"):
+        with pytest.raises(ValueError, match="n_trials must be an integer"):
             load_run_config(path)
 
-    @pytest.mark.parametrize("key, value", [
-        ("psnr_grid_db", [float("nan"), 0]),
-        ("psnr_grid_db", [0, float("inf")]),
-        ("delta_deg", [True]),
-        ("delta_deg", ["x"]),
-        ("delta_deg", [[1.0]]),
-        ("delta_deg", [None]),
-        ("power", float("inf")),
-        ("separation_floor_deg", float("inf")),
-        ("cluster_decay", float("nan")),
+    @pytest.mark.parametrize("key, value, kind", [
+        ("psnr_grid_db", [float("nan"), 0], "a sequence of finite numbers"),
+        ("psnr_grid_db", [0, float("inf")], "a sequence of finite numbers"),
+        ("delta_deg", [True], "a sequence of finite numbers"),
+        ("delta_deg", ["x"], "a sequence of finite numbers"),
+        ("delta_deg", [[1.0]], "a sequence of finite numbers"),
+        ("delta_deg", [None], "a sequence of finite numbers"),
+        ("power", float("inf"), "a finite number"),
+        ("separation_floor_deg", float("inf"), "a finite number"),
+        ("cluster_decay", float("nan"), "a finite number"),
+        ("n_trials", 2.5, "an integer"),
+        ("seed", True, "an integer"),
+        ("delta_deg", [float("nan")], "a sequence of finite numbers"),
+        ("psnr_grid_db", [float("nan")], "a sequence of finite numbers"),
     ], ids=["nan-entry", "inf-entry", "bool-entry", "string-entry", "list-entry",
-            "null-entry", "inf-power", "inf-floor", "nan-decay"])
-    def test_non_finite_or_non_number_exit_1(self, tmp_path, capsys, key, value):
+            "null-entry", "inf-power", "inf-floor", "nan-decay", "float-trials",
+            "bool-seed", "nan-delta", "nan-grid"])
+    def test_non_finite_or_non_number_exit_1(self, tmp_path, capsys, key, value, kind):
+        # ExperimentConfig is the one validator: the library gets the same
+        # message as the CLI, which prefixes only the path.
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be {kind}, got ")) as lib:
+            ExperimentConfig(**{key: value})
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"schema_version": 1, "experiment": {key: value}}))
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: experiment.{key} ")):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {lib.value}")):
             load_run_config(path)
         assert run_cli("experiment", "single-path", "--config", str(path)) == 1
-        err = capsys.readouterr().err
-        assert str(path) in err and f"experiment.{key}" in err
+        assert capsys.readouterr().err == f"error: {path}: {lib.value}\n"
 
     def test_endfire_margin_exit_1(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -442,6 +492,13 @@ class TestRunConfigValidation:
             load_run_config(path)
         assert run_cli("experiment", "multipath", "--config", str(path)) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: seed must be nonnegative")
+
+    def test_negative_seed_flag_exit_1(self, config_file, capsys):
+        code = run_cli("experiment", "single-path", "--config", str(config_file),
+                       "--seed", "-1")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {config_file}: seed must be nonnegative, got -1\n")
 
     def test_seed_override(self, tmp_path):
         path = tmp_path / "c.json"

@@ -471,6 +471,18 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="positive"):
             NoiseModel(-1.0)
 
+    @pytest.mark.parametrize("sigma2", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_variance(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be finite and positive"):
+            NoiseModel(sigma2)
+
+
+class TestCrbMinPower:
+    @pytest.mark.parametrize("power", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_power_that_is_not_finite_and_positive(self, power):
+        with pytest.raises(ValueError, match="power must be finite and positive"):
+            crb_min([0.5], 2, NoiseModel(1.0), power)
+
 
 class TestKroneckerIntegration:
     def test_wideband_ls_crb(self):
@@ -565,6 +577,29 @@ class TestCrbInvariances:
         via = crb_via_variation_space(U, M, noise)
         assert direct.identifiable and via.identifiable
         assert direct.value == pytest.approx(via.value, rel=1e-8)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_space(), st.floats(0.01, 100.0))
+    def test_design_attains_crb_min(self, space, power):
+        # Minimal length, full power and the closed-form optimum, for any space.
+        _, U, _ = space
+        decomp = canonical_decompose(U)
+        design = design_observation_matrix(decomp, power)
+        assert design.n_columns == math.ceil(U.dim / 2)
+        assert np.linalg.norm(design.M) ** 2 == pytest.approx(power, rel=1e-12)
+        best = crb_min(decomp.c, decomp.n_params, NoiseModel(1.0), power).value
+        assert design.achieved_crb == pytest.approx(best, rel=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_space())
+    def test_couplings_invariant_under_unitary_map(self, space):
+        # A unitary W of C^n maps the space to W U with the same Im{U^H U}.
+        rng, U, _ = space
+        W = random_orthogonal(rng, U.ambient_dim, dtype=complex)
+        c = canonical_decompose(U).c
+        c_mapped = canonical_decompose(RBasis(W @ U.U)).c
+        np.testing.assert_allclose(c_mapped, c, rtol=0, atol=1e-10)
 
 
 class TestCrbProperties:

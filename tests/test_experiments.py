@@ -72,6 +72,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{key} must be positive"):
             ExperimentConfig(**{key: -1.0})
 
+    def test_numpy_and_range_inputs(self):
+        # Stored as Python ints and tuples of floats, so equal to the plain form.
+        reference = ExperimentConfig(n_antennas=16, delta_deg=(0.0, 1.0, 5.0),
+                                     psnr_grid_db=(-10.0, 0.0, 10.0), n_trials=3, seed=5,
+                                     power=2.0, max_redraws=50)
+        built = ExperimentConfig(n_antennas=np.int64(16), delta_deg=np.array([0, 1, 5]),
+                                 psnr_grid_db=range(-10, 11, 10), n_trials=np.uint8(3),
+                                 seed=np.int32(5), power=np.float32(2.0),
+                                 max_redraws=np.int16(50))
+        assert built == reference
+        assert type(built.seed) is int and type(built.power) is float
+        assert all(type(d) is float for d in built.delta_deg + built.psnr_grid_db)
+        assert run_multipath(built)[0].rows == run_multipath(reference)[0].rows
+
 
 class TestEndfireMargin:
     """Drawn azimuths keep the separation floor plus max|Delta| from endfire."""
@@ -86,9 +100,9 @@ class TestEndfireMargin:
         margins = []
         draw = pilotspace.experiments.generate_clustered_channel
 
-        def recording(*args, **kwargs):
-            margins.append(kwargs["endfire_margin_deg"])
-            return draw(*args, **kwargs)
+        def recording(rng, config):
+            margins.append(config.endfire_margin_deg)
+            return draw(rng, config)
 
         monkeypatch.setattr(pilotspace.experiments, "generate_clustered_channel", recording)
         run_multipath(ExperimentConfig(delta_deg=deltas, n_trials=2,
@@ -108,6 +122,11 @@ class TestEndfireMargin:
 class TestPsnr:
     def test_unit_case(self):
         assert psnr(1.0, np.array([1.0]), 1.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("power, sigma2", [(math.inf, 1.0), (1.0, math.inf), (0.0, 1.0)])
+    def test_rejects_power_or_noise_that_is_not_finite_and_positive(self, power, sigma2):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            psnr(power, np.array([1.0]), sigma2)
 
     def test_noise_linearity(self):
         h = np.array([1.0, 1j])
@@ -220,7 +239,7 @@ class TestStrategyBounds:
     def test_pilot_lengths_multipath(self):
         config = ExperimentConfig()
         rng = np.random.default_rng(5)
-        paths = generate_clustered_channel(rng, config.geometry)
+        paths = generate_clustered_channel(rng, config)
         est = paths.azimuths + 1e-3
         ac = ac_strategy_bound(paths, est, config)
         pr = proposed_strategy_bound(paths, est, config)
@@ -334,32 +353,66 @@ class TestRunSinglePath:
         assert all(r.trials == 1 for r in table.rows)
 
 
+# With no Delta the endfire margin equals the separation floor.
+FLOOR_ONLY = ExperimentConfig(delta_deg=())
+
+
+MATCHED_PROPOSED = (3 + 2 * math.sqrt(2)) / 2   # Delta = 0 coefficient over L^2
+
+
+class TestUlaClosedForms:
+    """On the centered ULA every physical variation space has couplings
+    1 (L times) and 0 (floor(L/2) times), so the Delta = 0 Proposed
+    coefficient is 2 (L/sqrt(2) + L/2)^2 = (3 + 2 sqrt(2))/2 L^2."""
+
+    @pytest.mark.parametrize("L", range(1, 8))
+    def test_random_separated_azimuths(self, L):
+        config = ExperimentConfig()
+        rng = np.random.default_rng(900 + L)
+        for _ in range(10):
+            paths = _separated_paths(rng, L)
+            space = physical_variation_space(config.geometry, paths.azimuths)
+            np.testing.assert_allclose(canonical_decompose(space).c,
+                                       [1.0] * L + [0.0] * (L // 2), rtol=0, atol=1e-12)
+            bound = proposed_strategy_bound(paths, paths.azimuths, config)
+            assert bound.crb_coefficient == pytest.approx(MATCHED_PROPOSED * L**2, rel=1e-12)
+
+    def test_default_trials(self):
+        config = ExperimentConfig()
+        for t in range(config.n_trials):
+            (_, _, proposed), redraws = _multipath_trial(config, t)
+            assert redraws == 0 and config.delta_deg[0] == 0.0
+            paths, _ = _trial_draw(config, t)
+            L = paths.n_paths
+            space = physical_variation_space(config.geometry, paths.azimuths)
+            np.testing.assert_allclose(canonical_decompose(space).c,
+                                       [1.0] * L + [0.0] * (L // 2), rtol=0, atol=1e-12)
+            assert proposed[0] == pytest.approx(MATCHED_PROPOSED * L**2, rel=1e-12)
+
+
 class TestGenerateClusteredChannel:
     def test_deterministic(self):
-        geom = UlaGeometry(64)
-        a = generate_clustered_channel(np.random.default_rng([3, 1]), geom)
-        b = generate_clustered_channel(np.random.default_rng([3, 1]), geom)
+        a = generate_clustered_channel(np.random.default_rng([3, 1]), FLOOR_ONLY)
+        b = generate_clustered_channel(np.random.default_rng([3, 1]), FLOOR_ONLY)
         assert np.array_equal(a.gains, b.gains)
         assert np.array_equal(a.azimuths, b.azimuths)
 
     def test_path_count_distribution(self):
-        geom = UlaGeometry(8)
         rng = np.random.default_rng(0)
         n_draws = 10_000
         counts = np.zeros(8, dtype=int)
         for _ in range(n_draws):
-            counts[generate_clustered_channel(rng, geom).n_paths] += 1
+            counts[generate_clustered_channel(rng, FLOOR_ONLY).n_paths] += 1
         p = 1.0 / 7.0
         bound = 3 * math.sqrt(n_draws * p * (1 - p))
         for L in range(1, 8):
             assert abs(counts[L] - n_draws * p) <= bound
 
     def test_separation_floor(self):
-        geom = UlaGeometry(16)
         rng = np.random.default_rng(1)
         floor = math.radians(2.0)
         for _ in range(200):
-            paths = generate_clustered_channel(rng, geom, separation_floor_deg=2.0)
+            paths = generate_clustered_channel(rng, FLOOR_ONLY)
             if paths.n_paths < 2:
                 continue
             az = paths.azimuths
@@ -370,28 +423,27 @@ class TestGenerateClusteredChannel:
 
     def test_gain_normalization(self):
         # Mean total power approaches 1 (gains drawn around a normalized profile).
-        geom = UlaGeometry(8)
         rng = np.random.default_rng(2)
         totals = [
-            float(np.sum(np.abs(generate_clustered_channel(rng, geom).gains) ** 2))
+            float(np.sum(np.abs(generate_clustered_channel(rng, FLOOR_ONLY).gains) ** 2))
             for _ in range(4000)
         ]
         assert np.mean(totals) == pytest.approx(1.0, rel=0.1)
 
     def test_min_gain_floor(self):
-        geom = UlaGeometry(8)
         rng = np.random.default_rng(3)
         for _ in range(500):
-            paths = generate_clustered_channel(rng, geom)
+            paths = generate_clustered_channel(rng, FLOOR_ONLY)
             assert np.min(np.abs(paths.gains)) >= 1e-3 - 1e-15
 
     def test_infeasible_floor(self):
-        geom = UlaGeometry(8)
-        # Force a multi-path draw; an impossible floor must error out.
+        # A valid config that no multi-path draw can satisfy: sines within
+        # cos(80 deg) of 0 cannot differ by sin(80 deg).
+        config = ExperimentConfig(separation_floor_deg=80.0, delta_deg=())
         rng = np.random.default_rng(4)
-        with pytest.raises(RuntimeError, match="could not draw"):
+        with pytest.raises(DrawError, match="could not draw"):
             for _ in range(50):
-                generate_clustered_channel(rng, geom, separation_floor_deg=170.0)
+                generate_clustered_channel(rng, config)
 
 
 class TestRunMultipath:
@@ -430,13 +482,7 @@ class TestRunMultipath:
 def _trial_draw(config, trial_index):
     """The channel and per-Delta estimates of a trial that needs no redraw."""
     rng = np.random.default_rng([config.seed, trial_index])
-    paths = generate_clustered_channel(
-        rng, config.geometry,
-        separation_floor_deg=config.separation_floor_deg,
-        endfire_margin_deg=config.endfire_margin_deg,
-        cluster_decay=config.cluster_decay, min_gain=config.min_gain,
-        max_retries=config.max_redraws,
-    )
+    paths = generate_clustered_channel(rng, config)
     unit = rng.uniform(-1.0, 1.0, size=paths.n_paths)
     return paths, [paths.azimuths + math.radians(d) * unit for d in config.delta_deg]
 
@@ -452,13 +498,7 @@ def _previous_trial(config, trial_index):
     geom = config.geometry
     for _ in range(config.max_redraws):
         try:
-            paths = generate_clustered_channel(
-                rng, geom,
-                separation_floor_deg=config.separation_floor_deg,
-                endfire_margin_deg=config.endfire_margin_deg,
-                cluster_decay=config.cluster_decay, min_gain=config.min_gain,
-                max_retries=config.max_redraws,
-            )
+            paths = generate_clustered_channel(rng, config)
             unit = rng.uniform(-1.0, 1.0, size=paths.n_paths)
             L = paths.n_paths
             h = steering_matrix(geom, paths.azimuths) @ paths.gains

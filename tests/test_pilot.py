@@ -181,6 +181,13 @@ class TestDesignObservationMatrix:
         with pytest.raises(ValueError, match="power"):
             design_observation_matrix(dec, 0.0)
 
+    @pytest.mark.parametrize("key", ["power", "sigma2"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_power_or_noise(self, key, value):
+        _, dec = random_decomposition(np.random.default_rng(20), 5, 3)
+        with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+            design_observation_matrix(dec, **{"power": 1.0, key: value})
+
 
 class TestOptimalityCertificates:
     @pytest.mark.parametrize("n_params", [2, 3, 4, 5, 6, 9])
