@@ -40,7 +40,6 @@ from .models import (
     UlaGeometry,
     angle_constrained_model,
     estimated_variation_space,
-    kron_observation,
     ls_model,
     physical_model,
     physical_variation_space,
@@ -54,7 +53,6 @@ from .experiments import (
     CurveRow,
     CurveTable,
     ExperimentConfig,
-    StrategyBound,
     ac_strategy_bound,
     generate_clustered_channel,
     proposed_strategy_bound,

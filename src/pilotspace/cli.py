@@ -10,7 +10,8 @@ experiment multipath   reproduce the Monte-Carlo multipath curves (CSV)
 
 Exit codes: 0 success (a non-identifiable CRB is an answer, not a
 failure); 1 I/O, parse and value errors (run config, ``--seed -1``, a
-non-finite ``--sigma2``/``--power``, ``--report`` without ``--output``);
+non-finite ``--sigma2``/``--power``, ``--report`` without ``--output``
+or naming the ``--output`` file);
 2 rank-deficient variation space in ``design``, and argparse usage errors.
 """
 
@@ -20,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -119,6 +121,11 @@ def _model_from_args(args, n_params_hint=None):
 def cmd_design(args):
     if args.report and not args.output:
         raise ConfigError("--report needs --output (without it the design goes to stdout)")
+    if args.output:
+        report_path = args.report or _derived_report_path(args.output)
+        if _same_file(report_path, args.output):
+            raise ConfigError(f"--report {report_path} and --output {args.output} "
+                              "name the same file")
     _, basis_factory = _model_from_args(args)
     basis = basis_factory()
     decomp = canonical_decompose(basis)
@@ -149,7 +156,6 @@ def cmd_design(args):
     }
     if args.output:
         fileio.write_matrix(args.output, design.M)
-        report_path = args.report or _derived_report_path(args.output)
         fileio.write_json(report_path, report)
         print(f"wrote {args.output} and {report_path}", file=sys.stderr)
     else:
@@ -160,6 +166,14 @@ def cmd_design(args):
         )
         print()
     return 0
+
+
+def _same_file(a, b):
+    """Whether two paths name one file: equal once symlinks are resolved,
+    or two existing links to one inode (hard links)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
 
 
 def _derived_report_path(matrix_path):

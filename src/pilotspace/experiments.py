@@ -25,22 +25,24 @@ fixed channel, so pilot designs are constant along a sweep and each
 strategy reduces to a coefficient (CRB * pSNR) plus an optional bias
 floor.
 
-A multipath trial computes its Delta values together.  It builds the
-true channel, the true variation space and the (nDelta, L) array of
-azimuth estimates once; the AC bounds of all Delta come from one
-steering call and one batched SVD, and the Proposed coefficients from
-one call of ``crb.compression_spectra`` (the kernel behind every
+Both sweeps go through one kernel, ``_trial_bounds``: for a channel and
+a (B, L) array of azimuth estimates (one row per Delta) it builds the
+true channel and the true variation space once, the AC bounds of every
+row from one steering call and one batched SVD
+(``ac_strategy_bound``), and the Proposed coefficients of every row
+from one call of ``crb.compression_spectra`` (the kernel behind every
 basis-form CRB and identifiability verdict) on the stacked pilot
-matrices and the true basis.  The estimated variation space, its
-canonical decomposition (real Schur form) and the pilot design stay
-per Delta: where the estimated space has repeated or zero couplings the
-pilots depend on which basis of that subspace the Schur form returns, so any
-change of rounding in those steps would move the Proposed curve at
-Delta > 0.  At Delta = 0 the estimates equal the true azimuths, so the
-true space also serves as the estimated one.  ``ac_strategy_bound``,
-``proposed_strategy_bound`` and ``relative_bias`` are batch-of-one calls
-into the same kernels, and ``run_single_path`` goes through them.  The
-curves average (n_trials, nDelta) coefficient and bias arrays with one
+matrices and the true basis (``proposed_strategy_bound``).  The
+estimated variation space, its canonical decomposition (real Schur
+form) and the pilot design stay per row: where the estimated space has
+repeated or zero couplings the pilots depend on which basis of that
+subspace the Schur form returns, so any change of rounding in those
+steps would move the Proposed curve at Delta > 0.  At Delta = 0 the
+estimates equal the true azimuths, so the true space also serves as
+the estimated one.  A multipath trial is one kernel call over its
+Delta values; the single-path sweep is one call per Delta, and
+``relative_bias`` is a batch of one of ``ac_strategy_bound``.  The curves
+average (n_trials, nDelta) coefficient and bias arrays with one
 broadcast over the pSNR grid.
 
 The multipath generator is a deliberately simplified clustered model:
@@ -154,26 +156,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class StrategyBound:
-    """Relative-MSE lower bound of one strategy, as a function of pSNR.
-
-    The bound is max(bias, crb_coefficient / pSNR): ``crb_coefficient``
-    is the relative CRB multiplied by pSNR (constant along a sweep) and
-    ``bias`` is the pSNR-independent floor (zero for the proposed
-    strategy).
-    """
-
-    strategy: str
-    pilot_length: int
-    crb_coefficient: float
-    bias: float = 0.0
-
-    def relative_bound(self, psnr):
-        psnr = np.asarray(psnr, dtype=float)
-        return np.maximum(self.bias, self.crb_coefficient / psnr)
-
-
-@dataclass(frozen=True)
 class CurveRow:
     strategy: str
     delta_deg: float
@@ -211,16 +193,18 @@ def psnr(power, h, sigma2):
     return power * float(np.linalg.norm(h) ** 2) / sigma2
 
 
-def _ac_bounds(h, E_hats):
-    """AC coefficients and relative biases of a stack of E_hat (B, N_t, L).
+def ac_strategy_bound(h, E_hats):
+    """Bound of the angle-constrained strategy for each E_hat in a stack (B, N_t, L).
 
-    One batched SVD E_hat = U S W^H: the coefficient is the closed form
+    Returns the (B,) CRB coefficients and (B,) relative biases of the
+    pilots sqrt(P_t/L) E_hat against the true channel h.  One batched
+    SVD E_hat = U S W^H: the coefficient is the closed form
     L sum_k 1/s_k^2 (+inf where the singularity test of the basis forms
     fires: the compression eigenvalues are (P/L) s_k^2, each twice; the
     columns of E_hat have unit norm, so s_1^2 >= 1 and the absolute floor
-    ZERO_RTOL * L never fires),
-    and U projects h onto range(E_hat) for the bias.  Raises
-    RankDeficientError when any E_hat has dependent columns.
+    ZERO_RTOL * L never fires), and U projects h onto range(E_hat) for
+    the bias.  Raises RankDeficientError when any E_hat has dependent
+    columns.
     """
     U, s, _ = np.linalg.svd(E_hats, full_matrices=False)
     L = E_hats.shape[-1]
@@ -239,16 +223,18 @@ def relative_bias(h, E_hat):
     """Squared relative residual of projecting h onto range(E_hat)."""
     h = np.asarray(h, dtype=complex).ravel()
     E_hat = np.atleast_2d(np.asarray(E_hat, dtype=complex))
-    return float(_ac_bounds(h, E_hat[None])[1][0])
+    return float(ac_strategy_bound(h, E_hat[None])[1][0])
 
 
-def _crb_coefficients(true_basis, Ms, power, h):
-    """Relative CRB times pSNR of each pilot matrix in the stack Ms (B, N_t, m).
+def proposed_strategy_bound(true_basis, Ms, power, h):
+    """Bound of the proposed strategy for each pilot matrix in a stack Ms (B, N_t, m).
 
-    The pSNR axis varies sigma^2 only, so this is the relative CRB at
-    sigma^2 = 1 times the pSNR at sigma^2 = 1.  The compression spectra
-    on the true basis come from one ``compression_spectra`` call; a
-    singular compression gives +inf.
+    Returns the (B,) relative CRBs times pSNR of the full physical model
+    at the true parameters (variation space ``true_basis``, channel h);
+    there is no bias term.  The pSNR axis varies sigma^2 only, so this
+    is the relative CRB at sigma^2 = 1 times the pSNR at sigma^2 = 1.
+    The compression spectra on the true basis come from one
+    ``compression_spectra`` call; a singular compression gives +inf.
     """
     eigs, singular = compression_spectra(true_basis, Ms)
     safe = np.where(singular[:, None], 1.0, eigs)
@@ -276,56 +262,23 @@ def _proposed_pilots(geom, estimates, true_azimuths, true_basis, power):
     return design_observation_matrix(canonical_decompose(est_space), power).M
 
 
-def _check_estimates(true_paths, estimated_azimuths):
-    estimated_azimuths = np.atleast_1d(np.asarray(estimated_azimuths, dtype=float))
-    if estimated_azimuths.shape[0] != true_paths.n_paths:
-        raise ValueError("need one estimated azimuth per true path")
-    return estimated_azimuths
+def _trial_bounds(geom, paths, estimates, power):
+    """Strategy bounds of the channel ``paths`` for each row of azimuth estimates (B, L).
 
-
-def ac_strategy_bound(true_paths, estimated_azimuths, config):
-    """Bound of the angle-constrained tracking strategy.
-
-    Pilots sqrt(P_t/L) E_hat of duration L; CRB term from the
-    gains-only model at the estimated azimuths in closed form (see the
-    module docstring; +inf where its compression is singular), bias
-    term from the projection residual of the true channel onto
-    range(E_hat).
+    Returns ``(ac_coefficient, ac_bias, proposed_coefficient)``, (B,)
+    arrays.  Raises RankDeficientError when the true variation space or
+    any row's E_hat or estimated variation space degenerates.
     """
-    estimated_azimuths = _check_estimates(true_paths, estimated_azimuths)
-    geom = config.geometry
-    h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
-    coefficient, bias = _ac_bounds(h, _steering_stack(geom, estimated_azimuths[None]))
-    return StrategyBound(
-        strategy=AC_STRATEGY,
-        pilot_length=true_paths.n_paths,
-        crb_coefficient=float(coefficient[0]),
-        bias=float(bias[0]),
+    h = steering_matrix(geom, paths.azimuths) @ paths.gains
+    true_basis = physical_variation_space(geom, paths.azimuths)
+    ac_coefficient, ac_bias = ac_strategy_bound(h, _steering_stack(geom, estimates))
+    pilots = [_proposed_pilots(geom, est, paths.azimuths, true_basis, power)
+              for est in estimates]
+    # (B, N_t, ceil(3L/2)), also when B = 0.
+    Ms = np.array(pilots).reshape(
+        len(pilots), geom.n_antennas, math.ceil(3 * paths.n_paths / 2)
     )
-
-
-def proposed_strategy_bound(true_paths, estimated_azimuths, config):
-    """Bound of the proposed tracking strategy.
-
-    Pilots of duration ceil(3L/2) designed from the estimated variation
-    space; the CRB is evaluated with the variation space of the full
-    physical model at the true parameters (no bias term).  Estimates
-    equal to the true azimuths reuse the true basis as the estimated
-    space.
-    """
-    estimated_azimuths = _check_estimates(true_paths, estimated_azimuths)
-    geom = config.geometry
-    L = true_paths.n_paths
-    h = steering_matrix(geom, true_paths.azimuths) @ true_paths.gains
-    true_basis = physical_variation_space(geom, true_paths.azimuths)
-    M = _proposed_pilots(geom, estimated_azimuths, true_paths.azimuths, true_basis,
-                         config.power)
-    return StrategyBound(
-        strategy=PROPOSED_STRATEGY,
-        pilot_length=math.ceil(3 * L / 2),
-        crb_coefficient=float(_crb_coefficients(true_basis, M[None], config.power, h)[0]),
-        bias=0.0,
-    )
+    return ac_coefficient, ac_bias, proposed_strategy_bound(true_basis, Ms, power, h)
 
 
 def _curve_rows(config, ac_coefficient, ac_bias, proposed_coefficient, trials):
@@ -365,17 +318,14 @@ def run_single_path(config):
 
     Deterministic (no randomness); one row per (strategy, Delta, pSNR).
     """
-    ac_coefficient, ac_bias, proposed_coefficient = [], [], []
-    for delta in config.delta_deg:
-        paths = PathSet(gains=[1.0], azimuths=[math.radians(delta)])
-        ac = ac_strategy_bound(paths, [0.0], config)
-        ac_coefficient.append(ac.crb_coefficient)
-        ac_bias.append(ac.bias)
-        proposed_coefficient.append(
-            proposed_strategy_bound(paths, [0.0], config).crb_coefficient
-        )
-    return _curve_rows(config, np.array([ac_coefficient]), np.array([ac_bias]),
-                       np.array([proposed_coefficient]), trials=1)
+    bounds = [
+        _trial_bounds(config.geometry, PathSet(gains=[1.0], azimuths=[math.radians(delta)]),
+                      np.zeros((1, 1)), config.power)
+        for delta in config.delta_deg
+    ]
+    # Three (1, nDelta) arrays, also when there is no Delta.
+    columns = np.array(bounds).reshape(len(bounds), 3).T[:, None]
+    return _curve_rows(config, *columns, trials=1)
 
 
 def generate_clustered_channel(rng, config):
@@ -449,21 +399,9 @@ def _multipath_trial(config, trial_index):
         # One row per Delta; at Delta = 0 the row equals paths.azimuths bit for bit.
         estimates = paths.azimuths + radians[:, None] * unit
         try:
-            h = steering_matrix(geom, paths.azimuths) @ paths.gains
-            true_basis = physical_variation_space(geom, paths.azimuths)
-            ac_coefficient, ac_bias = _ac_bounds(h, _steering_stack(geom, estimates))
-            pilots = [
-                _proposed_pilots(geom, est, paths.azimuths, true_basis, config.power)
-                for est in estimates
-            ]
+            return _trial_bounds(geom, paths, estimates, config.power), redraw
         except RankDeficientError:
             continue
-        # (nDelta, N_t, ceil(3L/2)), also when there is no Delta.
-        Ms = np.array(pilots).reshape(
-            len(pilots), geom.n_antennas, math.ceil(3 * paths.n_paths / 2)
-        )
-        proposed_coefficient = _crb_coefficients(true_basis, Ms, config.power, h)
-        return (ac_coefficient, ac_bias, proposed_coefficient), redraw
     raise DrawError(
         f"trial {trial_index}: estimated variation space degenerate after "
         f"{config.max_redraws} redraws"

@@ -5,10 +5,6 @@ linear array along the y-axis: antenna n sits at y_n = (n - (N_t-1)/2)
 lambda/2, so the steering phase is pi (n - (N_t-1)/2) sin(phi).  The
 centering makes e(phi) and its azimuth derivative exactly complex
 orthogonal, which the pilot designs exploit.
-
-The Kronecker builder assembles the full observation matrix
-Id_{N_r} (x) X (x) F of a generic pilot matrix X sent on selected
-subcarriers, with the power identity ||M||_F^2 = N_r N_ps ||X||_F^2.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ class UlaGeometry:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Complex gains and azimuths of a multipath channel."""
+    """Complex gains and azimuths of a multipath channel (finite values)."""
 
     gains: np.ndarray
     azimuths: np.ndarray
@@ -57,6 +53,8 @@ class PathSet:
         azimuths = np.asarray(self.azimuths, dtype=float).ravel()
         if gains.shape[0] != azimuths.shape[0] or gains.shape[0] < 1:
             raise ValueError("need one gain per azimuth, at least one path")
+        if not (np.all(np.isfinite(gains)) and np.all(np.isfinite(azimuths))):
+            raise ValueError("gains and azimuths must be finite")
         if np.any(azimuths < -np.pi) or np.any(azimuths >= np.pi):
             raise ValueError("azimuths must lie in [-pi, pi)")
         object.__setattr__(self, "gains", gains)
@@ -261,23 +259,3 @@ def estimated_variation_space(geom, estimated_azimuths):
     where the generators degenerate.
     """
     return _steering_span(geom, estimated_azimuths, origin="estimated")
-
-
-def kron_observation(X, F, n_rx):
-    """Full observation matrix Id_{N_r} (x) X (x) F.
-
-    F must be a column-sampled identity (0/1 entries, exactly one 1 per
-    column, distinct rows selected), selecting the pilot subcarriers.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=complex))
-    F = np.atleast_2d(np.asarray(F))
-    if n_rx < 1:
-        raise ValueError("n_rx must be >= 1")
-    if not np.all(np.isin(F, (0, 1))):
-        raise ValueError("F must contain only 0/1 entries")
-    if np.any(F.sum(axis=0) != 1):
-        raise ValueError("each column of F must select exactly one subcarrier")
-    rows = np.argmax(F, axis=0)
-    if len(set(rows.tolist())) != F.shape[1]:
-        raise ValueError("columns of F must select distinct subcarriers")
-    return np.kron(np.kron(np.eye(n_rx), X), F.astype(float))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -127,6 +128,38 @@ class TestDesignCommand:
         assert "--report" in captured.err and "--output" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_report_same_as_output_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("design", "--model", "ls", "--nt", "2", "--power", "1",
+                       "--output", "same.json", "--report", "same.json")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --report same.json and --output same.json name the same file\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_linked_to_output_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        link = tmp_path / "link.json"
+        link.symlink_to("same.json")        # dangling until same.json is written
+        code = run_cli("design", "--model", "ls", "--nt", "2", "--power", "1",
+                       "--output", "same.json", "--report", "./link.json")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --report ./link.json and --output same.json name the same file\n")
+        assert list(tmp_path.iterdir()) == [link]
+        assert not (tmp_path / "same.json").exists()
+
+    def test_report_hard_linked_to_output_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "same.json").write_text("kept\n")
+        os.link(tmp_path / "same.json", tmp_path / "link.json")
+        code = run_cli("design", "--model", "ls", "--nt", "2", "--power", "1",
+                       "--output", "same.json", "--report", "link.json")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --report link.json and --output same.json name the same file\n")
+        assert (tmp_path / "same.json").read_text() == "kept\n"
 
     def test_stdout_payload(self, capsys):
         code = run_cli("design", "--model", "ls", "--nt", "2", "--power", "1")

@@ -486,9 +486,10 @@ class TestCrbMinPower:
 
 class TestKroneckerIntegration:
     def test_wideband_ls_crb(self):
-        # Full observation matrix Id_{N_r} (x) X (x) F against an LS model
-        # of the stacked channel dimension N_r N_t N_f.
-        from pilotspace.models import kron_observation, ls_model
+        # Full observation matrix Id_{N_r} (x) X (x) F, with F selecting the
+        # pilot subcarriers, against an LS model of the stacked channel
+        # dimension N_r N_t N_f.
+        from pilotspace.models import ls_model
 
         rng = np.random.default_rng(21)
         n_rx, n_tx, n_sub = 2, 3, 4
@@ -499,13 +500,13 @@ class TestKroneckerIntegration:
 
         # Too few pilot subcarriers: T n_ps < n_tx n_sub per receive antenna.
         X = random_complex(rng, n_tx, 3)
-        M_short = kron_observation(X, np.eye(n_sub)[:, [0, 2]], n_rx)
+        M_short = np.kron(np.kron(np.eye(n_rx), X), np.eye(n_sub)[:, [0, 2]])
         assert M_short.shape == (n_dim, n_rx * 3 * 2)
         assert not crb_direct(model, theta, M_short, noise).identifiable
 
         # Full pilot grid: identifiable, and the two CRB forms agree.
         X_full = random_complex(rng, n_tx, n_tx)
-        M_full = kron_observation(X_full, np.eye(n_sub), n_rx)
+        M_full = np.kron(np.kron(np.eye(n_rx), X_full), np.eye(n_sub))
         rep = crb_direct(model, theta, M_full, noise)
         assert rep.identifiable
         via = crb_via_variation_space(variation_space(model, theta), M_full, noise)

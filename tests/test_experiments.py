@@ -11,12 +11,10 @@ from pilotspace.experiments import (
     PROPOSED_STRATEGY,
     DrawError,
     ExperimentConfig,
-    StrategyBound,
-    _ac_bounds,
-    _crb_coefficients,
     _multipath_trial,
     _proposed_pilots,
     _steering_stack,
+    _trial_bounds,
     ac_strategy_bound,
     generate_clustered_channel,
     proposed_strategy_bound,
@@ -148,7 +146,22 @@ def relative_crb(true_basis, M, sigma2, h):
 
 
 def _crb_coefficient(true_basis, M, power, h):
-    return float(_crb_coefficients(true_basis, M[None], power, h)[0])
+    return float(proposed_strategy_bound(true_basis, M[None], power, h)[0])
+
+
+def ac_bound(paths, est, config):
+    """AC (coefficient, bias) of one row of estimates, from the AC kernel alone."""
+    geom = config.geometry
+    h = steering_matrix(geom, paths.azimuths) @ paths.gains
+    coefficient, bias = ac_strategy_bound(h, _steering_stack(geom, np.atleast_2d(est)))
+    return coefficient[0], bias[0]
+
+
+def trial_bounds(paths, est, config):
+    """(AC coefficient, AC bias, Proposed coefficient) of one row of estimates."""
+    ac_coefficient, ac_bias, proposed_coefficient = _trial_bounds(
+        config.geometry, paths, np.atleast_2d(est), config.power)
+    return ac_coefficient[0], ac_bias[0], proposed_coefficient[0]
 
 
 class TestRelativeCrb:
@@ -202,56 +215,54 @@ class TestStrategyBounds:
     def test_ac_matched_has_no_floor(self):
         config = ExperimentConfig()
         paths = PathSet(gains=[1.0], azimuths=[0.0])
-        bound = ac_strategy_bound(paths, [0.0], config)
-        assert bound.pilot_length == 1
-        assert bound.bias <= 1e-12
+        coefficient, bias, _ = trial_bounds(paths, [0.0], config)
+        assert _steering_stack(config.geometry, np.zeros((1, 1))).shape[-1] == 1
+        assert bias <= 1e-12
         # sigma^2 L^2 / (P ||h||^2) with L = ||h|| = P = 1.
-        assert bound.crb_coefficient == pytest.approx(1.0, rel=1e-9)
+        assert coefficient == pytest.approx(1.0, rel=1e-9)
 
     def test_ac_flat_floor_at_high_psnr(self):
         config = ExperimentConfig()
         paths = PathSet(gains=[1.0], azimuths=[math.radians(5.0)])
-        bound = ac_strategy_bound(paths, [0.0], config)
-        assert bound.bias > 0.5
-        high = bound.relative_bound(1e8)
-        assert high == pytest.approx(bound.bias, rel=1e-12)
+        coefficient, bias, _ = trial_bounds(paths, [0.0], config)
+        assert bias > 0.5
+        high = np.maximum(bias, coefficient / 1e8)
+        assert high == pytest.approx(bias, rel=1e-12)
         # The bias term carries no noise dependence at all.
-        assert bound.relative_bound(1e7) == high
+        assert np.maximum(bias, coefficient / 1e7) == high
 
     def test_proposed_matched_floor(self):
         config = ExperimentConfig()
+        geom = config.geometry
         paths = PathSet(gains=[1.0], azimuths=[0.0])
-        bound = proposed_strategy_bound(paths, [0.0], config)
-        assert bound.pilot_length == 2
-        assert bound.bias == 0.0
-        assert bound.crb_coefficient == pytest.approx(SINGLE_PATH_RATIO, rel=1e-9)
+        _, _, coefficient = trial_bounds(paths, [0.0], config)
+        true_basis = physical_variation_space(geom, paths.azimuths)
+        M = _proposed_pilots(geom, np.zeros(1), paths.azimuths, true_basis, config.power)
+        assert M.shape[1] == 2
+        assert coefficient == pytest.approx(SINGLE_PATH_RATIO, rel=1e-9)
 
     def test_proposed_pure_slope(self):
         config = ExperimentConfig()
         paths = PathSet(gains=[1.0], azimuths=[math.radians(1.0)])
-        bound = proposed_strategy_bound(paths, [0.0], config)
+        _, _, coefficient = trial_bounds(paths, [0.0], config)
         grid = 10.0 ** (np.asarray(config.psnr_grid_db) / 10)
-        values = bound.relative_bound(grid)
+        values = np.maximum(0.0, coefficient / grid)
         assert values * grid == pytest.approx(
-            np.full(grid.shape, bound.crb_coefficient), rel=1e-12
+            np.full(grid.shape, coefficient), rel=1e-12
         )
 
     def test_pilot_lengths_multipath(self):
         config = ExperimentConfig()
+        geom = config.geometry
         rng = np.random.default_rng(5)
         paths = generate_clustered_channel(rng, config)
         est = paths.azimuths + 1e-3
-        ac = ac_strategy_bound(paths, est, config)
-        pr = proposed_strategy_bound(paths, est, config)
+        assert all(map(math.isfinite, trial_bounds(paths, est, config)))
+        true_basis = physical_variation_space(geom, paths.azimuths)
+        M = _proposed_pilots(geom, est, paths.azimuths, true_basis, config.power)
         L = paths.n_paths
-        assert ac.pilot_length == L
-        assert pr.pilot_length == math.ceil(3 * L / 2)
-
-    def test_azimuth_count_mismatch(self):
-        config = ExperimentConfig()
-        paths = PathSet(gains=[1.0], azimuths=[0.0])
-        with pytest.raises(ValueError, match="per true path"):
-            ac_strategy_bound(paths, [0.0, 0.1], config)
+        assert _steering_stack(geom, est[None]).shape[-1] == L
+        assert M.shape[1] == math.ceil(3 * L / 2)
 
 
 def _separated_paths(rng, L, floor_deg=2.0):
@@ -283,7 +294,7 @@ class TestAcClosedForm:
         rng = np.random.default_rng([11, L, int(delta)])
         paths = _separated_paths(rng, L)
         est = paths.azimuths + math.radians(delta) * rng.uniform(-1.0, 1.0, size=L)
-        closed = ac_strategy_bound(paths, est, config).crb_coefficient
+        closed, _ = ac_bound(paths, est, config)
         assert math.isfinite(closed)
         assert closed == pytest.approx(
             _general_ac_coefficient(paths, est, config), rel=1e-12
@@ -295,16 +306,16 @@ class TestAcClosedForm:
         config = ExperimentConfig()
         paths = PathSet(gains=[1.0, 0.5j], azimuths=[0.3, -0.4])
         est = [0.3, 0.3 + 1e-8]
-        bound = ac_strategy_bound(paths, est, config)
-        assert bound.crb_coefficient == math.inf
+        coefficient, bias = ac_bound(paths, est, config)
+        assert coefficient == math.inf
         assert _general_ac_coefficient(paths, est, config) == math.inf
-        assert 0.0 <= bound.bias <= 1.0
+        assert 0.0 <= bias <= 1.0
 
     def test_coincident_estimates_raise(self):
         config = ExperimentConfig()
         paths = PathSet(gains=[1.0, 0.5j], azimuths=[0.3, -0.4])
         with pytest.raises(RankDeficientError):
-            ac_strategy_bound(paths, [0.3, 0.3], config)
+            trial_bounds(paths, [0.3, 0.3], config)
 
     def test_exact_estimates_match_estimated_space_route(self):
         config = ExperimentConfig()
@@ -316,8 +327,8 @@ class TestAcClosedForm:
         expected = _crb_coefficient(
             physical_variation_space(geom, paths.azimuths), M, config.power, h
         )
-        bound = proposed_strategy_bound(paths, paths.azimuths.copy(), config)
-        assert bound.crb_coefficient == expected
+        _, _, coefficient = trial_bounds(paths, paths.azimuths.copy(), config)
+        assert coefficient == expected
 
 
 class TestRunSinglePath:
@@ -374,8 +385,8 @@ class TestUlaClosedForms:
             space = physical_variation_space(config.geometry, paths.azimuths)
             np.testing.assert_allclose(canonical_decompose(space).c,
                                        [1.0] * L + [0.0] * (L // 2), rtol=0, atol=1e-12)
-            bound = proposed_strategy_bound(paths, paths.azimuths, config)
-            assert bound.crb_coefficient == pytest.approx(MATCHED_PROPOSED * L**2, rel=1e-12)
+            _, _, coefficient = trial_bounds(paths, paths.azimuths, config)
+            assert coefficient == pytest.approx(MATCHED_PROPOSED * L**2, rel=1e-12)
 
     def test_default_trials(self):
         config = ExperimentConfig()
@@ -545,8 +556,8 @@ def skew_forms(monkeypatch):
     return forms
 
 
-def previous_ac_bounds(h, E_hats):
-    """_ac_bounds as written before it called numerical_rank and _is_singular."""
+def previous_ac_strategy_bound(h, E_hats):
+    """ac_strategy_bound as written before it called numerical_rank and _is_singular."""
     U, s, _ = np.linalg.svd(E_hats, full_matrices=False)
     L = E_hats.shape[-1]
     if np.any(np.sum(s > RANK_RTOL * s[:, :1], axis=1) < L):
@@ -560,8 +571,8 @@ def previous_ac_bounds(h, E_hats):
     return coefficient, bias
 
 
-def previous_crb_coefficients(true_basis, Ms, power, h):
-    """_crb_coefficients as written before it called compression_spectra."""
+def previous_proposed_strategy_bound(true_basis, Ms, power, h):
+    """proposed_strategy_bound as written before it called compression_spectra."""
     X = np.conj(np.swapaxes(Ms, 1, 2)) @ true_basis.U
     C = np.swapaxes(X.real, 1, 2) @ X.real + np.swapaxes(X.imag, 1, 2) @ X.imag
     eigs = np.linalg.eigvalsh(0.5 * (C + np.swapaxes(C, 1, 2)))
@@ -592,12 +603,12 @@ class TestKernelsEqualPreviousCode:
         E = unit_column_stack(rng, n_stack, 16, L, gap)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
         try:
-            expected = previous_ac_bounds(h, E)
+            expected = previous_ac_strategy_bound(h, E)
         except RankDeficientError:
             with pytest.raises(RankDeficientError):
-                _ac_bounds(h, E)
+                ac_strategy_bound(h, E)
             return
-        coefficient, bias = _ac_bounds(h, E)
+        coefficient, bias = ac_strategy_bound(h, E)
         assert np.array_equal(coefficient, expected[0])
         assert np.array_equal(bias, expected[1])
 
@@ -605,10 +616,10 @@ class TestKernelsEqualPreviousCode:
         # The gaps above reach all three outcomes: finite, +inf and rank deficient.
         rng = np.random.default_rng(51)
         h = rng.normal(size=16) + 1j * rng.normal(size=16)
-        coefficient, _ = _ac_bounds(h, unit_column_stack(rng, 2, 16, 2, 1e-6))
+        coefficient, _ = ac_strategy_bound(h, unit_column_stack(rng, 2, 16, 2, 1e-6))
         assert math.isfinite(coefficient[0]) and coefficient[1] == math.inf
         with pytest.raises(RankDeficientError):
-            _ac_bounds(h, unit_column_stack(rng, 2, 16, 2, 1e-13))
+            ac_strategy_bound(h, unit_column_stack(rng, 2, 16, 2, 1e-13))
 
     @pytest.mark.parametrize("n_stack", [1, 3])
     @pytest.mark.parametrize("seed", range(4))
@@ -620,8 +631,8 @@ class TestKernelsEqualPreviousCode:
         m = int(rng.integers(1, k + 1))
         Ms = rng.normal(size=(n_stack, n, m)) + 1j * rng.normal(size=(n_stack, n, m))
         h = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.array_equal(_crb_coefficients(true_basis, Ms, 1.7, h),
-                              previous_crb_coefficients(true_basis, Ms, 1.7, h))
+        assert np.array_equal(proposed_strategy_bound(true_basis, Ms, 1.7, h),
+                              previous_proposed_strategy_bound(true_basis, Ms, 1.7, h))
 
 
 class TestBatchedTrial:
@@ -636,9 +647,7 @@ class TestBatchedTrial:
         assert redraws == 0
         paths, estimates = _trial_draw(config, trial_index)
         for i, est in enumerate(estimates):
-            ac = ac_strategy_bound(paths, est, config)
-            assert (ac.crb_coefficient, ac.bias) == (ac_coef[i], ac_bias[i])
-            assert proposed_strategy_bound(paths, est, config).crb_coefficient == pr_coef[i]
+            assert trial_bounds(paths, est, config) == (ac_coef[i], ac_bias[i], pr_coef[i])
 
     def test_kernels_batch_equals_batch_of_one(self):
         config = ExperimentConfig(delta_deg=(0.0, 0.5, 1.0, 5.0))
@@ -647,13 +656,13 @@ class TestBatchedTrial:
         h = steering_matrix(geom, paths.azimuths) @ paths.gains
         true_basis = physical_variation_space(geom, paths.azimuths)
         stack = _steering_stack(geom, np.array(estimates))
-        coef, bias = _ac_bounds(h, stack)
+        coef, bias = ac_strategy_bound(h, stack)
         Ms = np.array([_proposed_pilots(geom, est, paths.azimuths, true_basis, config.power)
                        for est in estimates])
-        pr = _crb_coefficients(true_basis, Ms, config.power, h)
+        pr = proposed_strategy_bound(true_basis, Ms, config.power, h)
         for i, est in enumerate(estimates):
             assert np.array_equal(stack[i], steering_matrix(geom, est))
-            one_coef, one_bias = _ac_bounds(h, stack[i:i + 1])
+            one_coef, one_bias = ac_strategy_bound(h, stack[i:i + 1])
             assert (one_coef[0], one_bias[0]) == (coef[i], bias[i])
             assert relative_bias(h, stack[i]) == bias[i]
             assert _crb_coefficient(true_basis, Ms[i], config.power, h) == pr[i]
@@ -664,7 +673,7 @@ class TestBatchedTrial:
         h = steering_matrix(geom, [0.3, -0.4]) @ np.array([1.0, 0.5j])
         estimates = np.array([[0.3, -0.4], [0.3, 0.3]])
         with pytest.raises(RankDeficientError):
-            _ac_bounds(h, _steering_stack(geom, estimates))
+            ac_strategy_bound(h, _steering_stack(geom, estimates))
 
     def test_matches_previous_loop_on_reference_trials(self, skew_forms):
         # The seed-7 benchmark reference: configs 700000..700009, 10 trials each.
@@ -694,10 +703,10 @@ class TestBatchedTrial:
             sums = {AC_STRATEGY: 0.0, PROPOSED_STRATEGY: 0.0}
             for t in range(config.n_trials):
                 (ac_coef, ac_bias, pr_coef), _ = _multipath_trial(config, t)
-                sums[AC_STRATEGY] = sums[AC_STRATEGY] + StrategyBound(
-                    AC_STRATEGY, 1, ac_coef[i], ac_bias[i]).relative_bound(psnr_lin)
-                sums[PROPOSED_STRATEGY] = sums[PROPOSED_STRATEGY] + StrategyBound(
-                    PROPOSED_STRATEGY, 1, pr_coef[i]).relative_bound(psnr_lin)
+                sums[AC_STRATEGY] = sums[AC_STRATEGY] + np.maximum(
+                    ac_bias[i], ac_coef[i] / psnr_lin)
+                sums[PROPOSED_STRATEGY] = sums[PROPOSED_STRATEGY] + np.maximum(
+                    0.0, pr_coef[i] / psnr_lin)
             for strategy, acc in sums.items():
                 _, values = table.values(strategy, delta)
                 assert np.array_equal(values, acc / config.n_trials)

@@ -11,7 +11,6 @@ from pilotspace.models import (
     UlaGeometry,
     angle_constrained_model,
     estimated_variation_space,
-    kron_observation,
     ls_model,
     physical_model,
     physical_variation_space,
@@ -307,37 +306,6 @@ class TestWellSeparatedSteering:
         assert np.abs(off).max() <= 0.1
 
 
-class TestKronObservation:
-    def test_single_carrier_collapse(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        M = kron_observation(X, np.array([[1]]), 1)
-        assert np.allclose(M, X)
-
-    def test_identity_blocks(self):
-        M = kron_observation(np.eye(3), np.eye(2), 2)
-        assert np.allclose(M, np.eye(12))
-
-    def test_frobenius_identity(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-        F = np.eye(6)[:, [0, 2, 5]]
-        n_rx = 2
-        M = kron_observation(X, F, n_rx)
-        assert np.linalg.norm(M) ** 2 == pytest.approx(
-            n_rx * 3 * np.linalg.norm(X) ** 2, rel=1e-12
-        )
-
-    def test_malformed_selector(self):
-        X = np.eye(2)
-        with pytest.raises(ValueError, match="0/1"):
-            kron_observation(X, np.array([[0.5], [0.5]]), 1)
-        with pytest.raises(ValueError, match="exactly one"):
-            kron_observation(X, np.array([[1], [1]]), 1)
-        with pytest.raises(ValueError, match="distinct"):
-            kron_observation(X, np.array([[1, 1], [0, 0]]), 1)
-
-
 class TestDomainTypes:
     def test_pathset_validation(self):
         with pytest.raises(ValueError, match="azimuths"):
@@ -347,3 +315,16 @@ class TestDomainTypes:
         ps = PathSet(gains=[1 + 1j, 2.0], azimuths=[0.1, -0.2])
         theta = ps.theta()
         assert theta == pytest.approx([1.0, 1.0, 0.1, 2.0, 0.0, -0.2])
+
+    @pytest.mark.parametrize("gains, azimuths", [
+        ([math.nan], [0.1]),
+        ([1.0], [math.nan]),
+        ([complex(1.0, math.inf)], [0.1]),
+        ([1.0, -math.inf], [0.1, 0.2]),
+        ([1.0], [-math.inf]),
+    ], ids=["nan-gain", "nan-azimuth", "inf-imag-gain", "inf-gain", "inf-azimuth"])
+    def test_pathset_rejects_non_finite(self, gains, azimuths):
+        # A NaN azimuth passes the [-pi, pi) test; a NaN gain would give
+        # NaN strategy bounds downstream.
+        with pytest.raises(ValueError, match="gains and azimuths must be finite"):
+            PathSet(gains=gains, azimuths=azimuths)
