@@ -216,7 +216,6 @@ class TestStrategyBounds:
         config = ExperimentConfig()
         paths = PathSet(gains=[1.0], azimuths=[0.0])
         coefficient, bias, _ = trial_bounds(paths, [0.0], config)
-        assert _steering_stack(config.geometry, np.zeros((1, 1))).shape[-1] == 1
         assert bias <= 1e-12
         # sigma^2 L^2 / (P ||h||^2) with L = ||h|| = P = 1.
         assert coefficient == pytest.approx(1.0, rel=1e-9)
