@@ -56,7 +56,6 @@ from .experiments import (
     ac_strategy_bound,
     generate_clustered_channel,
     proposed_strategy_bound,
-    psnr,
     relative_bias,
     run_multipath,
     run_single_path,

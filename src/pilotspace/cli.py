@@ -11,7 +11,8 @@ experiment multipath   reproduce the Monte-Carlo multipath curves (CSV)
 Exit codes: 0 success (a non-identifiable CRB is an answer, not a
 failure); 1 I/O, parse and value errors (run config, ``--seed -1``, a
 non-finite ``--sigma2``/``--power``, ``--report`` without ``--output``
-or naming the ``--output`` file);
+or naming the ``--output`` file; ``design`` leaves neither file when
+either cannot be written);
 2 rank-deficient variation space in ``design``, and argparse usage errors.
 """
 
@@ -156,7 +157,11 @@ def cmd_design(args):
     }
     if args.output:
         fileio.write_matrix(args.output, design.M)
-        fileio.write_json(report_path, report)
+        try:
+            fileio.write_json(report_path, report)
+        except OSError:
+            os.remove(args.output)      # leave no matrix without its report
+            raise
         print(f"wrote {args.output} and {report_path}", file=sys.stderr)
     else:
         json.dump(
@@ -207,10 +212,6 @@ def _crb_payload(args):
             f"dimension is {model.n_dims}"
         )
     if theta is not None:
-        if theta.shape[0] != model.n_params:
-            raise ConfigError(
-                f"theta has length {theta.shape[0]}, model expects {model.n_params}"
-            )
         basis = variation_space(model, theta)
     elif basis_factory is not None:
         basis = basis_factory()

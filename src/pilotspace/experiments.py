@@ -22,8 +22,9 @@ pSNR = P_t ||h||^2 / sigma^2:
 
 The pSNR axis is swept by varying sigma^2 at fixed transmit power and
 fixed channel, so pilot designs are constant along a sweep and each
-strategy reduces to a coefficient (CRB * pSNR) plus an optional bias
-floor.
+strategy reduces to a coefficient, CRB * P_t / sigma^2 (relative CRB
+times pSNR), plus an optional bias floor.  The coefficients depend on
+neither P_t nor ||h||, so the sweeps design unit-power pilots.
 
 Both sweeps go through one kernel, ``_trial_bounds``: for a channel and
 a (B, L) array of azimuth estimates (one row per Delta) it builds the
@@ -60,7 +61,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .crb import _check_finite_positive, _is_singular, compression_spectra
+from .crb import _is_singular, compression_spectra
 from .fileio import finite_number
 from .models import (
     UlaGeometry,
@@ -112,7 +113,8 @@ class ExperimentConfig:
     The one validator of a sweep, for the library and the CLI alike:
     ``int`` fields take integers, ``float`` fields finite numbers (bools
     are neither) and ``tuple`` fields sequences of finite numbers, stored
-    as tuples of floats; then every scalar but ``seed`` must be positive.
+    as tuples of floats; then every tuple must be nonempty and every
+    scalar but ``seed`` positive.
     """
 
     n_antennas: int = 64
@@ -121,7 +123,6 @@ class ExperimentConfig:
     n_trials: int = 100
     seed: int = 7
     separation_floor_deg: float = 2.0
-    power: float = 1.0
     cluster_decay: float = 1.0
     min_gain: float = 1e-3
     max_redraws: int = 100
@@ -131,11 +132,12 @@ class ExperimentConfig:
             for f in fields(self):
                 if f.type == kind:      # annotations are strings (PEP 563)
                     object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
-        if len(self.psnr_grid_db) == 0:
-            raise ValueError("psnr_grid_db must not be empty")
         for f in fields(self):
-            if f.type != "tuple" and f.name != "seed" and not getattr(self, f.name) > 0:
-                raise ValueError(f"{f.name} must be positive, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "tuple" and not value:
+                raise ValueError(f"{f.name} must not be empty")
+            if f.type != "tuple" and f.name != "seed" and not value > 0:
+                raise ValueError(f"{f.name} must be positive, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.endfire_margin_deg >= 90.0:
@@ -148,7 +150,7 @@ class ExperimentConfig:
     def endfire_margin_deg(self):
         """Endfire margin of drawn azimuths: perturbed estimates drift by up
         to max|Delta|, so the separation floor plus that drift."""
-        return self.separation_floor_deg + max(map(abs, self.delta_deg), default=0.0)
+        return self.separation_floor_deg + max(map(abs, self.delta_deg))
 
     @property
     def geometry(self):
@@ -186,13 +188,6 @@ class CurveTable:
         )
 
 
-def psnr(power, h, sigma2):
-    """Potential SNR P_t ||h||^2 / sigma^2."""
-    _check_finite_positive("power", power)
-    _check_finite_positive("sigma2", sigma2)
-    return power * float(np.linalg.norm(h) ** 2) / sigma2
-
-
 def ac_strategy_bound(h, E_hats):
     """Bound of the angle-constrained strategy for each E_hat in a stack (B, N_t, L).
 
@@ -226,20 +221,20 @@ def relative_bias(h, E_hat):
     return float(ac_strategy_bound(h, E_hat[None])[1][0])
 
 
-def proposed_strategy_bound(true_basis, Ms, power, h):
+def proposed_strategy_bound(true_basis, Ms):
     """Bound of the proposed strategy for each pilot matrix in a stack Ms (B, N_t, m).
 
-    Returns the (B,) relative CRBs times pSNR of the full physical model
-    at the true parameters (variation space ``true_basis``, channel h);
-    there is no bias term.  The pSNR axis varies sigma^2 only, so this
-    is the relative CRB at sigma^2 = 1 times the pSNR at sigma^2 = 1.
-    The compression spectra on the true basis come from one
-    ``compression_spectra`` call; a singular compression gives +inf.
+    Returns the (B,) coefficients CRB * P / sigma^2 of the full physical
+    model at the true parameters (variation space ``true_basis``) against
+    pilots of power P = ||M_b||_F^2: 0.5 ||M_b||_F^2 sum 1/lambda over
+    the compression eigenvalues lambda on the true basis, from one
+    ``compression_spectra`` call.  The value does not change when M_b is
+    scaled; there is no bias term, and a singular compression gives +inf.
     """
     eigs, singular = compression_spectra(true_basis, Ms)
     safe = np.where(singular[:, None], 1.0, eigs)
-    rel_at_unit_sigma = 0.5 * np.sum(1.0 / safe, axis=1) / float(np.linalg.norm(h) ** 2)
-    return np.where(singular, math.inf, rel_at_unit_sigma * psnr(power, h, 1.0))
+    energy = np.linalg.norm(Ms, axis=(1, 2)) ** 2
+    return np.where(singular, math.inf, 0.5 * energy * np.sum(1.0 / safe, axis=1))
 
 
 def _steering_stack(geom, estimates):
@@ -249,8 +244,8 @@ def _steering_stack(geom, estimates):
     return E.reshape(geom.n_antennas, B, L).transpose(1, 0, 2)
 
 
-def _proposed_pilots(geom, estimates, true_azimuths, true_basis, power):
-    """Pilots designed from the variation space at the estimated azimuths.
+def _proposed_pilots(geom, estimates, true_azimuths, true_basis):
+    """Unit-power pilots designed from the variation space at the estimated azimuths.
 
     Estimates equal to the true azimuths reuse the true basis as the
     estimated space.
@@ -259,10 +254,10 @@ def _proposed_pilots(geom, estimates, true_azimuths, true_basis, power):
         est_space = true_basis
     else:
         est_space = estimated_variation_space(geom, estimates)
-    return design_observation_matrix(canonical_decompose(est_space), power).M
+    return design_observation_matrix(canonical_decompose(est_space), 1.0).M
 
 
-def _trial_bounds(geom, paths, estimates, power):
+def _trial_bounds(geom, paths, estimates):
     """Strategy bounds of the channel ``paths`` for each row of azimuth estimates (B, L).
 
     Returns ``(ac_coefficient, ac_bias, proposed_coefficient)``, (B,)
@@ -272,13 +267,9 @@ def _trial_bounds(geom, paths, estimates, power):
     h = steering_matrix(geom, paths.azimuths) @ paths.gains
     true_basis = physical_variation_space(geom, paths.azimuths)
     ac_coefficient, ac_bias = ac_strategy_bound(h, _steering_stack(geom, estimates))
-    pilots = [_proposed_pilots(geom, est, paths.azimuths, true_basis, power)
-              for est in estimates]
-    # (B, N_t, ceil(3L/2)), also when B = 0.
-    Ms = np.array(pilots).reshape(
-        len(pilots), geom.n_antennas, math.ceil(3 * paths.n_paths / 2)
-    )
-    return ac_coefficient, ac_bias, proposed_strategy_bound(true_basis, Ms, power, h)
+    Ms = np.array([_proposed_pilots(geom, est, paths.azimuths, true_basis)
+                   for est in estimates])
+    return ac_coefficient, ac_bias, proposed_strategy_bound(true_basis, Ms)
 
 
 def _curve_rows(config, ac_coefficient, ac_bias, proposed_coefficient, trials):
@@ -293,9 +284,7 @@ def _curve_rows(config, ac_coefficient, ac_bias, proposed_coefficient, trials):
         AC_STRATEGY: np.sum(
             np.maximum(ac_bias[..., None], ac_coefficient[..., None] / psnr_lin), axis=0
         ) / n,
-        PROPOSED_STRATEGY: np.sum(
-            np.maximum(0.0, proposed_coefficient[..., None] / psnr_lin), axis=0
-        ) / n,
+        PROPOSED_STRATEGY: np.sum(proposed_coefficient[..., None] / psnr_lin, axis=0) / n,
     }
     rows = []
     for i, delta in enumerate(config.delta_deg):
@@ -320,12 +309,11 @@ def run_single_path(config):
     """
     bounds = [
         _trial_bounds(config.geometry, PathSet(gains=[1.0], azimuths=[math.radians(delta)]),
-                      np.zeros((1, 1)), config.power)
+                      np.zeros((1, 1)))
         for delta in config.delta_deg
     ]
-    # Three (1, nDelta) arrays, also when there is no Delta.
-    columns = np.array(bounds).reshape(len(bounds), 3).T[:, None]
-    return _curve_rows(config, *columns, trials=1)
+    # (nDelta, 3, 1) -> three (1, nDelta) arrays: one sample of each Delta.
+    return _curve_rows(config, *np.moveaxis(np.array(bounds), 0, -1), trials=1)
 
 
 def generate_clustered_channel(rng, config):
@@ -399,7 +387,7 @@ def _multipath_trial(config, trial_index):
         # One row per Delta; at Delta = 0 the row equals paths.azimuths bit for bit.
         estimates = paths.azimuths + radians[:, None] * unit
         try:
-            return _trial_bounds(geom, paths, estimates, config.power), redraw
+            return _trial_bounds(geom, paths, estimates), redraw
         except RankDeficientError:
             continue
     raise DrawError(

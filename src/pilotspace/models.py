@@ -103,6 +103,24 @@ def steering_matrix(geom, azimuths):
     return _steering_columns(geom, azimuths)[0]
 
 
+def _linear_model(A, name):
+    """Linear model h = A (theta_re + j theta_im); its gradient (A, jA) is constant."""
+    n_dims, n = A.shape
+    grad = np.hstack([A, 1j * A])
+
+    def evaluate(theta):
+        theta = np.asarray(theta, dtype=float)
+        return A @ (theta[:n] + 1j * theta[n:])
+
+    return ParametricChannelModel(
+        n_dims=n_dims,
+        n_params=2 * n,
+        evaluate=evaluate,
+        gradient=lambda theta: grad,
+        name=name,
+    )
+
+
 def ls_model(n_tx):
     """Least squares model: parameters are Re/Im of the channel entries.
 
@@ -111,19 +129,7 @@ def ls_model(n_tx):
     """
     if n_tx < 1:
         raise ValueError("n_tx must be >= 1")
-    grad = np.hstack([np.eye(n_tx), 1j * np.eye(n_tx)])
-
-    def evaluate(theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta[:n_tx] + 1j * theta[n_tx:]
-
-    return ParametricChannelModel(
-        n_dims=n_tx,
-        n_params=2 * n_tx,
-        evaluate=evaluate,
-        gradient=lambda theta: grad,
-        name="ls",
-    )
+    return _linear_model(np.eye(n_tx), "ls")
 
 
 def physical_model(geom, n_paths):
@@ -173,23 +179,9 @@ def angle_constrained_model(geom, fixed_azimuths):
     and theta = [Re b; Im b].
     """
     fixed_azimuths = np.atleast_1d(np.asarray(fixed_azimuths, dtype=float))
-    n_paths = fixed_azimuths.shape[0]
-    if n_paths < 1:
+    if fixed_azimuths.shape[0] < 1:
         raise ValueError("need at least one azimuth")
-    E = steering_matrix(geom, fixed_azimuths)
-    grad = np.hstack([E, 1j * E])
-
-    def evaluate(theta):
-        theta = np.asarray(theta, dtype=float)
-        return E @ (theta[:n_paths] + 1j * theta[n_paths:])
-
-    return ParametricChannelModel(
-        n_dims=geom.n_antennas,
-        n_params=2 * n_paths,
-        evaluate=evaluate,
-        gradient=lambda theta: grad,
-        name="angle_constrained",
-    )
+    return _linear_model(steering_matrix(geom, fixed_azimuths), "angle_constrained")
 
 
 # Generators of the steering span, per path, in column order.

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +162,17 @@ class TestDesignCommand:
             "error: --report link.json and --output same.json name the same file\n")
         assert (tmp_path / "same.json").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("output, report", [("M.json", "nodir/R.json"),
+                                                ("nodir/M.json", "R.json")])
+    def test_unwritable_path_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                             output, report):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("design", "--model", "ls", "--nt", "2", "--power", "1",
+                       "--output", output, "--report", report)
+        assert code == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_stdout_payload(self, capsys):
         code = run_cli("design", "--model", "ls", "--nt", "2", "--power", "1")
         assert code == 0
@@ -304,6 +316,16 @@ class TestCrbCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert str(theta) in err and "non-finite" in err
+
+    def test_theta_length_mismatch_exit_1(self, tmp_path, capsys):
+        m_path = tmp_path / "m.json"
+        fileio.write_matrix(m_path, np.eye(2, dtype=complex))
+        theta = tmp_path / "theta.json"
+        theta.write_text("[0.0, 0.0, 0.0]")
+        code = run_cli("crb", "--model", "ls", "--nt", "2", "--theta", str(theta),
+                       "--m", str(m_path))
+        assert code == 1
+        assert capsys.readouterr().err == "error: theta has length 3, model expects 4\n"
 
     @pytest.mark.parametrize("command", ["crb", "identify"])
     def test_m_row_count_mismatch_exit_1(self, tmp_path, capsys, command):
@@ -462,6 +484,10 @@ class TestRunConfigValidation:
         path.write_text(json.dumps({"schema_version": 1, "experiment": {"huh": 1}}))
         with pytest.raises(ValueError, match="unknown experiment key"):
             load_run_config(path)
+        # The curves do not depend on the transmit power, so it is no key.
+        path.write_text(json.dumps({"schema_version": 1, "experiment": {"power": 1.0}}))
+        with pytest.raises(ValueError, match=re.escape("unknown experiment key(s) ['power']")):
+            load_run_config(path)
         path.write_text(json.dumps({"schema_version": 1, "extra": {}}))
         with pytest.raises(ValueError, match="unknown top-level key"):
             load_run_config(path)
@@ -469,7 +495,7 @@ class TestRunConfigValidation:
     def test_positivity(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"schema_version": 1,
-                                    "experiment": {"power": -1.0}}))
+                                    "experiment": {"cluster_decay": -1.0}}))
         with pytest.raises(ValueError, match="positive"):
             load_run_config(path)
 
@@ -487,7 +513,7 @@ class TestRunConfigValidation:
         ("delta_deg", ["x"], "a sequence of finite numbers"),
         ("delta_deg", [[1.0]], "a sequence of finite numbers"),
         ("delta_deg", [None], "a sequence of finite numbers"),
-        ("power", float("inf"), "a finite number"),
+        ("min_gain", float("inf"), "a finite number"),
         ("separation_floor_deg", float("inf"), "a finite number"),
         ("cluster_decay", float("nan"), "a finite number"),
         ("n_trials", 2.5, "an integer"),
@@ -495,7 +521,7 @@ class TestRunConfigValidation:
         ("delta_deg", [float("nan")], "a sequence of finite numbers"),
         ("psnr_grid_db", [float("nan")], "a sequence of finite numbers"),
     ], ids=["nan-entry", "inf-entry", "bool-entry", "string-entry", "list-entry",
-            "null-entry", "inf-power", "inf-floor", "nan-decay", "float-trials",
+            "null-entry", "inf-gain", "inf-floor", "nan-decay", "float-trials",
             "bool-seed", "nan-delta", "nan-grid"])
     def test_non_finite_or_non_number_exit_1(self, tmp_path, capsys, key, value, kind):
         # ExperimentConfig is the one validator: the library gets the same
@@ -532,6 +558,14 @@ class TestRunConfigValidation:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {config_file}: seed must be nonnegative, got -1\n")
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("`run.json` (all experiment keys optional)", 1)[1]
+        example = example.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "run.json"
+        path.write_text(example)
+        assert load_run_config(path) == ExperimentConfig(**json.loads(example)["experiment"])
 
     def test_seed_override(self, tmp_path):
         path = tmp_path / "c.json"

@@ -1,11 +1,13 @@
 """Tests for the tracking-strategy bound experiments."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from pilotspace.crb import EIG_RTOL, NoiseModel, _is_singular, crb_min, crb_via_variation_space
+from pilotspace.cli import main
+from pilotspace.crb import EIG_RTOL, NoiseModel, crb_min, crb_via_variation_space
 from pilotspace.experiments import (
     AC_STRATEGY,
     PROPOSED_STRATEGY,
@@ -18,7 +20,6 @@ from pilotspace.experiments import (
     ac_strategy_bound,
     generate_clustered_channel,
     proposed_strategy_bound,
-    psnr,
     relative_bias,
     run_multipath,
     run_single_path,
@@ -57,8 +58,8 @@ class TestExperimentConfig:
             ExperimentConfig(psnr_grid_db=())
         with pytest.raises(ValueError, match="n_trials"):
             ExperimentConfig(n_trials=0)
-        with pytest.raises(ValueError, match="power"):
-            ExperimentConfig(power=0.0)
+        with pytest.raises(ValueError, match="cluster_decay"):
+            ExperimentConfig(cluster_decay=0.0)
 
     def test_zero_redraw_budget_rejected(self):
         # A zero budget would make run_multipath fail without drawing once.
@@ -74,13 +75,13 @@ class TestExperimentConfig:
         # Stored as Python ints and tuples of floats, so equal to the plain form.
         reference = ExperimentConfig(n_antennas=16, delta_deg=(0.0, 1.0, 5.0),
                                      psnr_grid_db=(-10.0, 0.0, 10.0), n_trials=3, seed=5,
-                                     power=2.0, max_redraws=50)
+                                     cluster_decay=2.0, max_redraws=50)
         built = ExperimentConfig(n_antennas=np.int64(16), delta_deg=np.array([0, 1, 5]),
                                  psnr_grid_db=range(-10, 11, 10), n_trials=np.uint8(3),
-                                 seed=np.int32(5), power=np.float32(2.0),
+                                 seed=np.int32(5), cluster_decay=np.float32(2.0),
                                  max_redraws=np.int16(50))
         assert built == reference
-        assert type(built.seed) is int and type(built.power) is float
+        assert type(built.seed) is int and type(built.cluster_decay) is float
         assert all(type(d) is float for d in built.delta_deg + built.psnr_grid_db)
         assert run_multipath(built)[0].rows == run_multipath(reference)[0].rows
 
@@ -108,7 +109,7 @@ class TestEndfireMargin:
         assert margins and set(margins) == {7.0}
 
     @pytest.mark.parametrize("floor, deltas", [(2.0, (400.0,)), (2.0, (88.0,)),
-                                               (2.0, (0.0, -88.0)), (90.0, ())])
+                                               (2.0, (0.0, -88.0)), (90.0, (0.0,))])
     def test_margin_at_or_past_endfire_rejected(self, floor, deltas):
         with pytest.raises(ValueError, match="below 90 deg"):
             ExperimentConfig(separation_floor_deg=floor, delta_deg=deltas)
@@ -117,36 +118,14 @@ class TestEndfireMargin:
         assert ExperimentConfig(delta_deg=(-87.5,)).endfire_margin_deg == 89.5
 
 
-class TestPsnr:
-    def test_unit_case(self):
-        assert psnr(1.0, np.array([1.0]), 1.0) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("power, sigma2", [(math.inf, 1.0), (1.0, math.inf), (0.0, 1.0)])
-    def test_rejects_power_or_noise_that_is_not_finite_and_positive(self, power, sigma2):
-        with pytest.raises(ValueError, match="must be finite and positive"):
-            psnr(power, np.array([1.0]), sigma2)
-
-    def test_noise_linearity(self):
-        h = np.array([1.0, 1j])
-        assert psnr(1.0, h, 0.5) == pytest.approx(2 * psnr(1.0, h, 1.0))
-
-    def test_formula(self):
-        rng = np.random.default_rng(0)
-        h = rng.normal(size=5) + 1j * rng.normal(size=5)
-        P, sigma2 = 2.3, 0.7
-        assert psnr(P, h, sigma2) == pytest.approx(
-            P * np.linalg.norm(h) ** 2 / sigma2, rel=1e-12
-        )
-
-
 def relative_crb(true_basis, M, sigma2, h):
     """CRB divided by the squared channel norm (+inf when not identifiable)."""
     report = crb_via_variation_space(true_basis, M, NoiseModel(sigma2))
     return report.value / float(np.linalg.norm(h) ** 2)
 
 
-def _crb_coefficient(true_basis, M, power, h):
-    return float(proposed_strategy_bound(true_basis, M[None], power, h)[0])
+def _crb_coefficient(true_basis, M):
+    return float(proposed_strategy_bound(true_basis, M[None])[0])
 
 
 def ac_bound(paths, est, config):
@@ -160,7 +139,7 @@ def ac_bound(paths, est, config):
 def trial_bounds(paths, est, config):
     """(AC coefficient, AC bias, Proposed coefficient) of one row of estimates."""
     ac_coefficient, ac_bias, proposed_coefficient = _trial_bounds(
-        config.geometry, paths, np.atleast_2d(est), config.power)
+        config.geometry, paths, np.atleast_2d(est))
     return ac_coefficient[0], ac_bias[0], proposed_coefficient[0]
 
 
@@ -236,7 +215,7 @@ class TestStrategyBounds:
         paths = PathSet(gains=[1.0], azimuths=[0.0])
         _, _, coefficient = trial_bounds(paths, [0.0], config)
         true_basis = physical_variation_space(geom, paths.azimuths)
-        M = _proposed_pilots(geom, np.zeros(1), paths.azimuths, true_basis, config.power)
+        M = _proposed_pilots(geom, np.zeros(1), paths.azimuths, true_basis)
         assert M.shape[1] == 2
         assert coefficient == pytest.approx(SINGLE_PATH_RATIO, rel=1e-9)
 
@@ -258,7 +237,7 @@ class TestStrategyBounds:
         est = paths.azimuths + 1e-3
         assert all(map(math.isfinite, trial_bounds(paths, est, config)))
         true_basis = physical_variation_space(geom, paths.azimuths)
-        M = _proposed_pilots(geom, est, paths.azimuths, true_basis, config.power)
+        M = _proposed_pilots(geom, est, paths.azimuths, true_basis)
         L = paths.n_paths
         assert _steering_stack(geom, est[None]).shape[-1] == L
         assert M.shape[1] == math.ceil(3 * L / 2)
@@ -276,20 +255,22 @@ def _separated_paths(rng, L, floor_deg=2.0):
 
 
 def _general_ac_coefficient(paths, est, config):
-    """AC coefficient through the gains-only model's variation space."""
+    """AC coefficient through the gains-only model's variation space.
+
+    The pilots have power P = 2.5: the coefficient does not depend on it.
+    """
     geom = config.geometry
     L = paths.n_paths
     basis = variation_space(angle_constrained_model(geom, est), np.zeros(2 * L))
-    M = math.sqrt(config.power / L) * steering_matrix(geom, est)
-    h = steering_matrix(geom, paths.azimuths) @ paths.gains
-    return _crb_coefficient(basis, M, config.power, h)
+    M = math.sqrt(2.5 / L) * steering_matrix(geom, est)
+    return _crb_coefficient(basis, M)
 
 
 class TestAcClosedForm:
     @pytest.mark.parametrize("L", range(1, 8))
     @pytest.mark.parametrize("delta", [0.0, 1.0, 5.0])
     def test_matches_general_route(self, L, delta):
-        config = ExperimentConfig(power=2.5)
+        config = ExperimentConfig()
         rng = np.random.default_rng([11, L, int(delta)])
         paths = _separated_paths(rng, L)
         est = paths.azimuths + math.radians(delta) * rng.uniform(-1.0, 1.0, size=L)
@@ -320,12 +301,9 @@ class TestAcClosedForm:
         config = ExperimentConfig()
         geom = config.geometry
         paths = _separated_paths(np.random.default_rng(13), 3)
-        h = steering_matrix(geom, paths.azimuths) @ paths.gains
         est_space = estimated_variation_space(geom, paths.azimuths)
-        M = design_observation_matrix(canonical_decompose(est_space), config.power).M
-        expected = _crb_coefficient(
-            physical_variation_space(geom, paths.azimuths), M, config.power, h
-        )
+        M = design_observation_matrix(canonical_decompose(est_space), 1.0).M
+        expected = _crb_coefficient(physical_variation_space(geom, paths.azimuths), M)
         _, _, coefficient = trial_bounds(paths, paths.azimuths.copy(), config)
         assert coefficient == expected
 
@@ -351,9 +329,10 @@ class TestRunSinglePath:
         assert slope == pytest.approx(np.full(grid.shape, slope[0]), rel=1e-9)
         assert np.any(pr < ac)
 
-    def test_empty_delta_list(self):
-        table = run_single_path(ExperimentConfig(delta_deg=()))
-        assert table.rows == ()
+    @pytest.mark.parametrize("deltas", [(), [], np.array([])])
+    def test_empty_delta_list(self, deltas):
+        with pytest.raises(ValueError, match="delta_deg must not be empty"):
+            ExperimentConfig(delta_deg=deltas)
 
     def test_row_counts(self, single_path_table):
         table = single_path_table
@@ -363,8 +342,8 @@ class TestRunSinglePath:
         assert all(r.trials == 1 for r in table.rows)
 
 
-# With no Delta the endfire margin equals the separation floor.
-FLOOR_ONLY = ExperimentConfig(delta_deg=())
+# With Delta = 0 alone the endfire margin equals the separation floor.
+FLOOR_ONLY = ExperimentConfig(delta_deg=(0.0,))
 
 
 MATCHED_PROPOSED = (3 + 2 * math.sqrt(2)) / 2   # Delta = 0 coefficient over L^2
@@ -449,7 +428,7 @@ class TestGenerateClusteredChannel:
     def test_infeasible_floor(self):
         # A valid config that no multi-path draw can satisfy: sines within
         # cos(80 deg) of 0 cannot differ by sin(80 deg).
-        config = ExperimentConfig(separation_floor_deg=80.0, delta_deg=())
+        config = ExperimentConfig(separation_floor_deg=80.0, delta_deg=(0.0,))
         rng = np.random.default_rng(4)
         with pytest.raises(DrawError, match="could not draw"):
             for _ in range(50):
@@ -530,8 +509,9 @@ def _previous_trial(config, trial_index):
                     est_space = true_basis
                 else:
                     est_space = estimated_variation_space(geom, est)
-                M = design_observation_matrix(canonical_decompose(est_space), config.power).M
-                out[2].append(relative_crb(true_basis, M, 1.0, h) * psnr(config.power, h, 1.0))
+                M = design_observation_matrix(canonical_decompose(est_space), 1.0).M
+                # Relative CRB at sigma^2 = 1 times pSNR = P ||h||^2 / sigma^2, P = 1.
+                out[2].append(relative_crb(true_basis, M, 1.0, h) * float(np.linalg.norm(h) ** 2))
             return out
         except RankDeficientError:
             continue
@@ -570,18 +550,6 @@ def previous_ac_strategy_bound(h, E_hats):
     return coefficient, bias
 
 
-def previous_proposed_strategy_bound(true_basis, Ms, power, h):
-    """proposed_strategy_bound as written before it called compression_spectra."""
-    X = np.conj(np.swapaxes(Ms, 1, 2)) @ true_basis.U
-    C = np.swapaxes(X.real, 1, 2) @ X.real + np.swapaxes(X.imag, 1, 2) @ X.imag
-    eigs = np.linalg.eigvalsh(0.5 * (C + np.swapaxes(C, 1, 2)))
-    energy = np.linalg.norm(Ms, axis=(1, 2)) ** 2
-    singular = _is_singular(eigs[:, 0], eigs[:, -1], energy)
-    safe = np.where(singular[:, None], 1.0, eigs)
-    rel_at_unit_sigma = 0.5 * np.sum(1.0 / safe, axis=1) / float(np.linalg.norm(h) ** 2)
-    return np.where(singular, math.inf, rel_at_unit_sigma * psnr(power, h, 1.0))
-
-
 def unit_column_stack(rng, n_stack, n, L, gap):
     """(n_stack, n, L) unit-norm columns; in the last matrix, column 1 is
     column 0 plus ``gap`` times noise (L >= 2)."""
@@ -592,7 +560,9 @@ def unit_column_stack(rng, n_stack, n, L, gap):
 
 
 class TestKernelsEqualPreviousCode:
-    """The trial's kernels are bit-identical to their inline versions."""
+    """The trial's kernels equal their reference versions: the AC kernel is
+    bit-identical to its inline version, the Proposed kernel equals the
+    basis-form CRB times P / sigma^2."""
 
     @pytest.mark.parametrize("n_stack", [1, 4])
     @pytest.mark.parametrize("L", [1, 2, 3, 7])
@@ -623,15 +593,26 @@ class TestKernelsEqualPreviousCode:
     @pytest.mark.parametrize("n_stack", [1, 3])
     @pytest.mark.parametrize("seed", range(4))
     def test_crb_coefficients(self, n_stack, seed):
-        rng = np.random.default_rng([52, seed])
-        n, k = 12, int(rng.integers(2, 10))
+        rng = np.random.default_rng([53, seed])
+        n, k = 12, int(rng.integers(3, 10))
         true_basis, _ = r_orthonormalize(
             rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))
-        m = int(rng.integers(1, k + 1))
+        # m < k/2 columns leave the compression singular.
+        m = int(rng.integers(math.ceil(k / 2) - 1, k + 1))
         Ms = rng.normal(size=(n_stack, n, m)) + 1j * rng.normal(size=(n_stack, n, m))
-        h = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.array_equal(proposed_strategy_bound(true_basis, Ms, 1.7, h),
-                              previous_proposed_strategy_bound(true_basis, Ms, 1.7, h))
+        coefficient = proposed_strategy_bound(true_basis, Ms)
+        # CRB * P / sigma^2 with P = ||M||_F^2; +inf where the CRB is.
+        expected = [np.linalg.norm(M) ** 2
+                    * crb_via_variation_space(true_basis, M, NoiseModel(1.0)).value
+                    for M in Ms]
+        assert coefficient == pytest.approx(expected, rel=1e-12)
+        assert proposed_strategy_bound(true_basis, 0.37 * Ms) == pytest.approx(
+            coefficient, rel=1e-12)
+        # Pilots designed from the true basis (Delta = 0) attain crb_min.
+        dec = canonical_decompose(true_basis)
+        M = design_observation_matrix(dec, 1.0).M
+        assert _crb_coefficient(true_basis, M) == pytest.approx(
+            crb_min(dec.c, dec.n_params, NoiseModel(1.0), 1.0).value, rel=1e-12)
 
 
 class TestBatchedTrial:
@@ -656,15 +637,15 @@ class TestBatchedTrial:
         true_basis = physical_variation_space(geom, paths.azimuths)
         stack = _steering_stack(geom, np.array(estimates))
         coef, bias = ac_strategy_bound(h, stack)
-        Ms = np.array([_proposed_pilots(geom, est, paths.azimuths, true_basis, config.power)
+        Ms = np.array([_proposed_pilots(geom, est, paths.azimuths, true_basis)
                        for est in estimates])
-        pr = proposed_strategy_bound(true_basis, Ms, config.power, h)
+        pr = proposed_strategy_bound(true_basis, Ms)
         for i, est in enumerate(estimates):
             assert np.array_equal(stack[i], steering_matrix(geom, est))
             one_coef, one_bias = ac_strategy_bound(h, stack[i:i + 1])
             assert (one_coef[0], one_bias[0]) == (coef[i], bias[i])
             assert relative_bias(h, stack[i]) == bias[i]
-            assert _crb_coefficient(true_basis, Ms[i], config.power, h) == pr[i]
+            assert _crb_coefficient(true_basis, Ms[i]) == pr[i]
 
     def test_any_degenerate_estimate_raises(self):
         config = ExperimentConfig()
@@ -710,10 +691,13 @@ class TestBatchedTrial:
                 _, values = table.values(strategy, delta)
                 assert np.array_equal(values, acc / config.n_trials)
 
-    def test_no_delta_values(self):
-        table, info = run_multipath(ExperimentConfig(delta_deg=(), n_trials=3))
-        assert table.rows == ()
-        assert info == {"redraws": 0}
+    def test_no_delta_values(self, tmp_path, capsys):
+        # A run config without Delta values exits 1 before any trial.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "experiment": {"delta_deg": [], "n_trials": 3}}))
+        assert main(["experiment", "multipath", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: delta_deg must not be empty\n"
 
     def test_redraws_exhausted_is_a_draw_error(self, monkeypatch):
         import pilotspace.experiments
