@@ -329,10 +329,10 @@ class TestRunSinglePath:
         assert slope == pytest.approx(np.full(grid.shape, slope[0]), rel=1e-9)
         assert np.any(pr < ac)
 
-    @pytest.mark.parametrize("deltas", [(), [], np.array([])])
-    def test_empty_delta_list(self, deltas):
-        with pytest.raises(ValueError, match="delta_deg must not be empty"):
-            ExperimentConfig(delta_deg=deltas)
+    def test_empty_delta_list(self):
+        for deltas in [(), [], np.array([])]:
+            with pytest.raises(ValueError, match="delta_deg must not be empty"):
+                ExperimentConfig(delta_deg=deltas)
 
     def test_row_counts(self, single_path_table):
         table = single_path_table
