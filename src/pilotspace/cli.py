@@ -10,9 +10,10 @@ experiment multipath   reproduce the Monte-Carlo multipath curves (CSV)
 
 Exit codes: 0 success (a non-identifiable CRB is an answer, not a
 failure); 1 I/O, parse and value errors (run config, ``--seed -1``, a
-non-finite ``--sigma2``/``--power``, ``--report`` without ``--output``
-or naming the ``--output`` file; ``design`` leaves neither file when
-either cannot be written);
+non-finite ``--sigma2``/``--power``, ``--report`` or ``--plot-script``
+without ``--output``, ``--report`` naming the ``--output`` file;
+``design`` and ``experiment`` leave none of their files when one cannot
+be written);
 2 rank-deficient variation space in ``design``, and argparse usage errors.
 """
 
@@ -91,32 +92,52 @@ def _parse_azimuths_deg(text):
     return np.radians(values)
 
 
-def _model_from_args(args, n_params_hint=None):
-    """Build (model, design_basis_factory) from CLI model flags."""
+def _variation_basis(args, theta=None, M=None):
+    """``RBasis`` of the model flags' variation space: at ``theta`` (zeros
+    for the linear models), or for ``physical`` without it, estimated from
+    ``--azimuths``.  ``M``'s row count is checked against ``--nt`` after
+    the flags and before any basis is built.
+    """
     geom = UlaGeometry(args.nt)
     if args.model == "ls":
         model = ls_model(args.nt)
-        basis = lambda: variation_space(model, np.zeros(model.n_params))
-        return model, basis
-    if args.azimuths is None:
-        if args.model == "physical" and n_params_hint is not None:
-            if n_params_hint % 3 != 0:
-                raise ConfigError(
-                    f"theta length {n_params_hint} is not a multiple of 3"
-                )
-            model = physical_model(geom, n_params_hint // 3)
-            return model, None
+    elif args.azimuths is not None:
+        azimuths = _parse_azimuths_deg(args.azimuths)
+        model = (physical_model(geom, azimuths.shape[0]) if args.model == "physical"
+                 else angle_constrained_model(geom, azimuths))
+    elif args.model == "physical" and theta is not None:
+        if theta.shape[0] % 3 != 0:
+            raise ConfigError(f"theta length {theta.shape[0]} is not a multiple of 3")
+        model = physical_model(geom, theta.shape[0] // 3)
+    else:
         raise ConfigError(f"--azimuths is required for model '{args.model}'")
-    azimuths = _parse_azimuths_deg(args.azimuths)
-    if args.model == "physical":
-        model = physical_model(geom, azimuths.shape[0])
-        basis = lambda: estimated_variation_space(geom, azimuths)
-        return model, basis
-    if args.model == "angle-constrained":
-        model = angle_constrained_model(geom, azimuths)
-        basis = lambda: variation_space(model, np.zeros(model.n_params))
-        return model, basis
-    raise ConfigError(f"unknown model '{args.model}'")
+    if M is not None and M.shape[0] != args.nt:
+        raise ConfigError(
+            f"{args.m}: M has {M.shape[0]} rows, but the model's ambient "
+            f"dimension is {args.nt}"
+        )
+    if args.model == "physical" and theta is None:
+        return estimated_variation_space(geom, azimuths)
+    return variation_space(model, np.zeros(model.n_params) if theta is None else theta)
+
+
+def _write_all(*outputs):
+    """Run each ``write(path, obj)`` in order, all or nothing: when one
+    raises OSError, the files already written are removed."""
+    written = []
+    try:
+        for write, path, obj in outputs:
+            write(path, obj)
+            written.append(path)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
+
+
+def _write_text(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def cmd_design(args):
@@ -127,9 +148,7 @@ def cmd_design(args):
         if _same_file(report_path, args.output):
             raise ConfigError(f"--report {report_path} and --output {args.output} "
                               "name the same file")
-    _, basis_factory = _model_from_args(args)
-    basis = basis_factory()
-    decomp = canonical_decompose(basis)
+    decomp = canonical_decompose(_variation_basis(args))
     design = design_observation_matrix(decomp, args.power, sigma2=args.sigma2)
     certs = verify_optimality_certificates(design)
     ref = crb_min(decomp.c, decomp.n_params, NoiseModel(args.sigma2), args.power)
@@ -156,20 +175,12 @@ def cmd_design(args):
         },
     }
     if args.output:
-        fileio.write_matrix(args.output, design.M)
-        try:
-            fileio.write_json(report_path, report)
-        except OSError:
-            os.remove(args.output)      # leave no matrix without its report
-            raise
+        _write_all((fileio.write_matrix, args.output, design.M),
+                   (fileio.write_json, report_path, report))
         print(f"wrote {args.output} and {report_path}", file=sys.stderr)
     else:
-        json.dump(
-            {"matrix": fileio.matrix_to_json_obj(design.M), "report": report},
-            sys.stdout,
-            indent=1,
-        )
-        print()
+        print(json.dumps({"matrix": fileio.matrix_to_json_obj(design.M), "report": report},
+                         indent=1))
     return 0
 
 
@@ -198,54 +209,44 @@ def _load_theta(path):
     return np.asarray(values, dtype=float)
 
 
-def _crb_payload(args):
+def _crb_inputs(args):
+    """(basis, M, noise) of ``crb`` or ``identify`` (which checks
+    ``--sigma2`` too, though its verdict does not use it)."""
     M = fileio.read_matrix(args.m)
-    theta = None
-    if args.theta is not None:
-        theta = _load_theta(args.theta)
-    model, basis_factory = _model_from_args(
-        args, n_params_hint=None if theta is None else theta.shape[0]
-    )
-    if M.shape[0] != model.n_dims:
-        raise ConfigError(
-            f"{args.m}: M has {M.shape[0]} rows, but the model's ambient "
-            f"dimension is {model.n_dims}"
-        )
-    if theta is not None:
-        basis = variation_space(model, theta)
-    elif basis_factory is not None:
-        basis = basis_factory()
-    else:
-        raise ConfigError("--theta is required for this model")
-    report = crb_via_variation_space(basis, M, NoiseModel(args.sigma2))
-    verdict = check_identifiability(basis, M)
-    payload = {
-        "crb": "inf" if math.isinf(report.value) else report.value,
-        "identifiable": report.identifiable,
-        "min_eig": report.min_eig_compression,
-        "nm_required": verdict.n_obs_required,
-        "nm_given": verdict.n_obs_given,
-    }
-    return payload, verdict
+    theta = None if args.theta is None else _load_theta(args.theta)
+    basis = _variation_basis(args, theta, M)
+    return basis, M, NoiseModel(args.sigma2)
 
 
 def cmd_crb(args):
-    payload, _ = _crb_payload(args)
-    json.dump(payload, sys.stdout, indent=1)
-    print()
+    basis, M, noise = _crb_inputs(args)
+    report = crb_via_variation_space(basis, M, noise)
+    print(json.dumps({
+        "crb": "inf" if math.isinf(report.value) else report.value,
+        "identifiable": report.identifiable,
+        "min_eig": report.min_eig_compression,
+        "nm_required": math.ceil(basis.dim / 2),
+        "nm_given": M.shape[1],
+    }, indent=1))
     return 0
 
 
 def cmd_identify(args):
-    payload, verdict = _crb_payload(args)
-    del payload["crb"]
-    payload["message"] = verdict.message
-    json.dump(payload, sys.stdout, indent=1)
-    print()
+    basis, M, _ = _crb_inputs(args)
+    verdict = check_identifiability(basis, M)
+    print(json.dumps({
+        "identifiable": verdict.identifiable,
+        "min_eig": verdict.min_eig,
+        "nm_required": verdict.n_obs_required,
+        "nm_given": verdict.n_obs_given,
+        "message": verdict.message,
+    }, indent=1))
     return 0
 
 
 def cmd_experiment(args):
+    if args.plot_script and not args.output:
+        raise ConfigError("--plot-script needs --output (without it the CSV goes to stdout)")
     config = load_run_config(args.config, seed_override=args.seed)
     if args.kind == "single-path":
         table = run_single_path(config)
@@ -256,12 +257,13 @@ def cmd_experiment(args):
             raise ConfigError(f"{args.config}: {err}") from err
         print(f"redraws: {info['redraws']}", file=sys.stderr)
     if args.output:
-        fileio.write_curve_table(args.output, table)
-        print(f"wrote {args.output}", file=sys.stderr)
+        outputs = [(fileio.write_curve_table, args.output, table)]
         if args.plot_script:
-            with open(args.plot_script, "w") as fh:
-                fh.write(fileio.gnuplot_script(args.output, table))
-            print(f"wrote {args.plot_script}", file=sys.stderr)
+            outputs.append((_write_text, args.plot_script,
+                            fileio.gnuplot_script(args.output, table)))
+        _write_all(*outputs)
+        for _, path, _ in outputs:
+            print(f"wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(fileio.curve_table_csv(table))
     return 0

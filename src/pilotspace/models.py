@@ -181,6 +181,8 @@ def angle_constrained_model(geom, fixed_azimuths):
     fixed_azimuths = np.atleast_1d(np.asarray(fixed_azimuths, dtype=float))
     if fixed_azimuths.shape[0] < 1:
         raise ValueError("need at least one azimuth")
+    if not np.all(np.isfinite(fixed_azimuths)):
+        raise ValueError("azimuths must be finite")
     return _linear_model(steering_matrix(geom, fixed_azimuths), "angle_constrained")
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pilotspace.crb
 from pilotspace import fileio
 from pilotspace.cli import ConfigError, load_run_config, main
 from pilotspace.experiments import ExperimentConfig, run_multipath
@@ -90,6 +91,14 @@ class TestDesignCommand:
         ref = np.stack([scale * 2**0.25 * e, scale * de], axis=1)
         # Compare up to per-column phases through M M^H.
         assert np.allclose(M @ np.conj(M.T), ref @ np.conj(ref.T), atol=1e-10)
+
+    @pytest.mark.parametrize("model", ["physical", "angle-constrained"])
+    def test_non_finite_azimuth_exit_1(self, tmp_path, capsys, model):
+        code = run_cli("design", "--model", model, "--azimuths", "nan,10",
+                       "--nt", "8", "--power", "1", "--output", str(tmp_path / "M.json"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: azimuths must be finite\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_azimuths_exit_2(self, capsys):
         code = run_cli(
@@ -342,6 +351,34 @@ class TestCrbCommand:
         assert str(m_path) in err
         assert "3 rows" in err and "dimension is 2" in err
 
+    @pytest.mark.parametrize("design_azimuths, verdict", [
+        ("-30,5,41", (True, 5, 5)),
+        ("12", (False, 2, 5)),
+    ], ids=["matching", "undersized"])
+    @pytest.mark.parametrize("command", ["crb", "identify"])
+    def test_one_compression_spectrum(self, tmp_path, capsys, monkeypatch, command,
+                                      design_azimuths, verdict):
+        # Both the verdict and the bound come from a single spectrum.
+        m_path = tmp_path / "M.json"
+        run_cli("design", "--model", "physical", f"--azimuths={design_azimuths}",
+                "--nt", "16", "--power", "1", "--output", str(m_path))
+        capsys.readouterr()
+        calls = []
+        spectra = pilotspace.crb.compression_spectra
+
+        def counted(basis, Ms):
+            calls.append(Ms.shape)
+            return spectra(basis, Ms)
+
+        monkeypatch.setattr(pilotspace.crb, "compression_spectra", counted)
+        code = run_cli(command, "--model", "physical", "--azimuths=-30,5,41",
+                       "--nt", "16", "--m", str(m_path))
+        assert code == 0
+        assert len(calls) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["identifiable"], payload["nm_required"], payload["nm_given"]) == (
+            verdict[0], verdict[2], verdict[1])
+
     def test_identify_drops_crb_field(self, tmp_path, capsys):
         m_path = tmp_path / "m.json"
         run_cli(
@@ -420,6 +457,29 @@ class TestExperimentCommand:
                 "--output", str(out), "--plot-script", str(script))
         text = script.read_text()
         assert "plot" in text and "AngleConstrained" in text
+
+    @pytest.mark.parametrize("kind", ["single-path", "multipath"])
+    def test_unwritable_plot_script_leaves_no_file(self, tmp_path, config_file, capsys,
+                                                   monkeypatch, kind):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("experiment", kind, "--config", str(config_file),
+                       "--output", "curves.csv", "--plot-script", "nodir/curves.gp")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "error: [Errno 2] No such file or directory: 'nodir/curves.gp'\n")
+        assert "wrote" not in err
+        assert list(tmp_path.iterdir()) == [config_file]
+
+    def test_plot_script_without_output_exit_1(self, tmp_path, config_file, capsys,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("experiment", "single-path", "--config", str(config_file),
+                       "--plot-script", "only.gp")
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: --plot-script needs --output (without it the CSV goes to stdout)\n")
+        assert list(tmp_path.iterdir()) == [config_file]
 
     def test_seed_override_changes_output(self, tmp_path, config_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -214,6 +214,15 @@ class TestAngleConstrainedModel:
         for _ in range(5):
             assert_gradient_matches_fd(model, rng.normal(size=4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_azimuths(self, bad):
+        # The same message as the physical model's estimated space, before
+        # a non-finite steering matrix can reach LAPACK.
+        geom = UlaGeometry(8)
+        for build in (angle_constrained_model, estimated_variation_space):
+            with pytest.raises(ValueError, match="^azimuths must be finite$"):
+                build(geom, [bad, 0.2])
+
     def test_subspace_of_estimated_space(self):
         geom = UlaGeometry(16)
         azimuths = [0.3, -0.8, 1.0]

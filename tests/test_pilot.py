@@ -8,6 +8,7 @@ import pytest
 from pilotspace.crb import NoiseModel, check_identifiability, crb_min, crb_via_variation_space
 from pilotspace.models import (
     UlaGeometry,
+    angle_constrained_model,
     estimated_variation_space,
     ls_model,
     physical_model,
@@ -19,7 +20,7 @@ from pilotspace.pilot import (
     design_observation_matrix,
     verify_optimality_certificates,
 )
-from pilotspace.rlinalg import RBasis, r_orthonormalize
+from pilotspace.rlinalg import COUPLING_SNAP, RBasis, r_orthonormalize
 from pilotspace.variation import canonical_decompose, variation_space
 
 
@@ -234,6 +235,74 @@ class TestOptimalityCertificates:
         assert np.linalg.norm(np.conj(design.M.T) @ v) ** 2 == pytest.approx(
             np.linalg.norm(np.conj(design.M.T) @ w) ** 2, rel=1e-9
         )
+
+
+def per_pair_certificates(design):
+    """Reference: d_k and the column powers straight from their definitions,
+    one pair (u_k+, u_k-) at a time."""
+    M, decomp = design.M, design.decomp
+    c = np.asarray(decomp.c, dtype=float)
+    P, C = design.power, design.C_norm
+    d_residual = 0.0
+    measured, expected = [], []
+    for k in range(c.shape[0]):
+        v, w = decomp.pair(k)
+        u_plus = (v + 1j * w) / math.sqrt(2.0 * (1.0 + c[k]))
+        measured.append(float(np.linalg.norm(np.conj(M.T) @ u_plus) ** 2))
+        expected.append(2.0 * P / (C * math.sqrt(1.0 + c[k])))
+        if 1.0 - c[k] > COUPLING_SNAP:
+            u_minus = (v - 1j * w) / math.sqrt(2.0 * (1.0 - c[k]))
+            d_k = math.sqrt(1.0 - c[k] ** 2) * float(
+                np.real(np.conj(u_plus) @ (M @ (np.conj(M.T) @ u_minus)))
+            )
+            d_residual = max(d_residual, abs(d_k))
+    if decomp.epsilon:
+        measured.append(float(np.linalg.norm(np.conj(M.T) @ decomp.lone_vector) ** 2))
+        expected.append(P / C)
+    return d_residual, np.array(measured), np.array(expected)
+
+
+def _random_design(n_params):
+    rng = np.random.default_rng(40 + n_params)
+    return design_observation_matrix(random_decomposition(rng, n_params + 2, n_params)[1], 2.5)
+
+
+def _ula_design(basis):
+    return design_observation_matrix(canonical_decompose(basis), 1.7)
+
+
+class TestCertificatesEqualPerPairLoop:
+    """The certificates read off one compression equal the per-pair loop."""
+
+    DESIGNS = {
+        "random-even": lambda: _random_design(6),
+        "random-odd": lambda: _random_design(5),           # lone vector
+        "random-one": lambda: _random_design(1),           # lone vector only
+        "physical-L3": lambda: _ula_design(
+            estimated_variation_space(UlaGeometry(16), [0.3, -0.5, 0.9])),
+        "ls": lambda: _ula_design(variation_space(ls_model(5), np.zeros(10))),    # all c = 1
+        "angle-constrained": lambda: _ula_design(variation_space(
+            angle_constrained_model(UlaGeometry(12), [0.2, -0.7]), np.zeros(4))),  # all c = 1
+    }
+
+    @pytest.mark.parametrize("perturb", [0.0, 0.3], ids=["optimal", "perturbed"])
+    @pytest.mark.parametrize("name", list(DESIGNS))
+    def test_matches_reference(self, name, perturb):
+        design = self.DESIGNS[name]()
+        if perturb:
+            rng = np.random.default_rng(50)
+            M = design.M + perturb * random_complex(rng, *design.M.shape)
+            design = design.__class__(M=M, power=design.power, C_norm=design.C_norm,
+                                      sigma2=1.0, decomp=design.decomp)
+        certs = verify_optimality_certificates(design)
+        d_ref, measured_ref, expected_ref = per_pair_certificates(design)
+        tol = 1e-12 * design.power
+        assert certs["dk_residual"] == pytest.approx(d_ref, rel=0, abs=tol)
+        np.testing.assert_allclose(certs["column_powers"], measured_ref, rtol=0, atol=tol)
+        assert np.array_equal(certs["column_powers_expected"], expected_ref)
+        assert certs["total_power"] == pytest.approx(np.sum(measured_ref), rel=0, abs=tol)
+        if perturb:
+            assert d_ref > 1e-3 or np.all(design.decomp.c >= 1.0 - COUPLING_SNAP)
 
 
 class TestBruteForceOracle:
