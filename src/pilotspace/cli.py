@@ -162,7 +162,7 @@ def cmd_design(args):
         "c": [float(v) for v in decomp.c],
         "epsilon": decomp.epsilon,
         "C": design.C_norm,
-        "achieved_crb": design.achieved_crb,
+        "achieved_crb": certs["achieved_crb"],
         "crb_min": ref.value,
         "crb_min_lower_bound": ref.lower_bound,
         "crb_min_upper_bound": ref.upper_bound,
@@ -283,7 +283,9 @@ def build_parser():
         p.add_argument("--nt", type=int, required=True, help="number of antennas")
         p.add_argument("--azimuths",
                        help="comma-separated azimuths in degrees (physical / "
-                            "angle-constrained models)")
+                            "angle-constrained models); a list that starts "
+                            "with a negative value needs the = form: "
+                            "--azimuths=-30,5,41")
         p.add_argument("--sigma2", type=float, default=1.0, help="noise variance")
 
     p_design = sub.add_parser("design", help="build the optimal observation matrix")

@@ -15,8 +15,9 @@ computed in three equivalent forms:
 takes a stack of observation matrices and returns the ascending
 eigenvalues of each compression with its singularity verdict.
 ``crb_via_variation_space`` and ``check_identifiability`` call it with a
-stack of one, and the multipath experiment with the pilot matrices of
-all its Delta values at once.
+stack of one, and the multipath experiment once per group of channels,
+with a stack of true bases and the pilot matrices of every channel and
+Delta value at once.
 
 Non-identifiability (singular Fisher matrix / singular compression) is
 reported as an infinite bound, never as an exception, so parameter
@@ -186,13 +187,32 @@ def crb_direct(model, theta, M, noise):
 def compression_spectra(basis, Ms):
     """Spectra of the compressions Re{U^H M M^H U} of a stack of matrices.
 
-    ``Ms`` has shape (B, ambient_dim, m).  Returns the (B, dim) ascending
-    eigenvalues of each compression and the (B,) boolean ``_is_singular``
-    verdicts, whose absolute floor scales with each energy ||M||_F^2.
+    ``Ms`` has shape (..., ambient_dim, m); a stack of bases (S...,
+    ambient_dim, dim) pairs with ``Ms`` (S..., B..., ambient_dim, m), each
+    basis with the matrices under its own leading axes.  Returns the
+    (..., dim) ascending eigenvalues of each compression and the (...)
+    boolean ``_is_singular`` verdicts, whose absolute floor scales with
+    each energy ||M||_F^2.  Each slice has the bits of a stack of one.
     """
-    eigs = np.linalg.eigvalsh(compression_matrix(basis, Ms))
-    energy = np.linalg.norm(Ms, axis=(-2, -1)) ** 2
-    return eigs, _is_singular(eigs[:, 0], eigs[:, -1], energy)
+    return _spectra(compression_matrix(basis, Ms), np.linalg.norm(Ms, axis=(-2, -1)) ** 2)
+
+
+def _spectra(C, energy):
+    """Ascending eigenvalues of compressions C (..., dim, dim) and their
+    ``_is_singular`` verdicts at observation energies ``energy`` (...)."""
+    eigs = np.linalg.eigvalsh(C)
+    return eigs, _is_singular(eigs[..., 0], eigs[..., -1], energy)
+
+
+def _crb_report(eigs, singular, noise):
+    """Basis-form report of one ascending compression spectrum and its verdict."""
+    min_eig = float(eigs[0])
+    if singular:
+        return CrbReport(
+            value=math.inf, identifiable=False, min_eig_compression=min_eig
+        )
+    value = 0.5 * noise.sigma2 * float(np.sum(1.0 / eigs))
+    return CrbReport(value=value, identifiable=True, min_eig_compression=min_eig)
 
 
 def crb_via_variation_space(basis, M, noise):
@@ -203,14 +223,7 @@ def crb_via_variation_space(basis, M, noise):
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     eigs, singular = compression_spectra(basis, M[None])
-    eigs = eigs[0]
-    min_eig = float(eigs[0])
-    if singular[0]:
-        return CrbReport(
-            value=math.inf, identifiable=False, min_eig_compression=min_eig
-        )
-    value = 0.5 * noise.sigma2 * float(np.sum(1.0 / eigs))
-    return CrbReport(value=value, identifiable=True, min_eig_compression=min_eig)
+    return _crb_report(eigs[0], singular[0], noise)
 
 
 def check_identifiability(basis, M):

@@ -26,22 +26,35 @@ strategy reduces to a coefficient, CRB * P_t / sigma^2 (relative CRB
 times pSNR), plus an optional bias floor.  The coefficients depend on
 neither P_t nor ||h||, so the sweeps design unit-power pilots.
 
-Both sweeps go through one kernel, ``_trial_bounds``: for a channel and
-a (B, L) array of azimuth estimates (one row per Delta) it builds the
-true channel and the true variation space once, the AC bounds of every
-row from one steering call and one batched SVD
-(``ac_strategy_bound``), and the Proposed coefficients of every row
-from one call of ``crb.compression_spectra`` (the kernel behind every
-basis-form CRB and identifiability verdict) on the stacked pilot
-matrices and the true basis (``proposed_strategy_bound``).  The
-estimated variation space, its canonical decomposition (real Schur
-form) and the pilot design stay per row: where the estimated space has
-repeated or zero couplings the pilots depend on which basis of that
-subspace the Schur form returns, so any change of rounding in those
-steps would move the Proposed curve at Delta > 0.  At Delta = 0 the
-estimates equal the true azimuths, so the true space also serves as
-the estimated one.  A multipath trial is one kernel call over its
-Delta values; the single-path sweep is one call per Delta, and
+Both sweeps go through one kernel, ``_strategy_bounds``: for T
+channels with L paths each and a (T, B, L) array of azimuth estimates
+(one row per Delta) it evaluates every layer once for the whole
+(channel, Delta) stack.  One steering call covers the true azimuths and
+every row of estimates that differs from them (a row equal to the true
+azimuths of every channel, as at Delta = 0, reuses them): it gives each
+true channel h = E b (one matrix-vector product per channel, as in a
+call on that channel alone) and the E_hat stack of the AC bounds, which
+come from one batched SVD (``ac_strategy_bound``).  One stacked
+``r_orthonormalize`` gives the true and the estimated variation spaces,
+then one stacked canonical decomposition and one stacked pilot design
+give the Proposed pilots, and one call of ``crb.compression_spectra``
+(the kernel behind every basis-form CRB and identifiability verdict)
+compresses the pilot stack against each channel's own true basis
+(``proposed_strategy_bound``).  Each stacked kernel gives every slice
+the bits of its call on that slice alone; only the real Schur form
+inside the canonical decomposition runs per slice.  That matters: where
+an estimated space has repeated or zero couplings the pilots depend on
+which basis of that subspace the Schur form returns, so any change of
+rounding before it would move the Proposed curve at Delta > 0.
+
+``run_multipath`` evaluates its trials in rounds: each round draws the
+channel of every pending trial from the trial's own rng stream, groups
+the draws by L and makes one kernel call per group of up to
+``STACK_TRIALS`` trials (the cap bounds the stack's memory).  A trial whose true
+space, estimated space or E_hat degenerates is redrawn in the next
+round, so curves, redraw counts and ``DrawError`` (the lowest failing
+trial's) are those of drawing the trials one after another.  The
+single-path sweep is one kernel call with one channel per Delta, and
 ``relative_bias`` is a batch of one of ``ac_strategy_bound``.  The curves
 average (n_trials, nDelta) coefficient and bias arrays with one
 broadcast over the pSNR grid.
@@ -66,16 +79,23 @@ from .fileio import finite_number
 from .models import (
     UlaGeometry,
     PathSet,
-    estimated_variation_space,
     physical_variation_space,
     steering_matrix,
 )
 from .pilot import design_observation_matrix
-from .rlinalg import RankDeficientError, numerical_rank
+from .rlinalg import RankDeficientError, RBasis, numerical_rank
 from .variation import canonical_decompose
 
 AC_STRATEGY = "AngleConstrained"
 PROPOSED_STRATEGY = "Proposed"
+
+
+# Trials per kernel call.  Each stacked trial holds about 0.4 MB of
+# working arrays at L = 7 (its true and estimated spaces, their QR copies
+# and designs), so three keep a 10-trial run within about 1.3 MB of the
+# serial loop's peak memory, while ten trials rarely share L more than
+# three times: larger stacks measured no faster.
+STACK_TRIALS = 3
 
 
 class DrawError(RuntimeError):
@@ -189,28 +209,33 @@ class CurveTable:
 
 
 def ac_strategy_bound(h, E_hats):
-    """Bound of the angle-constrained strategy for each E_hat in a stack (B, N_t, L).
+    """Bound of the angle-constrained strategy for each E_hat in a stack (..., B, N_t, L).
 
-    Returns the (B,) CRB coefficients and (B,) relative biases of the
-    pilots sqrt(P_t/L) E_hat against the true channel h.  One batched
-    SVD E_hat = U S W^H: the coefficient is the closed form
-    L sum_k 1/s_k^2 (+inf where the singularity test of the basis forms
-    fires: the compression eigenvalues are (P/L) s_k^2, each twice; the
-    columns of E_hat have unit norm, so s_1^2 >= 1 and the absolute floor
-    ZERO_RTOL * L never fires), and U projects h onto range(E_hat) for
-    the bias.  Raises RankDeficientError when any E_hat has dependent
-    columns.
+    Returns the (..., B) CRB coefficients and relative biases of the
+    pilots sqrt(P_t/L) E_hat against the true channel h (N_t,), or
+    against each channel of a stack h (..., N_t) for the estimates under
+    its leading axes.  One batched SVD E_hat = U S W^H: the coefficient
+    is the closed form L sum_k 1/s_k^2 (+inf where the singularity test
+    of the basis forms fires: the compression eigenvalues are
+    (P/L) s_k^2, each twice; the columns of E_hat have unit norm, so
+    s_1^2 >= 1 and the absolute floor ZERO_RTOL * L never fires), and U
+    projects h onto range(E_hat) for the bias.  Each slice has the bits
+    of its own call.  Raises RankDeficientError when any E_hat has
+    dependent columns.
     """
     U, s, _ = np.linalg.svd(E_hats, full_matrices=False)
     L = E_hats.shape[-1]
-    if np.any(numerical_rank(s) < L):
-        raise RankDeficientError("E_hat is rank deficient")
-    coords = np.conj(np.swapaxes(U, 1, 2)) @ h
-    resid = h - (U @ coords[..., None])[..., 0]
-    hnorm2 = float(np.linalg.norm(h) ** 2)
-    bias = np.clip(np.linalg.norm(resid, axis=1) ** 2 / hnorm2, 0.0, 1.0)
-    singular = _is_singular(s[:, -1] ** 2, s[:, 0] ** 2, L)
-    coefficient = np.where(singular, math.inf, L * np.sum(1.0 / s**2, axis=1))
+    rank = numerical_rank(s)
+    if np.any(rank < L):
+        raise RankDeficientError("E_hat is rank deficient", rank=rank)
+    h = np.asarray(h)[..., None, :]
+    coords = np.conj(np.swapaxes(U, -1, -2)) @ h[..., None]
+    resid = h - (U @ coords)[..., 0]
+    # ||h||^2 as np.linalg.norm computes it for one vector, per channel.
+    hnorm2 = np.sqrt(np.vecdot(h.real, h.real) + np.vecdot(h.imag, h.imag)) ** 2
+    bias = np.clip(np.linalg.norm(resid, axis=-1) ** 2 / hnorm2, 0.0, 1.0)
+    singular = _is_singular(s[..., -1] ** 2, s[..., 0] ** 2, L)
+    coefficient = np.where(singular, math.inf, L * np.sum(1.0 / s**2, axis=-1))
     return coefficient, bias
 
 
@@ -222,54 +247,48 @@ def relative_bias(h, E_hat):
 
 
 def proposed_strategy_bound(true_basis, Ms):
-    """Bound of the proposed strategy for each pilot matrix in a stack Ms (B, N_t, m).
+    """Bound of the proposed strategy for each pilot matrix in a stack Ms (..., N_t, m).
 
-    Returns the (B,) coefficients CRB * P / sigma^2 of the full physical
-    model at the true parameters (variation space ``true_basis``) against
-    pilots of power P = ||M_b||_F^2: 0.5 ||M_b||_F^2 sum 1/lambda over
-    the compression eigenvalues lambda on the true basis, from one
+    Returns the (...) coefficients CRB * P / sigma^2 of the full physical
+    model at the true parameters (variation space ``true_basis``, or a
+    stack of them paired with ``Ms`` as in ``compression_spectra``)
+    against pilots of power P = ||M_b||_F^2: 0.5 ||M_b||_F^2 sum 1/lambda
+    over the compression eigenvalues lambda on the true basis, from one
     ``compression_spectra`` call.  The value does not change when M_b is
     scaled; there is no bias term, and a singular compression gives +inf.
     """
     eigs, singular = compression_spectra(true_basis, Ms)
-    safe = np.where(singular[:, None], 1.0, eigs)
-    energy = np.linalg.norm(Ms, axis=(1, 2)) ** 2
-    return np.where(singular, math.inf, 0.5 * energy * np.sum(1.0 / safe, axis=1))
+    safe = np.where(singular[..., None], 1.0, eigs)
+    energy = np.linalg.norm(Ms, axis=(-2, -1)) ** 2
+    return np.where(singular, math.inf, 0.5 * energy * np.sum(1.0 / safe, axis=-1))
 
 
-def _steering_stack(geom, estimates):
-    """E_hat of each row of azimuth estimates (B, L), stacked as (B, N_t, L)."""
-    B, L = estimates.shape
-    E = steering_matrix(geom, estimates.ravel())
-    return E.reshape(geom.n_antennas, B, L).transpose(1, 0, 2)
+def _strategy_bounds(geom, gains, azimuths, estimates):
+    """Strategy bounds of T channels of L paths, for B rows of azimuth estimates each.
 
-
-def _proposed_pilots(geom, estimates, true_azimuths, true_basis):
-    """Unit-power pilots designed from the variation space at the estimated azimuths.
-
-    Estimates equal to the true azimuths reuse the true basis as the
-    estimated space.
+    ``gains`` and ``azimuths`` are (T, L), ``estimates`` (T, B, L).
+    Returns ``(ac_coefficient, ac_bias, proposed_coefficient)``, (T, B)
+    arrays, each entry with the bits of a call on its channel alone.
+    Raises RankDeficientError when any channel's true variation space, or
+    any of its rows' E_hat or estimated variation space, degenerates.
     """
-    if np.array_equal(estimates, true_azimuths):
-        est_space = true_basis
-    else:
-        est_space = estimated_variation_space(geom, estimates)
-    return design_observation_matrix(canonical_decompose(est_space), 1.0).M
-
-
-def _trial_bounds(geom, paths, estimates):
-    """Strategy bounds of the channel ``paths`` for each row of azimuth estimates (B, L).
-
-    Returns ``(ac_coefficient, ac_bias, proposed_coefficient)``, (B,)
-    arrays.  Raises RankDeficientError when the true variation space or
-    any row's E_hat or estimated variation space degenerates.
-    """
-    h = steering_matrix(geom, paths.azimuths) @ paths.gains
-    true_basis = physical_variation_space(geom, paths.azimuths)
-    ac_coefficient, ac_bias = ac_strategy_bound(h, _steering_stack(geom, estimates))
-    Ms = np.array([_proposed_pilots(geom, est, paths.azimuths, true_basis)
-                   for est in estimates])
-    return ac_coefficient, ac_bias, proposed_strategy_bound(true_basis, Ms)
+    reuse = np.all(estimates == azimuths[:, None], axis=(0, 2))
+    # Row 0 holds the true azimuths, rows 1.. the rows of estimates that
+    # differ from them; row_of[b] is the row of Delta column b.
+    rows = np.concatenate([azimuths[:, None], estimates[:, ~reuse]], axis=1)
+    row_of = np.where(reuse, 0, np.cumsum(~reuse))
+    E = steering_matrix(geom, rows)
+    # One matrix-vector product per channel: a stacked product rounds differently.
+    h = np.array([E_t @ b for E_t, b in zip(E[:, 0], gains)])
+    ac_coefficient, ac_bias = ac_strategy_bound(h, E[:, row_of])
+    # The physical model's variation space at each row: the true space,
+    # then the estimated ones.  The true row is decomposed only when a
+    # Delta column reads it.
+    spaces = physical_variation_space(geom, rows)
+    first = 0 if reuse.any() else 1
+    designed = RBasis(spaces.U[:, first:]) if first else spaces
+    Ms = design_observation_matrix(canonical_decompose(designed), 1.0).M[:, row_of - first]
+    return ac_coefficient, ac_bias, proposed_strategy_bound(RBasis(spaces.U[:, 0]), Ms)
 
 
 def _curve_rows(config, ac_coefficient, ac_bias, proposed_coefficient, trials):
@@ -306,14 +325,13 @@ def run_single_path(config):
     """Single-path sweep: true azimuth Delta, estimate 0, unit gain.
 
     Deterministic (no randomness); one row per (strategy, Delta, pSNR).
+    One kernel call, with one channel per Delta.
     """
-    bounds = [
-        _trial_bounds(config.geometry, PathSet(gains=[1.0], azimuths=[math.radians(delta)]),
-                      np.zeros((1, 1)))
-        for delta in config.delta_deg
-    ]
-    # (nDelta, 3, 1) -> three (1, nDelta) arrays: one sample of each Delta.
-    return _curve_rows(config, *np.moveaxis(np.array(bounds), 0, -1), trials=1)
+    azimuths = np.array([[math.radians(delta)] for delta in config.delta_deg])
+    bounds = _strategy_bounds(config.geometry, np.ones(azimuths.shape, dtype=complex),
+                              azimuths, np.zeros(azimuths.shape + (1,)))
+    # Three (nDelta, 1) arrays -> (1, nDelta): one sample of each Delta.
+    return _curve_rows(config, *(b.T for b in bounds), trials=1)
 
 
 def generate_clustered_channel(rng, config):
@@ -370,42 +388,72 @@ def generate_clustered_channel(rng, config):
     return PathSet(gains=magnitudes * np.exp(1j * phases), azimuths=azimuths)
 
 
-def _multipath_trial(config, trial_index):
-    """One multipath realization: per-Delta strategy coefficients and biases.
+def _group_bounds(geom, draws):
+    """Bounds of draws ``(trial, paths, estimates)`` that share L: one (3, B)
+    array per draw, or None for a draw whose spaces or E_hat degenerate.
 
-    Returns ``(ac_coefficient, ac_bias, proposed_coefficient)``, arrays
-    with one entry per Delta, and the redraw count.  Redraws the channel
-    (within the trial's own rng stream) when the true variation space or
-    any estimate's E_hat or variation space degenerates.
+    One ``_strategy_bounds`` call for the group; when it raises, each draw
+    is evaluated alone, so only the degenerate draws come back None.
     """
-    rng = np.random.default_rng([config.seed, trial_index])
-    geom = config.geometry
-    radians = np.array([math.radians(d) for d in config.delta_deg])
-    for redraw in range(config.max_redraws):
-        paths = generate_clustered_channel(rng, config)
-        unit = rng.uniform(-1.0, 1.0, size=paths.n_paths)
-        # One row per Delta; at Delta = 0 the row equals paths.azimuths bit for bit.
-        estimates = paths.azimuths + radians[:, None] * unit
-        try:
-            return _trial_bounds(geom, paths, estimates), redraw
-        except RankDeficientError:
-            continue
-    raise DrawError(
-        f"trial {trial_index}: estimated variation space degenerate after "
-        f"{config.max_redraws} redraws"
-    )
+    try:
+        bounds = _strategy_bounds(geom, np.array([paths.gains for _, paths, _ in draws]),
+                                  np.array([paths.azimuths for _, paths, _ in draws]),
+                                  np.array([est for _, _, est in draws]))
+    except RankDeficientError:
+        if len(draws) == 1:
+            return [None]
+        return [b for draw in draws for b in _group_bounds(geom, [draw])]
+    return list(np.stack(bounds, axis=1))
 
 
 def run_multipath(config):
     """Monte-Carlo multipath sweep, averaged over config.n_trials channels.
 
     Rows hold the arithmetic mean of the per-trial relative bounds.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed: trial t draws from its own stream
+    ``default_rng([seed, t])`` and redraws from it, within
+    ``max_redraws`` draws, while its true space, estimated space or E_hat
+    degenerates.  Raises the ``DrawError`` of the lowest failing trial.
     """
-    outcomes = [_multipath_trial(config, t) for t in range(config.n_trials)]
-    ac_coefficient, ac_bias, proposed_coefficient = (
-        np.array(column) for column in zip(*(bounds for bounds, _ in outcomes))
-    )
-    table = _curve_rows(config, ac_coefficient, ac_bias, proposed_coefficient,
-                        trials=config.n_trials)
-    return table, {"redraws": sum(redraw for _, redraw in outcomes)}
+    geom = config.geometry
+    radians = np.array([math.radians(d) for d in config.delta_deg])
+    rngs = [np.random.default_rng([config.seed, t]) for t in range(config.n_trials)]
+    bounds = np.empty((config.n_trials, 3, len(radians)))
+    failures = {}
+    redraws = 0
+    pending = range(config.n_trials)
+    for redraw in range(config.max_redraws):
+        groups = {}
+        for t in pending:
+            try:
+                paths = generate_clustered_channel(rngs[t], config)
+            except DrawError as err:
+                failures[t] = err
+                continue
+            unit = rngs[t].uniform(-1.0, 1.0, size=paths.n_paths)
+            # One row per Delta; at Delta = 0 the row equals paths.azimuths bit for bit.
+            estimates = paths.azimuths + radians[:, None] * unit
+            groups.setdefault(paths.n_paths, []).append((t, paths, estimates))
+        pending = []
+        stacks = [draws[i:i + STACK_TRIALS]
+                  for draws in groups.values() for i in range(0, len(draws), STACK_TRIALS)]
+        for draws in stacks:
+            for (t, _, _), trial_bounds in zip(draws, _group_bounds(geom, draws)):
+                if trial_bounds is None:
+                    pending.append(t)
+                else:
+                    bounds[t] = trial_bounds
+                    redraws += redraw
+        # Trials above a failed one cannot change the outcome.
+        pending = [t for t in pending if t < min(failures, default=config.n_trials)]
+        if not pending:
+            break
+    for t in pending:
+        failures[t] = DrawError(
+            f"trial {t}: estimated variation space degenerate after "
+            f"{config.max_redraws} redraws"
+        )
+    if failures:
+        raise failures[min(failures)]
+    table = _curve_rows(config, *np.moveaxis(bounds, 1, 0), trials=config.n_trials)
+    return table, {"redraws": redraws}

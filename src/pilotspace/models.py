@@ -73,34 +73,39 @@ class PathSet:
         return out
 
 
+def steering_matrix(geom, azimuths):
+    """Columns e(phi_l) for a list of azimuths: the unit-norm array responses
+    E_nl = exp(j pi (n - (N_t-1)/2) sin(phi_l)) / sqrt(N_t).
+
+    Azimuths (..., L) give a stack (..., N_t, L); every entry is
+    elementwise, so each slice has the bits of its own call.
+    """
+    azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))[..., None, :]
+    offsets = geom.offsets[:, None]
+    return np.exp(1j * (np.pi * offsets * np.sin(azimuths))) / math.sqrt(geom.n_antennas)
+
+
 def _steering_columns(geom, azimuths):
     """Steering columns E = (e(phi_l)) and their derivatives dE = (de/dphi_l).
 
-    E_nl = exp(j pi (n - (N_t-1)/2) sin(phi_l)) / sqrt(N_t) and
     dE_nl = j pi (n - (N_t-1)/2) cos(phi_l) E_nl.  Because the offsets
     sum to zero, e(phi)^H de/dphi = 0 exactly; at endfire
-    (phi = +/- pi/2) the derivative vanishes.
+    (phi = +/- pi/2) the derivative vanishes.  Stacks as ``steering_matrix``.
     """
-    azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))
-    offsets = geom.offsets[:, None]
-    E = np.exp(1j * (np.pi * offsets * np.sin(azimuths))) / math.sqrt(geom.n_antennas)
-    dE = 1j * np.pi * offsets * np.cos(azimuths) * E
+    E = steering_matrix(geom, azimuths)
+    azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))[..., None, :]
+    dE = 1j * np.pi * geom.offsets[:, None] * np.cos(azimuths) * E
     return E, dE
 
 
 def steering_vector(geom, azimuth):
     """Unit-norm array response e(phi) of the centered ULA."""
-    return _steering_columns(geom, azimuth)[0][:, 0]
+    return steering_matrix(geom, azimuth)[:, 0]
 
 
 def steering_derivative(geom, azimuth):
     """d e(phi) / d phi (see ``_steering_columns``)."""
     return _steering_columns(geom, azimuth)[1][:, 0]
-
-
-def steering_matrix(geom, azimuths):
-    """Columns e(phi_l) for a list of azimuths."""
-    return _steering_columns(geom, azimuths)[0]
 
 
 def _linear_model(A, name):
@@ -210,17 +215,23 @@ def _collapsing_generators(null_space):
     return f"collapsing generators {', '.join(names)} at azimuth indices {paths}"
 
 
+def _span_generators(geom, azimuths):
+    """The generators of ``_SPAN_GENERATORS`` for each path, in column order:
+    (N_t, 3L), or a stack (..., N_t, 3L) for azimuths (..., L)."""
+    E, dE = _steering_columns(geom, azimuths)
+    G = np.empty(E.shape[:-1] + (3 * azimuths.shape[-1],), dtype=complex)
+    G[..., 0::3] = E
+    G[..., 1::3] = -1j * E
+    G[..., 2::3] = dE
+    return G
+
+
 def _steering_span(geom, azimuths, origin):
     azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))
     if not np.all(np.isfinite(azimuths)):
         raise ValueError("azimuths must be finite")
-    E, dE = _steering_columns(geom, azimuths)
-    G = np.empty((geom.n_antennas, 3 * azimuths.shape[0]), dtype=complex)
-    G[:, 0::3] = E
-    G[:, 1::3] = -1j * E
-    G[:, 2::3] = dE
     try:
-        basis, _ = r_orthonormalize(G)
+        basis, _ = r_orthonormalize(_span_generators(geom, azimuths))
     except (RankDeficientError, ValueError) as err:
         null_space = getattr(err, "null_space", None)
         raise RankDeficientError(
@@ -239,7 +250,9 @@ def physical_variation_space(geom, azimuths):
     An ``RBasis`` of the real span of {e(phi_l), -j e(phi_l), de/dphi_l}
     per path: the azimuths determine the space, the path gains do not
     (gains only phase-rotate the derivative directions, which leaves
-    every design and bound built from the space unchanged).
+    every design and bound built from the space unchanged).  Azimuths
+    (..., L) give a stack of bases from one ``r_orthonormalize`` call,
+    which raises when any slice is rank deficient.
     """
     return _steering_span(geom, azimuths, origin="physical")
 

@@ -24,7 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .crb import NoiseModel, _check_finite_positive, crb_via_variation_space
+from .crb import (
+    NoiseModel,
+    _check_finite_positive,
+    _crb_report,
+    _spectra,
+    crb_via_variation_space,
+)
 from .rlinalg import COUPLING_SNAP, RBasis, real_gram
 from .variation import CanonicalDecomposition
 
@@ -39,6 +45,10 @@ class PilotDesign:
     level; it is computed on first access and cached, so a caller that
     needs only ``M`` never pays for it.  The residuals of the optimality
     conditions come from ``verify_optimality_certificates``.
+
+    A stacked design (from a stacked decomposition) has M (..., n, m)
+    and C_norm (...); ``achieved_crb`` and the certificates take one
+    design.
     """
 
     M: np.ndarray
@@ -49,7 +59,7 @@ class PilotDesign:
 
     @property
     def n_columns(self):
-        return self.M.shape[1]
+        return self.M.shape[-1]
 
     @cached_property
     def achieved_crb(self):
@@ -68,7 +78,9 @@ def design_observation_matrix(decomp, power, sigma2=1.0):
     """Build the CRB-optimal observation matrix of minimal size.
 
     Column k is sqrt(P/C) (v_k + j w_k) / (1 + c_k)^(3/4), plus the
-    scaled lone vector when the parameter count is odd.
+    scaled lone vector when the parameter count is odd.  A stacked
+    decomposition gives the stacked design, each slice with the bits of
+    its own call.
 
     Parameters
     ----------
@@ -81,23 +93,24 @@ def design_observation_matrix(decomp, power, sigma2=1.0):
     _check_finite_positive("power", power)
     _check_finite_positive("sigma2", sigma2)
     c = np.asarray(decomp.c, dtype=float)
-    n_pairs = c.shape[0]
+    n_pairs = c.shape[-1]
 
-    C = 2.0 * np.sum(1.0 / np.sqrt(1.0 + c)) + decomp.epsilon
-    scale = math.sqrt(power / C)
+    C = 2.0 * np.sum(1.0 / np.sqrt(1.0 + c), axis=-1) + decomp.epsilon
+    scale = np.sqrt(power / C)[..., None, None]
 
     V = decomp.V
-    M = np.empty((V.shape[0], n_pairs + decomp.epsilon), dtype=complex)
-    pairs = V[:, 0:2 * n_pairs:2] + 1j * V[:, 1:2 * n_pairs:2]
+    M = np.empty(V.shape[:-1] + (n_pairs + decomp.epsilon,), dtype=complex)
+    pairs = V[..., 0:2 * n_pairs:2] + 1j * V[..., 1:2 * n_pairs:2]
     # Scalar (libm) powers: numpy's SIMD power can round an ulp differently,
     # which would move every design built from a coupling it rounds.
-    M[:, :n_pairs] = scale * pairs / np.array([(1.0 + ck) ** 0.75 for ck in c.tolist()])
+    powers = np.array([(1.0 + ck) ** 0.75 for ck in c.ravel().tolist()]).reshape(c.shape)
+    M[..., :n_pairs] = scale * pairs / powers[..., None, :]
     if decomp.epsilon:
-        M[:, -1] = scale * decomp.lone_vector
+        M[..., -1] = scale[..., 0] * decomp.lone_vector
     return PilotDesign(
         M=M,
         power=float(power),
-        C_norm=float(C),
+        C_norm=C if np.ndim(C) else float(C),
         sigma2=float(sigma2),
         decomp=decomp,
     )
@@ -118,7 +131,10 @@ def verify_optimality_certificates(design):
       and u_k- is undefined),
     * ``column_powers`` -- measured ||M^H u_k+||^2 against the closed form
       2P / (C sqrt(1+c_k)), plus the lone-direction power P/C when present,
-    * ``total_power`` -- sum of the measured powers.
+    * ``total_power`` -- sum of the measured powers,
+    * ``achieved_crb`` -- the CRB of the design at its noise level, from
+      the spectrum of the same compression C (``design.achieved_crb``
+      computes it on its own).
     """
     M, decomp = design.M, design.decomp
     c = np.asarray(decomp.c, dtype=float)
@@ -138,12 +154,14 @@ def verify_optimality_certificates(design):
         measured = np.append(measured, diag[-1])
         expected = np.append(expected, P / C)
 
+    eigs, singular = _spectra(0.5 * (comp + comp.T), np.linalg.norm(M, axis=(-2, -1)) ** 2)
     return {
         "diagonal_residual": diagonal_residual,
         "dk_residual": float(np.abs(d).max()) if d.size else 0.0,
         "column_powers": measured,
         "column_powers_expected": expected,
         "total_power": float(np.sum(measured)),
+        "achieved_crb": _crb_report(eigs, singular, NoiseModel(design.sigma2)).value,
     }
 
 

@@ -7,7 +7,8 @@ product spaces.  This module provides the kernel operations for working
 in that setting:
 
 * ``r_inner`` / ``r_orthonormalize`` -- Gram-Schmidt with the real inner
-  product, implemented through a real QR of the stacked [Re; Im] matrix.
+  product, implemented through a real QR of the stacked [Re; Im] matrix
+  (of one matrix or of each matrix in a stack).
 * ``triangle_rank`` -- numerical rank of a QR triangle, certified full
   from one triangular inverse where possible, else from its SVD.
 * ``skew_canonical_form`` -- real Schur decomposition of a skew-symmetric
@@ -15,8 +16,14 @@ in that setting:
   descending couplings.
 * ``project_r`` / ``compression_matrix`` -- orthogonal projection onto a
   real-orthonormal span and the compression of M M^H to it (of one
-  matrix M or a stack of them; ``real_gram`` and ``numerical_rank``
-  take stacks too).
+  matrix M or a stack of them; ``real_gram``, ``numerical_rank`` and
+  ``solve_right`` take stacks too).
+
+A stack is an array with leading batch axes.  Every stacked kernel gives
+each slice the bits of its call on that slice alone: numpy's stacked
+``qr``, ``svd``, ``eigvalsh`` and ``matmul`` factor slice by slice, and
+the LAPACK calls made here (``dtrtri``, ``dtrtrs``, ``dgees``) run once
+per slice.
 
 All functions are pure and operate on immutable inputs.
 
@@ -84,10 +91,12 @@ class RankDeficientError(ValueError):
     """A matrix expected to have full column rank over R does not.
 
     Carries the detected numerical rank and, when ``r_orthonormalize``
-    raised it, ``null_space``: a real (k x (k - rank)) matrix whose
-    orthonormal columns are the null right-singular vectors of the
-    factored matrix, i.e. the real coefficient vectors x with G x ~ 0.
-    Its nonzero rows name the generators that collapsed.
+    raised it for one matrix, ``null_space``: a real (k x (k - rank))
+    matrix whose orthonormal columns are the null right-singular vectors
+    of the factored matrix, i.e. the real coefficient vectors x with
+    G x ~ 0.  Its nonzero rows name the generators that collapsed.  For
+    a stack, ``rank`` holds the rank of each slice and ``null_space`` is
+    None.
     """
 
     def __init__(self, message, rank=None, null_space=None):
@@ -104,10 +113,13 @@ class NotSkewSymmetricError(ValueError):
 class RBasis:
     """Matrix U with real-orthonormal columns: Re{U^H U} = Id.
 
+    A stack of bases is one RBasis whose U has leading batch axes,
+    each slice real-orthonormal.
+
     Attributes
     ----------
-    U : ndarray, complex, shape (ambient_dim, dim)
-        Basis matrix.
+    U : ndarray, complex, shape (ambient_dim, dim) or (..., ambient_dim, dim)
+        Basis matrix, or a stack of them.
     ambient_dim : int
         Complex dimension of the ambient space.
     dim : int
@@ -120,15 +132,16 @@ class RBasis:
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=complex)
-        if U.ndim != 2 or U.shape[0] < 1 or U.shape[1] < 1:
-            raise ValueError(f"basis matrix must be 2-D and nonempty, got shape {U.shape}")
+        if U.ndim < 2 or U.shape[-2] < 1 or U.shape[-1] < 1:
+            raise ValueError("basis matrix must be 2-D (or a stack of 2-D matrices) and "
+                             f"nonempty, got shape {U.shape}")
         if not np.all(np.isfinite(U)):
             raise ValueError("basis matrix contains non-finite entries")
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "ambient_dim", U.shape[0])
-        object.__setattr__(self, "dim", U.shape[1])
-        gram = real_gram(U)
-        defect = np.linalg.norm(gram - np.eye(self.dim))
+        object.__setattr__(self, "ambient_dim", U.shape[-2])
+        object.__setattr__(self, "dim", U.shape[-1])
+        gram = real_gram(U) - np.eye(self.dim)
+        defect = max(np.linalg.norm(g) for g in gram.reshape(-1, self.dim, self.dim))
         if defect > STRUCTURE_RTOL * self.dim:
             raise ValueError(
                 f"columns are not real-orthonormal: ||Re(U^H U) - I||_F = {defect:.3e}"
@@ -163,9 +176,10 @@ def real_gram(X, Y=None):
 
 
 def stacked_real(G):
-    """Stack a complex matrix into the real (2n x k) matrix [Re{G}; Im{G}]."""
+    """Stack a complex matrix into the real (2n x k) matrix [Re{G}; Im{G}]
+    (each matrix of a stack (..., n, k))."""
     G = np.asarray(G, dtype=complex)
-    return np.vstack([G.real, G.imag])
+    return np.concatenate([G.real, G.imag], axis=-2)
 
 
 def numerical_rank(s):
@@ -204,11 +218,12 @@ def triangle_rank(R):
 
 
 def _positive_triangle(X):
-    """R of a real QR of [Re{X}; Im{X}], rows signed to a positive diagonal."""
+    """R of a real QR of [Re{X}; Im{X}], rows signed to a positive diagonal
+    (of each matrix of a stack, from one stacked QR)."""
     R = np.linalg.qr(stacked_real(X), mode="r")
-    signs = np.sign(np.diag(R))
+    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return signs[:, None] * R
+    return signs[..., None] * R
 
 
 def solve_right(X, R):
@@ -218,10 +233,14 @@ def solve_right(X, R):
     called on scipy's extension module with the arguments that
     ``scipy.linalg.solve_triangular(R, X.T, trans="T")`` passes to the
     same routine, so the result is bit-identical to that wrapper's
-    without its validation or the ``scipy.linalg`` import.
+    without its validation or the ``scipy.linalg`` import.  Stacks X
+    (..., n, k) and R (..., k, k) are solved slice by slice.
     """
     if X.size == 0:      # LAPACK rejects a zero leading dimension
         return np.empty(X.shape, dtype=np.result_type(X, R, 1.0))
+    if X.ndim > 2:
+        flat = zip(X.reshape(-1, *X.shape[-2:]), R.reshape(-1, *R.shape[-2:]))
+        return np.array([solve_right(x, r) for x, r in flat]).reshape(X.shape)
     trtrs = _flapack.ztrtrs if np.iscomplexobj(X) else _flapack.dtrtrs
     if R.flags.f_contiguous:
         Y, info = trtrs(R, X.T, lower=0, trans=1)
@@ -246,38 +265,53 @@ def r_orthonormalize(G):
     ``triangle_rank`` certifies full rank from its inverse and takes the
     singular values only when the certificate fails.
 
+    A stack G (..., n, k) is orthonormalized slice by slice with the
+    bits of one call per slice: each pass is one stacked QR, then a rank
+    test and a triangular solve per slice, and the result is one RBasis
+    stack.
+
     Parameters
     ----------
-    G : ndarray, complex, shape (n, k)
+    G : ndarray, complex, shape (n, k) or (..., n, k)
         Columns must be linearly independent over R.
 
     Returns
     -------
     basis : RBasis
-    R : ndarray, real, shape (k, k)
+    R : ndarray, real, shape (k, k) or (..., k, k)
 
     Raises
     ------
     RankDeficientError
         If the columns are real-linearly dependent (numerical rank below
         k at relative threshold RANK_RTOL); ``null_space`` holds the
-        dependent coefficient vectors.
+        dependent coefficient vectors.  For a stack: if any slice is,
+        with the rank of each slice and no null space.
     """
     G = np.atleast_2d(np.asarray(G, dtype=complex))
     if not np.all(np.isfinite(G)):
         raise ValueError("input matrix contains non-finite entries")
-    k = G.shape[1]
+    k = G.shape[-1]
     R1 = _positive_triangle(G)
-    rank = triangle_rank(R1)
-    if rank < k:
-        # Error path only: the null right-singular vectors of the same
-        # triangle name the collapsing generators.
-        _, _, Vh = np.linalg.svd(R1)
-        raise RankDeficientError(
-            f"columns are linearly dependent over R: numerical rank {rank} < {k}",
-            rank=rank,
-            null_space=Vh[rank:].T,
-        )
+    if G.ndim > 2:
+        rank = np.array([triangle_rank(R) for R in R1.reshape(-1, *R1.shape[-2:])])
+        if np.any(rank < k):
+            raise RankDeficientError(
+                f"columns of {np.count_nonzero(rank < k)} of {rank.size} stacked "
+                f"matrices are linearly dependent over R",
+                rank=rank.reshape(G.shape[:-2]),
+            )
+    else:
+        rank = triangle_rank(R1)
+        if rank < k:
+            # Error path only: the null right-singular vectors of the same
+            # triangle name the collapsing generators.
+            _, _, Vh = np.linalg.svd(R1)
+            raise RankDeficientError(
+                f"columns are linearly dependent over R: numerical rank {rank} < {k}",
+                rank=rank,
+                null_space=Vh[rank:].T,
+            )
     # Two passes ("twice is enough"): the second repairs the loss of
     # orthonormality that a single pass suffers on ill-conditioned input.
     U = solve_right(G, R1)
@@ -404,6 +438,8 @@ def compression_matrix(basis, M):
 
     Returns a real symmetric positive semi-definite (dim x dim) matrix,
     or a stack of them for a stack of matrices M (..., ambient_dim, m).
+    A stack of bases (S..., ambient_dim, dim) takes M (S..., B..., ambient_dim, m):
+    each basis compresses the matrices under its own leading axes.
     Raises ValueError if M has the wrong row count or non-finite entries.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
@@ -413,5 +449,7 @@ def compression_matrix(basis, M):
         )
     if not np.all(np.isfinite(M)):
         raise ValueError("observation matrix M contains non-finite entries")
-    C = real_gram(np.conj(np.swapaxes(M, -1, -2)) @ basis.U)     # (..., dim, dim)
+    U = basis.U
+    U = U.reshape(U.shape[:-2] + (1,) * (M.ndim - U.ndim) + U.shape[-2:])
+    C = real_gram(np.conj(np.swapaxes(M, -1, -2)) @ U)     # (..., dim, dim)
     return 0.5 * (C + np.swapaxes(C, -1, -2))

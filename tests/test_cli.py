@@ -100,6 +100,44 @@ class TestDesignCommand:
         assert capsys.readouterr().err == "error: azimuths must be finite\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_first_azimuth(self, tmp_path, capsys):
+        # After a space, argparse reads "-30,5,41" as a flag; the "=" form
+        # that the help text shows passes it as the value.
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("design", "--model", "physical", "--nt", "64",
+                    "--azimuths", "-30,5,41", "--power", "1")
+        assert exit_.value.code == 2
+        assert "--azimuths: expected one argument" in capsys.readouterr().err
+        out = tmp_path / "M.json"
+        assert run_cli("design", "--model", "physical", "--nt", "64",
+                       "--azimuths=-30,5,41", "--power", "1", "--output", str(out)) == 0
+        assert fileio.read_matrix(out).shape == (64, 5)
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("design", "--help")
+        assert exit_.value.code == 0
+        assert "--azimuths=-30,5,41" in capsys.readouterr().out
+
+    def test_one_compression_of_the_design(self, tmp_path, monkeypatch):
+        # achieved_crb and the certificates share one real_gram(M^H V).
+        import pilotspace.pilot
+
+        calls = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(pilotspace.pilot, "real_gram")
+        count(pilotspace.crb, "compression_matrix")
+        assert run_cli("design", "--model", "physical", "--nt", "64", "--azimuths=-30,5,41",
+                       "--power", "1", "--output", str(tmp_path / "M.json")) == 0
+        assert calls == ["real_gram"]
+
     def test_duplicate_azimuths_exit_2(self, capsys):
         code = run_cli(
             "design", "--model", "physical", "--azimuths", "0,0",

@@ -7,16 +7,21 @@ import numpy as np
 import pytest
 
 from pilotspace.cli import main
-from pilotspace.crb import EIG_RTOL, NoiseModel, crb_min, crb_via_variation_space
+from pilotspace.crb import (
+    EIG_RTOL,
+    NoiseModel,
+    compression_spectra,
+    crb_min,
+    crb_via_variation_space,
+)
 from pilotspace.experiments import (
     AC_STRATEGY,
     PROPOSED_STRATEGY,
+    STACK_TRIALS,
     DrawError,
     ExperimentConfig,
-    _multipath_trial,
-    _proposed_pilots,
-    _steering_stack,
-    _trial_bounds,
+    _curve_rows,
+    _strategy_bounds,
     ac_strategy_bound,
     generate_clustered_channel,
     proposed_strategy_bound,
@@ -132,15 +137,72 @@ def ac_bound(paths, est, config):
     """AC (coefficient, bias) of one row of estimates, from the AC kernel alone."""
     geom = config.geometry
     h = steering_matrix(geom, paths.azimuths) @ paths.gains
-    coefficient, bias = ac_strategy_bound(h, _steering_stack(geom, np.atleast_2d(est)))
+    coefficient, bias = ac_strategy_bound(h, steering_matrix(geom, np.atleast_2d(est)))
     return coefficient[0], bias[0]
+
+
+def channel_bounds(paths, estimates, config):
+    """(AC coefficient, AC bias, Proposed coefficient) arrays of one channel
+    and its rows of estimates (B, L), from one kernel call on that channel."""
+    bounds = _strategy_bounds(config.geometry, paths.gains[None], paths.azimuths[None],
+                              np.asarray(estimates, dtype=float)[None])
+    return tuple(b[0] for b in bounds)
 
 
 def trial_bounds(paths, est, config):
     """(AC coefficient, AC bias, Proposed coefficient) of one row of estimates."""
-    ac_coefficient, ac_bias, proposed_coefficient = _trial_bounds(
-        config.geometry, paths, np.atleast_2d(est))
+    ac_coefficient, ac_bias, proposed_coefficient = channel_bounds(
+        paths, np.atleast_2d(est), config)
     return ac_coefficient[0], ac_bias[0], proposed_coefficient[0]
+
+
+def serial_pilots(geom, estimates, true_azimuths, true_basis):
+    """Unit-power pilots of one row of estimates, designed on their own (the
+    per-row design of the serial trial loop)."""
+    if np.array_equal(estimates, true_azimuths):
+        est_space = true_basis
+    else:
+        est_space = estimated_variation_space(geom, estimates)
+    return design_observation_matrix(canonical_decompose(est_space), 1.0).M
+
+
+def serial_trial_bounds(geom, paths, estimates):
+    """Strategy bounds of one channel, one kernel call per layer and row: the
+    serial trial loop's evaluation, before trials were stacked."""
+    h = steering_matrix(geom, paths.azimuths) @ paths.gains
+    true_basis = physical_variation_space(geom, paths.azimuths)
+    ac_coefficient, ac_bias = ac_strategy_bound(
+        h, np.array([steering_matrix(geom, est) for est in estimates]))
+    Ms = np.array([serial_pilots(geom, est, paths.azimuths, true_basis) for est in estimates])
+    return ac_coefficient, ac_bias, proposed_strategy_bound(true_basis, Ms)
+
+
+def serial_trial(config, trial_index):
+    """One multipath trial of the serial loop: ``((ac_coefficient, ac_bias,
+    proposed_coefficient), redraws)``, redrawn from the trial's own stream
+    while its spaces or E_hat degenerate."""
+    rng = np.random.default_rng([config.seed, trial_index])
+    radians = np.array([math.radians(d) for d in config.delta_deg])
+    for redraw in range(config.max_redraws):
+        paths = generate_clustered_channel(rng, config)
+        unit = rng.uniform(-1.0, 1.0, size=paths.n_paths)
+        estimates = paths.azimuths + radians[:, None] * unit
+        try:
+            return serial_trial_bounds(config.geometry, paths, estimates), redraw
+        except RankDeficientError:
+            continue
+    raise DrawError(
+        f"trial {trial_index}: estimated variation space degenerate after "
+        f"{config.max_redraws} redraws"
+    )
+
+
+def serial_run_multipath(config):
+    """run_multipath as the serial loop computed it: trial after trial."""
+    outcomes = [serial_trial(config, t) for t in range(config.n_trials)]
+    columns = (np.array(c) for c in zip(*(bounds for bounds, _ in outcomes)))
+    table = _curve_rows(config, *columns, trials=config.n_trials)
+    return table, {"redraws": sum(redraw for _, redraw in outcomes)}
 
 
 class TestRelativeCrb:
@@ -215,7 +277,7 @@ class TestStrategyBounds:
         paths = PathSet(gains=[1.0], azimuths=[0.0])
         _, _, coefficient = trial_bounds(paths, [0.0], config)
         true_basis = physical_variation_space(geom, paths.azimuths)
-        M = _proposed_pilots(geom, np.zeros(1), paths.azimuths, true_basis)
+        M = serial_pilots(geom, np.zeros(1), paths.azimuths, true_basis)
         assert M.shape[1] == 2
         assert coefficient == pytest.approx(SINGLE_PATH_RATIO, rel=1e-9)
 
@@ -237,9 +299,9 @@ class TestStrategyBounds:
         est = paths.azimuths + 1e-3
         assert all(map(math.isfinite, trial_bounds(paths, est, config)))
         true_basis = physical_variation_space(geom, paths.azimuths)
-        M = _proposed_pilots(geom, est, paths.azimuths, true_basis)
+        M = serial_pilots(geom, est, paths.azimuths, true_basis)
         L = paths.n_paths
-        assert _steering_stack(geom, est[None]).shape[-1] == L
+        assert steering_matrix(geom, est[None]).shape[-1] == L
         assert M.shape[1] == math.ceil(3 * L / 2)
 
 
@@ -368,10 +430,10 @@ class TestUlaClosedForms:
 
     def test_default_trials(self):
         config = ExperimentConfig()
+        assert run_multipath(config)[1]["redraws"] == 0 and config.delta_deg[0] == 0.0
         for t in range(config.n_trials):
-            (_, _, proposed), redraws = _multipath_trial(config, t)
-            assert redraws == 0 and config.delta_deg[0] == 0.0
-            paths, _ = _trial_draw(config, t)
+            paths, estimates = _trial_draw(config, t)
+            _, _, proposed = channel_bounds(paths, estimates, config)
             L = paths.n_paths
             space = physical_variation_space(config.geometry, paths.azimuths)
             np.testing.assert_allclose(canonical_decompose(space).c,
@@ -623,9 +685,9 @@ class TestBatchedTrial:
     @pytest.mark.parametrize("trial_index", range(4))
     def test_batch_equals_per_delta_wrappers(self, trial_index):
         config = self.CONFIG
-        (ac_coef, ac_bias, pr_coef), redraws = _multipath_trial(config, trial_index)
-        assert redraws == 0
+        assert serial_trial(config, trial_index)[1] == 0
         paths, estimates = _trial_draw(config, trial_index)
+        ac_coef, ac_bias, pr_coef = channel_bounds(paths, estimates, config)
         for i, est in enumerate(estimates):
             assert trial_bounds(paths, est, config) == (ac_coef[i], ac_bias[i], pr_coef[i])
 
@@ -635,9 +697,9 @@ class TestBatchedTrial:
         paths, estimates = _trial_draw(config, 3)
         h = steering_matrix(geom, paths.azimuths) @ paths.gains
         true_basis = physical_variation_space(geom, paths.azimuths)
-        stack = _steering_stack(geom, np.array(estimates))
+        stack = steering_matrix(geom, np.array(estimates))
         coef, bias = ac_strategy_bound(h, stack)
-        Ms = np.array([_proposed_pilots(geom, est, paths.azimuths, true_basis)
+        Ms = np.array([serial_pilots(geom, est, paths.azimuths, true_basis)
                        for est in estimates])
         pr = proposed_strategy_bound(true_basis, Ms)
         for i, est in enumerate(estimates):
@@ -653,27 +715,38 @@ class TestBatchedTrial:
         h = steering_matrix(geom, [0.3, -0.4]) @ np.array([1.0, 0.5j])
         estimates = np.array([[0.3, -0.4], [0.3, 0.3]])
         with pytest.raises(RankDeficientError):
-            ac_strategy_bound(h, _steering_stack(geom, estimates))
+            ac_strategy_bound(h, steering_matrix(geom, estimates))
 
     def test_matches_previous_loop_on_reference_trials(self, skew_forms):
-        # The seed-7 benchmark reference: configs 700000..700009, 10 trials each.
+        # The seed-7 benchmark reference: configs 700000..700009, 10 trials
+        # each, stacked by path count as run_multipath stacks them.
         for seed in range(700_000, 700_010):
             config = ExperimentConfig(n_trials=10, seed=seed)
-            for t in range(config.n_trials):
+            n_delta = len(config.delta_deg)
+            draws = [_trial_draw(config, t) for t in range(config.n_trials)]
+            for L in sorted({paths.n_paths for paths, _ in draws}):
+                group = [t for t, (paths, _) in enumerate(draws) if paths.n_paths == L]
                 skew_forms.clear()
-                (ac_coef, ac_bias, pr_coef), _ = _multipath_trial(config, t)
-                batched = list(skew_forms)
-                skew_forms.clear()
-                previous = _previous_trial(config, t)
-                assert len(batched) == len(skew_forms) == len(config.delta_deg)
-                for (B_new, gamma_new), (B_old, gamma_old) in zip(batched, skew_forms):
-                    assert np.array_equal(B_new, B_old)
-                    assert np.array_equal(gamma_new, gamma_old)
-                assert ac_coef == pytest.approx(previous[0], rel=1e-10, abs=0)
-                assert pr_coef == pytest.approx(previous[2], rel=1e-10, abs=0)
-                # A bias is a squared residual in [0, 1]; at Delta = 0 it is
-                # rounding noise (~1e-30) that differs between SVD and QR.
-                assert ac_bias == pytest.approx(previous[1], rel=1e-10, abs=1e-15)
+                bounds = _strategy_bounds(
+                    config.geometry, np.array([draws[t][0].gains for t in group]),
+                    np.array([draws[t][0].azimuths for t in group]),
+                    np.array([draws[t][1] for t in group]))
+                # One form per (trial, Delta), trial-major, in Delta order.
+                forms = list(skew_forms)
+                for i, t in enumerate(group):
+                    ac_coef, ac_bias, pr_coef = (b[i] for b in bounds)
+                    batched = forms[i * n_delta:(i + 1) * n_delta]
+                    skew_forms.clear()
+                    previous = _previous_trial(config, t)
+                    assert len(batched) == len(skew_forms) == len(config.delta_deg)
+                    for (B_new, gamma_new), (B_old, gamma_old) in zip(batched, skew_forms):
+                        assert np.array_equal(B_new, B_old)
+                        assert np.array_equal(gamma_new, gamma_old)
+                    assert ac_coef == pytest.approx(previous[0], rel=1e-10, abs=0)
+                    assert pr_coef == pytest.approx(previous[2], rel=1e-10, abs=0)
+                    # A bias is a squared residual in [0, 1]; at Delta = 0 it is
+                    # rounding noise (~1e-30) that differs between SVD and QR.
+                    assert ac_bias == pytest.approx(previous[1], rel=1e-10, abs=1e-15)
 
     def test_curves_match_per_bound_accumulation(self):
         config = ExperimentConfig(n_trials=6, seed=11)
@@ -682,7 +755,7 @@ class TestBatchedTrial:
         for i, delta in enumerate(config.delta_deg):
             sums = {AC_STRATEGY: 0.0, PROPOSED_STRATEGY: 0.0}
             for t in range(config.n_trials):
-                (ac_coef, ac_bias, pr_coef), _ = _multipath_trial(config, t)
+                (ac_coef, ac_bias, pr_coef), _ = serial_trial(config, t)
                 sums[AC_STRATEGY] = sums[AC_STRATEGY] + np.maximum(
                     ac_bias[i], ac_coef[i] / psnr_lin)
                 sums[PROPOSED_STRATEGY] = sums[PROPOSED_STRATEGY] + np.maximum(
@@ -708,3 +781,137 @@ class TestBatchedTrial:
         monkeypatch.setattr(pilotspace.experiments, "physical_variation_space", degenerate)
         with pytest.raises(DrawError, match="after 2 redraws"):
             run_multipath(ExperimentConfig(n_trials=1, max_redraws=2))
+
+
+def physical_stack(rng, geom, shape, L):
+    """Azimuths (*shape, L) of separated paths and their stacked physical spaces."""
+    az = np.array([_separated_paths(rng, L).azimuths for _ in range(math.prod(shape))])
+    az = az.reshape(shape + (L,))
+    return az, physical_variation_space(geom, az)
+
+
+class TestStackedKernelsEqualBatchOfOne:
+    """Each kernel with batch axes gives every slice the bits of its call on
+    that slice alone."""
+
+    @pytest.mark.parametrize("kind", ["physical-1", "physical-2", "physical-5",
+                                      "physical-7", "random-5", "random-6"])
+    def test_decompositions_and_designs(self, kind):
+        name, size = kind.split("-")
+        rng = np.random.default_rng([60, int(size)])
+        if name == "physical":
+            geom = UlaGeometry(64)
+            az, spaces = physical_stack(rng, geom, (2, 3), int(size))
+            singles = [physical_variation_space(geom, az[idx]) for idx in np.ndindex(2, 3)]
+        else:
+            G = rng.normal(size=(2, 3, 12, int(size))) + 1j * rng.normal(size=(2, 3, 12, int(size)))
+            spaces, _ = r_orthonormalize(G)
+            singles = [r_orthonormalize(G[idx])[0] for idx in np.ndindex(2, 3)]
+        dec = canonical_decompose(spaces)
+        design = design_observation_matrix(dec, 1.0)
+        for idx, one in zip(np.ndindex(2, 3), singles):
+            assert np.array_equal(spaces.U[idx], one.U)
+            dec_one = canonical_decompose(one)
+            assert np.array_equal(dec.V[idx], dec_one.V)
+            assert np.array_equal(dec.c[idx], dec_one.c)
+            design_one = design_observation_matrix(dec_one, 1.0)
+            assert np.array_equal(design.M[idx], design_one.M)
+            assert design.C_norm[idx] == design_one.C_norm
+
+    def test_strategy_kernels(self):
+        geom = UlaGeometry(64)
+        rng = np.random.default_rng(61)
+        T, B, L = 4, 3, 3
+        az, true_spaces = physical_stack(rng, geom, (T,), L)
+        gains = rng.normal(size=(T, L)) + 1j * rng.normal(size=(T, L))
+        est = az[:, None] + math.radians(2.0) * rng.uniform(-1.0, 1.0, size=(T, B, L))
+        E_hats = steering_matrix(geom, est)
+        Ms = design_observation_matrix(
+            canonical_decompose(physical_variation_space(geom, est)), 1.0).M
+        Ms[0, 1] = 0.0          # a singular compression: +inf
+        h = np.array([steering_matrix(geom, a) @ g for a, g in zip(az, gains)])
+        coefficient, bias = ac_strategy_bound(h, E_hats)
+        eigs, singular = compression_spectra(true_spaces, Ms)
+        proposed = proposed_strategy_bound(true_spaces, Ms)
+        assert proposed[0, 1] == math.inf and np.all(np.isfinite(np.delete(proposed, 1)))
+        for t, b in np.ndindex(T, B):
+            assert np.array_equal(E_hats[t, b], steering_matrix(geom, est[t, b]))
+            one_coefficient, one_bias = ac_strategy_bound(h[t], E_hats[t, b][None])
+            assert (coefficient[t, b], bias[t, b]) == (one_coefficient[0], one_bias[0])
+            basis = physical_variation_space(geom, az[t])
+            one_eigs, one_singular = compression_spectra(basis, Ms[t, b][None])
+            assert np.array_equal(eigs[t, b], one_eigs[0])
+            assert singular[t, b] == one_singular[0]
+            assert proposed[t, b] == proposed_strategy_bound(basis, Ms[t, b][None])[0]
+
+
+def doom_rows(monkeypatch, modulus):
+    """Make the variation space of about one azimuth row in ``modulus``
+    degenerate, in the stacked and in the one-channel calls alike."""
+    import pilotspace.models
+
+    real = pilotspace.models._steering_span
+
+    def span(geom, azimuths, origin):
+        rows = np.asarray(azimuths)
+        if np.any(np.floor(np.abs(rows[..., 0]) * 1e4) % modulus == 0):
+            raise RankDeficientError("forced degenerate row")
+        return real(geom, azimuths, origin)
+
+    monkeypatch.setattr(pilotspace.models, "_steering_span", span)
+
+
+def assert_same_run(config):
+    """run_multipath equals the serial trial loop bit for bit; returns its info."""
+    table, info = run_multipath(config)
+    serial_table, serial_info = serial_run_multipath(config)
+    assert info == serial_info
+    assert table.rows == serial_table.rows
+    return info
+
+
+class TestStackedRun:
+    """The trial-stacked sweeps equal the serial loops bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(700_000, 700_010))
+    def test_equals_serial_loop(self, seed):
+        assert_same_run(ExperimentConfig(n_trials=10, seed=seed))
+
+    def test_equals_serial_loop_over_split_groups(self):
+        # 40 trials: most path counts have more trials than one kernel call takes.
+        config = ExperimentConfig(n_trials=40, seed=5, delta_deg=(0.0, 2.0))
+        counts = np.bincount([_trial_draw(config, t)[0].n_paths for t in range(40)])
+        assert counts.max() > STACK_TRIALS
+        assert_same_run(config)
+
+    def test_equals_serial_loop_with_forced_redraws(self, monkeypatch):
+        doom_rows(monkeypatch, 4)
+        redraws = [assert_same_run(ExperimentConfig(n_trials=10, seed=seed))["redraws"]
+                   for seed in range(700_000, 700_010)]
+        assert min(redraws) > 0
+
+    def test_lowest_failing_trial_is_named(self, monkeypatch):
+        doom_rows(monkeypatch, 3)
+        config = ExperimentConfig(n_trials=10, seed=14, max_redraws=3,
+                                  separation_floor_deg=10.0)
+        failures = {}
+        for t in range(config.n_trials):
+            try:
+                serial_trial(config, t)
+            except DrawError as err:
+                failures[t] = str(err)
+        # Trial 1 exhausts its redraws; trial 2 fails its first azimuth draw.
+        assert min(failures) == 1 and failures[1].endswith("degenerate after 3 redraws")
+        assert failures[2].startswith("could not draw")
+        with pytest.raises(DrawError) as excinfo:
+            run_multipath(config)
+        assert str(excinfo.value) == failures[1]
+
+    def test_single_path_equals_serial(self):
+        config = ExperimentConfig(delta_deg=(0.0, 0.3, 2.0, 7.0, -3.0))
+        bounds = [serial_trial_bounds(config.geometry,
+                                      PathSet(gains=[1.0], azimuths=[math.radians(d)]),
+                                      np.zeros((1, 1)))
+                  for d in config.delta_deg]
+        expected = _curve_rows(config, *np.moveaxis(np.array(bounds), 0, -1), trials=1)
+        assert run_single_path(config).rows == expected.rows

@@ -131,6 +131,27 @@ class TestROrthonormalize:
             r_orthonormalize(G)
         assert excinfo.value.rank == 1
 
+    def test_stack_equals_each_slice(self):
+        rng = np.random.default_rng(5)
+        G = random_complex(rng, 3, 2, 9, 5)
+        G[0, 1] = graded(rng, 9, 5)
+        G[2, 0] = near_dependent(rng, 9, 5, 1e-6)
+        basis, R = r_orthonormalize(G)
+        assert basis.U.shape == G.shape and (basis.ambient_dim, basis.dim) == (9, 5)
+        for idx in np.ndindex(3, 2):
+            one, R_one = r_orthonormalize(G[idx])
+            assert np.array_equal(basis.U[idx], one.U)
+            assert np.array_equal(R[idx], R_one)
+
+    def test_stack_rank_deficient(self):
+        rng = np.random.default_rng(6)
+        G = random_complex(rng, 4, 5, 2)
+        G[2, :, 1] = -2.5 * G[2, :, 0]
+        with pytest.raises(RankDeficientError) as excinfo:
+            r_orthonormalize(G)
+        assert excinfo.value.rank.tolist() == [2, 2, 1, 2]
+        assert excinfo.value.null_space is None
+
 
 class TestRankFromTriangle:
     """The rank test runs on the first QR pass's triangle, not on [Re; Im] G."""
