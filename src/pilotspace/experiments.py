@@ -16,9 +16,11 @@ pSNR = P_t ||h||^2 / sigma^2:
   rank-checks E_hat supplies them, and its left vectors the projection
   of the bias term.
 * proposed -- pilots of duration ceil(3L/2) built from the estimated
-  variation space; the bound is the relative CRB of the full physical
-  model evaluated at the true parameters against those (mismatched)
-  pilots.  No bias term: the curve is exactly proportional to 1/pSNR.
+  variation space; the bound is the relative CRB of the azimuth-only
+  span at the true azimuths (``models.physical_variation_space``, the
+  physical model's variation space for real gains) against those
+  (mismatched) pilots.  No bias term: the curve is exactly proportional
+  to 1/pSNR.
 
 The pSNR axis is swept by varying sigma^2 at fixed transmit power and
 fixed channel, so pilot designs are constant along a sweep and each
@@ -42,7 +44,8 @@ give the Proposed pilots, and one call of ``crb.compression_spectra``
 compresses the pilot stack against each channel's own true basis
 (``proposed_strategy_bound``).  Each stacked kernel gives every slice
 the bits of its call on that slice alone; only the real Schur form
-inside the canonical decomposition runs per slice.  That matters: where
+inside the canonical decomposition runs per slice, and an
+already-canonical slice (every L = 1 span) skips it.  That matters: where
 an estimated space has repeated or zero couplings the pilots depend on
 which basis of that subspace the Schur form returns, so any change of
 rounding before it would move the Proposed curve at Delta > 0.
@@ -83,7 +86,7 @@ from .models import (
     steering_matrix,
 )
 from .pilot import design_observation_matrix
-from .rlinalg import RankDeficientError, RBasis, numerical_rank
+from .rlinalg import RankDeficientError, numerical_rank
 from .variation import canonical_decompose
 
 AC_STRATEGY = "AngleConstrained"
@@ -249,13 +252,14 @@ def relative_bias(h, E_hat):
 def proposed_strategy_bound(true_basis, Ms):
     """Bound of the proposed strategy for each pilot matrix in a stack Ms (..., N_t, m).
 
-    Returns the (...) coefficients CRB * P / sigma^2 of the full physical
-    model at the true parameters (variation space ``true_basis``, or a
-    stack of them paired with ``Ms`` as in ``compression_spectra``)
-    against pilots of power P = ||M_b||_F^2: 0.5 ||M_b||_F^2 sum 1/lambda
-    over the compression eigenvalues lambda on the true basis, from one
-    ``compression_spectra`` call.  The value does not change when M_b is
-    scaled; there is no bias term, and a singular compression gives +inf.
+    Returns the (...) coefficients CRB * P / sigma^2 of the variation
+    space ``true_basis`` (the sweeps pass the azimuth-only span of the
+    true azimuths), or of a stack of them paired with ``Ms`` as in
+    ``compression_spectra``, against pilots of power P = ||M_b||_F^2:
+    0.5 ||M_b||_F^2 sum 1/lambda over the compression eigenvalues lambda
+    on the true basis, from one ``compression_spectra`` call.  The value
+    does not change when M_b is scaled; there is no bias term, and a
+    singular compression gives +inf.
     """
     eigs, singular = compression_spectra(true_basis, Ms)
     safe = np.where(singular[..., None], 1.0, eigs)
@@ -281,14 +285,14 @@ def _strategy_bounds(geom, gains, azimuths, estimates):
     # One matrix-vector product per channel: a stacked product rounds differently.
     h = np.array([E_t @ b for E_t, b in zip(E[:, 0], gains)])
     ac_coefficient, ac_bias = ac_strategy_bound(h, E[:, row_of])
-    # The physical model's variation space at each row: the true space,
-    # then the estimated ones.  The true row is decomposed only when a
-    # Delta column reads it.
+    # The azimuth-only span at each row: the true space, then the
+    # estimated ones.  The true row is decomposed only when a Delta column
+    # reads it.  Slices of the checked stack are not checked again.
     spaces = physical_variation_space(geom, rows)
     first = 0 if reuse.any() else 1
-    designed = RBasis(spaces.U[:, first:]) if first else spaces
-    Ms = design_observation_matrix(canonical_decompose(designed), 1.0).M[:, row_of - first]
-    return ac_coefficient, ac_bias, proposed_strategy_bound(RBasis(spaces.U[:, 0]), Ms)
+    designs = design_observation_matrix(canonical_decompose(spaces[:, first:]), 1.0)
+    Ms = designs.M[:, row_of - first]
+    return ac_coefficient, ac_bias, proposed_strategy_bound(spaces[:, 0], Ms)
 
 
 def _curve_rows(config, ac_coefficient, ac_bias, proposed_coefficient, trials):

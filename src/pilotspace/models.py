@@ -245,24 +245,30 @@ def _steering_span(geom, azimuths, origin):
 
 
 def physical_variation_space(geom, azimuths):
-    """Variation space of the physical multipath model, from azimuths alone.
+    """The azimuth-only span: an ``RBasis`` of the real span of
+    {e(phi_l), -j e(phi_l), de/dphi_l} per path.
 
-    An ``RBasis`` of the real span of {e(phi_l), -j e(phi_l), de/dphi_l}
-    per path: the azimuths determine the space, the path gains do not
-    (gains only phase-rotate the derivative directions, which leaves
-    every design and bound built from the space unchanged).  Azimuths
-    (..., L) give a stack of bases from one ``r_orthonormalize`` call,
-    which raises when any slice is rank deficient.
+    It is the variation space of ``physical_model`` when the path gains
+    are real.  A complex gain b_l turns the derivative generator into
+    b_l de/dphi_l: for one path that multiplies the whole space by a unit
+    phase, which leaves its couplings and every bound unchanged, but for
+    L >= 2 the gain phases change the span and its couplings, which this
+    span does not see (ROADMAP.md, open item 1).  Azimuths (..., L) give
+    a stack of bases from one ``r_orthonormalize`` call, which raises
+    when any slice is rank deficient.
     """
     return _steering_span(geom, azimuths, origin="physical")
 
 
 def estimated_variation_space(geom, estimated_azimuths):
-    """Variation-space estimate from azimuth estimates alone.
+    """The azimuth-only span of azimuth estimates: the variation-space
+    estimate that pilots are designed from.
 
     Same span construction (and ``RBasis``) as
-    ``physical_variation_space``; the rank-deficiency error calls the
-    space estimated.  Fails for (near-)coincident or endfire estimates,
-    where the generators degenerate.
+    ``physical_variation_space``, so for L >= 2 it estimates the
+    variation space of real path gains only (ROADMAP.md, open item 1);
+    the rank-deficiency error calls the space estimated.  Fails for
+    (near-)coincident or endfire estimates, where the generators
+    degenerate.
     """
     return _steering_span(geom, estimated_azimuths, origin="estimated")

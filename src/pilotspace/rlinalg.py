@@ -10,10 +10,14 @@ in that setting:
   product, implemented through a real QR of the stacked [Re; Im] matrix
   (of one matrix or of each matrix in a stack).
 * ``triangle_rank`` -- numerical rank of a QR triangle, certified full
-  from one triangular inverse where possible, else from its SVD.
+  from one triangular inverse where possible (``full_rank_certified``,
+  which also takes a complex triangle), else from its SVD.
 * ``skew_canonical_form`` -- real Schur decomposition of a skew-symmetric
   matrix, reordered into the canonical 2x2 block form with nonnegative,
-  descending couplings.
+  descending couplings; an input already in that form skips the Schur
+  form.
+* ``RBasis`` -- a checked real-orthonormal basis, or a stack of them;
+  indexing a stack's batch axes gives the slices without a new check.
 * ``project_r`` / ``compression_matrix`` -- orthogonal projection onto a
   real-orthonormal span and the compression of M M^H to it (of one
   matrix M or a stack of them; ``real_gram``, ``numerical_rank`` and
@@ -22,12 +26,12 @@ in that setting:
 A stack is an array with leading batch axes.  Every stacked kernel gives
 each slice the bits of its call on that slice alone: numpy's stacked
 ``qr``, ``svd``, ``eigvalsh`` and ``matmul`` factor slice by slice, and
-the LAPACK calls made here (``dtrtri``, ``dtrtrs``, ``dgees``) run once
-per slice.
+the LAPACK calls made here (``d/ztrtri``, ``d/ztrtrs``, ``dgees``) run
+once per slice.
 
 All functions are pure and operate on immutable inputs.
 
-The three LAPACK routines used here (``dtrtri``, ``d/ztrtrs``, ``dgees``)
+The three LAPACK routines used here (``d/ztrtri``, ``d/ztrtrs``, ``dgees``)
 are called on scipy's f2py extension ``scipy.linalg._flapack``, the
 module whose functions ``scipy.linalg.lapack`` re-exports.  It is loaded
 without importing the ``scipy.linalg`` package, whose import costs more
@@ -147,6 +151,22 @@ class RBasis:
                 f"columns are not real-orthonormal: ||Re(U^H U) - I||_F = {defect:.3e}"
             )
 
+    def __getitem__(self, index):
+        """The bases at ``index`` of a stack's batch axes, as an RBasis.
+
+        Each slice of a checked stack is real-orthonormal, so the result
+        is not checked again; the index never reaches the two matrix axes.
+        """
+        if self.U.ndim == 2:
+            raise TypeError("a single basis has no batch axes to index")
+        index = index if isinstance(index, tuple) else (index,)
+        U = self.U[index + (slice(None), slice(None))]
+        sub = object.__new__(RBasis)
+        object.__setattr__(sub, "U", U)
+        object.__setattr__(sub, "ambient_dim", U.shape[-2])
+        object.__setattr__(sub, "dim", U.shape[-1])
+        return sub
+
 
 def skew_block_matrix(gamma, size):
     """Block-diagonal Gamma with blocks [[0, -c], [c, 0]] and a 0 if size is odd."""
@@ -199,21 +219,34 @@ def real_rank(G):
     )
 
 
+def full_rank_certified(R):
+    """Whether one triangular inversion certifies that the square upper-
+    triangular R (real or complex) has full numerical rank.
+
+    sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F), so the answer is
+    True when that product passes RANK_CERT_MARGIN.  False for an empty
+    or wide triangle, a zero diagonal entry, or a product that is
+    non-finite or fails the margin: the rank is then undecided, not
+    deficient.
+    """
+    k = R.shape[1]
+    if k == 0 or R.shape != (k, k):
+        return False
+    trtri = _flapack.ztrtri if np.iscomplexobj(R) else _flapack.dtrtri
+    R_inv, info = trtri(R)   # info > 0: zero diagonal
+    bound = np.linalg.norm(R) * np.linalg.norm(R_inv)
+    # A NaN or inf bound fails the comparison.
+    return bool(info == 0 and bound * RANK_RTOL < RANK_CERT_MARGIN)
+
+
 def triangle_rank(R):
     """Numerical rank of an upper-triangular R: numerical_rank(svd(R)).
 
-    One triangular inversion certifies full rank without the SVD:
-    sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F).  Falls back to
-    the singular values for a wide triangle, a zero diagonal entry, or a
-    product that is non-finite or fails RANK_CERT_MARGIN.
+    ``full_rank_certified`` skips the SVD; the singular values are taken
+    only when its certificate fails.
     """
-    k = R.shape[1]
-    if k > 0 and R.shape == (k, k):
-        R_inv, info = _flapack.dtrtri(R)   # info > 0: zero diagonal
-        bound = np.linalg.norm(R) * np.linalg.norm(R_inv)
-        # A NaN or inf bound fails the comparison.
-        if info == 0 and bound * RANK_RTOL < RANK_CERT_MARGIN:
-            return k
+    if full_rank_certified(R):
+        return R.shape[1]
     return numerical_rank(np.linalg.svd(R, compute_uv=False))
 
 
@@ -357,6 +390,13 @@ def skew_canonical_form(A):
     Returns ``(B, gamma)``: the orthogonal matrix and the couplings,
     so that B^T A B = skew_block_matrix(gamma, K).
 
+    An A already in that form within the Schur route's block tolerance
+    ``COUPLING_SNAP * max(1, ||A||_F)`` (``_canonical_couplings``) skips
+    the Schur form: B is the identity and gamma its snapped block values,
+    descending up to that tolerance.  Near such an A, B stays near the
+    identity, where the Schur form may return any rotation within each
+    block and any basis of tied blocks.
+
     Raises
     ------
     ValueError
@@ -378,6 +418,10 @@ def skew_canonical_form(A):
         )
     A = 0.5 * (A - A.T)
     reorder_tol = COUPLING_SNAP * max(1.0, norm_a)
+
+    c = _canonical_couplings(A, reorder_tol)
+    if c is not None:
+        return np.eye(K), np.array([_snap_coupling(ck) for ck in c])
 
     T, Q = _real_schur(A)
 
@@ -406,19 +450,41 @@ def skew_canonical_form(A):
     pairs.sort(key=lambda pc: -pc[0])
     order = [idx for _, cols in pairs for idx in cols] + singles
     B = Q[:, order]
-
-    def _snap(c):
-        if c < COUPLING_SNAP:
-            return 0.0
-        # Couplings of a real-orthonormal Gram imaginary part cannot
-        # exceed 1; absorb floating-point excess.  Larger values are
-        # legitimate for general skew-symmetric input and kept as-is.
-        if 1.0 < c <= 1.0 + COUPLING_SNAP:
-            return 1.0
-        return c
-
-    gamma = np.array([_snap(c) for c, _ in pairs])
+    gamma = np.array([_snap_coupling(c) for c, _ in pairs])
     return B, gamma
+
+
+def _snap_coupling(c):
+    if c < COUPLING_SNAP:
+        return 0.0
+    # Couplings of a real-orthonormal Gram imaginary part cannot
+    # exceed 1; absorb floating-point excess.  Larger values are
+    # legitimate for general skew-symmetric input and kept as-is.
+    if 1.0 < c <= 1.0 + COUPLING_SNAP:
+        return 1.0
+    return c
+
+
+def _canonical_couplings(A, tol):
+    """Block values c_k = A[2k+1, 2k] of a skew-symmetric A that is already
+    in canonical form within ``tol``, else None.
+
+    Canonical within tol: every entry outside the 2x2 diagonal blocks
+    (and the trailing zero when the dimension is odd) is at most tol in
+    magnitude, no c_k is below -tol and no c_k exceeds its predecessor by
+    more than tol.
+    """
+    # In the flattened K x K matrix, the block entries (2k+1, 2k) and
+    # (2k, 2k+1) sit at K + 2k(K+1) and 1 + 2k(K+1).  Basic slices and
+    # array methods keep the test to a few microseconds at K = 21.
+    K = A.shape[0]
+    c = A.ravel()[K::2 * K + 2]
+    rest = A.flatten()
+    rest[K::2 * K + 2] = rest[1::2 * K + 2] = 0.0
+    if (abs(rest).max(initial=0.0) <= tol and (c >= -tol).all()
+            and (c[1:] <= c[:-1] + tol).all()):
+        return c
+    return None
 
 
 def project_r(basis, z):

@@ -11,6 +11,12 @@ A variation space is handed around as an ``rlinalg.RBasis``: the bounds
 depend on the space only, through any real-orthonormal basis of it.
 ``canonical_decompose`` also takes a stack of bases (one RBasis with
 leading batch axes) and returns the stacked decomposition.
+
+Linear models, whose gradient is (A, jA), take a closed-form route: one
+complex QR of A gives a basis that is already canonical (every coupling
+1), which ``canonical_decompose`` keeps without a Schur form or a basis
+rotation.  Every other gradient goes through ``r_orthonormalize`` and
+the real Schur form.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 from .rlinalg import (
     RBasis,
     RankDeficientError,
+    full_rank_certified,
     project_r,
     r_orthonormalize,
     skew_block_matrix,
@@ -90,9 +97,42 @@ class CanonicalDecomposition:
         return skew_block_matrix(self.c, self.n_params)
 
 
+def _linear_basis(grad):
+    """Canonical ``RBasis`` of the span of a gradient G = (A, jA), or None.
+
+    One complex QR A = QR, its columns signed to a positive diagonal of
+    R, gives the basis (q_1, -j q_1, q_2, -j q_2, ...): each pair spans
+    the complex line C q_k and distinct pairs are complex-orthogonal, so
+    the basis is already canonical with every coupling 1.  None when G is
+    not exactly (A, jA) with A finite, or when ``full_rank_certified``
+    does not certify the triangle: the general route then decides the
+    rank, and raises, as for any gradient.
+    """
+    n = grad.shape[1] // 2
+    A = grad[:, :n]
+    if (grad.shape[1] % 2 or not np.all(np.isfinite(A))
+            or not np.array_equal(grad[:, n:], 1j * A)):
+        return None
+    Q, R = np.linalg.qr(A)
+    if not full_rank_certified(R):
+        return None
+    diag = np.diagonal(R)
+    U = np.empty_like(grad)
+    U[:, 0::2] = Q * (diag / np.abs(diag))
+    U[:, 1::2] = -1j * U[:, 0::2]
+    return RBasis(U)
+
+
 def variation_space(model, theta):
     """Real-orthonormal basis (an ``RBasis``) of the variation space of
     ``model`` at ``theta``.
+
+    A gradient of the form (A, jA), as of every linear model
+    (``models.ls_model``, ``models.angle_constrained_model``), takes the
+    closed form of ``_linear_basis``: a basis that is already canonical,
+    so ``canonical_decompose`` keeps it as is.  Any other gradient, and
+    an A whose full rank is not certified, goes through
+    ``r_orthonormalize``.
 
     Raises
     ------
@@ -108,6 +148,9 @@ def variation_space(model, theta):
     grad = np.asarray(model.gradient(theta), dtype=complex)
     if grad.shape != (model.n_dims, model.n_params):
         raise ValueError(f"gradient shape {grad.shape} inconsistent with model dims")
+    basis = _linear_basis(grad)
+    if basis is not None:
+        return basis
     try:
         basis, _ = r_orthonormalize(grad)
     except RankDeficientError as err:
@@ -124,7 +167,12 @@ def canonical_decompose(basis):
 
     ``basis`` is an ``RBasis`` of the space.  Computes the canonical form
     of Im{U^H U} and rotates the basis: V = U B.  The couplings c are the
-    descending block values; the real span of V equals that of U.
+    descending block values; the real span of V equals that of U.  A
+    basis that is already canonical (``skew_canonical_form`` returns the
+    identity) is kept: V = U, with no product.  Under tied couplings any
+    rotation of the tied pairs would do as well; keeping the given basis
+    is a choice, and it makes V (and the pilots) a continuous function of
+    U near such a basis.
 
     For a stack of bases U (..., n, k), Im{U^H U} and V = U B are one
     stacked product each and the canonical form is taken per slice, so
@@ -132,14 +180,16 @@ def canonical_decompose(basis):
     """
     U = basis.U
     A = np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U)
+    k = A.shape[-1]
     if A.ndim == 2:     # no stacking copy of B (1.2 MB at k = 384)
         B, gamma = skew_canonical_form(A)
+        # An already-canonical basis is kept as is, with no product.
+        V = U if np.array_equal(B, np.eye(k)) else U @ B
     else:
-        k = A.shape[-1]
         Bs, gammas = zip(*(skew_canonical_form(a) for a in A.reshape(-1, k, k)))
-        B = np.array(Bs).reshape(A.shape)
+        V = U @ np.array(Bs).reshape(A.shape)
         gamma = np.array(gammas).reshape(A.shape[:-2] + (k // 2,))
-    return CanonicalDecomposition(V=U @ B, c=np.clip(gamma, 0.0, 1.0))
+    return CanonicalDecomposition(V=V, c=np.clip(gamma, 0.0, 1.0))
 
 
 def verify_eigenspace_property(decomp):

@@ -21,6 +21,7 @@ from pilotspace.rlinalg import (
     _positive_triangle,
     _real_schur,
     compression_matrix,
+    full_rank_certified,
     numerical_rank,
     project_r,
     r_inner,
@@ -496,6 +497,108 @@ class TestSkewCanonicalForm:
         assert not isinstance(excinfo.value, NotSkewSymmetricError)
 
 
+@pytest.fixture
+def schur_calls(monkeypatch):
+    """Count the real Schur forms that skew_canonical_form runs."""
+    import pilotspace.rlinalg as rl
+
+    calls = []
+    real = rl._real_schur
+
+    def counting(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(rl, "_real_schur", counting)
+    return calls
+
+
+def canonical_input(rng, K, ties=True):
+    """A skew matrix in canonical block form: descending couplings in [0, 1],
+    tied in pairs (1, 1, 0.5, 0.5, 0, 0) when ``ties`` (K <= 13)."""
+    if ties:
+        c = np.array([1.0, 1.0, 0.5, 0.5, 0.0, 0.0][:K // 2])
+    else:
+        c = np.sort(rng.uniform(size=K // 2))[::-1]
+    return skew_block_matrix(c, K), c
+
+
+class TestCanonicalShortcut:
+    """An input already in canonical form skips the Schur form: B is the identity."""
+
+    @pytest.mark.parametrize("ties", [True, False])
+    @pytest.mark.parametrize("K", [2, 3, 6, 7, 12, 13])
+    def test_returns_identity_and_snapped_couplings(self, K, ties, schur_calls):
+        A, c = canonical_input(np.random.default_rng(K), K, ties)
+        B, gamma = skew_canonical_form(A)
+        assert schur_calls == []
+        assert np.array_equal(B, np.eye(K))
+        assert np.array_equal(gamma, c)
+
+    def test_snaps_the_block_values(self, schur_calls):
+        # 1 + 1e-13 snaps to 1, 5e-13 to 0; off-block noise within the tolerance.
+        A = skew_block_matrix([1.0 + 1e-13, 0.3, 5e-13], 7)
+        A[0, 4], A[4, 0] = 1e-13, -1e-13
+        B, gamma = skew_canonical_form(A)
+        assert schur_calls == []
+        assert np.array_equal(B, np.eye(7))
+        assert gamma.tolist() == [1.0, 0.3, 0.0]
+
+    @pytest.mark.parametrize("K", [6, 7, 12])
+    def test_stack_slices_have_single_call_bits(self, K):
+        from pilotspace.variation import canonical_decompose
+
+        rng = np.random.default_rng(K)
+        n = K + 3
+        # Slices 0 and 2 are canonical: complex lines (q, -j q), then real
+        # pairs and a lone vector, from complex-orthonormal columns q.
+        # Slice 1 is a random basis.
+        Q, _ = np.linalg.qr(random_complex(rng, n, n))
+        lines = K // 4
+        canonical = Q[:, :K].copy()
+        canonical[:, 1:2 * lines:2] = -1j * Q[:, 0:2 * lines:2]
+        stack = np.stack([canonical, r_orthonormalize(random_complex(rng, n, K))[0].U,
+                          canonical * np.exp(0.3j)])
+        stacked = canonical_decompose(RBasis(stack))
+        for i, U in enumerate(stack):
+            basis = RBasis(U)
+            single = canonical_decompose(basis)
+            assert np.array_equal(stacked.V[i], single.V)
+            assert np.array_equal(stacked.c[i], single.c)
+            # An already-canonical basis is kept, with no product.
+            assert (single.V is basis.U) == (i != 1)
+        assert stacked.c[0] == pytest.approx([1.0] * lines + [0.0] * (K // 2 - lines),
+                                             abs=1e-12)
+
+    @pytest.mark.parametrize("ties", [True, False])
+    @pytest.mark.parametrize("K", [7, 12])
+    def test_small_perturbation_moves_B_slightly(self, K, ties, schur_calls):
+        rng = np.random.default_rng(50 + K)
+        A, c = canonical_input(rng, K, ties)
+        E = rng.normal(size=(K, K))
+        E[3, 2] += 10.0        # c_1 rises above c_0 by about 1e-13
+        A_near = A + 1e-14 * (E - E.T)
+        assert A_near[3, 2] > A_near[1, 0] or not ties
+        B, gamma = skew_canonical_form(A_near)
+        assert schur_calls == []
+        assert np.linalg.norm(B - np.eye(K)) <= 1e-12
+        assert np.abs(gamma - c).max() <= 1e-12
+
+    @pytest.mark.parametrize("K", [6, 7])
+    def test_out_of_order_columns_take_the_schur_form(self, K, schur_calls):
+        A, c = canonical_input(np.random.default_rng(K), K, ties=False)
+        for order in (np.r_[1, 0, 2:K],                        # c_0 on the wrong side
+                      np.r_[2, 3, 0, 1, 4:K],                  # ascending couplings
+                      np.r_[0, 2, 1, 3:K]):                    # blocks interleaved
+            schur_calls.clear()
+            P = np.eye(K)[:, order]
+            B, gamma = skew_canonical_form(P.T @ A @ P)
+            assert len(schur_calls) == 1
+            assert np.abs(gamma - c).max() <= 1e-12
+            T = B.T @ (P.T @ A @ P) @ B
+            assert np.linalg.norm(T - skew_block_matrix(gamma, K)) <= 1e-12
+
+
 def _steering_span_inputs():
     """(G, A) pairs shaped like a multipath trial's: G the 64 x 3L steering
     span, A = Im{U^H U} of its real-orthonormal basis U."""
@@ -718,6 +821,68 @@ class TestCompressionMatrix:
         M[3, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             compression_matrix(basis, M)
+
+
+class TestRBasisIndexing:
+    """Slices of a checked stack keep the stack's arrays and skip the check."""
+
+    def stack(self):
+        rng = np.random.default_rng(15)
+        return r_orthonormalize(random_complex(rng, 3, 4, 6, 3))[0]
+
+    @pytest.mark.parametrize("index, expected", [
+        (0, lambda U: U[0]),
+        ((slice(None), 0), lambda U: U[:, 0]),
+        ((slice(None), slice(1, None)), lambda U: U[:, 1:]),
+        ((Ellipsis, 2), lambda U: U[:, 2]),
+        ((1, 2), lambda U: U[1, 2]),
+    ])
+    def test_slices_the_batch_axes(self, index, expected):
+        stack = self.stack()
+        sub = stack[index]
+        assert np.array_equal(sub.U, expected(stack.U))
+        assert np.shares_memory(sub.U, stack.U)
+        assert (sub.ambient_dim, sub.dim) == (6, 3)
+
+    def test_skips_the_check(self, monkeypatch):
+        import pilotspace.rlinalg as rl
+
+        stack = self.stack()
+        monkeypatch.setattr(rl, "real_gram", lambda *a: pytest.fail("checked again"))
+        assert stack[:, 0].U.shape == (3, 6, 3)
+
+    def test_single_basis_has_no_batch_axes(self):
+        with pytest.raises(TypeError, match="batch"):
+            RBasis(np.eye(3, dtype=complex))[0]
+
+    def test_index_cannot_reach_the_matrix_axes(self):
+        with pytest.raises(IndexError):
+            self.stack()[0, 0, 0]
+
+
+class TestFullRankCertified:
+    @pytest.mark.parametrize("k", [1, 5, 24])
+    def test_complex_triangle(self, k):
+        rng = np.random.default_rng(k)
+        _, R = np.linalg.qr(random_complex(rng, k + 2, k))
+        assert full_rank_certified(R)
+        R[k - 1, k - 1] = 0.0
+        assert not full_rank_certified(R)
+
+    def test_complex_agrees_with_real_representation(self):
+        # A = QR certified iff the real 2k x 2k triangle of (A, jA) is:
+        # both have A's singular values (each twice for the real one).
+        rng = np.random.default_rng(3)
+        for ratio in (1e-3, 1e-8, 1e-12):
+            U, _ = np.linalg.qr(random_complex(rng, 6, 6))
+            W, _ = np.linalg.qr(random_complex(rng, 6, 6))
+            A = (U * np.geomspace(1.0, ratio, 6)) @ W
+            real = _positive_triangle(np.hstack([A, 1j * A]))
+            assert full_rank_certified(np.linalg.qr(A)[1]) == full_rank_certified(real)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3, 2)])
+    def test_empty_or_rectangular(self, shape):
+        assert not full_rank_certified(np.ones(shape, dtype=complex))
 
 
 class TestRBasisValidation:

@@ -8,6 +8,7 @@ from pilotspace.models import UlaGeometry, steering_derivative, steering_vector
 from pilotspace.rlinalg import (
     RankDeficientError,
     RBasis,
+    full_rank_certified,
     project_r,
     r_orthonormalize,
     stacked_real,
@@ -95,6 +96,119 @@ class TestVariationSpace:
         model = constant_gradient_model(np.eye(3, dtype=complex))
         with pytest.raises(ValueError, match="length"):
             variation_space(model, np.zeros(5))
+
+
+def real_projector(U):
+    """Projector onto span_R(U) in the real coordinates [Re; Im]."""
+    S = stacked_real(U)
+    return S @ S.T
+
+
+def linear_cases():
+    """Linear models, one pytest param each: LS for N_t = 1..16, random
+    complex A, steering matrices of the angle-constrained model."""
+    from pilotspace.models import angle_constrained_model, ls_model
+
+    rng = np.random.default_rng(40)
+    cases = [pytest.param(ls_model(n), id=f"ls-{n}") for n in range(1, 17)]
+    for shape in [(1, 1), (5, 1), (5, 3), (8, 8), (12, 5)]:
+        A = random_complex(rng, *shape)
+        cases.append(pytest.param(constant_gradient_model(np.hstack([A, 1j * A])),
+                                  id=f"random-{shape[0]}x{shape[1]}"))
+    for n_tx, L in [(8, 1), (16, 3), (64, 6)]:
+        azimuths = rng.uniform(-1.2, 1.2, size=L)
+        cases.append(pytest.param(angle_constrained_model(UlaGeometry(n_tx), azimuths),
+                                  id=f"ac-{n_tx}-{L}"))
+    return cases
+
+
+@pytest.fixture
+def no_general_route(monkeypatch):
+    """Fail on the general route: r_orthonormalize or a real Schur form."""
+    import pilotspace.rlinalg as rl
+    import pilotspace.variation as var
+
+    def fail(*args):
+        pytest.fail("general route taken")
+
+    monkeypatch.setattr(var, "r_orthonormalize", fail)
+    monkeypatch.setattr(rl, "_real_schur", fail)
+
+
+class TestLinearRoute:
+    """A gradient (A, jA) takes the closed form: one complex QR of A, no Schur form."""
+
+    @pytest.mark.parametrize("model", linear_cases())
+    def test_matches_general_route(self, model):
+        theta = np.zeros(model.n_params)
+        grad = model.gradient(theta)
+        general = canonical_decompose(r_orthonormalize(grad)[0])
+        basis = variation_space(model, theta)
+        decomp = canonical_decompose(basis)
+        assert decomp.V is basis.U
+        P, P_ref = real_projector(decomp.V), real_projector(general.V)
+        assert np.linalg.norm(P - P_ref) <= 1e-10
+        assert np.abs(decomp.c - general.c).max() <= 1e-10
+        assert np.abs(decomp.c - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("model", linear_cases()[::4])
+    def test_takes_no_general_route(self, model, no_general_route):
+        decomp = canonical_decompose(variation_space(model, np.zeros(model.n_params)))
+        assert decomp.n_params == model.n_params
+
+    @pytest.mark.parametrize("n_tx", range(1, 17))
+    def test_ls_crb_min_is_the_textbook_value(self, n_tx):
+        from pilotspace.crb import NoiseModel, crb_min
+        from pilotspace.models import ls_model
+        from pilotspace.pilot import design_observation_matrix, verify_optimality_certificates
+
+        rng = np.random.default_rng(n_tx)
+        P, sigma2 = rng.uniform(0.5, 2.0), rng.uniform(0.1, 1.0)
+        decomp = canonical_decompose(variation_space(ls_model(n_tx), np.zeros(2 * n_tx)))
+        value = crb_min(decomp.c, decomp.n_params, NoiseModel(sigma2), P).value
+        assert value == pytest.approx(sigma2 * n_tx**2 / P, rel=1e-12)
+        design = design_observation_matrix(decomp, P, sigma2)
+        assert design.achieved_crb == pytest.approx(value, rel=1e-9)
+        cert = verify_optimality_certificates(design)
+        assert cert["diagonal_residual"] <= 1e-10 and cert["dk_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("azimuths", [[0.3, 0.3], [0.3, -0.1, 0.3], [-0.5, 0.2, 0.2, 0.9]])
+    @pytest.mark.parametrize("n_tx", [8, 64])
+    def test_coincident_azimuths_raise_as_the_general_route(self, n_tx, azimuths,
+                                                            monkeypatch):
+        import pilotspace.variation as var
+        from pilotspace.models import angle_constrained_model
+
+        model = angle_constrained_model(UlaGeometry(n_tx), azimuths)
+        theta = np.zeros(model.n_params)
+        with pytest.raises(RankDeficientError) as got:
+            variation_space(model, theta)
+        monkeypatch.setattr(var, "_linear_basis", lambda grad: None)
+        with pytest.raises(RankDeficientError) as ref:
+            variation_space(model, theta)
+        assert str(got.value) == str(ref.value)
+        assert got.value.rank == ref.value.rank
+        assert np.array_equal(got.value.null_space, ref.value.null_space)
+
+    def test_uncertified_rank_falls_back(self):
+        # sigma_min / sigma_max = 1.5e-10: full rank, but beyond the certificate.
+        rng = np.random.default_rng(41)
+        Q1, _ = np.linalg.qr(random_complex(rng, 6, 4))
+        Q2, _ = np.linalg.qr(random_complex(rng, 4, 4))
+        A = (Q1 * np.geomspace(1.0, 1.5e-10, 4)) @ Q2
+        assert not full_rank_certified(np.linalg.qr(A)[1])
+        G = np.hstack([A, 1j * A])
+        basis = variation_space(constant_gradient_model(G), np.zeros(8))
+        assert np.array_equal(basis.U, r_orthonormalize(G)[0].U)
+
+    def test_other_gradients_take_the_general_route(self):
+        # (A, jA) up to one rounding in one entry is not a linear gradient.
+        rng = np.random.default_rng(42)
+        A = random_complex(rng, 6, 3)
+        G = np.hstack([A, 1j * A])
+        G[2, 4] *= 1.0 + 2.0**-52
+        basis = variation_space(constant_gradient_model(G), np.zeros(6))
+        assert np.array_equal(basis.U, r_orthonormalize(G)[0].U)
 
 
 class TestCanonicalDecompose:
