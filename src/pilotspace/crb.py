@@ -17,7 +17,11 @@ eigenvalues of each compression with its singularity verdict.
 ``crb_via_variation_space`` and ``check_identifiability`` call it with a
 stack of one, and the multipath experiment once per group of channels,
 with a stack of true bases and the pilot matrices of every channel and
-Delta value at once.
+Delta value at once.  On a linear model's closed-form basis
+(q_1, -j q_1, ...) the variation space is the complex span of Q, and the
+kernel takes the spectrum of the r x r Hermitian Q^H M M^H Q, each
+eigenvalue twice: the classical training-based bound
+sigma^2 Tr[(Q^H M M^H Q)^{-1}] in r x r complex algebra.
 
 Non-identifiability (singular Fisher matrix / singular compression) is
 reported as an infinite bound, never as an exception, so parameter
@@ -31,7 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rlinalg import COUPLING_SNAP, compression_matrix, real_gram, solve_right, stacked_real
+from .rlinalg import (
+    COUPLING_SNAP,
+    _broadcast_basis,
+    _checked_observations,
+    _complex_pairs,
+    compression_matrix,
+    real_gram,
+    solve_right,
+    stacked_real,
+)
 
 # A compression (or FIM) counts as singular when its smallest eigenvalue
 # falls below this fraction of the largest.
@@ -193,8 +206,22 @@ def compression_spectra(basis, Ms):
     (..., dim) ascending eigenvalues of each compression and the (...)
     boolean ``_is_singular`` verdicts, whose absolute floor scales with
     each energy ||M||_F^2.  Each slice has the bits of a stack of one.
+
+    A basis (q_1, -j q_1, q_2, -j q_2, ...) (``rlinalg._complex_pairs``:
+    the closed-form basis of a linear model) spans the complex span of
+    Q, and its compression is the real form of the r x r Hermitian
+    Y = Q^H M M^H Q, whose spectrum is that of Y with every eigenvalue
+    twice.  Such a basis takes Y's ``eigvalsh`` instead of the 2r x 2r
+    real compression; every other basis takes ``compression_matrix``.
     """
-    return _spectra(compression_matrix(basis, Ms), np.linalg.norm(Ms, axis=(-2, -1)) ** 2)
+    Q = _complex_pairs(basis.U)
+    if Q is None:
+        eigs = np.linalg.eigvalsh(compression_matrix(basis, Ms))
+    else:
+        M = _checked_observations(basis, Ms)
+        X = np.conj(np.swapaxes(M, -1, -2)) @ _broadcast_basis(Q, M)      # (..., m, r)
+        eigs = np.repeat(np.linalg.eigvalsh(np.conj(np.swapaxes(X, -1, -2)) @ X), 2, axis=-1)
+    return eigs, _is_singular(eigs[..., 0], eigs[..., -1], np.linalg.norm(Ms, axis=(-2, -1)) ** 2)
 
 
 def _spectra(C, energy):

@@ -18,6 +18,10 @@ in that setting:
   form.
 * ``RBasis`` -- a checked real-orthonormal basis, or a stack of them;
   indexing a stack's batch axes gives the slices without a new check.
+  A basis (q_1, -j q_1, q_2, -j q_2, ...), as a linear model's closed
+  form builds it, is recognized bitwise (``_complex_pairs``) and checked
+  through the complex r x r Gram Q^H Q; ``variation`` and ``crb`` use the
+  same test to keep such a basis in r x r complex algebra.
 * ``project_r`` / ``compression_matrix`` -- orthogonal projection onto a
   real-orthonormal span and the compression of M M^H to it (of one
   matrix M or a stack of them; ``real_gram``, ``numerical_rank`` and
@@ -118,7 +122,10 @@ class RBasis:
     """Matrix U with real-orthonormal columns: Re{U^H U} = Id.
 
     A stack of bases is one RBasis whose U has leading batch axes,
-    each slice real-orthonormal.
+    each slice real-orthonormal; an empty stack passes with defect 0.
+    The defect ||Re(U^H U) - I||_F of a basis (q_1, -j q_1, ...)
+    (``_complex_pairs``) is computed as sqrt(2) ||Q^H Q - I||_F, its
+    value in exact arithmetic, from the r x r complex Gram.
 
     Attributes
     ----------
@@ -144,8 +151,16 @@ class RBasis:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "ambient_dim", U.shape[-2])
         object.__setattr__(self, "dim", U.shape[-1])
-        gram = real_gram(U) - np.eye(self.dim)
-        defect = max(np.linalg.norm(g) for g in gram.reshape(-1, self.dim, self.dim))
+        Q = _complex_pairs(U)
+        if Q is None:
+            gram, scale = real_gram(U) - np.eye(self.dim), 1.0
+        else:
+            # Re(U^H U) - I is the real form of Q^H Q - I: each entry twice.
+            gram = np.conj(np.swapaxes(Q, -1, -2)) @ Q - np.eye(Q.shape[-1])
+            scale = np.sqrt(2.0)
+        k = gram.shape[-1]
+        defect = scale * max((np.linalg.norm(g) for g in gram.reshape(-1, k, k)),
+                             default=0.0)
         if defect > STRUCTURE_RTOL * self.dim:
             raise ValueError(
                 f"columns are not real-orthonormal: ||Re(U^H U) - I||_F = {defect:.3e}"
@@ -166,6 +181,21 @@ class RBasis:
         object.__setattr__(sub, "ambient_dim", U.shape[-2])
         object.__setattr__(sub, "dim", U.shape[-1])
         return sub
+
+
+def _complex_pairs(U):
+    """Q = U[..., 0::2] when U = (q_1, -j q_1, q_2, -j q_2, ...) exactly, else None.
+
+    The test is bitwise: U[..., 1::2] == -1j * U[..., 0::2], the expression
+    that builds the closed-form basis of a linear model.  Such a basis spans
+    the complex span of Q, so its real Gram and compressions are the real
+    forms of the complex r x r matrices Q^H Q and Q^H M M^H Q.  An odd
+    column count, or a first pair that fails the test, returns at once.
+    """
+    if U.shape[-1] % 2 or not np.array_equal(U[..., 1], -1j * U[..., 0]):
+        return None
+    Q = U[..., 0::2]
+    return Q if np.array_equal(U[..., 1::2], -1j * Q) else None
 
 
 def skew_block_matrix(gamma, size):
@@ -301,7 +331,7 @@ def r_orthonormalize(G):
     A stack G (..., n, k) is orthonormalized slice by slice with the
     bits of one call per slice: each pass is one stacked QR, then a rank
     test and a triangular solve per slice, and the result is one RBasis
-    stack.
+    stack (empty for an empty stack).
 
     Parameters
     ----------
@@ -508,6 +538,14 @@ def compression_matrix(basis, M):
     each basis compresses the matrices under its own leading axes.
     Raises ValueError if M has the wrong row count or non-finite entries.
     """
+    M = _checked_observations(basis, M)
+    C = real_gram(np.conj(np.swapaxes(M, -1, -2)) @ _broadcast_basis(basis.U, M))
+    return 0.5 * (C + np.swapaxes(C, -1, -2))     # (..., dim, dim)
+
+
+def _checked_observations(basis, M):
+    """M as a complex array (at least 2-D); ValueError if it has the wrong
+    row count for ``basis`` or non-finite entries."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.shape[-2] != basis.ambient_dim:
         raise ValueError(
@@ -515,7 +553,10 @@ def compression_matrix(basis, M):
         )
     if not np.all(np.isfinite(M)):
         raise ValueError("observation matrix M contains non-finite entries")
-    U = basis.U
-    U = U.reshape(U.shape[:-2] + (1,) * (M.ndim - U.ndim) + U.shape[-2:])
-    C = real_gram(np.conj(np.swapaxes(M, -1, -2)) @ U)     # (..., dim, dim)
-    return 0.5 * (C + np.swapaxes(C, -1, -2))
+    return M
+
+
+def _broadcast_basis(U, M):
+    """U (S..., n, k) with unit axes inserted before its matrix axes, so a
+    stack of bases broadcasts against M (S..., B..., n, m)."""
+    return U.reshape(U.shape[:-2] + (1,) * (M.ndim - U.ndim) + U.shape[-2:])

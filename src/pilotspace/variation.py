@@ -13,10 +13,12 @@ depend on the space only, through any real-orthonormal basis of it.
 leading batch axes) and returns the stacked decomposition.
 
 Linear models, whose gradient is (A, jA), take a closed-form route: one
-complex QR of A gives a basis that is already canonical (every coupling
-1), which ``canonical_decompose`` keeps without a Schur form or a basis
-rotation.  Every other gradient goes through ``r_orthonormalize`` and
-the real Schur form.
+complex QR of A gives the basis (q_1, -j q_1, q_2, -j q_2, ...), already
+canonical (every coupling 1).  ``canonical_decompose`` recognizes that
+form (``rlinalg._complex_pairs``) and keeps the basis with c = 1 exactly,
+without forming Im{U^H U}; its orthonormality check and its compression
+spectra run on the r x r complex Q as well.  Every other gradient goes
+through ``r_orthonormalize`` and the real Schur form.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from .rlinalg import (
     RBasis,
     RankDeficientError,
+    _complex_pairs,
     full_rank_certified,
     project_r,
     r_orthonormalize,
@@ -103,7 +106,9 @@ def _linear_basis(grad):
     One complex QR A = QR, its columns signed to a positive diagonal of
     R, gives the basis (q_1, -j q_1, q_2, -j q_2, ...): each pair spans
     the complex line C q_k and distinct pairs are complex-orthogonal, so
-    the basis is already canonical with every coupling 1.  None when G is
+    the basis is already canonical with every coupling 1.  The odd columns
+    are set to exactly -1j times the even ones, the form that
+    ``rlinalg._complex_pairs`` recognizes downstream.  None when G is
     not exactly (A, jA) with A finite, or when ``full_rank_certified``
     does not certify the triangle: the general route then decides the
     rank, and raises, as for any gradient.
@@ -174,11 +179,17 @@ def canonical_decompose(basis):
     is a choice, and it makes V (and the pilots) a continuous function of
     U near such a basis.
 
+    A basis (q_1, -j q_1, q_2, -j q_2, ...) (``rlinalg._complex_pairs``,
+    the closed form of ``_linear_basis``) is canonical by construction:
+    it is kept with every coupling exactly 1, without forming Im{U^H U}.
+
     For a stack of bases U (..., n, k), Im{U^H U} and V = U B are one
     stacked product each and the canonical form is taken per slice, so
     each slice has the bits of its own call.
     """
     U = basis.U
+    if _complex_pairs(U) is not None:
+        return CanonicalDecomposition(V=U, c=np.ones(U.shape[:-2] + (U.shape[-1] // 2,)))
     A = np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U)
     k = A.shape[-1]
     if A.ndim == 2:     # no stacking copy of B (1.2 MB at k = 384)

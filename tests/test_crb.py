@@ -18,7 +18,7 @@ from pilotspace.crb import (
     fim,
 )
 from pilotspace.pilot import design_observation_matrix
-from pilotspace.rlinalg import RBasis, compression_matrix, r_orthonormalize
+from pilotspace.rlinalg import RBasis, compression_matrix, r_orthonormalize, real_gram
 from pilotspace.variation import (
     ParametricChannelModel,
     canonical_decompose,
@@ -332,6 +332,148 @@ class TestCompressionKernel:
         Ms[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             compression_spectra(basis, Ms)
+
+
+def pair_route_cases():
+    """Pair-structured bases (q_1, -j q_1, ...), one pytest param each: LS for
+    N_t = 1..16, angle-constrained steering spans and random complex Q."""
+    from pilotspace.models import UlaGeometry, angle_constrained_model, ls_model
+
+    rng = np.random.default_rng(43)
+    cases = [pytest.param(ls_model(n), id=f"ls-{n}") for n in range(1, 17)]
+    for n_tx, L in [(8, 1), (16, 3), (64, 6)]:
+        azimuths = rng.uniform(-1.2, 1.2, size=L)
+        cases.append(pytest.param(angle_constrained_model(UlaGeometry(n_tx), azimuths),
+                                  id=f"ac-{n_tx}-{L}"))
+    for shape in [(1, 1), (5, 3), (9, 9), (12, 5)]:
+        A = random_complex(rng, *shape)
+        cases.append(pytest.param(constant_gradient_model(np.hstack([A, 1j * A])),
+                                  id=f"random-{shape[0]}x{shape[1]}"))
+    return cases
+
+
+def pair_basis(model):
+    basis = variation_space(model, np.zeros(model.n_params))
+    assert np.array_equal(basis.U[:, 1::2], -1j * basis.U[:, 0::2])
+    return basis
+
+
+@pytest.fixture
+def no_real_compression(monkeypatch):
+    """Fail on the real route of compression_spectra."""
+    import pilotspace.crb as crb_module
+
+    def fail(*args):
+        raise AssertionError("real compression on a pair-structured basis")
+
+    monkeypatch.setattr(crb_module, "compression_matrix", fail)
+
+
+class TestComplexPairRoute:
+    """A basis (q_1, -j q_1, ...) is handled in r x r complex algebra."""
+
+    @pytest.mark.parametrize("model", pair_route_cases())
+    def test_spectra_match_real_compression(self, model, no_real_compression):
+        rng = np.random.default_rng([44, model.n_dims, model.n_params])
+        basis = pair_basis(model)
+        n, r = basis.ambient_dim, basis.dim // 2
+        design = design_observation_matrix(canonical_decompose(basis), 1.3)
+        Ms = [design.M, random_complex(rng, n, n + 1), np.zeros((n, 2))]
+        if r > 1:
+            Ms.append(random_complex(rng, n, r - 1))      # undersized: singular
+        verdicts = []
+        for M in Ms:
+            eigs, singular = compression_spectra(basis, M[None])
+            ref_eigs, ref_singular = previous_compression_spectrum(basis, M)
+            assert eigs.shape == (1, basis.dim)
+            assert np.all(np.diff(eigs[0]) >= 0.0)
+            assert np.abs(eigs[0] - ref_eigs).max() <= 1e-12 * max(ref_eigs[-1], 0.0)
+            assert singular[0] == ref_singular
+            verdicts.append(ref_singular)
+        assert verdicts[:3] == [False, False, True]
+        assert all(verdicts[3:])
+        stack = np.stack([design.M, 0.0 * design.M, 2.0 * design.M])
+        eigs, singular = compression_spectra(basis, stack)
+        ref_eigs, ref_singular = previous_compression_spectra(basis, stack)
+        assert np.abs(eigs - ref_eigs).max() <= 1e-12 * ref_eigs[..., -1].max()
+        assert np.array_equal(singular, ref_singular)
+        for i in range(len(stack)):
+            one_eigs, one_singular = compression_spectra(basis, stack[i:i + 1])
+            assert np.array_equal(one_eigs[0], eigs[i]) and one_singular[0] == singular[i]
+
+    def test_stacked_bases_and_empty_stack(self, no_real_compression):
+        from pilotspace.models import ls_model
+
+        rng = np.random.default_rng(45)
+        A = random_complex(rng, 6, 3)
+        single = [pair_basis(ls_model(6)).U[:, :6],
+                  pair_basis(constant_gradient_model(np.hstack([A, 1j * A]))).U]
+        bases = RBasis(np.stack(single))
+        Ms = random_complex(rng, 2, 4, 6, 3)
+        eigs, singular = compression_spectra(bases, Ms)
+        assert eigs.shape == (2, 4, 6) and not singular.any()
+        for s in range(2):
+            ref_eigs, _ = compression_spectra(RBasis(single[s]), Ms[s])
+            assert np.array_equal(eigs[s], ref_eigs)
+        eigs, singular = compression_spectra(RBasis(single[0]), np.zeros((0, 6, 3)))
+        assert eigs.shape == (0, 6) and singular.shape == (0,)
+
+    @pytest.mark.parametrize("model", pair_route_cases()[::3])
+    def test_decompose_keeps_the_basis(self, model, monkeypatch):
+        import pilotspace.variation as var
+
+        def fail(*args, **kwargs):
+            raise AssertionError("canonical form on a pair-structured basis")
+
+        monkeypatch.setattr(var, "skew_canonical_form", fail)
+        monkeypatch.setattr(np, "imag", fail)
+        basis = pair_basis(model)
+        decomp = canonical_decompose(basis)
+        assert decomp.V is basis.U
+        assert decomp.c.shape == (model.n_params // 2,) and np.all(decomp.c == 1.0)
+        stacked = canonical_decompose(RBasis(np.stack([basis.U, basis.U])))
+        assert stacked.c.shape == (2, model.n_params // 2) and np.all(stacked.c == 1.0)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_orthonormal_pairs_raise_with_complex_defect(self, stacked):
+        rng = np.random.default_rng(46)
+        Q, _ = np.linalg.qr(random_complex(rng, 7, 3))
+        Q[2, 1] += 1e-6
+        U = np.empty((7, 6), dtype=complex)
+        U[:, 0::2] = Q
+        U[:, 1::2] = -1j * Q
+        defect = math.sqrt(2.0) * np.linalg.norm(np.conj(Q.T) @ Q - np.eye(3))
+        real_defect = np.linalg.norm(real_gram(U) - np.eye(6))
+        assert defect == pytest.approx(real_defect, rel=1e-12)
+        good = pair_basis(constant_gradient_model(np.hstack([Q, 1j * Q]))).U
+        with pytest.raises(ValueError, match="real-orthonormal") as err:
+            RBasis(np.stack([good, U]) if stacked else U)
+        assert f"||Re(U^H U) - I||_F = {defect:.3e}" in str(err.value)
+
+    @pytest.mark.parametrize("column", [1, 5])
+    def test_one_ulp_off_takes_the_real_route(self, column, monkeypatch):
+        import pilotspace.variation as var
+
+        rng = np.random.default_rng(47)
+        A = random_complex(rng, 5, 3)
+        U = pair_basis(constant_gradient_model(np.hstack([A, 1j * A]))).U.copy()
+        U[3, column] = complex(np.nextafter(U[3, column].real, np.inf), U[3, column].imag)
+        basis = RBasis(U)
+        for M in [random_complex(rng, 5, 5), random_complex(rng, 5, 2), np.zeros((5, 2))]:
+            eigs, singular = compression_spectra(basis, M[None])
+            ref_eigs, ref_singular = previous_compression_spectrum(basis, M)
+            assert np.array_equal(eigs[0], ref_eigs) and singular[0] == ref_singular
+        Ms = random_complex(rng, 3, 5, 4)
+        eigs, singular = compression_spectra(basis, Ms)
+        ref_eigs, ref_singular = previous_compression_spectra(basis, Ms)
+        assert np.array_equal(eigs, ref_eigs) and np.array_equal(singular, ref_singular)
+        calls = []
+        real_form = var.skew_canonical_form
+        monkeypatch.setattr(var, "skew_canonical_form",
+                            lambda A: calls.append(A) or real_form(A))
+        decomp = canonical_decompose(basis)
+        assert len(calls) == 1
+        assert np.abs(decomp.c - 1.0).max() <= 1e-12
 
 
 class TestCrbViaVariationSpace:

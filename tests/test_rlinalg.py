@@ -895,3 +895,10 @@ class TestRBasisValidation:
         U[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             RBasis(U)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_empty_stack(self, k):
+        basis = RBasis(np.zeros((0, 4, k)))
+        assert basis.U.shape == (0, 4, k) and (basis.ambient_dim, basis.dim) == (4, k)
+        basis, R = r_orthonormalize(np.zeros((0, 4, k), dtype=complex))
+        assert basis.U.shape == (0, 4, k) and R.shape == (0, k, k)
