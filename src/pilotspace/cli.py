@@ -11,7 +11,8 @@ experiment multipath   reproduce the Monte-Carlo multipath curves (CSV)
 Exit codes: 0 success (a non-identifiable CRB is an answer, not a
 failure); 1 I/O, parse and value errors (run config, ``--seed -1``, a
 non-finite ``--sigma2``/``--power``, ``--report`` or ``--plot-script``
-without ``--output``, ``--report`` naming the ``--output`` file;
+without ``--output``, ``--report`` or ``--plot-script`` naming the
+``--output`` file;
 ``design`` and ``experiment`` leave none of their files when one cannot
 be written);
 2 rank-deficient variation space in ``design``, and argparse usage errors.
@@ -247,6 +248,9 @@ def cmd_identify(args):
 def cmd_experiment(args):
     if args.plot_script and not args.output:
         raise ConfigError("--plot-script needs --output (without it the CSV goes to stdout)")
+    if args.plot_script and _same_file(args.plot_script, args.output):
+        raise ConfigError(f"--plot-script {args.plot_script} and --output {args.output} "
+                          "name the same file")
     config = load_run_config(args.config, seed_override=args.seed)
     if args.kind == "single-path":
         table = run_single_path(config)

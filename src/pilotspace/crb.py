@@ -37,7 +37,6 @@ import numpy as np
 
 from .rlinalg import (
     COUPLING_SNAP,
-    _broadcast_basis,
     _checked_observations,
     _complex_pairs,
     compression_matrix,
@@ -200,9 +199,8 @@ def crb_direct(model, theta, M, noise):
 def compression_spectra(basis, Ms):
     """Spectra of the compressions Re{U^H M M^H U} of a stack of matrices.
 
-    ``Ms`` has shape (..., ambient_dim, m); a stack of bases (S...,
-    ambient_dim, dim) pairs with ``Ms`` (S..., B..., ambient_dim, m), each
-    basis with the matrices under its own leading axes.  Returns the
+    ``Ms`` has shape (..., ambient_dim, m); the leading axes of a stack
+    of bases broadcast against those of ``Ms`` as in numpy.  Returns the
     (..., dim) ascending eigenvalues of each compression and the (...)
     boolean ``_is_singular`` verdicts, whose absolute floor scales with
     each energy ||M||_F^2.  Each slice has the bits of a stack of one.
@@ -219,7 +217,7 @@ def compression_spectra(basis, Ms):
         eigs = np.linalg.eigvalsh(compression_matrix(basis, Ms))
     else:
         M = _checked_observations(basis, Ms)
-        X = np.conj(np.swapaxes(M, -1, -2)) @ _broadcast_basis(Q, M)      # (..., m, r)
+        X = np.conj(np.swapaxes(M, -1, -2)) @ Q      # (..., m, r)
         eigs = np.repeat(np.linalg.eigvalsh(np.conj(np.swapaxes(X, -1, -2)) @ X), 2, axis=-1)
     return eigs, _is_singular(eigs[..., 0], eigs[..., -1], np.linalg.norm(Ms, axis=(-2, -1)) ** 2)
 

@@ -41,7 +41,8 @@ come from one batched SVD (``ac_strategy_bound``).  One stacked
 then one stacked canonical decomposition and one stacked pilot design
 give the Proposed pilots, and one call of ``crb.compression_spectra``
 (the kernel behind every basis-form CRB and identifiability verdict)
-compresses the pilot stack against each channel's own true basis
+compresses the (T, B) pilot stack against each channel's own true basis,
+the (T, 1) stack of true bases broadcast as in numpy
 (``proposed_strategy_bound``).  Each stacked kernel gives every slice
 the bits of its call on that slice alone; only the real Schur form
 inside the canonical decomposition runs per slice, and an
@@ -254,7 +255,7 @@ def proposed_strategy_bound(true_basis, Ms):
 
     Returns the (...) coefficients CRB * P / sigma^2 of the variation
     space ``true_basis`` (the sweeps pass the azimuth-only span of the
-    true azimuths), or of a stack of them paired with ``Ms`` as in
+    true azimuths), or of a stack of them broadcast against ``Ms`` as in
     ``compression_spectra``, against pilots of power P = ||M_b||_F^2:
     0.5 ||M_b||_F^2 sum 1/lambda over the compression eigenvalues lambda
     on the true basis, from one ``compression_spectra`` call.  The value
@@ -292,7 +293,7 @@ def _strategy_bounds(geom, gains, azimuths, estimates):
     first = 0 if reuse.any() else 1
     designs = design_observation_matrix(canonical_decompose(spaces[:, first:]), 1.0)
     Ms = designs.M[:, row_of - first]
-    return ac_coefficient, ac_bias, proposed_strategy_bound(spaces[:, 0], Ms)
+    return ac_coefficient, ac_bias, proposed_strategy_bound(spaces[:, :1], Ms)
 
 
 def _curve_rows(config, ac_coefficient, ac_bias, proposed_coefficient, trials):

@@ -27,11 +27,12 @@ in that setting:
   matrix M or a stack of them; ``real_gram``, ``numerical_rank`` and
   ``solve_right`` take stacks too).
 
-A stack is an array with leading batch axes.  Every stacked kernel gives
-each slice the bits of its call on that slice alone: numpy's stacked
-``qr``, ``svd``, ``eigvalsh`` and ``matmul`` factor slice by slice, and
-the LAPACK calls made here (``d/ztrtri``, ``d/ztrtrs``, ``dgees``) run
-once per slice.
+A stack is an array with leading batch axes, and one matrix is a stack
+of one.  Every stacked kernel gives each slice the bits of its call on
+that slice alone: numpy's stacked ``qr``, ``svd``, ``eigvalsh`` and
+``matmul`` factor slice by slice, and the LAPACK calls made here
+(``d/ztrtri``, ``d/ztrtrs``, ``dgees``) run once per slice.  The leading
+axes of a basis stack and of a matrix stack broadcast as in numpy.
 
 All functions are pure and operate on immutable inputs.
 
@@ -329,9 +330,9 @@ def r_orthonormalize(G):
     singular values only when the certificate fails.
 
     A stack G (..., n, k) is orthonormalized slice by slice with the
-    bits of one call per slice: each pass is one stacked QR, then a rank
-    test and a triangular solve per slice, and the result is one RBasis
-    stack (empty for an empty stack).
+    bits of one call per slice, and one matrix is a stack of one: each
+    pass is one stacked QR, then a rank test and a triangular solve per
+    slice, and the result is one RBasis stack (empty for an empty stack).
 
     Parameters
     ----------
@@ -356,25 +357,24 @@ def r_orthonormalize(G):
         raise ValueError("input matrix contains non-finite entries")
     k = G.shape[-1]
     R1 = _positive_triangle(G)
-    if G.ndim > 2:
-        rank = np.array([triangle_rank(R) for R in R1.reshape(-1, *R1.shape[-2:])])
-        if np.any(rank < k):
+    rank = np.array([triangle_rank(R) for R in R1.reshape(-1, *R1.shape[-2:])])
+    rank = rank.reshape(G.shape[:-2])
+    if np.any(rank < k):
+        if G.ndim > 2:
             raise RankDeficientError(
                 f"columns of {np.count_nonzero(rank < k)} of {rank.size} stacked "
                 f"matrices are linearly dependent over R",
-                rank=rank.reshape(G.shape[:-2]),
-            )
-    else:
-        rank = triangle_rank(R1)
-        if rank < k:
-            # Error path only: the null right-singular vectors of the same
-            # triangle name the collapsing generators.
-            _, _, Vh = np.linalg.svd(R1)
-            raise RankDeficientError(
-                f"columns are linearly dependent over R: numerical rank {rank} < {k}",
                 rank=rank,
-                null_space=Vh[rank:].T,
             )
+        # Error path only: the null right-singular vectors of the same
+        # triangle name the collapsing generators.
+        rank = int(rank)
+        _, _, Vh = np.linalg.svd(R1)
+        raise RankDeficientError(
+            f"columns are linearly dependent over R: numerical rank {rank} < {k}",
+            rank=rank,
+            null_space=Vh[rank:].T,
+        )
     # Two passes ("twice is enough"): the second repairs the loss of
     # orthonormality that a single pass suffers on ill-conditioned input.
     U = solve_right(G, R1)
@@ -533,13 +533,12 @@ def compression_matrix(basis, M):
     """Compression Re{U^H M M^H U} of M M^H to span_R(U).
 
     Returns a real symmetric positive semi-definite (dim x dim) matrix,
-    or a stack of them for a stack of matrices M (..., ambient_dim, m).
-    A stack of bases (S..., ambient_dim, dim) takes M (S..., B..., ambient_dim, m):
-    each basis compresses the matrices under its own leading axes.
+    or a stack of them: the leading axes of a stack of bases and of a
+    stack of matrices M (..., ambient_dim, m) broadcast as in numpy.
     Raises ValueError if M has the wrong row count or non-finite entries.
     """
     M = _checked_observations(basis, M)
-    C = real_gram(np.conj(np.swapaxes(M, -1, -2)) @ _broadcast_basis(basis.U, M))
+    C = real_gram(np.conj(np.swapaxes(M, -1, -2)) @ basis.U)
     return 0.5 * (C + np.swapaxes(C, -1, -2))     # (..., dim, dim)
 
 
@@ -554,9 +553,3 @@ def _checked_observations(basis, M):
     if not np.all(np.isfinite(M)):
         raise ValueError("observation matrix M contains non-finite entries")
     return M
-
-
-def _broadcast_basis(U, M):
-    """U (S..., n, k) with unit axes inserted before its matrix axes, so a
-    stack of bases broadcasts against M (S..., B..., n, m)."""
-    return U.reshape(U.shape[:-2] + (1,) * (M.ndim - U.ndim) + U.shape[-2:])

@@ -9,8 +9,9 @@ line, is what makes the Cramer-Rao bound optimizable in closed form.
 
 A variation space is handed around as an ``rlinalg.RBasis``: the bounds
 depend on the space only, through any real-orthonormal basis of it.
-``canonical_decompose`` also takes a stack of bases (one RBasis with
-leading batch axes) and returns the stacked decomposition.
+``canonical_decompose`` takes one basis as a stack of one: a stack of
+bases (one RBasis with leading batch axes) goes through the same code
+and returns the stacked decomposition.
 
 Linear models, whose gradient is (A, jA), take a closed-form route: one
 complex QR of A gives the basis (q_1, -j q_1, q_2, -j q_2, ...), already
@@ -170,36 +171,30 @@ def variation_space(model, theta):
 def canonical_decompose(basis):
     """Decompose a variation space into complex-orthogonal coupled planes.
 
-    ``basis`` is an ``RBasis`` of the space.  Computes the canonical form
-    of Im{U^H U} and rotates the basis: V = U B.  The couplings c are the
-    descending block values; the real span of V equals that of U.  A
-    basis that is already canonical (``skew_canonical_form`` returns the
-    identity) is kept: V = U, with no product.  Under tied couplings any
+    ``basis`` is an ``RBasis`` of the space, or a stack of them (one
+    basis is a stack of one).  Computes the canonical form of Im{U^H U}
+    per slice and rotates the basis: V = U B.  Im{U^H U} and U B are one
+    stacked product each, so each slice has the bits of its own call.
+    The couplings c are the descending block values; the real span of V
+    equals that of U.  On a basis that is already canonical
+    ``skew_canonical_form`` returns B = I, so V == U (an exact zero entry
+    may change its sign in the product).  Under tied couplings any
     rotation of the tied pairs would do as well; keeping the given basis
-    is a choice, and it makes V (and the pilots) a continuous function of
-    U near such a basis.
+    is a choice, and it makes V (and the pilots) a continuous function
+    of U near such a basis.
 
     A basis (q_1, -j q_1, q_2, -j q_2, ...) (``rlinalg._complex_pairs``,
     the closed form of ``_linear_basis``) is canonical by construction:
     it is kept with every coupling exactly 1, without forming Im{U^H U}.
-
-    For a stack of bases U (..., n, k), Im{U^H U} and V = U B are one
-    stacked product each and the canonical form is taken per slice, so
-    each slice has the bits of its own call.
     """
     U = basis.U
     if _complex_pairs(U) is not None:
         return CanonicalDecomposition(V=U, c=np.ones(U.shape[:-2] + (U.shape[-1] // 2,)))
     A = np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U)
     k = A.shape[-1]
-    if A.ndim == 2:     # no stacking copy of B (1.2 MB at k = 384)
-        B, gamma = skew_canonical_form(A)
-        # An already-canonical basis is kept as is, with no product.
-        V = U if np.array_equal(B, np.eye(k)) else U @ B
-    else:
-        Bs, gammas = zip(*(skew_canonical_form(a) for a in A.reshape(-1, k, k)))
-        V = U @ np.array(Bs).reshape(A.shape)
-        gamma = np.array(gammas).reshape(A.shape[:-2] + (k // 2,))
+    Bs, gammas = zip(*(skew_canonical_form(a) for a in A.reshape(-1, k, k)))
+    V = U @ np.array(Bs).reshape(A.shape)
+    gamma = np.array(gammas).reshape(A.shape[:-2] + (k // 2,))
     return CanonicalDecomposition(V=V, c=np.clip(gamma, 0.0, 1.0))
 
 

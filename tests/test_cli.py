@@ -519,6 +519,41 @@ class TestExperimentCommand:
             "", "error: --plot-script needs --output (without it the CSV goes to stdout)\n")
         assert list(tmp_path.iterdir()) == [config_file]
 
+    def test_plot_script_same_as_output_exit_1(self, tmp_path, config_file, capsys,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("experiment", "single-path", "--config", str(config_file),
+                       "--output", "out.csv", "--plot-script", "out.csv")
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: --plot-script out.csv and --output out.csv name the same file\n")
+        assert list(tmp_path.iterdir()) == [config_file]
+
+    def test_plot_script_linked_to_output_exit_1(self, tmp_path, config_file, capsys,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        link = tmp_path / "link.gp"
+        link.symlink_to("out.csv")          # dangling until out.csv is written
+        code = run_cli("experiment", "single-path", "--config", str(config_file),
+                       "--output", "out.csv", "--plot-script", "./link.gp")
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: --plot-script ./link.gp and --output out.csv name the same file\n")
+        assert sorted(tmp_path.iterdir()) == sorted([config_file, link])
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_plot_script_hard_linked_to_output_exit_1(self, tmp_path, config_file, capsys,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.csv").write_text("kept\n")
+        os.link(tmp_path / "out.csv", tmp_path / "link.gp")
+        code = run_cli("experiment", "multipath", "--config", str(config_file),
+                       "--output", "out.csv", "--plot-script", "link.gp")
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: --plot-script link.gp and --output out.csv name the same file\n")
+        assert (tmp_path / "out.csv").read_text() == "kept\n"
+
     def test_seed_override_changes_output(self, tmp_path, config_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli("experiment", "multipath", "--config", str(config_file),

@@ -410,7 +410,7 @@ class TestComplexPairRoute:
                   pair_basis(constant_gradient_model(np.hstack([A, 1j * A]))).U]
         bases = RBasis(np.stack(single))
         Ms = random_complex(rng, 2, 4, 6, 3)
-        eigs, singular = compression_spectra(bases, Ms)
+        eigs, singular = compression_spectra(bases[:, None], Ms)
         assert eigs.shape == (2, 4, 6) and not singular.any()
         for s in range(2):
             ref_eigs, _ = compression_spectra(RBasis(single[s]), Ms[s])

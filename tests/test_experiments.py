@@ -831,8 +831,8 @@ class TestStackedKernelsEqualBatchOfOne:
         Ms[0, 1] = 0.0          # a singular compression: +inf
         h = np.array([steering_matrix(geom, a) @ g for a, g in zip(az, gains)])
         coefficient, bias = ac_strategy_bound(h, E_hats)
-        eigs, singular = compression_spectra(true_spaces, Ms)
-        proposed = proposed_strategy_bound(true_spaces, Ms)
+        eigs, singular = compression_spectra(true_spaces[:, None], Ms)
+        proposed = proposed_strategy_bound(true_spaces[:, None], Ms)
         assert proposed[0, 1] == math.inf and np.all(np.isfinite(np.delete(proposed, 1)))
         for t, b in np.ndindex(T, B):
             assert np.array_equal(E_hats[t, b], steering_matrix(geom, est[t, b]))

@@ -305,6 +305,42 @@ class TestDegeneracyDiagnosis:
         assert np.linalg.norm(G @ N) <= 1e-12 * np.linalg.norm(G)
 
 
+class TestSeparationSweep:
+    """As a second azimuth merges into the first, the span's rank test
+    trips once: every build succeeds down to one separation and raises
+    below it, with no finite result after it, and each finite crb_min
+    lies within its universal bounds.  crb_min is not monotone in the
+    separation (with complex gains it falls towards the lower bound as
+    the paths merge), so no monotonicity is asserted."""
+
+    GAINS = (1.0, 0.6 * np.exp(0.7j))
+
+    def build(self, route, geom, azimuths):
+        if route == "span":
+            return physical_variation_space(geom, azimuths)
+        theta = np.ravel([[b.real, b.imag, phi] for b, phi in zip(self.GAINS, azimuths)])
+        return variation_space(physical_model(geom, 2), theta)
+
+    @pytest.mark.parametrize("route", ["span", "model"])
+    @pytest.mark.parametrize("phi0", [0.3, -1.0])
+    @pytest.mark.parametrize("n_tx", [16, 64])
+    def test_rank_trips_once(self, n_tx, phi0, route):
+        geom = UlaGeometry(n_tx)
+        noise = NoiseModel(1.0)
+        finite = []
+        for delta in np.geomspace(0.3, 1e-10, 300):
+            try:
+                basis = self.build(route, geom, [phi0, phi0 + delta])
+            except RankDeficientError:
+                finite.append(False)
+                continue
+            ref = crb_min(canonical_decompose(basis).c, 6, noise, 1.0)
+            assert ref.lower_bound <= ref.value <= ref.upper_bound
+            finite.append(True)
+        trip = finite.index(False)
+        assert trip > 0 and not any(finite[trip:])
+
+
 class TestWellSeparatedSteering:
     def test_near_orthonormal_columns(self):
         geom = UlaGeometry(64)

@@ -565,8 +565,8 @@ class TestCanonicalShortcut:
             single = canonical_decompose(basis)
             assert np.array_equal(stacked.V[i], single.V)
             assert np.array_equal(stacked.c[i], single.c)
-            # An already-canonical basis is kept, with no product.
-            assert (single.V is basis.U) == (i != 1)
+            # An already-canonical basis gets B = I, so V == U.
+            assert np.array_equal(single.V, basis.U) == (i != 1)
         assert stacked.c[0] == pytest.approx([1.0] * lines + [0.0] * (K // 2 - lines),
                                              abs=1e-12)
 
