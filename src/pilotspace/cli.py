@@ -12,7 +12,7 @@ Exit codes: 0 success (a non-identifiable CRB is an answer, not a
 failure); 1 I/O, parse and value errors (run config, ``--seed -1``, a
 non-finite ``--sigma2``/``--power``, ``--report`` or ``--plot-script``
 without ``--output``, ``--report`` or ``--plot-script`` naming the
-``--output`` file;
+``--output`` file, ``--azimuths`` with ``--theta`` for ``--model physical``;
 ``design`` and ``experiment`` leave none of their files when one cannot
 be written);
 2 rank-deficient variation space in ``design``, and argparse usage errors.
@@ -96,20 +96,24 @@ def _parse_azimuths_deg(text):
 def _variation_basis(args, theta=None, M=None):
     """``RBasis`` of the model flags' variation space: at ``theta`` (zeros
     for the linear models), or for ``physical`` without it, estimated from
-    ``--azimuths``.  ``M``'s row count is checked against ``--nt`` after
-    the flags and before any basis is built.
+    ``--azimuths``.  ``physical`` takes its azimuths from one of the two,
+    never both.  ``M``'s row count is checked against ``--nt`` after the
+    flags and before any basis is built.
     """
     geom = UlaGeometry(args.nt)
-    if args.model == "ls":
+    if args.model == "physical" and theta is not None:
+        if args.azimuths is not None:
+            raise ConfigError("--azimuths and --theta both give the azimuths of "
+                              "model 'physical': pass one of them")
+        if theta.shape[0] % 3 != 0:
+            raise ConfigError(f"theta length {theta.shape[0]} is not a multiple of 3")
+        model = physical_model(geom, theta.shape[0] // 3)
+    elif args.model == "ls":
         model = ls_model(args.nt)
     elif args.azimuths is not None:
         azimuths = _parse_azimuths_deg(args.azimuths)
         model = (physical_model(geom, azimuths.shape[0]) if args.model == "physical"
                  else angle_constrained_model(geom, azimuths))
-    elif args.model == "physical" and theta is not None:
-        if theta.shape[0] % 3 != 0:
-            raise ConfigError(f"theta length {theta.shape[0]} is not a multiple of 3")
-        model = physical_model(geom, theta.shape[0] // 3)
     else:
         raise ConfigError(f"--azimuths is required for model '{args.model}'")
     if M is not None and M.shape[0] != args.nt:

@@ -18,9 +18,9 @@ eigenvalues of each compression with its singularity verdict.
 stack of one, and the multipath experiment once per group of channels,
 with a stack of true bases and the pilot matrices of every channel and
 Delta value at once.  On a linear model's closed-form basis
-(q_1, -j q_1, ...) the variation space is the complex span of Q, and the
-kernel takes the spectrum of the r x r Hermitian Q^H M M^H Q, each
-eigenvalue twice: the classical training-based bound
+(q_1, -j q_1, ...), which the basis reports as ``RBasis.pairs``, the
+variation space is the complex span of Q, and the kernel takes the
+spectrum of the r x r Hermitian Q^H M M^H Q, each eigenvalue twice: the classical training-based bound
 sigma^2 Tr[(Q^H M M^H Q)^{-1}] in r x r complex algebra.
 
 Non-identifiability (singular Fisher matrix / singular compression) is
@@ -38,7 +38,6 @@ import numpy as np
 from .rlinalg import (
     COUPLING_SNAP,
     _checked_observations,
-    _complex_pairs,
     compression_matrix,
     real_gram,
     solve_right,
@@ -205,14 +204,14 @@ def compression_spectra(basis, Ms):
     boolean ``_is_singular`` verdicts, whose absolute floor scales with
     each energy ||M||_F^2.  Each slice has the bits of a stack of one.
 
-    A basis (q_1, -j q_1, q_2, -j q_2, ...) (``rlinalg._complex_pairs``:
-    the closed-form basis of a linear model) spans the complex span of
+    A basis (q_1, -j q_1, q_2, -j q_2, ...) (``RBasis.pairs``: the
+    closed-form basis of a linear model) spans the complex span of
     Q, and its compression is the real form of the r x r Hermitian
     Y = Q^H M M^H Q, whose spectrum is that of Y with every eigenvalue
     twice.  Such a basis takes Y's ``eigvalsh`` instead of the 2r x 2r
     real compression; every other basis takes ``compression_matrix``.
     """
-    Q = _complex_pairs(basis.U)
+    Q = basis.pairs
     if Q is None:
         eigs = np.linalg.eigvalsh(compression_matrix(basis, Ms))
     else:

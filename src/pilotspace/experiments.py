@@ -287,12 +287,9 @@ def _strategy_bounds(geom, gains, azimuths, estimates):
     h = np.array([E_t @ b for E_t, b in zip(E[:, 0], gains)])
     ac_coefficient, ac_bias = ac_strategy_bound(h, E[:, row_of])
     # The azimuth-only span at each row: the true space, then the
-    # estimated ones.  The true row is decomposed only when a Delta column
-    # reads it.  Slices of the checked stack are not checked again.
+    # estimated ones.  Slices of the checked stack are not checked again.
     spaces = physical_variation_space(geom, rows)
-    first = 0 if reuse.any() else 1
-    designs = design_observation_matrix(canonical_decompose(spaces[:, first:]), 1.0)
-    Ms = designs.M[:, row_of - first]
+    Ms = design_observation_matrix(canonical_decompose(spaces), 1.0).M[:, row_of]
     return ac_coefficient, ac_bias, proposed_strategy_bound(spaces[:, :1], Ms)
 
 

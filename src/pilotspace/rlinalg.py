@@ -19,9 +19,9 @@ in that setting:
 * ``RBasis`` -- a checked real-orthonormal basis, or a stack of them;
   indexing a stack's batch axes gives the slices without a new check.
   A basis (q_1, -j q_1, q_2, -j q_2, ...), as a linear model's closed
-  form builds it, is recognized bitwise (``_complex_pairs``) and checked
-  through the complex r x r Gram Q^H Q; ``variation`` and ``crb`` use the
-  same test to keep such a basis in r x r complex algebra.
+  form builds it, is recognized bitwise once per basis (``RBasis.pairs``)
+  and checked through the complex r x r Gram Q^H Q; ``variation`` and
+  ``crb`` read the same factor to keep such a basis in r x r algebra.
 * ``project_r`` / ``compression_matrix`` -- orthogonal projection onto a
   real-orthonormal span and the compression of M M^H to it (of one
   matrix M or a stack of them; ``real_gram``, ``numerical_rank`` and
@@ -49,7 +49,8 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -124,23 +125,17 @@ class RBasis:
 
     A stack of bases is one RBasis whose U has leading batch axes,
     each slice real-orthonormal; an empty stack passes with defect 0.
-    The defect ||Re(U^H U) - I||_F of a basis (q_1, -j q_1, ...)
-    (``_complex_pairs``) is computed as sqrt(2) ||Q^H Q - I||_F, its
-    value in exact arithmetic, from the r x r complex Gram.
+    The shape and the pair factor ``pairs`` are read off U.  The defect
+    ||Re(U^H U) - I||_F of a basis with ``pairs`` is sqrt(2) ||Q^H Q - I||_F
+    in exact arithmetic, and is computed so, from the r x r complex Gram.
 
     Attributes
     ----------
     U : ndarray, complex, shape (ambient_dim, dim) or (..., ambient_dim, dim)
         Basis matrix, or a stack of them.
-    ambient_dim : int
-        Complex dimension of the ambient space.
-    dim : int
-        Number of basis vectors (real dimension of the span).
     """
 
     U: np.ndarray
-    ambient_dim: int = field(init=False)
-    dim: int = field(init=False)
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=complex)
@@ -150,22 +145,44 @@ class RBasis:
         if not np.all(np.isfinite(U)):
             raise ValueError("basis matrix contains non-finite entries")
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "ambient_dim", U.shape[-2])
-        object.__setattr__(self, "dim", U.shape[-1])
-        Q = _complex_pairs(U)
+        Q = self.pairs
         if Q is None:
             gram, scale = real_gram(U) - np.eye(self.dim), 1.0
         else:
             # Re(U^H U) - I is the real form of Q^H Q - I: each entry twice.
             gram = np.conj(np.swapaxes(Q, -1, -2)) @ Q - np.eye(Q.shape[-1])
             scale = np.sqrt(2.0)
-        k = gram.shape[-1]
-        defect = scale * max((np.linalg.norm(g) for g in gram.reshape(-1, k, k)),
-                             default=0.0)
+        defect = scale * np.linalg.norm(gram, axis=(-2, -1)).max(initial=0.0)
         if defect > STRUCTURE_RTOL * self.dim:
             raise ValueError(
                 f"columns are not real-orthonormal: ||Re(U^H U) - I||_F = {defect:.3e}"
             )
+
+    @property
+    def ambient_dim(self):
+        """Complex dimension of the ambient space."""
+        return self.U.shape[-2]
+
+    @property
+    def dim(self):
+        """Number of basis vectors (real dimension of the span)."""
+        return self.U.shape[-1]
+
+    @cached_property
+    def pairs(self):
+        """Q = U[..., 0::2] when U = (q_1, -j q_1, q_2, -j q_2, ...) exactly, else None.
+
+        The test is bitwise: U[..., 1::2] == -1j * U[..., 0::2], the expression
+        that builds the closed-form basis of a linear model.  Such a basis spans
+        the complex span of Q, so its real Gram and compressions are the real
+        forms of the complex r x r matrices Q^H Q and Q^H M M^H Q.  An odd
+        column count, or a first pair that fails the test, returns at once.
+        """
+        U = self.U
+        if U.shape[-1] % 2 or not np.array_equal(U[..., 1], -1j * U[..., 0]):
+            return None
+        Q = U[..., 0::2]
+        return Q if np.array_equal(U[..., 1::2], -1j * Q) else None
 
     def __getitem__(self, index):
         """The bases at ``index`` of a stack's batch axes, as an RBasis.
@@ -176,27 +193,9 @@ class RBasis:
         if self.U.ndim == 2:
             raise TypeError("a single basis has no batch axes to index")
         index = index if isinstance(index, tuple) else (index,)
-        U = self.U[index + (slice(None), slice(None))]
         sub = object.__new__(RBasis)
-        object.__setattr__(sub, "U", U)
-        object.__setattr__(sub, "ambient_dim", U.shape[-2])
-        object.__setattr__(sub, "dim", U.shape[-1])
+        object.__setattr__(sub, "U", self.U[index + (slice(None), slice(None))])
         return sub
-
-
-def _complex_pairs(U):
-    """Q = U[..., 0::2] when U = (q_1, -j q_1, q_2, -j q_2, ...) exactly, else None.
-
-    The test is bitwise: U[..., 1::2] == -1j * U[..., 0::2], the expression
-    that builds the closed-form basis of a linear model.  Such a basis spans
-    the complex span of Q, so its real Gram and compressions are the real
-    forms of the complex r x r matrices Q^H Q and Q^H M M^H Q.  An odd
-    column count, or a first pair that fails the test, returns at once.
-    """
-    if U.shape[-1] % 2 or not np.array_equal(U[..., 1], -1j * U[..., 0]):
-        return None
-    Q = U[..., 0::2]
-    return Q if np.array_equal(U[..., 1::2], -1j * Q) else None
 
 
 def skew_block_matrix(gamma, size):

@@ -15,8 +15,8 @@ and returns the stacked decomposition.
 
 Linear models, whose gradient is (A, jA), take a closed-form route: one
 complex QR of A gives the basis (q_1, -j q_1, q_2, -j q_2, ...), already
-canonical (every coupling 1).  ``canonical_decompose`` recognizes that
-form (``rlinalg._complex_pairs``) and keeps the basis with c = 1 exactly,
+canonical (every coupling 1).  ``canonical_decompose`` reads that form
+off the basis (``RBasis.pairs``) and keeps the basis with c = 1 exactly,
 without forming Im{U^H U}; its orthonormality check and its compression
 spectra run on the r x r complex Q as well.  Every other gradient goes
 through ``r_orthonormalize`` and the real Schur form.
@@ -32,7 +32,6 @@ import numpy as np
 from .rlinalg import (
     RBasis,
     RankDeficientError,
-    _complex_pairs,
     full_rank_certified,
     project_r,
     r_orthonormalize,
@@ -109,10 +108,10 @@ def _linear_basis(grad):
     the complex line C q_k and distinct pairs are complex-orthogonal, so
     the basis is already canonical with every coupling 1.  The odd columns
     are set to exactly -1j times the even ones, the form that
-    ``rlinalg._complex_pairs`` recognizes downstream.  None when G is
-    not exactly (A, jA) with A finite, or when ``full_rank_certified``
-    does not certify the triangle: the general route then decides the
-    rank, and raises, as for any gradient.
+    ``RBasis.pairs`` recognizes.  None when G is not exactly (A, jA) with
+    A finite, or when ``full_rank_certified`` does not certify the
+    triangle: the general route then decides the rank, and raises, as
+    for any gradient.
     """
     n = grad.shape[1] // 2
     A = grad[:, :n]
@@ -183,19 +182,19 @@ def canonical_decompose(basis):
     is a choice, and it makes V (and the pilots) a continuous function
     of U near such a basis.
 
-    A basis (q_1, -j q_1, q_2, -j q_2, ...) (``rlinalg._complex_pairs``,
-    the closed form of ``_linear_basis``) is canonical by construction:
+    A basis (q_1, -j q_1, q_2, -j q_2, ...) (``RBasis.pairs``, the
+    closed form of ``_linear_basis``) is canonical by construction:
     it is kept with every coupling exactly 1, without forming Im{U^H U}.
     """
     U = basis.U
-    if _complex_pairs(U) is not None:
+    if basis.pairs is not None:
         return CanonicalDecomposition(V=U, c=np.ones(U.shape[:-2] + (U.shape[-1] // 2,)))
     A = np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U)
-    k = A.shape[-1]
-    Bs, gammas = zip(*(skew_canonical_form(a) for a in A.reshape(-1, k, k)))
-    V = U @ np.array(Bs).reshape(A.shape)
-    gamma = np.array(gammas).reshape(A.shape[:-2] + (k // 2,))
-    return CanonicalDecomposition(V=V, c=np.clip(gamma, 0.0, 1.0))
+    B = np.empty(A.shape)
+    gamma = np.empty(A.shape[:-2] + (A.shape[-1] // 2,))
+    for i in np.ndindex(A.shape[:-2]):      # no slice in an empty stack
+        B[i], gamma[i] = skew_canonical_form(A[i])
+    return CanonicalDecomposition(V=U @ B, c=np.clip(gamma, 0.0, 1.0))
 
 
 def verify_eigenspace_property(decomp):

@@ -389,6 +389,44 @@ class TestCrbCommand:
         assert str(m_path) in err
         assert "3 rows" in err and "dimension is 2" in err
 
+    @pytest.mark.parametrize("command", ["crb", "identify"])
+    def test_physical_azimuths_with_theta_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        # theta carries the azimuths of the physical model: a second list
+        # beside it would be dropped, so the pair is refused before any basis.
+        m_path = tmp_path / "M.json"
+        run_cli("design", "--model", "physical", "--azimuths", "10,30", "--nt", "16",
+                "--power", "1", "--output", str(m_path))
+        capsys.readouterr()
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps([1, 0, 1, 0.5, 0.2, -1.2]))
+
+        def no_basis(*args):
+            raise AssertionError("a basis was built")
+
+        for name in ("variation_space", "estimated_variation_space"):
+            monkeypatch.setattr(f"pilotspace.cli.{name}", no_basis)
+        code = run_cli(command, "--model", "physical", "--nt", "16", "--azimuths", "10,30",
+                       "--theta", str(theta), "--m", str(m_path))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--azimuths" in captured.err and "--theta" in captured.err
+
+    @pytest.mark.parametrize("command", ["crb", "identify"])
+    def test_angle_constrained_azimuths_with_theta(self, tmp_path, capsys, command):
+        # The linear models' theta holds gains only: --azimuths stays needed.
+        m_path = tmp_path / "M.json"
+        run_cli("design", "--model", "angle-constrained", "--azimuths", "0,20",
+                "--nt", "16", "--power", "1", "--output", str(m_path))
+        capsys.readouterr()
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps([0.3, -1.0, 2.0, 0.5]))
+        code = run_cli(command, "--model", "angle-constrained", "--azimuths", "0,20",
+                       "--nt", "16", "--theta", str(theta), "--m", str(m_path))
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["identifiable"] is True
+
     @pytest.mark.parametrize("design_azimuths, verdict", [
         ("-30,5,41", (True, 5, 5)),
         ("12", (False, 2, 5)),

@@ -1,5 +1,6 @@
 """Tests for the real-inner-product linear algebra kernel."""
 
+import dataclasses
 import importlib.machinery
 import os
 import subprocess
@@ -902,3 +903,45 @@ class TestRBasisValidation:
         assert basis.U.shape == (0, 4, k) and (basis.ambient_dim, basis.dim) == (4, k)
         basis, R = r_orthonormalize(np.zeros((0, 4, k), dtype=complex))
         assert basis.U.shape == (0, 4, k) and R.shape == (0, k, k)
+
+
+class TestRBasisStructure:
+    """Everything read off U is derived from it: the shape and the pair factor."""
+
+    def pair_stack(self):
+        rng = np.random.default_rng(16)
+        Q, _ = np.linalg.qr(random_complex(rng, 2, 7, 3))
+        U = np.empty((2, 7, 6), dtype=complex)
+        U[..., 0::2] = Q
+        U[..., 1::2] = -1j * Q
+        return RBasis(U)
+
+    def test_u_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(RBasis)] == ["U"]
+        basis = RBasis(np.eye(4, 3, dtype=complex))
+        assert (basis.ambient_dim, basis.dim) == (4, 3)
+        with pytest.raises(AttributeError):
+            basis.dim = 2
+
+    def test_pairs_of_a_pair_basis(self):
+        basis = self.pair_stack()
+        assert np.array_equal(basis.pairs, basis.U[..., 0::2])
+        assert basis.pairs is basis.pairs
+        for s in range(2):
+            assert np.array_equal(basis[s].pairs, basis.U[s, :, 0::2])
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_no_pairs(self, k):
+        rng = np.random.default_rng(k)
+        basis = r_orthonormalize(random_complex(rng, 2, 6, k))[0]
+        assert basis.pairs is None and basis[1].pairs is None
+
+    def test_pair_test_runs_once_per_basis(self, monkeypatch):
+        from pilotspace.crb import compression_spectra
+        from pilotspace.variation import canonical_decompose
+
+        basis = self.pair_stack()
+        Ms = random_complex(np.random.default_rng(17), 2, 7, 3)
+        monkeypatch.setattr(np, "array_equal", lambda *a: pytest.fail("tested again"))
+        assert np.all(canonical_decompose(basis).c == 1.0)
+        assert compression_spectra(basis, Ms)[0].shape == (2, 6)

@@ -289,6 +289,14 @@ class TestCanonicalDecompose:
         expected = np.sort(np.concatenate([dec.c**2, dec.c**2, np.zeros(n_params % 2)]))[::-1]
         assert eigs == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_empty_stack(self, k):
+        from pilotspace.pilot import design_observation_matrix
+
+        decomp = canonical_decompose(r_orthonormalize(np.zeros((0, 5, k)))[0])
+        assert decomp.V.shape == (0, 5, k) and decomp.c.shape == (0, k // 2)
+        assert design_observation_matrix(decomp, 1.0).M.shape == (0, 5, (k + 1) // 2)
+
 
 class TestEigenspaceProperty:
     def test_complex_line(self):
