@@ -12,7 +12,8 @@ Exit codes: 0 success (a non-identifiable CRB is an answer, not a
 failure); 1 I/O, parse and value errors (run config, ``--seed -1``, a
 non-finite ``--sigma2``/``--power``, ``--report`` or ``--plot-script``
 without ``--output``, ``--report`` or ``--plot-script`` naming the
-``--output`` file, ``--azimuths`` with ``--theta`` for ``--model physical``;
+``--output`` file, ``--azimuths`` with ``--theta`` for ``--model physical``,
+``--azimuths`` for ``--model ls``;
 ``design`` and ``experiment`` leave none of their files when one cannot
 be written);
 2 rank-deficient variation space in ``design``, and argparse usage errors.
@@ -97,8 +98,8 @@ def _variation_basis(args, theta=None, M=None):
     """``RBasis`` of the model flags' variation space: at ``theta`` (zeros
     for the linear models), or for ``physical`` without it, estimated from
     ``--azimuths``.  ``physical`` takes its azimuths from one of the two,
-    never both.  ``M``'s row count is checked against ``--nt`` after the
-    flags and before any basis is built.
+    never both, and ``ls`` takes none.  ``M``'s row count is checked
+    against ``--nt`` after the flags and before any basis is built.
     """
     geom = UlaGeometry(args.nt)
     if args.model == "physical" and theta is not None:
@@ -109,6 +110,9 @@ def _variation_basis(args, theta=None, M=None):
             raise ConfigError(f"theta length {theta.shape[0]} is not a multiple of 3")
         model = physical_model(geom, theta.shape[0] // 3)
     elif args.model == "ls":
+        if args.azimuths is not None:
+            raise ConfigError("--azimuths does not apply to model 'ls', whose "
+                              "variation space has no azimuths: drop it")
         model = ls_model(args.nt)
     elif args.azimuths is not None:
         azimuths = _parse_azimuths_deg(args.azimuths)

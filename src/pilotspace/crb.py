@@ -5,7 +5,8 @@ of per-entry variance sigma^2.  The channel-MSE Cramer-Rao bound is
 computed in three equivalent forms:
 
 * directly from the gradient, Tr[dh I^{-1} dh^H] with the Slepian-Bangs
-  Fisher matrix I = (2/sigma^2) Re{dh^H M M^H dh};
+  Fisher matrix I = (2/sigma^2) Re{dh^H M M^H dh}, whose Jacobi-scaled
+  copy is factored once by Cholesky for both the verdict and the value;
 * through any real-orthonormal basis U of the variation space,
   (sigma^2/2) Tr[Re{U^H M M^H U}^{-1}];
 * intrinsically, as the trace of the inverse compression of M M^H to
@@ -34,14 +35,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .rlinalg import (
     COUPLING_SNAP,
+    RANK_CERT_MARGIN,
     _checked_observations,
+    cholesky_in_place,
     compression_matrix,
     real_gram,
     solve_right,
     stacked_real,
+    triangle_inverse,
 )
 
 # A compression (or FIM) counts as singular when its smallest eigenvalue
@@ -76,9 +81,10 @@ class CrbReport:
       compression Re{U^H M M^H U} on the given basis U; set by the
       basis forms, ``None`` for the direct form.
     * ``fim`` -- the Fisher matrix; set by the direct form, whose
-      verdict is the eigenvalue test on its Jacobi-scaled copy and whose
-      ``value`` comes from its Cholesky factor; ``None`` for the basis
-      forms.
+      verdict is the eigenvalue test on its Jacobi-scaled copy S
+      (certified from the Cholesky factor of S where it can be, so that
+      no eigenvalue is computed) and whose ``value`` comes from the same
+      factor; ``None`` for the basis forms.
     """
 
     value: float
@@ -151,36 +157,64 @@ def _is_singular(min_eig, max_eig, scale):
     return (max_eig <= floor) | (min_eig <= EIG_RTOL * max_eig)
 
 
-def _fim_is_singular(I, grad, M, noise):
-    """Eigenvalue test on the Jacobi-scaled Fisher matrix D^{-1/2} I D^{-1/2}.
+def _jacobi_scale(I, grad, M, noise):
+    """The scale D^{-1/2} of the Jacobi-scaled Fisher matrix D^{-1/2} I D^{-1/2},
+    D = diag(I), or None when a diagonal entry is at noise level.
 
-    D = diag(I).  Rescaling a parameter rescales a row and a column of I
-    but leaves the scaled matrix, like the CRB, unchanged, so the verdict
-    does not depend on parameter units.  A diagonal entry at the noise
-    level of its bound (2/sigma^2) ||M||_F^2 ||dh_i||^2 is a parameter no
-    observation sees: singular.
+    Rescaling a parameter rescales a row and a column of I but leaves the
+    scaled matrix, like the CRB, unchanged, so the verdict on it does not
+    depend on parameter units.  A diagonal entry at the noise level of its
+    bound (2/sigma^2) ||M||_F^2 ||dh_i||^2 is a parameter no observation
+    sees: singular.
     """
     d = np.diag(I)
     bound = (2.0 / noise.sigma2) * float(np.linalg.norm(M) ** 2) * np.sum(
         np.abs(grad) ** 2, axis=0
     )
     if np.any(d <= ZERO_RTOL * np.maximum(bound, SCALE_FLOOR)):
-        return True
-    s = 1.0 / np.sqrt(d)
-    eigs = np.linalg.eigvalsh(s[:, None] * I * s)
-    # The scaled diagonal is all ones, so max_eig >= 1 and only the
-    # relative test can fire.
-    return bool(_is_singular(eigs[0], eigs[-1], 1.0))
+        return None
+    return 1.0 / np.sqrt(d)
+
+
+def _scaled(I, scale):
+    """The Jacobi-scaled Fisher matrix D^{-1/2} I D^{-1/2} (one allocation)."""
+    S = scale[:, None] * I
+    S *= scale
+    return S
+
+
+def _cholesky_certified(R):
+    """Whether the Cholesky factor R of the Jacobi-scaled Fisher matrix
+    S = R^T R certifies that S passes the eigenvalue test of ``_is_singular``.
+
+    lambda_max / lambda_min of S is (sigma_max / sigma_min)^2 of R, at most
+    (||R||_F ||R^{-1}||_F)^2, so S is nonsingular when that bound times
+    EIG_RTOL passes RANK_CERT_MARGIN (the margin absorbs the rounding of
+    the factor and of its inverse).  A failed certificate decides nothing.
+    The inverse is freed on return.
+    """
+    R_inv = triangle_inverse(R)
+    if R_inv is None:
+        return False
+    bound = (np.linalg.norm(R) * np.linalg.norm(R_inv)) ** 2
+    # A NaN or inf bound fails the comparison.
+    return bool(bound * EIG_RTOL < RANK_CERT_MARGIN)
 
 
 def crb_direct(model, theta, M, noise):
     """CRB from the gradient: Tr[dh FIM^{-1} dh^H].
 
-    A singular Fisher matrix (see ``_fim_is_singular``: the test runs on
-    the Jacobi-scaled matrix) yields an infinite, non-identifiable report.
-    Otherwise the Fisher matrix I = L L^T is factored by Cholesky and the
-    value is ||L^{-1} [Re dh; Im dh]^T||_F^2.  The report carries ``fim``
-    and no compression eigenvalue.
+    The verdict is taken on the Jacobi-scaled Fisher matrix
+    S = D^{-1/2} I D^{-1/2}, D = diag(I) (``_jacobi_scale``): a diagonal
+    entry at noise level, or a failed eigenvalue test of S
+    (``_is_singular`` at EIG_RTOL), yields an infinite, non-identifiable
+    report.  S is factored once, S = R^T R by Cholesky, in place.  The
+    factor certifies the verdict where it can (``_cholesky_certified``),
+    and no eigenvalue is computed; where it cannot, or where S has no
+    Cholesky factor, ``eigvalsh(S)`` decides, so the verdict is that of
+    the eigenvalue test either way.  The value is then
+    ||[Re dh; Im dh] D^{-1/2} R^{-1}||_F^2, from one triangular solve.
+    The report carries ``fim`` and no compression eigenvalue.
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(model.gradient(theta), dtype=complex)
@@ -188,10 +222,23 @@ def crb_direct(model, theta, M, noise):
         raise ValueError("gradient contains non-finite entries")
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     I = _fisher(grad, M, noise)
-    if _fim_is_singular(I, grad, M, noise):
+    scale = _jacobi_scale(I, grad, M, noise)
+    if scale is None:
         return CrbReport(value=math.inf, identifiable=False, fim=I)
-    L = np.linalg.cholesky(I)
-    value = float(np.linalg.norm(solve_right(stacked_real(grad), L.T)) ** 2)
+    R = cholesky_in_place(_scaled(I, scale))
+    if R is None or not _cholesky_certified(R):
+        # The factor overwrote S: scale again, to the same bits.
+        eigs = np.linalg.eigvalsh(_scaled(I, scale))
+        # The scaled diagonal is all ones, so max_eig >= 1 and only the
+        # relative test can fire.
+        if _is_singular(eigs[0], eigs[-1], 1.0):
+            return CrbReport(value=math.inf, identifiable=False, fim=I)
+        if R is None:
+            raise LinAlgError("Fisher matrix passed the eigenvalue test but has "
+                              "no Cholesky factor")
+    X = stacked_real(grad)
+    X *= scale
+    value = float(np.linalg.norm(solve_right(X, R)) ** 2)
     return CrbReport(value=value, identifiable=True, fim=I)
 
 

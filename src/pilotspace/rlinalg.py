@@ -10,12 +10,13 @@ in that setting:
   product, implemented through a real QR of the stacked [Re; Im] matrix
   (of one matrix or of each matrix in a stack).
 * ``triangle_rank`` -- numerical rank of a QR triangle, certified full
-  from one triangular inverse where possible (``full_rank_certified``,
-  which also takes a complex triangle), else from its SVD.
+  from one triangular inverse (``triangle_inverse``) where possible
+  (``full_rank_certified``, which also takes a complex triangle), else
+  from its SVD.
 * ``skew_canonical_form`` -- real Schur decomposition of a skew-symmetric
   matrix, reordered into the canonical 2x2 block form with nonnegative,
   descending couplings; an input already in that form skips the Schur
-  form.
+  form, and ``kept_canonical_form`` answers for such an input alone.
 * ``RBasis`` -- a checked real-orthonormal basis, or a stack of them;
   indexing a stack's batch axes gives the slices without a new check.
   A basis (q_1, -j q_1, q_2, -j q_2, ...), as a linear model's closed
@@ -262,11 +263,31 @@ def full_rank_certified(R):
     k = R.shape[1]
     if k == 0 or R.shape != (k, k):
         return False
-    trtri = _flapack.ztrtri if np.iscomplexobj(R) else _flapack.dtrtri
-    R_inv, info = trtri(R)   # info > 0: zero diagonal
+    R_inv = triangle_inverse(R)
+    if R_inv is None:
+        return False
     bound = np.linalg.norm(R) * np.linalg.norm(R_inv)
     # A NaN or inf bound fails the comparison.
-    return bool(info == 0 and bound * RANK_RTOL < RANK_CERT_MARGIN)
+    return bool(bound * RANK_RTOL < RANK_CERT_MARGIN)
+
+
+def triangle_inverse(R):
+    """R^{-1} of a nonempty square upper-triangular R (real or complex) from
+    LAPACK ``d/ztrtri``, or None when a diagonal entry is exactly zero."""
+    trtri = _flapack.ztrtri if np.iscomplexobj(R) else _flapack.dtrtri
+    R_inv, info = trtri(R)
+    return R_inv if info == 0 else None
+
+
+def cholesky_in_place(S):
+    """Upper-triangular R with S = R^T R, or None when LAPACK ``dpotrf``
+    finds S not numerically positive definite.
+
+    Reads the lower triangle of the real symmetric, C-ordered S and
+    factors it in S's own memory: S is overwritten and R shares it.
+    """
+    R, info = _flapack.dpotrf(S.T, lower=0, clean=1, overwrite_a=1)
+    return R if info == 0 else None
 
 
 def triangle_rank(R):
@@ -420,38 +441,23 @@ def skew_canonical_form(A):
     so that B^T A B = skew_block_matrix(gamma, K).
 
     An A already in that form within the Schur route's block tolerance
-    ``COUPLING_SNAP * max(1, ||A||_F)`` (``_canonical_couplings``) skips
-    the Schur form: B is the identity and gamma its snapped block values,
-    descending up to that tolerance.  Near such an A, B stays near the
+    (``kept_canonical_form``) skips the Schur form: B is the identity and
+    gamma its snapped block values.  Near such an A, B stays near the
     identity, where the Schur form may return any rotation within each
     block and any basis of tied blocks.
 
     Raises
     ------
     ValueError
-        If A has non-finite entries (checked before the skew test, which
-        NaN would pass).
+        If A is not square or has non-finite entries (checked before the
+        skew test, which NaN would pass).
     NotSkewSymmetricError
         If ||A + A^T||_F > STRUCTURE_RTOL (1 + ||A||_F).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A, reorder_tol, kept = _skew_part(A)
+    if kept is not None:
+        return kept
     K = A.shape[0]
-    if A.shape != (K, K):
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("skew canonical form: input matrix contains non-finite entries")
-    norm_a = np.linalg.norm(A)
-    if np.linalg.norm(A + A.T) > STRUCTURE_RTOL * (1.0 + norm_a):
-        raise NotSkewSymmetricError(
-            f"||A + A^T||_F = {np.linalg.norm(A + A.T):.3e} exceeds tolerance"
-        )
-    A = 0.5 * (A - A.T)
-    reorder_tol = COUPLING_SNAP * max(1.0, norm_a)
-
-    c = _canonical_couplings(A, reorder_tol)
-    if c is not None:
-        return np.eye(K), np.array([_snap_coupling(ck) for ck in c])
-
     T, Q = _real_schur(A)
 
     # The Schur form of a skew-symmetric matrix is block diagonal: 2x2
@@ -481,6 +487,47 @@ def skew_canonical_form(A):
     B = Q[:, order]
     gamma = np.array([_snap_coupling(c) for c, _ in pairs])
     return B, gamma
+
+
+def kept_canonical_form(A):
+    """``(I, gamma)`` when the skew-symmetric A is already in canonical form,
+    else None: the answer of ``skew_canonical_form`` without its Schur form.
+
+    Runs ``skew_canonical_form``'s validation and symmetrization, then
+    tests the symmetrized A against the block tolerance
+    ``COUPLING_SNAP * max(1, ||A||_F)`` (``_canonical_couplings``); gamma
+    holds its snapped block values, descending up to that tolerance.
+    Raises as ``skew_canonical_form`` does.  A caller that gets None and
+    needs the form calls ``skew_canonical_form``, so that function runs
+    exactly where a Schur form runs.
+    """
+    return _skew_part(A)[2]
+
+
+def _skew_part(A):
+    """Validate a square real A and return ``(A_skew, tol, kept)``.
+
+    A_skew = 0.5 (A - A^T) is the symmetrized input, tol the block
+    tolerance of the canonical form and kept the ``(I, gamma)`` of an
+    A_skew already in that form, else None.  The skew defect is derived
+    from A_skew, so A is transposed once: ||A + A^T||_F = 2 ||A - A_skew||_F
+    in exact arithmetic.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    K = A.shape[0]
+    if A.shape != (K, K):
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("skew canonical form: input matrix contains non-finite entries")
+    norm_a = np.linalg.norm(A)
+    A_skew = 0.5 * (A - A.T)
+    defect = 2.0 * np.linalg.norm(A - A_skew)
+    if defect > STRUCTURE_RTOL * (1.0 + norm_a):
+        raise NotSkewSymmetricError(f"||A + A^T||_F = {defect:.3e} exceeds tolerance")
+    tol = COUPLING_SNAP * max(1.0, norm_a)
+    c = _canonical_couplings(A_skew, tol)
+    kept = None if c is None else (np.eye(K), np.array([_snap_coupling(ck) for ck in c]))
+    return A_skew, tol, kept
 
 
 def _snap_coupling(c):

@@ -13,13 +13,18 @@ depend on the space only, through any real-orthonormal basis of it.
 bases (one RBasis with leading batch axes) goes through the same code
 and returns the stacked decomposition.
 
-Linear models, whose gradient is (A, jA), take a closed-form route: one
-complex QR of A gives the basis (q_1, -j q_1, q_2, -j q_2, ...), already
-canonical (every coupling 1).  ``canonical_decompose`` reads that form
-off the basis (``RBasis.pairs``) and keeps the basis with c = 1 exactly,
-without forming Im{U^H U}; its orthonormality check and its compression
-spectra run on the r x r complex Q as well.  Every other gradient goes
-through ``r_orthonormalize`` and the real Schur form.
+A model gradient takes its complex lines first: column pairs (g, +/-j g)
+span complex lines C g, which have coupling 1.  One complex QR of the
+lines gives the pairs (q_1, -j q_1, q_2, -j q_2, ...); the other columns
+are orthonormalized and put in canonical form on their own block, and the
+whole basis comes out canonical.  A linear model's gradient (A, jA) is
+all lines: ``canonical_decompose`` reads that form off the basis
+(``RBasis.pairs``) and keeps it with c = 1 exactly, without forming
+Im{U^H U}, and its orthonormality check and compression spectra run on
+the r x r complex Q as well.  A basis with other columns is kept after
+one block test of Im{U^H U}.  A gradient without complex lines, or whose
+full rank that route does not certify, goes through ``r_orthonormalize``
+and the real Schur form, as do the azimuth-only spans of ``models``.
 """
 
 from __future__ import annotations
@@ -30,13 +35,17 @@ from typing import Callable
 import numpy as np
 
 from .rlinalg import (
+    RANK_CERT_MARGIN,
+    RANK_RTOL,
     RBasis,
     RankDeficientError,
     full_rank_certified,
+    kept_canonical_form,
     project_r,
     r_orthonormalize,
     skew_block_matrix,
     skew_canonical_form,
+    triangle_inverse,
 )
 
 
@@ -100,44 +109,126 @@ class CanonicalDecomposition:
         return skew_block_matrix(self.c, self.n_params)
 
 
-def _linear_basis(grad):
-    """Canonical ``RBasis`` of the span of a gradient G = (A, jA), or None.
+def _complex_lines(grad):
+    """Column indices ``(first, rest)`` of a gradient's complex lines, or None.
 
-    One complex QR A = QR, its columns signed to a positive diagonal of
-    R, gives the basis (q_1, -j q_1, q_2, -j q_2, ...): each pair spans
-    the complex line C q_k and distinct pairs are complex-orthogonal, so
-    the basis is already canonical with every coupling 1.  The odd columns
-    are set to exactly -1j times the even ones, the form that
-    ``RBasis.pairs`` recognizes.  None when G is not exactly (A, jA) with
-    A finite, or when ``full_rank_certified`` does not certify the
-    triangle: the general route then decides the rank, and raises, as
-    for any gradient.
+    A complex line is a column pair (g, +/-j g), which spans C g over the
+    reals.  Pairs are found bitwise, in O(N_d N_p): the two halves of a
+    linear model's gradient (A, jA), all or nothing, else adjacent columns
+    g_{i+1} = +/-j g_i (the e(phi_l), j e(phi_l) columns of
+    ``models.physical_model``), paired from the left.  Each test reads the
+    first row before the whole columns.  ``first`` indexes the first
+    column of each pair and ``rest`` every unpaired column (slices for the
+    halves, so that they index without a copy).  None when no pair is
+    found or the gradient has a non-finite entry.
     """
-    n = grad.shape[1] // 2
-    A = grad[:, :n]
-    if (grad.shape[1] % 2 or not np.all(np.isfinite(A))
-            or not np.array_equal(grad[:, n:], 1j * A)):
+    k = grad.shape[1]
+    if k < 2 or not np.all(np.isfinite(grad)):
         return None
-    Q, R = np.linalg.qr(A)
+    n = k // 2
+    if (k % 2 == 0 and np.array_equal(grad[0, n:], 1j * grad[0, :n])
+            and np.array_equal(grad[:, n:], 1j * grad[:, :n])):
+        return slice(0, n), slice(n, n)
+    row = 1j * grad[0, :-1]
+    candidates = np.flatnonzero((grad[0, 1:] == row) | (grad[0, 1:] == -row))
+    jg = 1j * grad[:, candidates]
+    after = grad[:, candidates + 1]
+    line = candidates[np.all(after == jg, axis=0) | np.all(after == -jg, axis=0)]
+    first, free = [], 0
+    for i in line.tolist():
+        if i >= free:
+            first.append(i)
+            free = i + 2
+    if not first:
+        return None
+    first = np.array(first)
+    paired = np.zeros(k, dtype=bool)
+    paired[first] = paired[first + 1] = True
+    return first, np.flatnonzero(~paired)
+
+
+def _linear_basis(grad):
+    """Canonical ``RBasis`` of the span of a gradient, complex lines first, or None.
+
+    The complex lines (``_complex_lines``) span the complex span of their
+    first columns A_l.  One complex QR A_l = QR, its columns signed to a
+    positive diagonal of R, gives the pairs (q_1, -j q_1, q_2, -j q_2, ...):
+    each spans the complex line C q_k and distinct pairs are complex-
+    orthogonal, so they are canonical with every coupling 1.  The odd
+    columns are exactly -1j times the even ones, the form that
+    ``RBasis.pairs`` recognizes when no other column is left.
+
+    The other columns D are projected off span_C(Q) (twice), then
+    real-orthonormalized (N x |D|, R_D) and canonically decomposed on
+    their own |D| x |D| block: a vector complex-orthogonal to span_C(Q)
+    has no coupling with it.  So the basis (q_1, -j q_1, ..., U_D B_D) is
+    canonical as a whole, and ``canonical_decompose`` keeps it.
+
+    None, so that the general route decides the rank and raises as for
+    any gradient, when no complex line is found, when D fails its own
+    orthonormalization, or when the certificate fails.  The certificate
+    is ``full_rank_certified(R)``, and with D: in the coordinates of the
+    basis the gradient is the block triangle T = [[R, X], [0, R_D]] with
+    X = Q^H D, whose sigma_max / sigma_min = that of the gradient is at
+    most ||T||_F ||T^{-1}||_F, with T^{-1} = [[R^{-1}, -R^{-1} X R_D^{-1}],
+    [0, R_D^{-1}]]; the bound must pass ``RANK_CERT_MARGIN`` at
+    ``RANK_RTOL``, as in ``full_rank_certified``.
+    """
+    lines = _complex_lines(grad)
+    if lines is None:
+        return None
+    first, rest = lines
+    Q, R = np.linalg.qr(grad[:, first])
     if not full_rank_certified(R):
         return None
+    r = Q.shape[1]
     diag = np.diagonal(R)
     U = np.empty_like(grad)
-    U[:, 0::2] = Q * (diag / np.abs(diag))
-    U[:, 1::2] = -1j * U[:, 0::2]
-    return RBasis(U)
+    U[:, 0:2 * r:2] = Q * (diag / np.abs(diag))
+    U[:, 1:2 * r:2] = -1j * U[:, 0:2 * r:2]
+    D = grad[:, rest]
+    if D.shape[1]:
+        X = np.conj(Q.T) @ D
+        D = D - Q @ X
+        X_again = np.conj(Q.T) @ D      # twice is enough
+        D = D - Q @ X_again
+        X = X + X_again
+        try:
+            space, R_D = r_orthonormalize(D)
+        except ValueError:              # RankDeficientError included
+            return None
+        # Both triangles passed a rank test, so both inverses exist.
+        R_inv, R_D_inv = triangle_inverse(R), triangle_inverse(R_D)
+        norm_T = np.sqrt(np.linalg.norm(R) ** 2 + np.linalg.norm(X) ** 2
+                         + np.linalg.norm(R_D) ** 2)
+        norm_T_inv = np.sqrt(np.linalg.norm(R_inv) ** 2
+                             + np.linalg.norm(R_inv @ X @ R_D_inv) ** 2
+                             + np.linalg.norm(R_D_inv) ** 2)
+        # A NaN or inf bound fails the comparison.
+        if not norm_T * norm_T_inv * RANK_RTOL < RANK_CERT_MARGIN:
+            return None
+        U[:, 2 * r:] = canonical_decompose(space).V
+    try:
+        return RBasis(U)
+    except ValueError:      # orthonormality lost to rounding: the general route
+        return None
 
 
 def variation_space(model, theta):
     """Real-orthonormal basis (an ``RBasis``) of the variation space of
     ``model`` at ``theta``.
 
-    A gradient of the form (A, jA), as of every linear model
-    (``models.ls_model``, ``models.angle_constrained_model``), takes the
-    closed form of ``_linear_basis``: a basis that is already canonical,
-    so ``canonical_decompose`` keeps it as is.  Any other gradient, and
-    an A whose full rank is not certified, goes through
-    ``r_orthonormalize``.
+    A gradient with complex lines, column pairs (g, +/-j g) such as the
+    (A, jA) of every linear model (``models.ls_model``,
+    ``models.angle_constrained_model``) or the (e, j e) columns of
+    ``models.physical_model``, takes the complex lines first
+    (``_linear_basis``): one complex QR for the lines, a real
+    orthonormalization and a skew canonical form for the other columns
+    only, and a basis that is already canonical, so ``canonical_decompose``
+    keeps it.  A linear model's basis is (q_1, -j q_1, ...) from the QR
+    alone.  Any other gradient, and one whose full rank the lines route
+    does not certify, goes through ``r_orthonormalize``, which decides
+    the rank and raises.
 
     Raises
     ------
@@ -175,16 +266,19 @@ def canonical_decompose(basis):
     per slice and rotates the basis: V = U B.  Im{U^H U} and U B are one
     stacked product each, so each slice has the bits of its own call.
     The couplings c are the descending block values; the real span of V
-    equals that of U.  On a basis that is already canonical
-    ``skew_canonical_form`` returns B = I, so V == U (an exact zero entry
-    may change its sign in the product).  Under tied couplings any
-    rotation of the tied pairs would do as well; keeping the given basis
-    is a choice, and it makes V (and the pilots) a continuous function
-    of U near such a basis.
+    equals that of U.
+
+    A slice whose Im{U^H U} is already canonical (``kept_canonical_form``,
+    the same validation and block test that ``skew_canonical_form`` runs)
+    keeps B = I, so V == U (an exact zero entry may change its sign in the
+    product), and ``skew_canonical_form`` runs only for the slices that
+    need a Schur form.  Under tied couplings any rotation of the tied
+    pairs would do as well; keeping the given basis is a choice, and it
+    makes V (and the pilots) a continuous function of U near such a basis.
 
     A basis (q_1, -j q_1, q_2, -j q_2, ...) (``RBasis.pairs``, the
-    closed form of ``_linear_basis``) is canonical by construction:
-    it is kept with every coupling exactly 1, without forming Im{U^H U}.
+    closed form of a linear model) is canonical by construction: it is
+    kept with every coupling exactly 1, without forming Im{U^H U}.
     """
     U = basis.U
     if basis.pairs is not None:
@@ -193,7 +287,8 @@ def canonical_decompose(basis):
     B = np.empty(A.shape)
     gamma = np.empty(A.shape[:-2] + (A.shape[-1] // 2,))
     for i in np.ndindex(A.shape[:-2]):      # no slice in an empty stack
-        B[i], gamma[i] = skew_canonical_form(A[i])
+        form = kept_canonical_form(A[i])
+        B[i], gamma[i] = skew_canonical_form(A[i]) if form is None else form
     return CanonicalDecomposition(V=U @ B, c=np.clip(gamma, 0.0, 1.0))
 
 

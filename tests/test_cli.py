@@ -413,6 +413,34 @@ class TestCrbCommand:
         assert captured.out == ""
         assert "--azimuths" in captured.err and "--theta" in captured.err
 
+    @pytest.mark.parametrize("command", ["design", "crb", "identify"])
+    def test_ls_refuses_azimuths(self, tmp_path, capsys, monkeypatch, command):
+        # The LS variation space has no azimuths: a list would be dropped,
+        # so it is refused before any basis, with or without --theta.
+        m_path = tmp_path / "M.json"
+        fileio.write_matrix(m_path, np.eye(2, dtype=complex))
+        theta = tmp_path / "theta.json"
+        theta.write_text("[0.0, 0.0, 0.0, 0.0]")
+
+        def no_basis(*args):
+            raise AssertionError("a basis was built")
+
+        for name in ("variation_space", "estimated_variation_space"):
+            monkeypatch.setattr(f"pilotspace.cli.{name}", no_basis)
+        extra = {"design": [["--power", "1"], ["--power", "1", "--output", str(m_path)]],
+                 "crb": [["--m", str(m_path)], ["--m", str(m_path), "--theta", str(theta)]],
+                 "identify": [["--m", str(m_path)],
+                              ["--m", str(m_path), "--theta", str(theta)]]}[command]
+        before = m_path.read_bytes()
+        for args in extra:
+            code = run_cli(command, "--model", "ls", "--nt", "2", "--azimuths", "10,30", *args)
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--azimuths" in captured.err and "'ls'" in captured.err
+        assert m_path.read_bytes() == before
+        assert not (tmp_path / "M.report.json").exists()
+
     @pytest.mark.parametrize("command", ["crb", "identify"])
     def test_angle_constrained_azimuths_with_theta(self, tmp_path, capsys, command):
         # The linear models' theta holds gains only: --azimuths stays needed.

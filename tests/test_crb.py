@@ -228,6 +228,68 @@ class TestCrbDirectFactorizations:
         assert linalg_calls == []
 
 
+class TestCrbDirectCertificate:
+    """The Cholesky factor of the Jacobi-scaled FIM certifies the verdict
+    where it can; otherwise one eigvalsh call decides, as it always did."""
+
+    @staticmethod
+    def graded_case(seed, ratio, n=12, k=8):
+        # Real G with orthonormal columns and M = G V diag(sqrt(lambda)):
+        # the FIM is (2/sigma^2) V diag(lambda) V^T, lambda graded to ratio.
+        rng = np.random.default_rng(seed)
+        G, _ = np.linalg.qr(rng.normal(size=(n, k)))
+        V, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        M = (G @ V) * np.sqrt(np.geomspace(1.0, ratio, k))
+        return constant_gradient_model(G), M.astype(complex)
+
+    def test_verdict_is_the_eigenvalue_verdict(self, monkeypatch):
+        import pilotspace.crb as crb_module
+
+        eig_calls, certified = [], []
+        real_eigvalsh = np.linalg.eigvalsh
+        real_certified = crb_module._cholesky_certified
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda A: eig_calls.append(A.shape) or real_eigvalsh(A))
+        monkeypatch.setattr(crb_module, "_cholesky_certified",
+                            lambda R: certified.append(real_certified(R)) or certified[-1])
+        noise = NoiseModel(0.8)
+        outcomes = set()
+        for ratio in np.geomspace(1e-12, 1e-8, 33):
+            for seed in range(4):
+                model, M = self.graded_case(seed, ratio)
+                k = model.n_params
+                I = fim(model, np.zeros(k), M, noise)
+                scale = 1.0 / np.sqrt(np.diag(I))
+                eigs = real_eigvalsh((scale[:, None] * I) * scale)
+                expected = not _is_singular(eigs[0], eigs[-1], 1.0)
+                eig_calls.clear()
+                certified.clear()
+                rep = crb_direct(model, np.zeros(k), M, noise)
+                assert rep.identifiable == expected and math.isinf(rep.value) != expected
+                if certified == [True]:
+                    assert eig_calls == []
+                else:
+                    assert eig_calls == [(k, k)]
+                outcomes.add((expected, certified == [True]))
+        # Certified, identifiable but uncertified, and singular all occur.
+        assert outcomes == {(True, True), (True, False), (False, False)}
+
+    def test_singular_fim_without_cholesky_factor(self, monkeypatch):
+        # Exactly dependent columns: the in-place Cholesky fails or is not
+        # certified, and the one eigvalsh call declares the FIM singular.
+        eig_calls = []
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda A: eig_calls.append(A.shape) or real_eigvalsh(A))
+        rng = np.random.default_rng(720)
+        G = random_complex(rng, 6, 3)
+        G = np.concatenate([G, G[:, :1]], axis=1)
+        rep = crb_direct(constant_gradient_model(G), np.zeros(4), random_complex(rng, 6, 6),
+                         NoiseModel(1.0))
+        assert not rep.identifiable and math.isinf(rep.value)
+        assert eig_calls == [(4, 4)]
+
+
 class TestNonFiniteObservation:
     """A NaN in M is an error, not a bound of nan declared identifiable."""
 
@@ -467,12 +529,15 @@ class TestComplexPairRoute:
         eigs, singular = compression_spectra(basis, Ms)
         ref_eigs, ref_singular = previous_compression_spectra(basis, Ms)
         assert np.array_equal(eigs, ref_eigs) and np.array_equal(singular, ref_singular)
+        # The real route forms Im{U^H U} and tests it once; that form is
+        # canonical, so the basis is kept through V = U @ I, a new array.
         calls = []
-        real_form = var.skew_canonical_form
-        monkeypatch.setattr(var, "skew_canonical_form",
-                            lambda A: calls.append(A) or real_form(A))
+        real_test = var.kept_canonical_form
+        monkeypatch.setattr(var, "kept_canonical_form",
+                            lambda A: calls.append(A) or real_test(A))
         decomp = canonical_decompose(basis)
         assert len(calls) == 1
+        assert decomp.V is not basis.U and np.array_equal(decomp.V, U @ np.eye(6))
         assert np.abs(decomp.c - 1.0).max() <= 1e-12
 
 

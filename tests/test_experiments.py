@@ -581,20 +581,25 @@ def _previous_trial(config, trial_index):
 
 
 @pytest.fixture
-def skew_forms(monkeypatch):
-    """Every skew canonical form computed while the fixture is active."""
-    import pilotspace.variation
+def decompositions(monkeypatch):
+    """The (V, c) of every slice that canonical_decompose decomposes while
+    the fixture is active, in the sweep and in this module's serial loop."""
+    import sys
 
-    forms = []
-    real = pilotspace.variation.skew_canonical_form
+    import pilotspace.experiments
 
-    def recording(A, *args, **kwargs):
-        form = real(A, *args, **kwargs)
-        forms.append(form)
-        return form
+    slices = []
+    real = canonical_decompose
 
-    monkeypatch.setattr(pilotspace.variation, "skew_canonical_form", recording)
-    return forms
+    def recording(basis):
+        decomp = real(basis)
+        for i in np.ndindex(decomp.V.shape[:-2]):
+            slices.append((decomp.V[i], decomp.c[i]))
+        return decomp
+
+    for namespace in (pilotspace.experiments, sys.modules[__name__]):
+        monkeypatch.setattr(namespace, "canonical_decompose", recording)
+    return slices
 
 
 def previous_ac_strategy_bound(h, E_hats):
@@ -717,7 +722,7 @@ class TestBatchedTrial:
         with pytest.raises(RankDeficientError):
             ac_strategy_bound(h, steering_matrix(geom, estimates))
 
-    def test_matches_previous_loop_on_reference_trials(self, skew_forms):
+    def test_matches_previous_loop_on_reference_trials(self, decompositions):
         # The seed-7 benchmark reference: configs 700000..700009, 10 trials
         # each, stacked by path count as run_multipath stacks them.
         for seed in range(700_000, 700_010):
@@ -726,22 +731,22 @@ class TestBatchedTrial:
             draws = [_trial_draw(config, t) for t in range(config.n_trials)]
             for L in sorted({paths.n_paths for paths, _ in draws}):
                 group = [t for t, (paths, _) in enumerate(draws) if paths.n_paths == L]
-                skew_forms.clear()
+                decompositions.clear()
                 bounds = _strategy_bounds(
                     config.geometry, np.array([draws[t][0].gains for t in group]),
                     np.array([draws[t][0].azimuths for t in group]),
                     np.array([draws[t][1] for t in group]))
-                # One form per (trial, Delta), trial-major, in Delta order.
-                forms = list(skew_forms)
+                # One decomposition per (trial, Delta), trial-major, in Delta order.
+                stacked = list(decompositions)
                 for i, t in enumerate(group):
                     ac_coef, ac_bias, pr_coef = (b[i] for b in bounds)
-                    batched = forms[i * n_delta:(i + 1) * n_delta]
-                    skew_forms.clear()
+                    batched = stacked[i * n_delta:(i + 1) * n_delta]
+                    decompositions.clear()
                     previous = _previous_trial(config, t)
-                    assert len(batched) == len(skew_forms) == len(config.delta_deg)
-                    for (B_new, gamma_new), (B_old, gamma_old) in zip(batched, skew_forms):
-                        assert np.array_equal(B_new, B_old)
-                        assert np.array_equal(gamma_new, gamma_old)
+                    assert len(batched) == len(decompositions) == len(config.delta_deg)
+                    for (V_new, c_new), (V_old, c_old) in zip(batched, decompositions):
+                        assert np.array_equal(V_new, V_old)
+                        assert np.array_equal(c_new, c_old)
                     assert ac_coef == pytest.approx(previous[0], rel=1e-10, abs=0)
                     assert pr_coef == pytest.approx(previous[2], rel=1e-10, abs=0)
                     # A bias is a squared residual in [0, 1]; at Delta = 0 it is

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from pilotspace.rlinalg import (
     RANK_CERT_MARGIN,
     RANK_RTOL,
+    STRUCTURE_RTOL,
     NotSkewSymmetricError,
     RankDeficientError,
     RBasis,
@@ -23,6 +24,7 @@ from pilotspace.rlinalg import (
     _real_schur,
     compression_matrix,
     full_rank_certified,
+    kept_canonical_form,
     numerical_rank,
     project_r,
     r_inner,
@@ -496,6 +498,48 @@ class TestSkewCanonicalForm:
         with pytest.raises(ValueError, match="non-finite") as excinfo:
             skew_canonical_form(A)
         assert not isinstance(excinfo.value, NotSkewSymmetricError)
+
+
+class TestSkewValidation:
+    """The skew defect is read off A_skew = 0.5 (A - A^T): the verdicts and
+    messages are those of ||A + A^T||_F away from the threshold, for
+    skew_canonical_form and kept_canonical_form alike."""
+
+    @pytest.mark.parametrize("K", [2, 5, 12, 40])
+    def test_verdicts_and_messages(self, K):
+        rng = np.random.default_rng(900 + K)
+        verdicts = set()
+        for exponent in np.arange(-17.0, -3.0, 0.5):
+            W, S = rng.normal(size=(2, K, K))
+            A = (W - W.T) + 10.0**exponent * (S + S.T)
+            defect = np.linalg.norm(A + A.T)
+            threshold = STRUCTURE_RTOL * (1.0 + np.linalg.norm(A))
+            if abs(defect / threshold - 1.0) < 1e-6:
+                continue            # at the threshold a rounding may flip it
+            verdicts.add(defect > threshold)
+            for form in (skew_canonical_form, kept_canonical_form):
+                if defect > threshold:
+                    with pytest.raises(NotSkewSymmetricError) as err:
+                        form(A)
+                    assert str(err.value) == (
+                        f"||A + A^T||_F = {defect:.3e} exceeds tolerance")
+                else:
+                    form(A)
+        assert verdicts == {False, True}
+
+    def test_schur_form_runs_on_the_symmetrized_input(self, monkeypatch):
+        import pilotspace.rlinalg as rl
+
+        inputs = []
+        real = rl._real_schur
+        monkeypatch.setattr(rl, "_real_schur", lambda A: inputs.append(A.copy()) or real(A))
+        rng = np.random.default_rng(910)
+        W = rng.normal(size=(9, 9))
+        A = W - W.T
+        A[2, 5] += 1e-13
+        assert kept_canonical_form(A) is None and inputs == []
+        skew_canonical_form(A)
+        assert len(inputs) == 1 and np.array_equal(inputs[0], 0.5 * (A - A.T))
 
 
 @pytest.fixture

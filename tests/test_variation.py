@@ -211,6 +211,164 @@ class TestLinearRoute:
         assert np.array_equal(basis.U, r_orthonormalize(G)[0].U)
 
 
+def separated_sines(rng, n, span=0.85):
+    """n sines of azimuths on a jittered grid over [-span, span]."""
+    cell = 2.0 * span / n
+    return -span + cell * (np.arange(n) + 0.5 + 0.3 * rng.uniform(-1.0, 1.0, n))
+
+
+def physical_case(n_tx, n_paths, seed, gains=None):
+    """(model, theta) of ``physical_model`` at separated azimuths with complex gains."""
+    from pilotspace.models import PathSet, physical_model
+
+    rng = np.random.default_rng([seed, n_tx, n_paths])
+    azimuths = np.arcsin(separated_sines(rng, n_paths))
+    if gains is None:
+        gains = rng.uniform(0.5, 1.5, n_paths) * np.exp(2j * np.pi * rng.uniform(size=n_paths))
+    theta = PathSet(gains=gains, azimuths=azimuths).theta()
+    return physical_model(UlaGeometry(n_tx), n_paths), theta
+
+
+def physical_cases():
+    """physical_model with L = 1..7 at N_t = 8, 64, 256 (3L <= 2 N_t), and
+    the two physical kinds of the benchmark's large workload."""
+    cases = [pytest.param(n_tx, L, id=f"physical-{n_tx}-{L}")
+             for n_tx in (8, 64, 256) for L in range(1, 8) if 3 * L <= 2 * n_tx]
+    return cases + [pytest.param(256, 24, id="bench-256-24"),
+                    pytest.param(256, 40, id="bench-256-40")]
+
+
+def general_route(model, theta, monkeypatch):
+    """variation_space through r_orthonormalize alone, or the error it raises."""
+    import pilotspace.variation as var
+
+    with monkeypatch.context() as patch:
+        patch.setattr(var, "_linear_basis", lambda grad: None)
+        try:
+            return variation_space(model, theta)
+        except RankDeficientError as err:
+            return err
+
+
+@pytest.fixture
+def recorded_routes(monkeypatch):
+    """The shapes that r_orthonormalize and the real Schur form receive."""
+    import pilotspace.rlinalg as rl
+    import pilotspace.variation as var
+
+    calls = {"r_orthonormalize": [], "_real_schur": []}
+    for module, name in ((var, "r_orthonormalize"), (rl, "_real_schur")):
+        real = getattr(module, name)
+
+        def recording(A, _real=real, _name=name):
+            calls[_name].append(np.shape(A))
+            return _real(A)
+
+        monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+class TestComplexLinesRoute:
+    """A gradient with column pairs (g, +/-j g) takes its complex lines first:
+    one complex QR for the lines, the rest orthonormalized and put in
+    canonical form on its own, and a basis that canonical_decompose keeps."""
+
+    @pytest.mark.parametrize("n_tx, n_paths", physical_cases())
+    def test_matches_general_route(self, n_tx, n_paths, monkeypatch):
+        from pilotspace.crb import NoiseModel, crb_min
+        from pilotspace.pilot import design_observation_matrix
+
+        model, theta = physical_case(n_tx, n_paths, seed=60)
+        basis = variation_space(model, theta)
+        decomp = canonical_decompose(basis)
+        general = canonical_decompose(general_route(model, theta, monkeypatch))
+        P, P_ref = real_projector(decomp.V), real_projector(general.V)
+        assert np.linalg.norm(P - P_ref) <= 1e-10
+        assert np.abs(decomp.c - general.c).max() <= 1e-10
+        # The lines come first with coupling 1, and the basis is kept.
+        assert np.abs(decomp.c[:n_paths] - 1.0).max() <= 1e-12
+        assert np.array_equal(decomp.V, basis.U @ np.eye(model.n_params))
+        rng = np.random.default_rng(n_tx + n_paths)
+        P_power, sigma2 = rng.uniform(0.5, 2.0), rng.uniform(0.1, 1.0)
+        design = design_observation_matrix(decomp, P_power, sigma2)
+        ref = crb_min(decomp.c, decomp.n_params, NoiseModel(sigma2), P_power).value
+        assert design.achieved_crb == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n_tx, n_paths", [(8, 1), (64, 7), (256, 24)])
+    def test_one_schur_form_of_size_at_most_L(self, n_tx, n_paths, recorded_routes):
+        model, theta = physical_case(n_tx, n_paths, seed=61)
+        decomp = canonical_decompose(variation_space(model, theta))
+        assert decomp.n_params == 3 * n_paths
+        assert recorded_routes["r_orthonormalize"] == [(n_tx, n_paths)]
+        schur = recorded_routes["_real_schur"]
+        assert len(schur) <= 1 and all(shape[0] <= n_paths for shape in schur)
+
+    def test_adjacent_pairs_of_either_sign(self, monkeypatch):
+        # (g, j g) and (g, -j g) among other columns: the route pairs
+        # adjacent columns only, and a pair that matches in the first row
+        # alone (e, f) is no pair.
+        import pilotspace.variation as var
+
+        rng = np.random.default_rng(62)
+        a, b, d, e, f = random_complex(rng, 5, 7)
+        f[0] = 1j * e[0]
+        G = np.stack([d, a, 1j * a, e, f, b, -1j * b], axis=1)
+        model = constant_gradient_model(G)
+        first, rest = var._complex_lines(G)
+        assert first.tolist() == [1, 5] and rest.tolist() == [0, 3, 4]
+        basis = variation_space(model, np.zeros(7))
+        general = general_route(model, np.zeros(7), monkeypatch)
+        P, P_ref = real_projector(basis.U), real_projector(general.U)
+        assert np.linalg.norm(P - P_ref) <= 1e-10
+
+    @pytest.mark.parametrize("n_tx", [16, 64])
+    def test_separation_sweep_raises_as_the_general_route(self, n_tx, monkeypatch):
+        # The model cases of test_models.TestSeparationSweep: a second path
+        # merges into the first until the rank test trips.
+        from pilotspace.models import physical_model
+
+        gains = (1.0, 0.6 * np.exp(0.7j))
+        model = physical_model(UlaGeometry(n_tx), 2)
+        raised = []
+        for phi0 in (0.3, -1.0):
+            for delta in np.geomspace(0.3, 1e-10, 300):
+                theta = np.ravel([[b.real, b.imag, phi] for b, phi
+                                  in zip(gains, [phi0, phi0 + delta])])
+                ref = self.assert_raises_alike(model, theta, monkeypatch)
+                raised.append(isinstance(ref, RankDeficientError))
+        assert 0 < sum(raised) < len(raised)
+
+    @pytest.mark.parametrize("n_tx, n_paths", [(8, 6), (8, 7), (16, 11)])
+    def test_too_many_paths_raise_as_the_general_route(self, n_tx, n_paths, monkeypatch):
+        model, theta = physical_case(n_tx, n_paths, seed=63)
+        assert isinstance(self.assert_raises_alike(model, theta, monkeypatch),
+                          RankDeficientError)
+
+    @pytest.mark.parametrize("zero", [[0], [2], [0, 3]])
+    def test_zero_gains_raise_as_the_general_route(self, zero, monkeypatch):
+        rng = np.random.default_rng(64)
+        gains = np.exp(2j * np.pi * rng.uniform(size=4))
+        gains[zero] = 0.0
+        model, theta = physical_case(64, 4, seed=64, gains=gains)
+        assert isinstance(self.assert_raises_alike(model, theta, monkeypatch),
+                          RankDeficientError)
+
+    @staticmethod
+    def assert_raises_alike(model, theta, monkeypatch):
+        """Both routes raise with the same message, rank and null space, or
+        neither does; returns the general route's result."""
+        ref = general_route(model, theta, monkeypatch)
+        if isinstance(ref, RankDeficientError):
+            with pytest.raises(RankDeficientError) as got:
+                variation_space(model, theta)
+            assert str(got.value) == str(ref)
+            assert got.value.rank == ref.rank
+            assert np.array_equal(got.value.null_space, ref.null_space)
+        else:
+            assert variation_space(model, theta).dim == model.n_params
+        return ref
+
+
 class TestCanonicalDecompose:
     def test_complex_line_pair(self):
         rng = np.random.default_rng(2)
