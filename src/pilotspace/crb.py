@@ -6,7 +6,12 @@ computed in three equivalent forms:
 
 * directly from the gradient, Tr[dh I^{-1} dh^H] with the Slepian-Bangs
   Fisher matrix I = (2/sigma^2) Re{dh^H M M^H dh}, whose Jacobi-scaled
-  copy is factored once by Cholesky for both the verdict and the value;
+  copy is factored once by Cholesky for both the verdict and the value.
+  A gradient of complex lines only, the (A, jA) of a linear model, takes
+  I in its r x r complex form H = (2/sigma^2) (M^H A)^H (M^H A) (van den
+  Bos's complex-parameter Fisher matrix); any other gradient takes the
+  real k x k I.  Either way this form builds no basis and compresses
+  nothing, so it checks the two below by a different computation;
 * through any real-orthonormal basis U of the variation space,
   (sigma^2/2) Tr[Re{U^H M M^H U}^{-1}];
 * intrinsically, as the trace of the inverse compression of M M^H to
@@ -48,6 +53,7 @@ from .rlinalg import (
     stacked_real,
     triangle_inverse,
 )
+from .variation import _complex_lines, _model_gradient
 
 # A compression (or FIM) counts as singular when its smallest eigenvalue
 # falls below this fraction of the largest.
@@ -80,11 +86,13 @@ class CrbReport:
     * ``min_eig_compression`` -- the smallest eigenvalue of the
       compression Re{U^H M M^H U} on the given basis U; set by the
       basis forms, ``None`` for the direct form.
-    * ``fim`` -- the Fisher matrix; set by the direct form, whose
-      verdict is the eigenvalue test on its Jacobi-scaled copy S
-      (certified from the Cholesky factor of S where it can be, so that
-      no eigenvalue is computed) and whose ``value`` comes from the same
-      factor; ``None`` for the basis forms.
+    * ``fim`` -- the real N_p x N_p Fisher matrix, in the model's
+      parameter order; set by the direct form, whose verdict is the
+      eigenvalue test on its Jacobi-scaled copy S (certified from the
+      Cholesky factor of S where it can be, so that no eigenvalue is
+      computed) and whose ``value`` comes from the same factor; for a
+      gradient of complex lines only, S is the complex r x r form of
+      the matrix.  ``None`` for the basis forms.
     """
 
     value: float
@@ -124,20 +132,98 @@ class CrbMinResult:
 
 
 def fim(model, theta, M, noise):
-    """Fisher information matrix (2/sigma^2) Re{dh^H M M^H dh}."""
-    grad = np.asarray(model.gradient(np.asarray(theta, dtype=float)), dtype=complex)
-    return _fisher(grad, np.atleast_2d(np.asarray(M, dtype=complex)), noise)
+    """Fisher information matrix (2/sigma^2) Re{dh^H M M^H dh}.
+
+    Raises ValueError as ``crb_direct`` does on theta, the gradient and M.
+    A gradient of complex lines only (``_all_lines``) has its matrix built
+    from the complex r x r Fisher matrix, as in ``crb_direct``, with the
+    same bits.
+    """
+    grad = _checked_gradient(model, theta)
+    M = _checked_m(grad, M)
+    lines = _all_lines(grad)
+    if lines is None:
+        return _fisher(grad, M, noise)
+    return _real_fisher(_complex_fisher(grad[:, lines[0]], M, noise), lines)
 
 
-def _fisher(grad, M, noise):
+def _checked_gradient(model, theta):
+    """The gradient of ``model`` at ``theta``, checked as ``variation_space``
+    checks it (``variation._model_gradient``); ValueError on a non-finite
+    entry."""
+    grad = _model_gradient(model, theta)
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("gradient contains non-finite entries")
+    return grad
+
+
+def _checked_m(grad, M):
+    """M as a complex 2-D array; ValueError if its row count differs from
+    the gradient's or it has non-finite entries."""
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.shape[0] != grad.shape[0]:
         raise ValueError(
             f"M has {M.shape[0]} rows but the gradient has {grad.shape[0]}"
         )
     if not np.all(np.isfinite(M)):
         raise ValueError("observation matrix M contains non-finite entries")
+    return M
+
+
+def _fisher(grad, M, noise):
+    """The real Fisher matrix (2/sigma^2) Re{G^H M M^H G}, G = dh."""
     I = (2.0 / noise.sigma2) * real_gram(np.conj(M.T) @ grad)
     return 0.5 * (I + I.T)
+
+
+def _all_lines(grad):
+    """``(first, second, sign)`` when every column of the gradient lies in a
+    complex line (``variation._complex_lines`` pairs them all), else None.
+
+    Line l is the column pair (first[l], second[l]), two slices, with
+    grad[:, second] == sign * j grad[:, first] and each sign +/-1: the
+    halves (A, jA) of a linear model, or the adjacent pairs (g, +/-j g),
+    which cover every column only as (0, 1), (2, 3), ...  With
+    A = grad[:, first] the channel moves by A z, z = x_first + j sign x_second.
+    """
+    lines = _complex_lines(grad)
+    if lines is None:
+        return None
+    first, rest = lines
+    k = grad.shape[1]
+    if isinstance(first, slice):             # the halves (A, jA), all or nothing
+        return first, slice(k // 2, k), np.ones(k // 2)
+    if rest.size:                            # a column in no line
+        return None
+    first, second = slice(0, k, 2), slice(1, k, 2)
+    plus = np.all(grad[:, second] == 1j * grad[:, first], axis=0)
+    return first, second, np.where(plus, 1.0, -1.0)
+
+
+def _complex_fisher(A, M, noise):
+    """The complex r x r Fisher matrix H = (2/sigma^2) (M^H A)^H (M^H A),
+    Hermitian by construction (its diagonal is real)."""
+    J = np.conj(M.T) @ A
+    H = (2.0 / noise.sigma2) * (np.conj(J.T) @ J)
+    return 0.5 * (H + np.conj(H.T))
+
+
+def _real_fisher(H, lines):
+    """The real k x k Fisher matrix of an all-lines gradient, in the model's
+    parameter order and signs, from its complex Fisher matrix H.
+
+    The columns (first, second) are (A, j A diag(s)) = A C with
+    C = (Id, j diag(s)), so the real Fisher matrix Re{C^H H C} has the
+    blocks Re H, -Im H diag(s), diag(s) Im H and diag(s) Re H diag(s).
+    """
+    first, second, sign = lines
+    k = 2 * sign.size
+    I = np.empty((k, k))
+    I[first, first] = H.real
+    np.multiply(H.imag, -sign, out=I[first, second])
+    np.multiply(sign[:, None], H.imag, out=I[second, first])
+    np.multiply(np.multiply.outer(sign, sign), H.real, out=I[second, second])
+    return I
 
 
 # An eigenvalue (or FIM diagonal entry) at or below this fraction of its
@@ -157,17 +243,17 @@ def _is_singular(min_eig, max_eig, scale):
     return (max_eig <= floor) | (min_eig <= EIG_RTOL * max_eig)
 
 
-def _jacobi_scale(I, grad, M, noise):
+def _jacobi_scale(d, grad, M, noise):
     """The scale D^{-1/2} of the Jacobi-scaled Fisher matrix D^{-1/2} I D^{-1/2},
-    D = diag(I), or None when a diagonal entry is at noise level.
+    D = diag(I) with real diagonal ``d``, or None when an entry of d is at
+    noise level.
 
     Rescaling a parameter rescales a row and a column of I but leaves the
     scaled matrix, like the CRB, unchanged, so the verdict on it does not
     depend on parameter units.  A diagonal entry at the noise level of its
     bound (2/sigma^2) ||M||_F^2 ||dh_i||^2 is a parameter no observation
-    sees: singular.
+    sees: singular.  ``grad`` holds the column dh_i of each entry.
     """
-    d = np.diag(I)
     bound = (2.0 / noise.sigma2) * float(np.linalg.norm(M) ** 2) * np.sum(
         np.abs(grad) ** 2, axis=0
     )
@@ -185,13 +271,13 @@ def _scaled(I, scale):
 
 def _cholesky_certified(R):
     """Whether the Cholesky factor R of the Jacobi-scaled Fisher matrix
-    S = R^T R certifies that S passes the eigenvalue test of ``_is_singular``.
+    S = R^H R certifies that S passes the eigenvalue test of ``_is_singular``.
 
     lambda_max / lambda_min of S is (sigma_max / sigma_min)^2 of R, at most
     (||R||_F ||R^{-1}||_F)^2, so S is nonsingular when that bound times
     EIG_RTOL passes RANK_CERT_MARGIN (the margin absorbs the rounding of
     the factor and of its inverse).  A failed certificate decides nothing.
-    The inverse is freed on return.
+    R may be real or complex.  The inverse is freed on return.
     """
     R_inv = triangle_inverse(R)
     if R_inv is None:
@@ -205,30 +291,52 @@ def crb_direct(model, theta, M, noise):
     """CRB from the gradient: Tr[dh FIM^{-1} dh^H].
 
     The verdict is taken on the Jacobi-scaled Fisher matrix
-    S = D^{-1/2} I D^{-1/2}, D = diag(I) (``_jacobi_scale``): a diagonal
+    S = D^{-1/2} F D^{-1/2}, D = diag(F) (``_jacobi_scale``): a diagonal
     entry at noise level, or a failed eigenvalue test of S
     (``_is_singular`` at EIG_RTOL), yields an infinite, non-identifiable
-    report.  S is factored once, S = R^T R by Cholesky, in place.  The
+    report.  S is factored once, S = R^H R by Cholesky, in place.  The
     factor certifies the verdict where it can (``_cholesky_certified``),
     and no eigenvalue is computed; where it cannot, or where S has no
     Cholesky factor, ``eigvalsh(S)`` decides, so the verdict is that of
-    the eigenvalue test either way.  The value is then
-    ||[Re dh; Im dh] D^{-1/2} R^{-1}||_F^2, from one triangular solve.
-    The report carries ``fim`` and no compression eigenvalue.
+    the eigenvalue test either way.  The value then comes from one
+    triangular solve with R.
+
+    F takes one of two forms.  A gradient of complex lines only
+    (``_all_lines``: the (A, jA) of ``models.ls_model`` and
+    ``models.angle_constrained_model``, or adjacent pairs (g, +/-j g))
+    moves the channel by A z with z complex, and F is the r x r Hermitian
+    H = (2/sigma^2) (M^H A)^H (M^H A) (van den Bos's complex-parameter
+    Fisher matrix): the real Fisher matrix is its real form, whose
+    spectrum is that of H with each eigenvalue twice, and the bound is
+    2 Tr[A H^{-1} A^H] = 2 ||A D^{-1/2} R^{-1}||_F^2.  Any other gradient
+    (``models.physical_model``, whose azimuth columns are in no line,
+    among them) takes the real k x k F = I = (2/sigma^2) Re{dh^H M M^H dh}
+    and the value ||[Re dh; Im dh] D^{-1/2} R^{-1}||_F^2.  Either way
+    the form builds no basis and compresses nothing: it stays a check of
+    ``crb_via_variation_space`` by a different computation.
+
+    The report carries the real Fisher matrix ``fim`` (the matrix of
+    ``fim``, bit for bit) and no compression eigenvalue.  Raises
+    ValueError as ``variation_space`` does when theta or the gradient
+    does not fit the model, and on non-finite entries.
     """
-    theta = np.asarray(theta, dtype=float)
-    grad = np.asarray(model.gradient(theta), dtype=complex)
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("gradient contains non-finite entries")
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    I = _fisher(grad, M, noise)
-    scale = _jacobi_scale(I, grad, M, noise)
+    grad = _checked_gradient(model, theta)
+    M = _checked_m(grad, M)
+    lines = _all_lines(grad)
+    if lines is None:
+        F = I = _fisher(grad, M, noise)
+        cols = grad
+    else:
+        cols = grad[:, lines[0]]
+        F = _complex_fisher(cols, M, noise)
+        I = _real_fisher(F, lines)
+    scale = _jacobi_scale(np.diag(F).real, cols, M, noise)
     if scale is None:
         return CrbReport(value=math.inf, identifiable=False, fim=I)
-    R = cholesky_in_place(_scaled(I, scale))
+    R = cholesky_in_place(_scaled(F, scale))
     if R is None or not _cholesky_certified(R):
         # The factor overwrote S: scale again, to the same bits.
-        eigs = np.linalg.eigvalsh(_scaled(I, scale))
+        eigs = np.linalg.eigvalsh(_scaled(F, scale))
         # The scaled diagonal is all ones, so max_eig >= 1 and only the
         # relative test can fire.
         if _is_singular(eigs[0], eigs[-1], 1.0):
@@ -236,9 +344,12 @@ def crb_direct(model, theta, M, noise):
         if R is None:
             raise LinAlgError("Fisher matrix passed the eigenvalue test but has "
                               "no Cholesky factor")
-    X = stacked_real(grad)
-    X *= scale
-    value = float(np.linalg.norm(solve_right(X, R)) ** 2)
+    if lines is None:
+        X = stacked_real(grad)
+        X *= scale
+        value = float(np.linalg.norm(solve_right(X, R)) ** 2)
+    else:
+        value = 2.0 * float(np.linalg.norm(solve_right(cols * scale, R)) ** 2)
     return CrbReport(value=value, identifiable=True, fim=I)
 
 

@@ -31,7 +31,7 @@ from .crb import (
     _spectra,
     crb_via_variation_space,
 )
-from .rlinalg import COUPLING_SNAP, RBasis, real_gram
+from .rlinalg import COUPLING_SNAP, real_gram
 from .variation import CanonicalDecomposition
 
 
@@ -41,8 +41,9 @@ class PilotDesign:
 
     ``C_norm`` is the normalization constant C; ``decomp`` is the
     decomposition the design was built from.  ``achieved_crb`` is the
-    CRB of the design against that decomposition at the given noise
-    level; it is computed on first access and cached, so a caller that
+    CRB of the design against that decomposition's basis
+    (``decomp.basis``, checked once) at the given noise level; it is
+    computed on first access and cached, so a caller that
     needs only ``M`` never pays for it.  The residuals of the optimality
     conditions come from ``verify_optimality_certificates``.
 
@@ -63,8 +64,8 @@ class PilotDesign:
 
     @cached_property
     def achieved_crb(self):
-        basis = RBasis(self.decomp.V)
-        return float(crb_via_variation_space(basis, self.M, NoiseModel(self.sigma2)).value)
+        return float(crb_via_variation_space(self.decomp.basis, self.M,
+                                             NoiseModel(self.sigma2)).value)
 
 
 @dataclass(frozen=True)

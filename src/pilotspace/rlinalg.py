@@ -37,8 +37,8 @@ axes of a basis stack and of a matrix stack broadcast as in numpy.
 
 All functions are pure and operate on immutable inputs.
 
-The three LAPACK routines used here (``d/ztrtri``, ``d/ztrtrs``, ``dgees``)
-are called on scipy's f2py extension ``scipy.linalg._flapack``, the
+The LAPACK routines used here (``d/ztrtri``, ``d/ztrtrs``, ``d/zpotrf``,
+``dgees``) are called on scipy's f2py extension ``scipy.linalg._flapack``, the
 module whose functions ``scipy.linalg.lapack`` re-exports.  It is loaded
 without importing the ``scipy.linalg`` package, whose import costs more
 than the rest of ``import pilotspace`` together, and registered under
@@ -53,6 +53,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -194,9 +195,16 @@ class RBasis:
         if self.U.ndim == 2:
             raise TypeError("a single basis has no batch axes to index")
         index = index if isinstance(index, tuple) else (index,)
-        sub = object.__new__(RBasis)
-        object.__setattr__(sub, "U", self.U[index + (slice(None), slice(None))])
-        return sub
+        return RBasis._derived(self.U[index + (slice(None), slice(None))])
+
+    @classmethod
+    def _derived(cls, U):
+        """The RBasis of a complex U derived from a checked basis, without
+        a new check: a slice of a checked stack, or the product of a checked
+        basis with a real orthogonal matrix (``canonical_decompose``)."""
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "U", U)
+        return basis
 
 
 def skew_block_matrix(gamma, size):
@@ -280,12 +288,18 @@ def triangle_inverse(R):
 
 
 def cholesky_in_place(S):
-    """Upper-triangular R with S = R^T R, or None when LAPACK ``dpotrf``
+    """Upper-triangular R with S = R^H R, or None when LAPACK ``d/zpotrf``
     finds S not numerically positive definite.
 
-    Reads the lower triangle of the real symmetric, C-ordered S and
-    factors it in S's own memory: S is overwritten and R shares it.
+    Factors the C-ordered real symmetric or complex Hermitian S in its own
+    memory, through the Fortran-ordered view S^T: S is overwritten and R
+    shares it.  A real S has its lower triangle read by ``dpotrf``.  A
+    complex S^T is conj(S) = L L^H for ``zpotrf``'s lower factor L, so
+    S = R^H R with R = L^T, which reads the upper triangle of S.
     """
+    if np.iscomplexobj(S):
+        L, info = _flapack.zpotrf(S.T, lower=1, clean=1, overwrite_a=1)
+        return L.T if info == 0 else None
     R, info = _flapack.dpotrf(S.T, lower=0, clean=1, overwrite_a=1)
     return R if info == 0 else None
 
@@ -446,6 +460,11 @@ def skew_canonical_form(A):
     identity, where the Schur form may return any rotation within each
     block and any basis of tied blocks.
 
+    A may also be the ``_SkewPart`` that ``_skew_part`` returned for a
+    matrix, as ``canonical_decompose`` passes it after its own test of
+    that matrix: the validation, symmetrization and block test are then
+    not repeated.
+
     Raises
     ------
     ValueError
@@ -454,9 +473,10 @@ def skew_canonical_form(A):
     NotSkewSymmetricError
         If ||A + A^T||_F > STRUCTURE_RTOL (1 + ||A||_F).
     """
-    A, reorder_tol, kept = _skew_part(A)
-    if kept is not None:
-        return kept
+    part = A if isinstance(A, _SkewPart) else _skew_part(A)
+    if part.kept is not None:
+        return part.kept
+    A, reorder_tol = part.A_skew, part.tol
     K = A.shape[0]
     T, Q = _real_schur(A)
 
@@ -497,15 +517,24 @@ def kept_canonical_form(A):
     tests the symmetrized A against the block tolerance
     ``COUPLING_SNAP * max(1, ||A||_F)`` (``_canonical_couplings``); gamma
     holds its snapped block values, descending up to that tolerance.
-    Raises as ``skew_canonical_form`` does.  A caller that gets None and
-    needs the form calls ``skew_canonical_form``, so that function runs
-    exactly where a Schur form runs.
+    Raises as ``skew_canonical_form`` does.  ``canonical_decompose`` runs
+    the same test through ``_skew_part`` and hands a failing slice's
+    ``_SkewPart`` to ``skew_canonical_form``, so that function runs exactly
+    where a Schur form runs and no slice is validated twice.
     """
-    return _skew_part(A)[2]
+    return _skew_part(A).kept
+
+
+class _SkewPart(NamedTuple):
+    """A validated skew-symmetric input: ``_skew_part``'s result."""
+
+    A_skew: np.ndarray
+    tol: float
+    kept: tuple | None
 
 
 def _skew_part(A):
-    """Validate a square real A and return ``(A_skew, tol, kept)``.
+    """Validate a square real A and return its ``_SkewPart (A_skew, tol, kept)``.
 
     A_skew = 0.5 (A - A^T) is the symmetrized input, tol the block
     tolerance of the canonical form and kept the ``(I, gamma)`` of an
@@ -527,7 +556,7 @@ def _skew_part(A):
     tol = COUPLING_SNAP * max(1.0, norm_a)
     c = _canonical_couplings(A_skew, tol)
     kept = None if c is None else (np.eye(K), np.array([_snap_coupling(ck) for ck in c]))
-    return A_skew, tol, kept
+    return _SkewPart(A_skew, tol, kept)
 
 
 def _snap_coupling(c):

@@ -30,6 +30,7 @@ and the real Schur form, as do the azimuth-only spans of ``models``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -39,8 +40,8 @@ from .rlinalg import (
     RANK_RTOL,
     RBasis,
     RankDeficientError,
+    _skew_part,
     full_rank_certified,
-    kept_canonical_form,
     project_r,
     r_orthonormalize,
     skew_block_matrix,
@@ -74,6 +75,10 @@ class CanonicalDecomposition:
     v_k^H w_k = -j c_k, and distinct pairs (and the lone vector, present
     iff the dimension is odd) are mutually complex-orthogonal.  A stacked
     decomposition has V (..., n, N_p) and c (..., N_p // 2).
+
+    ``basis`` is the ``RBasis`` of V.  ``canonical_decompose`` sets it
+    from the checked basis it decomposes (that basis itself when V is its
+    U); a decomposition built from raw arrays checks V on first access.
     """
 
     V: np.ndarray
@@ -88,6 +93,10 @@ class CanonicalDecomposition:
     @property
     def n_params(self):
         return self.V.shape[-1]
+
+    @cached_property
+    def basis(self):
+        return RBasis(self.V)
 
     @property
     def epsilon(self):
@@ -214,6 +223,20 @@ def _linear_basis(grad):
         return None
 
 
+def _model_gradient(model, theta):
+    """The complex gradient of ``model`` at ``theta``; ValueError unless
+    theta has N_p entries and the gradient has shape (N_d, N_p)."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    if theta.shape[0] != model.n_params:
+        raise ValueError(
+            f"theta has length {theta.shape[0]}, model expects {model.n_params}"
+        )
+    grad = np.asarray(model.gradient(theta), dtype=complex)
+    if grad.shape != (model.n_dims, model.n_params):
+        raise ValueError(f"gradient shape {grad.shape} inconsistent with model dims")
+    return grad
+
+
 def variation_space(model, theta):
     """Real-orthonormal basis (an ``RBasis``) of the variation space of
     ``model`` at ``theta``.
@@ -236,14 +259,7 @@ def variation_space(model, theta):
         If the gradient columns are dependent over R, i.e. the model is
         not identifiable at theta regardless of the observation matrix.
     """
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.shape[0] != model.n_params:
-        raise ValueError(
-            f"theta has length {theta.shape[0]}, model expects {model.n_params}"
-        )
-    grad = np.asarray(model.gradient(theta), dtype=complex)
-    if grad.shape != (model.n_dims, model.n_params):
-        raise ValueError(f"gradient shape {grad.shape} inconsistent with model dims")
+    grad = _model_gradient(model, theta)
     basis = _linear_basis(grad)
     if basis is not None:
         return basis
@@ -268,28 +284,38 @@ def canonical_decompose(basis):
     The couplings c are the descending block values; the real span of V
     equals that of U.
 
-    A slice whose Im{U^H U} is already canonical (``kept_canonical_form``,
-    the same validation and block test that ``skew_canonical_form`` runs)
-    keeps B = I, so V == U (an exact zero entry may change its sign in the
-    product), and ``skew_canonical_form`` runs only for the slices that
-    need a Schur form.  Under tied couplings any rotation of the tied
+    Each slice is validated, symmetrized and tested once, as
+    ``skew_canonical_form`` does it (``rlinalg._skew_part``).  A slice
+    whose Im{U^H U} is already canonical (the test of
+    ``kept_canonical_form``) keeps B = I, so V == U (an exact zero entry
+    may change its sign in the product).  ``skew_canonical_form`` runs
+    only for the slices that need a Schur form, on their validated
+    ``_SkewPart``.  Under tied couplings any rotation of the tied
     pairs would do as well; keeping the given basis is a choice, and it
     makes V (and the pilots) a continuous function of U near such a basis.
 
     A basis (q_1, -j q_1, q_2, -j q_2, ...) (``RBasis.pairs``, the
     closed form of a linear model) is canonical by construction: it is
     kept with every coupling exactly 1, without forming Im{U^H U}.
+
+    The decomposition's ``basis`` is ``basis`` itself when V is U, else
+    the basis V = U B, which B, orthogonal, keeps real-orthonormal.
     """
     U = basis.U
     if basis.pairs is not None:
-        return CanonicalDecomposition(V=U, c=np.ones(U.shape[:-2] + (U.shape[-1] // 2,)))
-    A = np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U)
-    B = np.empty(A.shape)
-    gamma = np.empty(A.shape[:-2] + (A.shape[-1] // 2,))
-    for i in np.ndindex(A.shape[:-2]):      # no slice in an empty stack
-        form = kept_canonical_form(A[i])
-        B[i], gamma[i] = skew_canonical_form(A[i]) if form is None else form
-    return CanonicalDecomposition(V=U @ B, c=np.clip(gamma, 0.0, 1.0))
+        V, c = U, np.ones(U.shape[:-2] + (U.shape[-1] // 2,))
+    else:
+        A = np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U)
+        B = np.empty(A.shape)
+        gamma = np.empty(A.shape[:-2] + (A.shape[-1] // 2,))
+        for i in np.ndindex(A.shape[:-2]):      # no slice in an empty stack
+            part = _skew_part(A[i])
+            B[i], gamma[i] = skew_canonical_form(part) if part.kept is None else part.kept
+        V, c = U @ B, np.clip(gamma, 0.0, 1.0)
+        basis = RBasis._derived(V)
+    decomp = CanonicalDecomposition(V=V, c=c)
+    decomp.__dict__["basis"] = basis        # set the cached property: no second check
+    return decomp
 
 
 def verify_eigenspace_property(decomp):

@@ -488,6 +488,7 @@ class TestComplexPairRoute:
             raise AssertionError("canonical form on a pair-structured basis")
 
         monkeypatch.setattr(var, "skew_canonical_form", fail)
+        monkeypatch.setattr(var, "_skew_part", fail)
         monkeypatch.setattr(np, "imag", fail)
         basis = pair_basis(model)
         decomp = canonical_decompose(basis)
@@ -532,8 +533,8 @@ class TestComplexPairRoute:
         # The real route forms Im{U^H U} and tests it once; that form is
         # canonical, so the basis is kept through V = U @ I, a new array.
         calls = []
-        real_test = var.kept_canonical_form
-        monkeypatch.setattr(var, "kept_canonical_form",
+        real_test = var._skew_part
+        monkeypatch.setattr(var, "_skew_part",
                             lambda A: calls.append(A) or real_test(A))
         decomp = canonical_decompose(basis)
         assert len(calls) == 1
@@ -859,3 +860,247 @@ class TestCrbProperties:
             M = random_complex(rng, 6, n_cols)
             M *= math.sqrt(P) / np.linalg.norm(M)
             assert crb_via_variation_space(basis, M, noise).value >= best - 1e-9
+
+
+class TestCrbDirectModelChecks:
+    """crb_direct and fim check theta and the gradient as variation_space does."""
+
+    @staticmethod
+    def assert_rejected(model, theta, M, match):
+        for form in (crb_direct, fim, lambda mo, th, M, noise: variation_space(mo, th)):
+            with pytest.raises(ValueError, match=match):
+                form(model, theta, M, NoiseModel(1.0))
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_physical_theta_of_wrong_length(self, length):
+        from pilotspace.models import UlaGeometry, physical_model
+
+        model = physical_model(UlaGeometry(8), 2)
+        M = random_complex(np.random.default_rng(800), 8, 3)
+        self.assert_rejected(model, np.full(length, 0.3), M,
+                             f"theta has length {length}, model expects 6")
+
+    @pytest.mark.parametrize("length", [1, 5, 7, 12])
+    def test_ls_theta_of_wrong_length(self, length):
+        from pilotspace.models import ls_model
+
+        M = random_complex(np.random.default_rng(801), 3, 3)
+        self.assert_rejected(ls_model(3), np.zeros(length), M,
+                             f"theta has length {length}, model expects 6")
+
+    def test_non_finite_gradient(self):
+        G = random_complex(np.random.default_rng(803), 4, 4)
+        G[1, 2] = np.nan
+        for form in (crb_direct, fim):
+            with pytest.raises(ValueError, match="gradient contains non-finite entries"):
+                form(constant_gradient_model(G), np.zeros(4), np.eye(4), NoiseModel(1.0))
+
+    def test_gradient_of_wrong_shape(self):
+        G = random_complex(np.random.default_rng(802), 3, 3)
+        model = ParametricChannelModel(n_dims=3, n_params=2, evaluate=lambda theta: G[:, 0],
+                                       gradient=lambda theta: G, name="wrong")
+        self.assert_rejected(model, np.zeros(2), np.eye(3),
+                             r"gradient shape \(3, 3\) inconsistent with model dims")
+
+
+def previous_crb_direct(grad, M, noise):
+    """(value, fim) of crb_direct as the real route computed them before the
+    complex route: (2/sigma^2) Re{dh^H M M^H dh}, the Jacobi-scaled Cholesky
+    factor and one triangular solve of the stacked gradient."""
+    from pilotspace.rlinalg import cholesky_in_place, solve_right, stacked_real
+
+    I = (2.0 / noise.sigma2) * real_gram(np.conj(M.T) @ grad)
+    I = 0.5 * (I + I.T)
+    d = np.diag(I)
+    bound = (2.0 / noise.sigma2) * float(np.linalg.norm(M) ** 2) * np.sum(
+        np.abs(grad) ** 2, axis=0)
+    if np.any(d <= 1e-14 * np.maximum(bound, 1e-300)):
+        return math.inf, I
+    scale = 1.0 / np.sqrt(d)
+    S = scale[:, None] * I
+    S *= scale
+    R = cholesky_in_place(S)
+    if R is None:
+        return None, I
+    X = stacked_real(grad)
+    X *= scale
+    return float(np.linalg.norm(solve_right(X, R)) ** 2), I
+
+
+def complex_line_cases():
+    """All-lines gradients, one pytest param each: (G, M) with G the halves
+    (A, jA) or adjacent pairs (g, +/-j g), and the observation matrix."""
+    from pilotspace.models import UlaGeometry, angle_constrained_model, ls_model
+
+    rng = np.random.default_rng(810)
+    cases = []
+    for n in (1, 2, 5, 12):
+        cases.append(pytest.param(ls_model(n).gradient(np.zeros(2 * n)),
+                                  random_complex(rng, n, n), id=f"ls-{n}"))
+    ac = angle_constrained_model(UlaGeometry(16), rng.uniform(-1.0, 1.0, 3))
+    cases.append(pytest.param(ac.gradient(np.zeros(6)), random_complex(rng, 16, 4), id="ac"))
+    for label, grade in (("", 1.0), ("graded-", np.logspace(0, 6, 4))):
+        A = random_complex(rng, 9, 4) * grade
+        cases.append(pytest.param(np.hstack([A, 1j * A]), random_complex(rng, 9, 5),
+                                  id=f"{label}halves"))
+        for signs in ((1, -1, 1, 1), (-1, -1, -1, -1)):
+            G = np.empty((9, 8), dtype=complex)
+            G[:, 0::2] = A
+            G[:, 1::2] = 1j * A * np.array(signs)
+            cases.append(pytest.param(G, random_complex(rng, 9, 4),
+                                      id=f"{label}adjacent{signs}"))
+    return cases
+
+
+def singular_line_cases():
+    """All-lines gradients with a singular Fisher matrix: a parameter pair no
+    observation sees, and an undersized M."""
+    rng = np.random.default_rng(811)
+    A = random_complex(rng, 7, 3)
+    q = A[:, :1] / np.linalg.norm(A[:, 0])
+    M = random_complex(rng, 7, 4)
+    unobserved = M - q @ (np.conj(q.T) @ M)
+    G = np.hstack([A, 1j * A])
+    return [pytest.param(G, unobserved, id="unobserved"),
+            pytest.param(G, random_complex(rng, 7, 2), id="undersized")]
+
+
+def real_route_order(G):
+    """A column order of G that _all_lines does not pair (None for one line,
+    whose two columns pair in either order)."""
+    from pilotspace.crb import _all_lines
+
+    order = np.roll(np.arange(G.shape[1]), -1)
+    return order if _all_lines(G[:, order]) is None else None
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """(dtype, shape) of the matrices that crb_direct factors by Cholesky and
+    hands to eigvalsh."""
+    import pilotspace.crb as crb_module
+
+    calls = {"cholesky": [], "eigvalsh": []}
+    real_cholesky, real_eigvalsh = crb_module.cholesky_in_place, np.linalg.eigvalsh
+    monkeypatch.setattr(crb_module, "cholesky_in_place",
+                        lambda S: calls["cholesky"].append((S.dtype, S.shape))
+                        or real_cholesky(S))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda A: calls["eigvalsh"].append((A.dtype, A.shape))
+                        or real_eigvalsh(A))
+    return calls
+
+
+class TestCrbDirectComplexRoute:
+    """A gradient of complex lines only takes the r x r complex Fisher matrix:
+    the real route's value and verdict, one complex Cholesky factor, and the
+    real Fisher matrix in the model's order and signs."""
+
+    @pytest.mark.parametrize("G, M", complex_line_cases() + singular_line_cases())
+    def test_matches_the_real_route(self, G, M, factor_calls):
+        from pilotspace.crb import _all_lines, _fisher
+
+        assert _all_lines(G) is not None
+        noise = NoiseModel(0.7)
+        k = G.shape[1]
+        rep = crb_direct(constant_gradient_model(G), np.zeros(k), M, noise)
+        identifiable = rep.identifiable
+        assert all(dtype == complex and shape == (k // 2, k // 2)
+                   for calls in factor_calls.values() for dtype, shape in calls)
+        assert len(factor_calls["cholesky"]) <= 1
+        order = real_route_order(G)
+        if order is not None:
+            ref = crb_direct(constant_gradient_model(G[:, order]), np.zeros(k), M, noise)
+            assert ref.identifiable == identifiable
+            if identifiable:
+                assert factor_calls["cholesky"][-1] == (np.dtype(float), (k, k))
+                assert rep.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+            else:
+                assert math.isinf(rep.value) and math.isinf(ref.value)
+        if identifiable:
+            solved = TestCrbDirectFactorizations.solve_route(G, M, noise)
+            assert rep.value == pytest.approx(solved, rel=1e-9)
+        # The real Fisher matrix, in the model's parameter order and signs.
+        real = _fisher(G, M, noise)
+        assert np.abs(rep.fim - real).max() <= 1e-12 * np.abs(real).max()
+        assert np.array_equal(rep.fim, rep.fim.T)
+        assert np.array_equal(rep.fim, fim(constant_gradient_model(G), np.zeros(k), M, noise))
+
+    @pytest.mark.parametrize("G, M", singular_line_cases())
+    def test_singular_cases_are_infinite(self, G, M):
+        rep = crb_direct(constant_gradient_model(G), np.zeros(G.shape[1]), M, NoiseModel(1.0))
+        assert not rep.identifiable and math.isinf(rep.value)
+
+    def test_linear_models_factor_once_in_complex_algebra(self, factor_calls):
+        from pilotspace.models import UlaGeometry, angle_constrained_model, ls_model
+
+        rng = np.random.default_rng(812)
+        for model in (ls_model(6), angle_constrained_model(UlaGeometry(32), [-0.4, 0.1, 0.9])):
+            r = model.n_params // 2
+            factor_calls["cholesky"].clear()
+            factor_calls["eigvalsh"].clear()
+            rep = crb_direct(model, np.zeros(2 * r), random_complex(rng, model.n_dims, r + 1),
+                             NoiseModel(0.4))
+            assert rep.identifiable
+            assert factor_calls == {"cholesky": [(np.dtype(complex), (r, r))], "eigvalsh": []}
+
+    @staticmethod
+    def graded_halves(seed, ratio, n=12, r=4):
+        # A with orthonormal columns and M = A V diag(sqrt(lambda)), V unitary:
+        # H = (2/sigma^2) V diag(lambda) V^H, lambda graded to ratio.
+        rng = np.random.default_rng(seed)
+        A, _ = np.linalg.qr(random_complex(rng, n, r))
+        V, _ = np.linalg.qr(random_complex(rng, r, r))
+        M = (A @ V) * np.sqrt(np.geomspace(1.0, ratio, r))
+        return constant_gradient_model(np.hstack([A, 1j * A])), M
+
+    def test_verdict_is_the_eigenvalue_verdict(self, monkeypatch, factor_calls):
+        import pilotspace.crb as crb_module
+
+        certified = []
+        real_certified = crb_module._cholesky_certified
+        monkeypatch.setattr(crb_module, "_cholesky_certified",
+                            lambda R: certified.append(real_certified(R)) or certified[-1])
+        noise = NoiseModel(0.8)
+        outcomes = set()
+        for ratio in np.geomspace(1e-12, 1e-8, 33):
+            for seed in range(4):
+                model, M = self.graded_halves(seed, ratio)
+                k, r = model.n_params, model.n_params // 2
+                I = fim(model, np.zeros(k), M, noise)
+                scale = 1.0 / np.sqrt(np.diag(I))
+                factor_calls["eigvalsh"].clear()
+                eigs = np.linalg.eigvalsh((scale[:, None] * I) * scale)
+                expected = not _is_singular(eigs[0], eigs[-1], 1.0)
+                factor_calls["eigvalsh"].clear()
+                certified.clear()
+                rep = crb_direct(model, np.zeros(k), M, noise)
+                assert rep.identifiable == expected and math.isinf(rep.value) != expected
+                if certified == [True]:
+                    assert factor_calls["eigvalsh"] == []
+                else:
+                    assert factor_calls["eigvalsh"] == [(np.dtype(complex), (r, r))]
+                outcomes.add((expected, certified == [True]))
+        assert outcomes == {(True, True), (True, False), (False, False)}
+
+    def test_physical_models_keep_the_real_route(self, factor_calls):
+        from pilotspace.models import PathSet, UlaGeometry, physical_model
+
+        rng = np.random.default_rng(813)
+        noise = NoiseModel(0.3)
+        for L in range(1, 6):
+            for n_tx in (8, 64):
+                model = physical_model(UlaGeometry(n_tx), L)
+                gains = rng.uniform(0.5, 1.5, L) * np.exp(2j * np.pi * rng.uniform(size=L))
+                theta = PathSet(gains=gains, azimuths=rng.uniform(-1.2, 1.2, L)).theta()
+                grad = model.gradient(theta)
+                for m in (L, 2 * L, n_tx):
+                    M = random_complex(rng, n_tx, m)
+                    factor_calls["cholesky"].clear()
+                    rep = crb_direct(model, theta, M, noise)
+                    value, I = previous_crb_direct(grad, M, noise)
+                    assert np.array_equal(rep.fim, I)
+                    assert np.array_equal(fim(model, theta, M, noise), I)
+                    if rep.identifiable:
+                        assert rep.value == value
+                        assert factor_calls["cholesky"] == [(np.dtype(float), (3 * L, 3 * L))]

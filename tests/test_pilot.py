@@ -176,6 +176,47 @@ class TestDesignObservationMatrix:
         assert design.achieved_crb == first
         assert len(calls) == 1
 
+    def test_achieved_crb_reuses_the_decomposed_basis(self, monkeypatch):
+        # The basis canonical_decompose was given (LS: V is its U) or its
+        # rotation V = U B is not checked again, and the bound keeps the bits
+        # of a freshly checked RBasis(V).
+        from pilotspace.models import PathSet
+
+        rng = np.random.default_rng(60)
+        geom = UlaGeometry(32)
+        theta = PathSet(gains=[1.0, 0.5j], azimuths=[-0.4, 0.5]).theta()
+        ls_basis = variation_space(ls_model(6), np.zeros(12))
+        bases = [ls_basis, variation_space(physical_model(geom, 2), theta),
+                 random_decomposition(rng, 7, 5)[0]]
+
+        def no_check(self):
+            raise AssertionError("the decomposed basis was checked again")
+
+        for basis in bases:
+            dec = canonical_decompose(basis)
+            design = design_observation_matrix(dec, 1.3, sigma2=0.6)
+            ref = crb_via_variation_space(RBasis(dec.V), design.M, NoiseModel(0.6)).value
+            monkeypatch.setattr(RBasis, "__post_init__", no_check)
+            assert design.achieved_crb == ref
+            monkeypatch.undo()
+        assert canonical_decompose(ls_basis).basis is ls_basis
+
+    def test_raw_decomposition_is_checked_once(self, monkeypatch):
+        from pilotspace.variation import CanonicalDecomposition
+
+        calls = []
+        real = RBasis.__post_init__
+        monkeypatch.setattr(RBasis, "__post_init__", lambda self: calls.append(1) or real(self))
+        _, dec = random_decomposition(np.random.default_rng(61), 6, 4)
+        calls.clear()
+        raw = CanonicalDecomposition(V=dec.V.copy(), c=dec.c.copy())
+        design = design_observation_matrix(raw, 1.1)
+        assert design.achieved_crb == design.achieved_crb and raw.basis is raw.basis
+        assert len(calls) == 1
+        bad = CanonicalDecomposition(V=2.0 * dec.V, c=dec.c)
+        with pytest.raises(ValueError, match="real-orthonormal"):
+            design_observation_matrix(bad, 1.1).achieved_crb
+
     def test_rejects_bad_power(self):
         rng = np.random.default_rng(20)
         _, dec = random_decomposition(rng, 5, 3)

@@ -475,3 +475,39 @@ class TestEigenspaceProperty:
         for n_params in (4, 5, 6):
             dec = canonical_decompose(random_variation_basis(rng, 8, n_params))
             assert verify_eigenspace_property(dec)["max_residual"] <= 1e-7
+
+
+class TestDecomposeValidatesOnce:
+    """canonical_decompose validates, symmetrizes and tests each slice once;
+    the slices that need a Schur form reuse that A_skew and tolerance."""
+
+    def test_each_slice_is_validated_once(self, monkeypatch):
+        import pilotspace.rlinalg as rl
+        import pilotspace.variation as var
+        from pilotspace.rlinalg import skew_canonical_form
+
+        rng = np.random.default_rng(940)
+        generic = r_orthonormalize(random_complex(rng, 2, 8, 5))[0]
+        kept = canonical_decompose(generic[0]).V           # already canonical
+        bases = RBasis(np.stack([generic.U[0], kept, generic.U[1]]))
+        parts, schur_inputs = [], []
+        real_part, real_schur = var._skew_part, rl._real_schur
+
+        def twice(A):
+            raise AssertionError("a slice was validated a second time")
+
+        monkeypatch.setattr(var, "_skew_part", lambda A: parts.append(A) or real_part(A))
+        monkeypatch.setattr(rl, "_skew_part", twice)
+        monkeypatch.setattr(rl, "_real_schur",
+                            lambda A: schur_inputs.append(A.copy()) or real_schur(A))
+        dec = canonical_decompose(bases)
+        monkeypatch.undo()
+        assert len(parts) == 3 and len(schur_inputs) == 2
+        for A, schur_input in zip([parts[0], parts[2]], schur_inputs):
+            assert np.array_equal(schur_input, 0.5 * (A - A.T))
+        # Each slice has the bits of the public skew_canonical_form on its input.
+        for i, A in enumerate(parts):
+            B, gamma = skew_canonical_form(A)
+            assert np.array_equal(dec.V[i], bases.U[i] @ B)
+            assert np.array_equal(dec.c[i], np.clip(gamma, 0.0, 1.0))
+        assert np.array_equal(dec.V[1], kept @ np.eye(5))
