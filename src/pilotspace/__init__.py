@@ -6,7 +6,6 @@ from .rlinalg import (
     RBasis,
     compression_matrix,
     project_r,
-    r_inner,
     r_orthonormalize,
     skew_canonical_form,
 )
@@ -26,7 +25,6 @@ from .crb import (
     crb_direct,
     crb_min,
     crb_via_variation_space,
-    fim,
 )
 from .pilot import (
     OracleResult,

@@ -1,4 +1,4 @@
-"""Fisher information and Cramer-Rao bounds for noisy linear channel observations.
+"""Cramer-Rao bounds and identifiability for noisy linear channel observations.
 
 Observation model: y = M^H h(theta) + n with n circular complex Gaussian
 of per-entry variance sigma^2.  The channel-MSE Cramer-Rao bound is
@@ -11,7 +11,8 @@ computed in three equivalent forms:
   I in its r x r complex form H = (2/sigma^2) (M^H A)^H (M^H A) (van den
   Bos's complex-parameter Fisher matrix); any other gradient takes the
   real k x k I.  Either way this form builds no basis and compresses
-  nothing, so it checks the two below by a different computation;
+  nothing, so it checks the two below by a different computation; it
+  reports the bound and its verdict, not the matrix;
 * through any real-orthonormal basis U of the variation space,
   (sigma^2/2) Tr[Re{U^H M M^H U}^{-1}];
 * intrinsically, as the trace of the inverse compression of M M^H to
@@ -20,10 +21,11 @@ computed in three equivalent forms:
 ``compression_spectra`` is the one kernel behind the basis forms: it
 takes a stack of observation matrices and returns the ascending
 eigenvalues of each compression with its singularity verdict.
-``crb_via_variation_space`` and ``check_identifiability`` call it with a
-stack of one, and the multipath experiment once per group of channels,
-with a stack of true bases and the pilot matrices of every channel and
-Delta value at once.  On a linear model's closed-form basis
+``crb_via_variation_space`` and ``check_identifiability`` take one basis
+and call it with a stack of one (a stack of bases is refused: index it,
+or call the kernel), and the multipath experiment calls it once per
+group of channels, with a stack of true bases and the pilot matrices of
+every channel and Delta value at once.  On a linear model's closed-form basis
 (q_1, -j q_1, ...), which the basis reports as ``RBasis.pairs``, the
 variation space is the complex span of Q, and the kernel takes the
 spectrum of the r x r Hermitian Q^H M M^H Q, each eigenvalue twice: the classical training-based bound
@@ -80,25 +82,15 @@ class NoiseModel:
 class CrbReport:
     """Cramer-Rao bound value with identifiability diagnostics.
 
-    ``value`` is +inf exactly when ``identifiable`` is False.  Each form
-    reports the matrix it factors and leaves the other field ``None``:
-
-    * ``min_eig_compression`` -- the smallest eigenvalue of the
-      compression Re{U^H M M^H U} on the given basis U; set by the
-      basis forms, ``None`` for the direct form.
-    * ``fim`` -- the real N_p x N_p Fisher matrix, in the model's
-      parameter order; set by the direct form, whose verdict is the
-      eigenvalue test on its Jacobi-scaled copy S (certified from the
-      Cholesky factor of S where it can be, so that no eigenvalue is
-      computed) and whose ``value`` comes from the same factor; for a
-      gradient of complex lines only, S is the complex r x r form of
-      the matrix.  ``None`` for the basis forms.
+    ``value`` is +inf exactly when ``identifiable`` is False.
+    ``min_eig_compression`` is the smallest eigenvalue of the compression
+    Re{U^H M M^H U} on the given basis U, set by the basis forms; the
+    direct form factors a Fisher matrix instead and leaves it ``None``.
     """
 
     value: float
     identifiable: bool
     min_eig_compression: float | None = None
-    fim: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -131,22 +123,6 @@ class CrbMinResult:
     upper_bound: float
 
 
-def fim(model, theta, M, noise):
-    """Fisher information matrix (2/sigma^2) Re{dh^H M M^H dh}.
-
-    Raises ValueError as ``crb_direct`` does on theta, the gradient and M.
-    A gradient of complex lines only (``_all_lines``) has its matrix built
-    from the complex r x r Fisher matrix, as in ``crb_direct``, with the
-    same bits.
-    """
-    grad = _checked_gradient(model, theta)
-    M = _checked_m(grad, M)
-    lines = _all_lines(grad)
-    if lines is None:
-        return _fisher(grad, M, noise)
-    return _real_fisher(_complex_fisher(grad[:, lines[0]], M, noise), lines)
-
-
 def _checked_gradient(model, theta):
     """The gradient of ``model`` at ``theta``, checked as ``variation_space``
     checks it (``variation._model_gradient``); ValueError on a non-finite
@@ -177,27 +153,22 @@ def _fisher(grad, M, noise):
 
 
 def _all_lines(grad):
-    """``(first, second, sign)`` when every column of the gradient lies in a
-    complex line (``variation._complex_lines`` pairs them all), else None.
+    """The index (a slice) of the first column of each complex line when
+    every column of the gradient lies in one (``variation._complex_lines``),
+    else None.
 
-    Line l is the column pair (first[l], second[l]), two slices, with
-    grad[:, second] == sign * j grad[:, first] and each sign +/-1: the
-    halves (A, jA) of a linear model, or the adjacent pairs (g, +/-j g),
-    which cover every column only as (0, 1), (2, 3), ...  With
-    A = grad[:, first] the channel moves by A z, z = x_first + j sign x_second.
+    The lines are the halves (A, jA) of a linear model, all or nothing, or
+    adjacent pairs (g, +/-j g), which cover every column only as (0, 1),
+    (2, 3), ...  With A = grad[:, first] the channel moves by A z, z
+    complex, whatever the sign of each pair.
     """
     lines = _complex_lines(grad)
     if lines is None:
         return None
     first, rest = lines
-    k = grad.shape[1]
-    if isinstance(first, slice):             # the halves (A, jA), all or nothing
-        return first, slice(k // 2, k), np.ones(k // 2)
-    if rest.size:                            # a column in no line
-        return None
-    first, second = slice(0, k, 2), slice(1, k, 2)
-    plus = np.all(grad[:, second] == 1j * grad[:, first], axis=0)
-    return first, second, np.where(plus, 1.0, -1.0)
+    if isinstance(first, slice):             # the halves (A, jA)
+        return first
+    return None if rest.size else slice(0, grad.shape[1], 2)
 
 
 def _complex_fisher(A, M, noise):
@@ -206,24 +177,6 @@ def _complex_fisher(A, M, noise):
     J = np.conj(M.T) @ A
     H = (2.0 / noise.sigma2) * (np.conj(J.T) @ J)
     return 0.5 * (H + np.conj(H.T))
-
-
-def _real_fisher(H, lines):
-    """The real k x k Fisher matrix of an all-lines gradient, in the model's
-    parameter order and signs, from its complex Fisher matrix H.
-
-    The columns (first, second) are (A, j A diag(s)) = A C with
-    C = (Id, j diag(s)), so the real Fisher matrix Re{C^H H C} has the
-    blocks Re H, -Im H diag(s), diag(s) Im H and diag(s) Re H diag(s).
-    """
-    first, second, sign = lines
-    k = 2 * sign.size
-    I = np.empty((k, k))
-    I[first, first] = H.real
-    np.multiply(H.imag, -sign, out=I[first, second])
-    np.multiply(sign[:, None], H.imag, out=I[second, first])
-    np.multiply(np.multiply.outer(sign, sign), H.real, out=I[second, second])
-    return I
 
 
 # An eigenvalue (or FIM diagonal entry) at or below this fraction of its
@@ -306,33 +259,32 @@ def crb_direct(model, theta, M, noise):
     ``models.angle_constrained_model``, or adjacent pairs (g, +/-j g))
     moves the channel by A z with z complex, and F is the r x r Hermitian
     H = (2/sigma^2) (M^H A)^H (M^H A) (van den Bos's complex-parameter
-    Fisher matrix): the real Fisher matrix is its real form, whose
-    spectrum is that of H with each eigenvalue twice, and the bound is
-    2 Tr[A H^{-1} A^H] = 2 ||A D^{-1/2} R^{-1}||_F^2.  Any other gradient
-    (``models.physical_model``, whose azimuth columns are in no line,
-    among them) takes the real k x k F = I = (2/sigma^2) Re{dh^H M M^H dh}
-    and the value ||[Re dh; Im dh] D^{-1/2} R^{-1}||_F^2.  Either way
-    the form builds no basis and compresses nothing: it stays a check of
+    Fisher matrix): the real Fisher matrix is its real form up to the
+    signs of the pairs, whose spectrum is that of H with each eigenvalue
+    twice, and the bound is 2 Tr[A H^{-1} A^H] = 2 ||A D^{-1/2} R^{-1}||_F^2.
+    Any other gradient (``models.physical_model``, whose azimuth columns
+    are in no line, among them) takes the real k x k
+    F = (2/sigma^2) Re{dh^H M M^H dh} and the value
+    ||[Re dh; Im dh] D^{-1/2} R^{-1}||_F^2.  Either way the form builds no
+    basis and compresses nothing: it stays a check of
     ``crb_via_variation_space`` by a different computation.
 
-    The report carries the real Fisher matrix ``fim`` (the matrix of
-    ``fim``, bit for bit) and no compression eigenvalue.  Raises
-    ValueError as ``variation_space`` does when theta or the gradient
-    does not fit the model, and on non-finite entries.
+    The report carries no compression eigenvalue.  Raises ValueError as
+    ``variation_space`` does when theta or the gradient does not fit the
+    model, and on non-finite entries.
     """
     grad = _checked_gradient(model, theta)
     M = _checked_m(grad, M)
-    lines = _all_lines(grad)
-    if lines is None:
-        F = I = _fisher(grad, M, noise)
+    first = _all_lines(grad)
+    if first is None:
         cols = grad
+        F = _fisher(grad, M, noise)
     else:
-        cols = grad[:, lines[0]]
+        cols = grad[:, first]
         F = _complex_fisher(cols, M, noise)
-        I = _real_fisher(F, lines)
     scale = _jacobi_scale(np.diag(F).real, cols, M, noise)
     if scale is None:
-        return CrbReport(value=math.inf, identifiable=False, fim=I)
+        return CrbReport(value=math.inf, identifiable=False)
     R = cholesky_in_place(_scaled(F, scale))
     if R is None or not _cholesky_certified(R):
         # The factor overwrote S: scale again, to the same bits.
@@ -340,17 +292,17 @@ def crb_direct(model, theta, M, noise):
         # The scaled diagonal is all ones, so max_eig >= 1 and only the
         # relative test can fire.
         if _is_singular(eigs[0], eigs[-1], 1.0):
-            return CrbReport(value=math.inf, identifiable=False, fim=I)
+            return CrbReport(value=math.inf, identifiable=False)
         if R is None:
             raise LinAlgError("Fisher matrix passed the eigenvalue test but has "
                               "no Cholesky factor")
-    if lines is None:
+    if first is None:
         X = stacked_real(grad)
         X *= scale
         value = float(np.linalg.norm(solve_right(X, R)) ** 2)
     else:
         value = 2.0 * float(np.linalg.norm(solve_right(cols * scale, R)) ** 2)
-    return CrbReport(value=value, identifiable=True, fim=I)
+    return CrbReport(value=value, identifiable=True)
 
 
 def compression_spectra(basis, Ms):
@@ -397,15 +349,29 @@ def _crb_report(eigs, singular, noise):
     return CrbReport(value=value, identifiable=True, min_eig_compression=min_eig)
 
 
+def _one_spectrum(basis, M):
+    """M as a complex 2-D array, and the compression spectrum and verdict of
+    one basis and M (``compression_spectra`` on a stack of one).
+
+    A stack of bases raises ValueError, rather than answer for one slice.
+    """
+    if basis.U.ndim > 2:
+        raise ValueError(
+            f"expected one basis, got a stack of bases of shape {basis.U.shape[:-2]}: "
+            "index the stack (basis[i]) or call compression_spectra")
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    eigs, singular = compression_spectra(basis, M[None])
+    return M, eigs[0], singular[0]
+
+
 def crb_via_variation_space(basis, M, noise):
     """CRB through a real-orthonormal variation-space basis.
 
     (sigma^2 / 2) Tr[Re{U^H M M^H U}^{-1}]; invariant under any real
-    orthogonal change of basis U -> U B.
+    orthogonal change of basis U -> U B.  ValueError on a stack of bases.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    eigs, singular = compression_spectra(basis, M[None])
-    return _crb_report(eigs[0], singular[0], noise)
+    _, eigs, singular = _one_spectrum(basis, M)
+    return _crb_report(eigs, singular, noise)
 
 
 def check_identifiability(basis, M):
@@ -414,15 +380,15 @@ def check_identifiability(basis, M):
     The verdict is the numerical version of requiring the variation
     space to intersect the orthogonal complement of im_C(M) trivially:
     the compression Re{U^H M M^H U} must be nonsingular.  Also reports
-    the necessary observation count ceil(N_p / 2).
+    the necessary observation count ceil(N_p / 2).  ValueError on a stack
+    of bases.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    eigs, singular = compression_spectra(basis, M[None])
-    min_eig, max_eig = float(eigs[0, 0]), float(eigs[0, -1])
+    M, eigs, singular = _one_spectrum(basis, M)
+    min_eig, max_eig = float(eigs[0]), float(eigs[-1])
     n_given = M.shape[1]
     n_required = math.ceil(basis.dim / 2)
     count_ok = n_given >= n_required
-    verdict = count_ok and not singular[0]
+    verdict = count_ok and not singular
     if verdict:
         message = (
             "identifiable: the variation space meets im_C(M)^perp only at 0 "

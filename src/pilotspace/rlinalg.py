@@ -6,9 +6,9 @@ are only closed under *real* linear combinations into ordinary inner
 product spaces.  This module provides the kernel operations for working
 in that setting:
 
-* ``r_inner`` / ``r_orthonormalize`` -- Gram-Schmidt with the real inner
-  product, implemented through a real QR of the stacked [Re; Im] matrix
-  (of one matrix or of each matrix in a stack).
+* ``r_orthonormalize`` -- Gram-Schmidt with the real inner product,
+  implemented through a real QR of the stacked [Re; Im] matrix (of one
+  matrix or of each matrix in a stack).
 * ``triangle_rank`` -- numerical rank of a QR triangle, certified full
   from one triangular inverse (``triangle_inverse``) where possible
   (``full_rank_certified``, which also takes a complex triangle), else
@@ -16,7 +16,7 @@ in that setting:
 * ``skew_canonical_form`` -- real Schur decomposition of a skew-symmetric
   matrix, reordered into the canonical 2x2 block form with nonnegative,
   descending couplings; an input already in that form skips the Schur
-  form, and ``kept_canonical_form`` answers for such an input alone.
+  form (``_skew_part`` tests it).
 * ``RBasis`` -- a checked real-orthonormal basis, or a stack of them;
   indexing a stack's batch axes gives the slices without a new check.
   A basis (q_1, -j q_1, q_2, -j q_2, ...), as a linear model's closed
@@ -215,15 +215,6 @@ def skew_block_matrix(gamma, size):
         G[i, i + 1] = -c
         G[i + 1, i] = c
     return G
-
-
-def r_inner(x, y):
-    """Real inner product Re{x^H y} of two complex vectors."""
-    x = np.asarray(x).ravel()
-    y = np.asarray(y).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    return float(np.real(np.vdot(x, y)))
 
 
 def real_gram(X, Y=None):
@@ -455,8 +446,8 @@ def skew_canonical_form(A):
     so that B^T A B = skew_block_matrix(gamma, K).
 
     An A already in that form within the Schur route's block tolerance
-    (``kept_canonical_form``) skips the Schur form: B is the identity and
-    gamma its snapped block values.  Near such an A, B stays near the
+    (the ``kept`` of ``_skew_part``) skips the Schur form: B is the
+    identity and gamma its snapped block values.  Near such an A, B stays near the
     identity, where the Schur form may return any rotation within each
     block and any basis of tied blocks.
 
@@ -507,22 +498,6 @@ def skew_canonical_form(A):
     B = Q[:, order]
     gamma = np.array([_snap_coupling(c) for c, _ in pairs])
     return B, gamma
-
-
-def kept_canonical_form(A):
-    """``(I, gamma)`` when the skew-symmetric A is already in canonical form,
-    else None: the answer of ``skew_canonical_form`` without its Schur form.
-
-    Runs ``skew_canonical_form``'s validation and symmetrization, then
-    tests the symmetrized A against the block tolerance
-    ``COUPLING_SNAP * max(1, ||A||_F)`` (``_canonical_couplings``); gamma
-    holds its snapped block values, descending up to that tolerance.
-    Raises as ``skew_canonical_form`` does.  ``canonical_decompose`` runs
-    the same test through ``_skew_part`` and hands a failing slice's
-    ``_SkewPart`` to ``skew_canonical_form``, so that function runs exactly
-    where a Schur form runs and no slice is validated twice.
-    """
-    return _skew_part(A).kept
 
 
 class _SkewPart(NamedTuple):

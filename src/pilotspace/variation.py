@@ -286,9 +286,9 @@ def canonical_decompose(basis):
 
     Each slice is validated, symmetrized and tested once, as
     ``skew_canonical_form`` does it (``rlinalg._skew_part``).  A slice
-    whose Im{U^H U} is already canonical (the test of
-    ``kept_canonical_form``) keeps B = I, so V == U (an exact zero entry
-    may change its sign in the product).  ``skew_canonical_form`` runs
+    whose Im{U^H U} is already canonical (``_SkewPart.kept``) keeps
+    B = I, so V == U (an exact zero entry may change its sign in the
+    product).  ``skew_canonical_form`` runs
     only for the slices that need a Schur form, on their validated
     ``_SkewPart``.  Under tied couplings any rotation of the tied
     pairs would do as well; keeping the given basis is a choice, and it

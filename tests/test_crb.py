@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from pilotspace.crb import (
     NoiseModel,
+    _fisher,
     _is_singular,
     check_identifiability,
     compression_spectra,
     crb_direct,
     crb_min,
     crb_via_variation_space,
-    fim,
 )
 from pilotspace.pilot import design_observation_matrix
 from pilotspace.rlinalg import RBasis, compression_matrix, r_orthonormalize, real_gram
@@ -51,9 +51,11 @@ def random_instance(rng, n_dim=None, n_params=None, n_obs=None):
 
 
 class TestFim:
+    """The real Fisher matrix kernel (2/sigma^2) Re{dh^H M M^H dh}."""
+
     def test_zero_observation(self):
         model, _ = random_instance(np.random.default_rng(0), 5, 3, 2)
-        I = fim(model, np.zeros(3), np.zeros((5, 2)), NoiseModel(1.0))
+        I = _fisher(model.gradient(np.zeros(3)), np.zeros((5, 2)), NoiseModel(1.0))
         assert np.allclose(I, 0.0)
 
     def test_scalar_model(self):
@@ -61,7 +63,7 @@ class TestFim:
         model = constant_gradient_model(b.reshape(-1, 1))
         P, sigma2 = 2.0, 0.5
         M = math.sqrt(P) * b.reshape(-1, 1)
-        I = fim(model, np.zeros(1), M, NoiseModel(sigma2))
+        I = _fisher(model.gradient(np.zeros(1)), M, NoiseModel(sigma2))
         assert I == pytest.approx(np.array([[2 * P / sigma2]]))
 
     def test_naive_loop_oracle(self):
@@ -76,7 +78,7 @@ class TestFim:
                 naive[i, j] = (2 / sigma2) * np.real(
                     np.conj(grad[:, i]) @ MMH @ grad[:, j]
                 )
-        I = fim(model, np.zeros(4), M, NoiseModel(sigma2))
+        I = _fisher(grad, M, NoiseModel(sigma2))
         assert np.allclose(I, naive, atol=1e-9)
         eigs = np.linalg.eigvalsh(I)
         assert np.allclose(I, I.T) and eigs.min() >= -1e-9
@@ -108,7 +110,6 @@ class TestCrbDirect:
         rep = crb_direct(model, np.zeros(4), M, NoiseModel(1.0))
         assert not rep.identifiable
         assert math.isinf(rep.value)
-        assert rep.fim is not None
 
     def test_graded_columns_match_basis_form(self):
         # Column norms spread over six decades put cond(FIM) near 1e12, past
@@ -152,11 +153,20 @@ class TestCrbDirectDiagnostic:
         assert rep.min_eig_compression is None
         assert not rep.identifiable and math.isinf(rep.value)
 
-    def test_reports_fim_not_compression(self):
+    def test_reports_fim_not_compression(self, monkeypatch):
+        # The report comes from the Fisher matrix, and no compression is formed.
+        import pilotspace.crb as crb_module
+
+        fisher_calls = []
+        real_fisher = crb_module._fisher
+        monkeypatch.setattr(crb_module, "_fisher",
+                            lambda *args: fisher_calls.append(1) or real_fisher(*args))
+        monkeypatch.setattr(crb_module, "compression_spectra", None)
+        monkeypatch.setattr(crb_module, "compression_matrix", None)
         model, M = random_instance(np.random.default_rng(502), 6, 4, 3)
         rep = crb_direct(model, np.zeros(4), M, NoiseModel(0.6))
         assert rep.identifiable and rep.min_eig_compression is None
-        assert np.array_equal(rep.fim, fim(model, np.zeros(4), M, NoiseModel(0.6)))
+        assert fisher_calls == [1]
 
     def test_builds_no_basis(self, monkeypatch):
         def forbidden(self):
@@ -188,7 +198,7 @@ class TestCrbDirectFactorizations:
     @staticmethod
     def solve_route(G, M, noise):
         # Reference: Tr[dh I^{-1} dh^H] through a general linear solve.
-        I = fim(constant_gradient_model(G), np.zeros(G.shape[1]), M, noise)
+        I = _fisher(G, M, noise)
         return float(np.real(np.einsum("ik,ki->", G, np.linalg.solve(I, np.conj(G.T)))))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -258,7 +268,7 @@ class TestCrbDirectCertificate:
             for seed in range(4):
                 model, M = self.graded_case(seed, ratio)
                 k = model.n_params
-                I = fim(model, np.zeros(k), M, noise)
+                I = _fisher(model.gradient(np.zeros(k)), M, noise)
                 scale = 1.0 / np.sqrt(np.diag(I))
                 eigs = real_eigvalsh((scale[:, None] * I) * scale)
                 expected = not _is_singular(eigs[0], eigs[-1], 1.0)
@@ -310,12 +320,15 @@ class TestNonFiniteObservation:
         with pytest.raises(ValueError, match="non-finite"):
             check_identifiability(basis, M)
 
-    def test_direct_and_fim(self, bad):
+    def test_direct_and_fim(self, bad, monkeypatch):
+        # crb_direct raises before it forms a Fisher matrix of the bad M.
+        import pilotspace.crb as crb_module
+
+        monkeypatch.setattr(crb_module, "_fisher", None)
+        monkeypatch.setattr(crb_module, "_complex_fisher", None)
         model, _, M = bad
         with pytest.raises(ValueError, match="non-finite"):
             crb_direct(model, np.zeros(4), M, NoiseModel(1.0))
-        with pytest.raises(ValueError, match="non-finite"):
-            fim(model, np.zeros(4), M, NoiseModel(1.0))
 
 
 def previous_compression_spectrum(basis, M):
@@ -863,11 +876,11 @@ class TestCrbProperties:
 
 
 class TestCrbDirectModelChecks:
-    """crb_direct and fim check theta and the gradient as variation_space does."""
+    """crb_direct checks theta and the gradient as variation_space does."""
 
     @staticmethod
     def assert_rejected(model, theta, M, match):
-        for form in (crb_direct, fim, lambda mo, th, M, noise: variation_space(mo, th)):
+        for form in (crb_direct, lambda mo, th, M, noise: variation_space(mo, th)):
             with pytest.raises(ValueError, match=match):
                 form(model, theta, M, NoiseModel(1.0))
 
@@ -891,9 +904,8 @@ class TestCrbDirectModelChecks:
     def test_non_finite_gradient(self):
         G = random_complex(np.random.default_rng(803), 4, 4)
         G[1, 2] = np.nan
-        for form in (crb_direct, fim):
-            with pytest.raises(ValueError, match="gradient contains non-finite entries"):
-                form(constant_gradient_model(G), np.zeros(4), np.eye(4), NoiseModel(1.0))
+        with pytest.raises(ValueError, match="gradient contains non-finite entries"):
+            crb_direct(constant_gradient_model(G), np.zeros(4), np.eye(4), NoiseModel(1.0))
 
     def test_gradient_of_wrong_shape(self):
         G = random_complex(np.random.default_rng(802), 3, 3)
@@ -904,7 +916,7 @@ class TestCrbDirectModelChecks:
 
 
 def previous_crb_direct(grad, M, noise):
-    """(value, fim) of crb_direct as the real route computed them before the
+    """(value, Fisher matrix) of crb_direct as the real route computed them before the
     complex route: (2/sigma^2) Re{dh^H M M^H dh}, the Jacobi-scaled Cholesky
     factor and one triangular solve of the stacked gradient."""
     from pilotspace.rlinalg import cholesky_in_place, solve_right, stacked_real
@@ -993,12 +1005,11 @@ def factor_calls(monkeypatch):
 
 class TestCrbDirectComplexRoute:
     """A gradient of complex lines only takes the r x r complex Fisher matrix:
-    the real route's value and verdict, one complex Cholesky factor, and the
-    real Fisher matrix in the model's order and signs."""
+    the real route's value and verdict and one complex Cholesky factor."""
 
     @pytest.mark.parametrize("G, M", complex_line_cases() + singular_line_cases())
     def test_matches_the_real_route(self, G, M, factor_calls):
-        from pilotspace.crb import _all_lines, _fisher
+        from pilotspace.crb import _all_lines
 
         assert _all_lines(G) is not None
         noise = NoiseModel(0.7)
@@ -1020,11 +1031,6 @@ class TestCrbDirectComplexRoute:
         if identifiable:
             solved = TestCrbDirectFactorizations.solve_route(G, M, noise)
             assert rep.value == pytest.approx(solved, rel=1e-9)
-        # The real Fisher matrix, in the model's parameter order and signs.
-        real = _fisher(G, M, noise)
-        assert np.abs(rep.fim - real).max() <= 1e-12 * np.abs(real).max()
-        assert np.array_equal(rep.fim, rep.fim.T)
-        assert np.array_equal(rep.fim, fim(constant_gradient_model(G), np.zeros(k), M, noise))
 
     @pytest.mark.parametrize("G, M", singular_line_cases())
     def test_singular_cases_are_infinite(self, G, M):
@@ -1067,7 +1073,7 @@ class TestCrbDirectComplexRoute:
             for seed in range(4):
                 model, M = self.graded_halves(seed, ratio)
                 k, r = model.n_params, model.n_params // 2
-                I = fim(model, np.zeros(k), M, noise)
+                I = _fisher(model.gradient(np.zeros(k)), M, noise)
                 scale = 1.0 / np.sqrt(np.diag(I))
                 factor_calls["eigvalsh"].clear()
                 eigs = np.linalg.eigvalsh((scale[:, None] * I) * scale)
@@ -1099,8 +1105,32 @@ class TestCrbDirectComplexRoute:
                     factor_calls["cholesky"].clear()
                     rep = crb_direct(model, theta, M, noise)
                     value, I = previous_crb_direct(grad, M, noise)
-                    assert np.array_equal(rep.fim, I)
-                    assert np.array_equal(fim(model, theta, M, noise), I)
+                    assert np.array_equal(_fisher(grad, M, noise), I)
                     if rep.identifiable:
                         assert rep.value == value
                         assert factor_calls["cholesky"] == [(np.dtype(float), (3 * L, 3 * L))]
+
+
+class TestOneBasisForms:
+    """crb_via_variation_space and check_identifiability answer for one basis:
+    a stack of bases is refused, not answered for its first slice."""
+
+    def test_stack_of_bases_is_refused(self):
+        from pilotspace.models import UlaGeometry, physical_variation_space
+
+        stack = physical_variation_space(UlaGeometry(16),
+                                         [[0.1, 0.5], [-0.7, 0.3], [0.2, 0.25]])
+        M = random_complex(np.random.default_rng(820), 16, 3)
+        noise = NoiseModel(1.0)
+        for form in (lambda basis: crb_via_variation_space(basis, M, noise),
+                     lambda basis: check_identifiability(basis, M)):
+            with pytest.raises(ValueError, match=r"stack of bases of shape \(3,\): "
+                               r"index the stack \(basis\[i\]\) or call compression_spectra"):
+                form(stack)
+        # Each slice is one basis, answered with the bits of the stacked kernel.
+        eigs, singular = compression_spectra(stack, M)
+        assert not singular.any()
+        values = [crb_via_variation_space(stack[i], M, noise).value for i in range(3)]
+        assert values == [0.5 * float(np.sum(1.0 / e)) for e in eigs]
+        assert len(set(values)) == 3
+        assert [check_identifiability(stack[i], M).min_eig for i in range(3)] == list(eigs[:, 0])

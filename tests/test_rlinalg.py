@@ -10,8 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pilotspace.rlinalg import (
     RANK_CERT_MARGIN,
@@ -22,12 +20,11 @@ from pilotspace.rlinalg import (
     RBasis,
     _positive_triangle,
     _real_schur,
+    _skew_part,
     compression_matrix,
     full_rank_certified,
-    kept_canonical_form,
     numerical_rank,
     project_r,
-    r_inner,
     r_orthonormalize,
     real_gram,
     real_rank,
@@ -48,36 +45,6 @@ def naive_r_inner(x, y):
     for a, b in zip(x, y):
         acc += (np.conj(a) * b).real
     return acc
-
-
-class TestRInner:
-    def test_j_orthogonal(self):
-        assert r_inner([1, 0], [1j, 0]) == pytest.approx(0.0)
-
-    def test_unit_vector(self):
-        x = np.array([(1 + 1j) / np.sqrt(2)])
-        assert r_inner(x, x) == pytest.approx(1.0)
-
-    def test_matches_naive_loop(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            x, y = random_complex(rng, 8), random_complex(rng, 8)
-            assert r_inner(x, y) == pytest.approx(naive_r_inner(x, y), abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            r_inner([1, 2], [1])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_symmetric_and_bilinear(self, seed):
-        rng = np.random.default_rng(seed)
-        x, y, z = (random_complex(rng, 5) for _ in range(3))
-        a, b = rng.normal(size=2)
-        assert r_inner(x, y) == pytest.approx(r_inner(y, x), abs=1e-10)
-        assert r_inner(a * x + b * z, y) == pytest.approx(
-            a * r_inner(x, y) + b * r_inner(z, y), rel=1e-9, abs=1e-9
-        )
 
 
 class TestROrthonormalize:
@@ -503,7 +470,7 @@ class TestSkewCanonicalForm:
 class TestSkewValidation:
     """The skew defect is read off A_skew = 0.5 (A - A^T): the verdicts and
     messages are those of ||A + A^T||_F away from the threshold, for
-    skew_canonical_form and kept_canonical_form alike."""
+    skew_canonical_form and for the block test of _skew_part alike."""
 
     @pytest.mark.parametrize("K", [2, 5, 12, 40])
     def test_verdicts_and_messages(self, K):
@@ -517,7 +484,7 @@ class TestSkewValidation:
             if abs(defect / threshold - 1.0) < 1e-6:
                 continue            # at the threshold a rounding may flip it
             verdicts.add(defect > threshold)
-            for form in (skew_canonical_form, kept_canonical_form):
+            for form in (skew_canonical_form, lambda A: _skew_part(A).kept):
                 if defect > threshold:
                     with pytest.raises(NotSkewSymmetricError) as err:
                         form(A)
@@ -537,7 +504,7 @@ class TestSkewValidation:
         W = rng.normal(size=(9, 9))
         A = W - W.T
         A[2, 5] += 1e-13
-        assert kept_canonical_form(A) is None and inputs == []
+        assert _skew_part(A).kept is None and inputs == []
         skew_canonical_form(A)
         assert len(inputs) == 1 and np.array_equal(inputs[0], 0.5 * (A - A.T))
 
@@ -821,8 +788,8 @@ class TestProjectR:
         z, w = random_complex(rng, 7), random_complex(rng, 7)
         p = project_r(basis, z)
         assert np.linalg.norm(project_r(basis, p) - p) <= 1e-10
-        assert r_inner(project_r(basis, z), w) == pytest.approx(
-            r_inner(z, project_r(basis, w)), rel=1e-9, abs=1e-12
+        assert naive_r_inner(project_r(basis, z), w) == pytest.approx(
+            naive_r_inner(z, project_r(basis, w)), rel=1e-9, abs=1e-12
         )
 
     def test_dimension_mismatch(self, basis):
