@@ -50,10 +50,10 @@ from .rlinalg import (
     _checked_observations,
     cholesky_in_place,
     compression_matrix,
+    condition_bound,
     real_gram,
     solve_right,
     stacked_real,
-    triangle_inverse,
 )
 from .variation import _complex_lines, _model_gradient
 
@@ -123,26 +123,11 @@ class CrbMinResult:
     upper_bound: float
 
 
-def _checked_gradient(model, theta):
-    """The gradient of ``model`` at ``theta``, checked as ``variation_space``
-    checks it (``variation._model_gradient``); ValueError on a non-finite
-    entry."""
-    grad = _model_gradient(model, theta)
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("gradient contains non-finite entries")
-    return grad
-
-
-def _checked_m(grad, M):
-    """M as a complex 2-D array; ValueError if its row count differs from
-    the gradient's or it has non-finite entries."""
+def _one_matrix(M):
+    """M as a complex 2-D array; ValueError naming the shape of a stack."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    if M.shape[0] != grad.shape[0]:
-        raise ValueError(
-            f"M has {M.shape[0]} rows but the gradient has {grad.shape[0]}"
-        )
-    if not np.all(np.isfinite(M)):
-        raise ValueError("observation matrix M contains non-finite entries")
+    if M.ndim > 2:
+        raise ValueError(f"expected one observation matrix M, got shape {M.shape}")
     return M
 
 
@@ -222,24 +207,6 @@ def _scaled(I, scale):
     return S
 
 
-def _cholesky_certified(R):
-    """Whether the Cholesky factor R of the Jacobi-scaled Fisher matrix
-    S = R^H R certifies that S passes the eigenvalue test of ``_is_singular``.
-
-    lambda_max / lambda_min of S is (sigma_max / sigma_min)^2 of R, at most
-    (||R||_F ||R^{-1}||_F)^2, so S is nonsingular when that bound times
-    EIG_RTOL passes RANK_CERT_MARGIN (the margin absorbs the rounding of
-    the factor and of its inverse).  A failed certificate decides nothing.
-    R may be real or complex.  The inverse is freed on return.
-    """
-    R_inv = triangle_inverse(R)
-    if R_inv is None:
-        return False
-    bound = (np.linalg.norm(R) * np.linalg.norm(R_inv)) ** 2
-    # A NaN or inf bound fails the comparison.
-    return bool(bound * EIG_RTOL < RANK_CERT_MARGIN)
-
-
 def crb_direct(model, theta, M, noise):
     """CRB from the gradient: Tr[dh FIM^{-1} dh^H].
 
@@ -248,8 +215,9 @@ def crb_direct(model, theta, M, noise):
     entry at noise level, or a failed eigenvalue test of S
     (``_is_singular`` at EIG_RTOL), yields an infinite, non-identifiable
     report.  S is factored once, S = R^H R by Cholesky, in place.  The
-    factor certifies the verdict where it can (``_cholesky_certified``),
-    and no eigenvalue is computed; where it cannot, or where S has no
+    factor certifies the verdict where it can, with no eigenvalue: the
+    condition number of S is at most ``rlinalg.condition_bound(R)``^2.
+    Where that square times EIG_RTOL fails RANK_CERT_MARGIN, or S has no
     Cholesky factor, ``eigvalsh(S)`` decides, so the verdict is that of
     the eigenvalue test either way.  The value then comes from one
     triangular solve with R.
@@ -271,10 +239,11 @@ def crb_direct(model, theta, M, noise):
 
     The report carries no compression eigenvalue.  Raises ValueError as
     ``variation_space`` does when theta or the gradient does not fit the
-    model, and on non-finite entries.
+    model or is non-finite, and when M is a stack, has the wrong row
+    count or has non-finite entries.
     """
-    grad = _checked_gradient(model, theta)
-    M = _checked_m(grad, M)
+    grad = _model_gradient(model, theta)
+    M = _checked_observations(_one_matrix(M), grad.shape[0])
     first = _all_lines(grad)
     if first is None:
         cols = grad
@@ -286,7 +255,8 @@ def crb_direct(model, theta, M, noise):
     if scale is None:
         return CrbReport(value=math.inf, identifiable=False)
     R = cholesky_in_place(_scaled(F, scale))
-    if R is None or not _cholesky_certified(R):
+    # A NaN or inf bound fails the comparison.
+    if R is None or not condition_bound(R) ** 2 * EIG_RTOL < RANK_CERT_MARGIN:
         # The factor overwrote S: scale again, to the same bits.
         eigs = np.linalg.eigvalsh(_scaled(F, scale))
         # The scaled diagonal is all ones, so max_eig >= 1 and only the
@@ -325,7 +295,7 @@ def compression_spectra(basis, Ms):
     if Q is None:
         eigs = np.linalg.eigvalsh(compression_matrix(basis, Ms))
     else:
-        M = _checked_observations(basis, Ms)
+        M = _checked_observations(Ms, basis.ambient_dim)
         X = np.conj(np.swapaxes(M, -1, -2)) @ Q      # (..., m, r)
         eigs = np.repeat(np.linalg.eigvalsh(np.conj(np.swapaxes(X, -1, -2)) @ X), 2, axis=-1)
     return eigs, _is_singular(eigs[..., 0], eigs[..., -1], np.linalg.norm(Ms, axis=(-2, -1)) ** 2)
@@ -353,13 +323,13 @@ def _one_spectrum(basis, M):
     """M as a complex 2-D array, and the compression spectrum and verdict of
     one basis and M (``compression_spectra`` on a stack of one).
 
-    A stack of bases raises ValueError, rather than answer for one slice.
+    A stack of bases or of M raises ValueError, not an answer for a slice.
     """
     if basis.U.ndim > 2:
         raise ValueError(
             f"expected one basis, got a stack of bases of shape {basis.U.shape[:-2]}: "
             "index the stack (basis[i]) or call compression_spectra")
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    M = _one_matrix(M)
     eigs, singular = compression_spectra(basis, M[None])
     return M, eigs[0], singular[0]
 
@@ -368,7 +338,7 @@ def crb_via_variation_space(basis, M, noise):
     """CRB through a real-orthonormal variation-space basis.
 
     (sigma^2 / 2) Tr[Re{U^H M M^H U}^{-1}]; invariant under any real
-    orthogonal change of basis U -> U B.  ValueError on a stack of bases.
+    orthogonal change of basis U -> U B.  ValueError on a stack of bases or of M.
     """
     _, eigs, singular = _one_spectrum(basis, M)
     return _crb_report(eigs, singular, noise)
@@ -381,7 +351,7 @@ def check_identifiability(basis, M):
     space to intersect the orthogonal complement of im_C(M) trivially:
     the compression Re{U^H M M^H U} must be nonsingular.  Also reports
     the necessary observation count ceil(N_p / 2).  ValueError on a stack
-    of bases.
+    of bases or of M.
     """
     M, eigs, singular = _one_spectrum(basis, M)
     min_eig, max_eig = float(eigs[0]), float(eigs[-1])

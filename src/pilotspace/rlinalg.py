@@ -9,10 +9,9 @@ in that setting:
 * ``r_orthonormalize`` -- Gram-Schmidt with the real inner product,
   implemented through a real QR of the stacked [Re; Im] matrix (of one
   matrix or of each matrix in a stack).
-* ``triangle_rank`` -- numerical rank of a QR triangle, certified full
-  from one triangular inverse (``triangle_inverse``) where possible
-  (``full_rank_certified``, which also takes a complex triangle), else
-  from its SVD.
+* ``condition_bound`` -- ||R||_F ||R^{-1}||_F of a triangle, the one
+  full-rank certificate.  ``triangle_rank``, the numerical rank of a QR
+  triangle, takes its SVD only when ``full_rank_certified`` fails.
 * ``skew_canonical_form`` -- real Schur decomposition of a skew-symmetric
   matrix, reordered into the canonical 2x2 block form with nonnegative,
   descending couplings; an input already in that form skips the Schur
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,9 +87,9 @@ def _load_flapack():
 _flapack = _load_flapack()
 
 RANK_RTOL = 1e-10          # numerical-rank threshold, relative to largest singular value
-# triangle_rank skips the SVD when ||R||_F ||R^{-1}||_F RANK_RTOL is below
-# this margin.  The margin decides only whether the SVD is skipped, never
-# the verdict: the product bounds sigma_max/sigma_min from above, and the
+# A certificate passes when condition_bound(R) RANK_RTOL (its square times
+# crb.EIG_RTOL for a Cholesky factor) is below this margin, which decides
+# only whether an SVD or eigenvalue test is skipped, never the verdict: the
 # factor 2 absorbs the rounding of the computed inverse.
 RANK_CERT_MARGIN = 0.5
 COUPLING_SNAP = 1e-12      # couplings below this are snapped to exactly 0
@@ -249,33 +249,24 @@ def real_rank(G):
     )
 
 
-def full_rank_certified(R):
-    """Whether one triangular inversion certifies that the square upper-
-    triangular R (real or complex) has full numerical rank.
-
-    sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F), so the answer is
-    True when that product passes RANK_CERT_MARGIN.  False for an empty
-    or wide triangle, a zero diagonal entry, or a product that is
-    non-finite or fails the margin: the rank is then undecided, not
-    deficient.
+def condition_bound(R):
+    """||R||_F ||R^{-1}||_F >= sigma_max / sigma_min of a square upper-
+    triangular R (real or complex), from one LAPACK ``d/ztrtri``; inf for
+    an empty or non-square R or an exactly zero diagonal entry.
     """
     k = R.shape[1]
     if k == 0 or R.shape != (k, k):
-        return False
-    R_inv = triangle_inverse(R)
-    if R_inv is None:
-        return False
-    bound = np.linalg.norm(R) * np.linalg.norm(R_inv)
-    # A NaN or inf bound fails the comparison.
-    return bool(bound * RANK_RTOL < RANK_CERT_MARGIN)
-
-
-def triangle_inverse(R):
-    """R^{-1} of a nonempty square upper-triangular R (real or complex) from
-    LAPACK ``d/ztrtri``, or None when a diagonal entry is exactly zero."""
+        return math.inf
     trtri = _flapack.ztrtri if np.iscomplexobj(R) else _flapack.dtrtri
     R_inv, info = trtri(R)
-    return R_inv if info == 0 else None
+    return np.linalg.norm(R) * np.linalg.norm(R_inv) if info == 0 else math.inf
+
+
+def full_rank_certified(R):
+    """Whether ``condition_bound(R)`` RANK_RTOL < RANK_CERT_MARGIN certifies
+    full numerical rank; False (a NaN or inf bound included) leaves the rank
+    undecided, not deficient."""
+    return bool(condition_bound(R) * RANK_RTOL < RANK_CERT_MARGIN)
 
 
 def cholesky_in_place(S):
@@ -587,19 +578,17 @@ def compression_matrix(basis, M):
     stack of matrices M (..., ambient_dim, m) broadcast as in numpy.
     Raises ValueError if M has the wrong row count or non-finite entries.
     """
-    M = _checked_observations(basis, M)
+    M = _checked_observations(M, basis.ambient_dim)
     C = real_gram(np.conj(np.swapaxes(M, -1, -2)) @ basis.U)
     return 0.5 * (C + np.swapaxes(C, -1, -2))     # (..., dim, dim)
 
 
-def _checked_observations(basis, M):
-    """M as a complex array (at least 2-D); ValueError if it has the wrong
-    row count for ``basis`` or non-finite entries."""
+def _checked_observations(M, rows):
+    """M as a complex array (at least 2-D); ValueError if it has not ``rows``
+    rows (the ambient dimension) or has non-finite entries."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    if M.shape[-2] != basis.ambient_dim:
-        raise ValueError(
-            f"M has {M.shape[-2]} rows, expected ambient dim {basis.ambient_dim}"
-        )
+    if M.shape[-2] != rows:
+        raise ValueError(f"M has {M.shape[-2]} rows, expected ambient dim {rows}")
     if not np.all(np.isfinite(M)):
         raise ValueError("observation matrix M contains non-finite entries")
     return M

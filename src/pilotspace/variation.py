@@ -36,8 +36,6 @@ from typing import Callable
 import numpy as np
 
 from .rlinalg import (
-    RANK_CERT_MARGIN,
-    RANK_RTOL,
     RBasis,
     RankDeficientError,
     _skew_part,
@@ -46,7 +44,6 @@ from .rlinalg import (
     r_orthonormalize,
     skew_block_matrix,
     skew_canonical_form,
-    triangle_inverse,
 )
 
 
@@ -129,10 +126,10 @@ def _complex_lines(grad):
     first row before the whole columns.  ``first`` indexes the first
     column of each pair and ``rest`` every unpaired column (slices for the
     halves, so that they index without a copy).  None when no pair is
-    found or the gradient has a non-finite entry.
+    found.  The gradient is finite (``_model_gradient``).
     """
     k = grad.shape[1]
-    if k < 2 or not np.all(np.isfinite(grad)):
+    if k < 2:
         return None
     n = k // 2
     if (k % 2 == 0 and np.array_equal(grad[0, n:], 1j * grad[0, :n])
@@ -175,47 +172,39 @@ def _linear_basis(grad):
 
     None, so that the general route decides the rank and raises as for
     any gradient, when no complex line is found, when D fails its own
-    orthonormalization, or when the certificate fails.  The certificate
-    is ``full_rank_certified(R)``, and with D: in the coordinates of the
-    basis the gradient is the block triangle T = [[R, X], [0, R_D]] with
-    X = Q^H D, whose sigma_max / sigma_min = that of the gradient is at
-    most ||T||_F ||T^{-1}||_F, with T^{-1} = [[R^{-1}, -R^{-1} X R_D^{-1}],
-    [0, R_D^{-1}]]; the bound must pass ``RANK_CERT_MARGIN`` at
-    ``RANK_RTOL``, as in ``full_rank_certified``.
+    orthonormalization, or when the certificate fails.  In the coordinates
+    of the basis the gradient is the complex upper triangle
+    T = [[R, X], [0, R_D]], X = Q^H D (T = R without D), and the
+    certificate is one ``full_rank_certified(T)``: the real gradient is
+    T's realification restricted to real coordinates of D, so its
+    sigma_max / sigma_min is at most T's.  Q's columns are signed only
+    after T passes, so a zero diagonal entry never reaches the signs.
     """
     lines = _complex_lines(grad)
     if lines is None:
         return None
     first, rest = lines
     Q, R = np.linalg.qr(grad[:, first])
-    if not full_rank_certified(R):
+    D = grad[:, rest]
+    T = R
+    if D.shape[1]:
+        X = np.conj(Q.T) @ D
+        D = D - Q @ X
+        X_again = np.conj(Q.T) @ D      # twice is enough
+        D = D - Q @ X_again
+        try:
+            space, R_D = r_orthonormalize(D)
+        except ValueError:              # RankDeficientError included
+            return None
+        T = np.block([[R, X + X_again], [np.zeros_like(X.T), R_D]])
+    if not full_rank_certified(T):
         return None
     r = Q.shape[1]
     diag = np.diagonal(R)
     U = np.empty_like(grad)
     U[:, 0:2 * r:2] = Q * (diag / np.abs(diag))
     U[:, 1:2 * r:2] = -1j * U[:, 0:2 * r:2]
-    D = grad[:, rest]
     if D.shape[1]:
-        X = np.conj(Q.T) @ D
-        D = D - Q @ X
-        X_again = np.conj(Q.T) @ D      # twice is enough
-        D = D - Q @ X_again
-        X = X + X_again
-        try:
-            space, R_D = r_orthonormalize(D)
-        except ValueError:              # RankDeficientError included
-            return None
-        # Both triangles passed a rank test, so both inverses exist.
-        R_inv, R_D_inv = triangle_inverse(R), triangle_inverse(R_D)
-        norm_T = np.sqrt(np.linalg.norm(R) ** 2 + np.linalg.norm(X) ** 2
-                         + np.linalg.norm(R_D) ** 2)
-        norm_T_inv = np.sqrt(np.linalg.norm(R_inv) ** 2
-                             + np.linalg.norm(R_inv @ X @ R_D_inv) ** 2
-                             + np.linalg.norm(R_D_inv) ** 2)
-        # A NaN or inf bound fails the comparison.
-        if not norm_T * norm_T_inv * RANK_RTOL < RANK_CERT_MARGIN:
-            return None
         U[:, 2 * r:] = canonical_decompose(space).V
     try:
         return RBasis(U)
@@ -225,7 +214,8 @@ def _linear_basis(grad):
 
 def _model_gradient(model, theta):
     """The complex gradient of ``model`` at ``theta``; ValueError unless
-    theta has N_p entries and the gradient has shape (N_d, N_p)."""
+    theta has N_p entries and the gradient has shape (N_d, N_p) and finite
+    entries."""
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.shape[0] != model.n_params:
         raise ValueError(
@@ -234,6 +224,8 @@ def _model_gradient(model, theta):
     grad = np.asarray(model.gradient(theta), dtype=complex)
     if grad.shape != (model.n_dims, model.n_params):
         raise ValueError(f"gradient shape {grad.shape} inconsistent with model dims")
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("gradient contains non-finite entries")
     return grad
 
 

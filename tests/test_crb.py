@@ -238,6 +238,25 @@ class TestCrbDirectFactorizations:
         assert linalg_calls == []
 
 
+@pytest.fixture
+def certified(monkeypatch):
+    """The verdict of each certificate that crb_direct takes from the kernel
+    rlinalg.condition_bound on its Cholesky factor R:
+    condition_bound(R)^2 EIG_RTOL < RANK_CERT_MARGIN."""
+    import pilotspace.crb as crb_module
+
+    verdicts = []
+    real_bound = crb_module.condition_bound
+
+    def recording(R):
+        bound = real_bound(R)
+        verdicts.append(bool(bound**2 * crb_module.EIG_RTOL < crb_module.RANK_CERT_MARGIN))
+        return bound
+
+    monkeypatch.setattr(crb_module, "condition_bound", recording)
+    return verdicts
+
+
 class TestCrbDirectCertificate:
     """The Cholesky factor of the Jacobi-scaled FIM certifies the verdict
     where it can; otherwise one eigvalsh call decides, as it always did."""
@@ -252,16 +271,11 @@ class TestCrbDirectCertificate:
         M = (G @ V) * np.sqrt(np.geomspace(1.0, ratio, k))
         return constant_gradient_model(G), M.astype(complex)
 
-    def test_verdict_is_the_eigenvalue_verdict(self, monkeypatch):
-        import pilotspace.crb as crb_module
-
-        eig_calls, certified = [], []
+    def test_verdict_is_the_eigenvalue_verdict(self, monkeypatch, certified):
+        eig_calls = []
         real_eigvalsh = np.linalg.eigvalsh
-        real_certified = crb_module._cholesky_certified
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda A: eig_calls.append(A.shape) or real_eigvalsh(A))
-        monkeypatch.setattr(crb_module, "_cholesky_certified",
-                            lambda R: certified.append(real_certified(R)) or certified[-1])
         noise = NoiseModel(0.8)
         outcomes = set()
         for ratio in np.geomspace(1e-12, 1e-8, 33):
@@ -1060,13 +1074,7 @@ class TestCrbDirectComplexRoute:
         M = (A @ V) * np.sqrt(np.geomspace(1.0, ratio, r))
         return constant_gradient_model(np.hstack([A, 1j * A])), M
 
-    def test_verdict_is_the_eigenvalue_verdict(self, monkeypatch, factor_calls):
-        import pilotspace.crb as crb_module
-
-        certified = []
-        real_certified = crb_module._cholesky_certified
-        monkeypatch.setattr(crb_module, "_cholesky_certified",
-                            lambda R: certified.append(real_certified(R)) or certified[-1])
+    def test_verdict_is_the_eigenvalue_verdict(self, factor_calls, certified):
         noise = NoiseModel(0.8)
         outcomes = set()
         for ratio in np.geomspace(1e-12, 1e-8, 33):
@@ -1134,3 +1142,24 @@ class TestOneBasisForms:
         assert values == [0.5 * float(np.sum(1.0 / e)) for e in eigs]
         assert len(set(values)) == 3
         assert [check_identifiability(stack[i], M).min_eig for i in range(3)] == list(eigs[:, 0])
+
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (2, 4, 3)])
+    def test_stack_of_observation_matrices_is_refused(self, shape):
+        # The one-matrix forms name M's shape, as all three forms did not
+        # before: a numpy TypeError, or a row count read off the batch axis.
+        from pilotspace.models import ls_model
+
+        model = ls_model(4)
+        basis = variation_space(model, np.zeros(8))
+        M = random_complex(np.random.default_rng(821), *shape)
+        noise = NoiseModel(1.0)
+        match = rf"one observation matrix M, got shape \({shape[0]}, 4, {shape[2]}\)"
+        for form in (lambda: crb_via_variation_space(basis, M, noise),
+                     lambda: check_identifiability(basis, M),
+                     lambda: crb_direct(model, np.zeros(8), M, noise)):
+            with pytest.raises(ValueError, match=match):
+                form()
+        # Each matrix of the stack is answered on its own.
+        for M_i in M:
+            assert crb_via_variation_space(basis, M_i, noise).value == pytest.approx(
+                crb_direct(model, np.zeros(8), M_i, noise).value, rel=1e-9)

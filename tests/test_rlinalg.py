@@ -22,6 +22,7 @@ from pilotspace.rlinalg import (
     _real_schur,
     _skew_part,
     compression_matrix,
+    condition_bound,
     full_rank_certified,
     numerical_rank,
     project_r,
@@ -895,6 +896,39 @@ class TestFullRankCertified:
     @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3, 2)])
     def test_empty_or_rectangular(self, shape):
         assert not full_rank_certified(np.ones(shape, dtype=complex))
+
+
+class TestConditionBound:
+    """||R||_F ||R^{-1}||_F of a square upper triangle: the one certificate."""
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_empty_or_rectangular_is_inf(self, shape, dtype):
+        assert condition_bound(np.ones(shape, dtype=dtype)) == np.inf
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_diagonal_is_inf(self, dtype):
+        R = np.triu(np.ones((4, 4), dtype=dtype))
+        R[2, 2] = 0.0
+        assert condition_bound(R) == np.inf
+        assert not full_rank_certified(R)
+
+    @pytest.mark.parametrize("k", [1, 5, 24])
+    def test_real_and_complex_match_the_naive_product(self, k):
+        rng = np.random.default_rng([50, k])
+        for A in (rng.normal(size=(k + 2, k)), random_complex(rng, k + 2, k)):
+            R = np.linalg.qr(A)[1]
+            naive = np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R))
+            assert condition_bound(R) == pytest.approx(naive, rel=1e-12)
+            s = np.linalg.svd(R, compute_uv=False)
+            assert condition_bound(R) >= (1.0 - 1e-12) * s[0] / s[-1]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_fails_the_comparison(self, dtype):
+        R = np.triu(np.ones((3, 3), dtype=dtype))
+        R[0, 2] = np.nan
+        assert not condition_bound(R) * RANK_RTOL < RANK_CERT_MARGIN
+        assert not full_rank_certified(R)
 
 
 class TestRBasisValidation:

@@ -8,6 +8,7 @@ from pilotspace.models import UlaGeometry, steering_derivative, steering_vector
 from pilotspace.rlinalg import (
     RankDeficientError,
     RBasis,
+    condition_bound,
     full_rank_certified,
     project_r,
     r_orthonormalize,
@@ -96,6 +97,16 @@ class TestVariationSpace:
         model = constant_gradient_model(np.eye(3, dtype=complex))
         with pytest.raises(ValueError, match="length"):
             variation_space(model, np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("lines", [False, True])
+    def test_non_finite_gradient(self, bad, lines):
+        # The gradient check names the gradient, with or without complex lines.
+        A = random_complex(np.random.default_rng(5), 4, 2)
+        G = np.hstack([A, 1j * A]) if lines else A
+        G[1, 1] = bad
+        with pytest.raises(ValueError, match="^gradient contains non-finite entries$"):
+            variation_space(constant_gradient_model(G), np.zeros(G.shape[1]))
 
 
 def real_projector(U):
@@ -293,6 +304,34 @@ class TestComplexLinesRoute:
         design = design_observation_matrix(decomp, P_power, sigma2)
         ref = crb_min(decomp.c, decomp.n_params, NoiseModel(sigma2), P_power).value
         assert design.achieved_crb == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n_tx, n_paths", physical_cases())
+    def test_certificate_of_the_explicit_triangle(self, n_tx, n_paths, monkeypatch):
+        # The kernel runs twice per basis: on the L x L real triangle of the
+        # azimuth columns inside r_orthonormalize, then once on the complex
+        # triangle T = [[R, X], [0, R_D]].  Its bound equals the blockwise
+        # formula ||T||_F ||T^{-1}||_F that the route used before T was built.
+        import pilotspace.rlinalg as rl
+        from scipy.linalg.lapack import dtrtri, ztrtri
+
+        triangles = []
+        monkeypatch.setattr(rl, "condition_bound",
+                            lambda R, _real=rl.condition_bound: triangles.append(R) or _real(R))
+        model, theta = physical_case(n_tx, n_paths, seed=60)
+        variation_space(model, theta)
+        L = n_paths
+        assert [(t.dtype, t.shape) for t in triangles] == [
+            (np.dtype(float), (L, L)), (np.dtype(complex), (2 * L, 2 * L))]
+        T = triangles[1]
+        R, X, R_D = T[:L, :L], T[:L, L:], T[L:, L:]
+        assert np.array_equal(T[L:, :L], np.zeros((L, L)))
+        R_inv, R_D_inv = ztrtri(R)[0], dtrtri(R_D.real)[0]
+        norm_T = np.sqrt(np.linalg.norm(R) ** 2 + np.linalg.norm(X) ** 2
+                         + np.linalg.norm(R_D) ** 2)
+        norm_T_inv = np.sqrt(np.linalg.norm(R_inv) ** 2
+                             + np.linalg.norm(R_inv @ X @ R_D_inv) ** 2
+                             + np.linalg.norm(R_D_inv) ** 2)
+        assert condition_bound(T) == pytest.approx(norm_T * norm_T_inv, rel=1e-12)
 
     @pytest.mark.parametrize("n_tx, n_paths", [(8, 1), (64, 7), (256, 24)])
     def test_one_schur_form_of_size_at_most_L(self, n_tx, n_paths, recorded_routes):
