@@ -137,25 +137,6 @@ def _fisher(grad, M, noise):
     return 0.5 * (I + I.T)
 
 
-def _all_lines(grad):
-    """The index (a slice) of the first column of each complex line when
-    every column of the gradient lies in one (``variation._complex_lines``),
-    else None.
-
-    The lines are the halves (A, jA) of a linear model, all or nothing, or
-    adjacent pairs (g, +/-j g), which cover every column only as (0, 1),
-    (2, 3), ...  With A = grad[:, first] the channel moves by A z, z
-    complex, whatever the sign of each pair.
-    """
-    lines = _complex_lines(grad)
-    if lines is None:
-        return None
-    first, rest = lines
-    if isinstance(first, slice):             # the halves (A, jA)
-        return first
-    return None if rest.size else slice(0, grad.shape[1], 2)
-
-
 def _complex_fisher(A, M, noise):
     """The complex r x r Fisher matrix H = (2/sigma^2) (M^H A)^H (M^H A),
     Hermitian by construction (its diagonal is real)."""
@@ -223,9 +204,11 @@ def crb_direct(model, theta, M, noise):
     triangular solve with R.
 
     F takes one of two forms.  A gradient of complex lines only
-    (``_all_lines``: the (A, jA) of ``models.ls_model`` and
-    ``models.angle_constrained_model``, or adjacent pairs (g, +/-j g))
-    moves the channel by A z with z complex, and F is the r x r Hermitian
+    (``variation._complex_lines`` leaves no column unpaired: the (A, jA)
+    of ``models.ls_model`` and ``models.angle_constrained_model``, or
+    adjacent pairs (g, +/-j g)) moves the channel by A z with z complex,
+    whatever the sign of each pair, with A the first column of each
+    pair, and F is the r x r Hermitian
     H = (2/sigma^2) (M^H A)^H (M^H A) (van den Bos's complex-parameter
     Fisher matrix): the real Fisher matrix is its real form up to the
     signs of the pairs, whose spectrum is that of H with each eigenvalue
@@ -244,13 +227,14 @@ def crb_direct(model, theta, M, noise):
     """
     grad = _model_gradient(model, theta)
     M = _checked_observations(_one_matrix(M), grad.shape[0])
-    first = _all_lines(grad)
-    if first is None:
+    lines = _complex_lines(grad)
+    all_lines = lines is not None and grad[0, lines[1]].size == 0
+    if all_lines:
+        cols = grad[:, lines[0]]
+        F = _complex_fisher(cols, M, noise)
+    else:
         cols = grad
         F = _fisher(grad, M, noise)
-    else:
-        cols = grad[:, first]
-        F = _complex_fisher(cols, M, noise)
     scale = _jacobi_scale(np.diag(F).real, cols, M, noise)
     if scale is None:
         return CrbReport(value=math.inf, identifiable=False)
@@ -266,12 +250,12 @@ def crb_direct(model, theta, M, noise):
         if R is None:
             raise LinAlgError("Fisher matrix passed the eigenvalue test but has "
                               "no Cholesky factor")
-    if first is None:
+    if all_lines:
+        value = 2.0 * float(np.linalg.norm(solve_right(cols * scale, R)) ** 2)
+    else:
         X = stacked_real(grad)
         X *= scale
         value = float(np.linalg.norm(solve_right(X, R)) ** 2)
-    else:
-        value = 2.0 * float(np.linalg.norm(solve_right(cols * scale, R)) ** 2)
     return CrbReport(value=value, identifiable=True)
 
 

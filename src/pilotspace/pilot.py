@@ -41,15 +41,15 @@ class PilotDesign:
 
     ``C_norm`` is the normalization constant C; ``decomp`` is the
     decomposition the design was built from.  ``achieved_crb`` is the
-    CRB of the design against that decomposition's basis
-    (``decomp.basis``, checked once) at the given noise level; it is
-    computed on first access and cached, so a caller that
-    needs only ``M`` never pays for it.  The residuals of the optimality
-    conditions come from ``verify_optimality_certificates``.
+    CRB of the design against that decomposition, itself a checked basis
+    of the variation space, at the given noise level; it is computed on
+    first access and cached, so a caller that needs only ``M`` never pays
+    for it.  The residuals of the optimality conditions come from
+    ``verify_optimality_certificates``.
 
     A stacked design (from a stacked decomposition) has M (..., n, m)
     and C_norm (...); ``achieved_crb`` and the certificates take one
-    design.
+    design and raise ValueError on a stack.
     """
 
     M: np.ndarray
@@ -64,7 +64,7 @@ class PilotDesign:
 
     @cached_property
     def achieved_crb(self):
-        return float(crb_via_variation_space(self.decomp.basis, self.M,
+        return float(crb_via_variation_space(self.decomp, self.M,
                                              NoiseModel(self.sigma2)).value)
 
 
@@ -93,7 +93,7 @@ def design_observation_matrix(decomp, power, sigma2=1.0):
     """
     _check_finite_positive("power", power)
     _check_finite_positive("sigma2", sigma2)
-    c = np.asarray(decomp.c, dtype=float)
+    c = decomp.c
     n_pairs = c.shape[-1]
 
     C = 2.0 * np.sum(1.0 / np.sqrt(1.0 + c), axis=-1) + decomp.epsilon
@@ -136,9 +136,14 @@ def verify_optimality_certificates(design):
     * ``achieved_crb`` -- the CRB of the design at its noise level, from
       the spectrum of the same compression C (``design.achieved_crb``
       computes it on its own).
+
+    A stacked design raises ValueError naming its batch shape.
     """
     M, decomp = design.M, design.decomp
-    c = np.asarray(decomp.c, dtype=float)
+    if M.ndim > 2:
+        raise ValueError(f"expected one design, got a stack of batch shape {M.shape[:-2]}: "
+                         "design each slice on its own")
+    c = decomp.c
     n = 2 * c.shape[0]
     P, C = design.power, design.C_norm
 

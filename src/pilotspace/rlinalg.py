@@ -15,7 +15,7 @@ in that setting:
 * ``skew_canonical_form`` -- real Schur decomposition of a skew-symmetric
   matrix, reordered into the canonical 2x2 block form with nonnegative,
   descending couplings; an input already in that form skips the Schur
-  form (``_skew_part`` tests it).
+  form.
 * ``RBasis`` -- a checked real-orthonormal basis, or a stack of them;
   indexing a stack's batch axes gives the slices without a new check.
   A basis (q_1, -j q_1, q_2, -j q_2, ...), as a linear model's closed
@@ -53,7 +53,6 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -198,12 +197,14 @@ class RBasis:
         return RBasis._derived(self.U[index + (slice(None), slice(None))])
 
     @classmethod
-    def _derived(cls, U):
-        """The RBasis of a complex U derived from a checked basis, without
+    def _derived(cls, U, **fields):
+        """The basis of a complex U derived from a checked basis, without
         a new check: a slice of a checked stack, or the product of a checked
-        basis with a real orthogonal matrix (``canonical_decompose``)."""
+        basis with a real orthogonal matrix (``canonical_decompose``, which
+        passes a subclass's other ``fields``)."""
         basis = object.__new__(cls)
-        object.__setattr__(basis, "U", U)
+        for name, value in dict(U=U, **fields).items():
+            object.__setattr__(basis, name, value)
         return basis
 
 
@@ -429,23 +430,18 @@ def skew_canonical_form(A):
     Computes an orthogonal B such that B^T A B is block diagonal with
     blocks [[0, -c_k], [c_k, 0]], c_k >= 0 sorted descending, and a
     trailing zero when the dimension is odd.  Uses the real Schur
-    decomposition; column swaps inside each 2x2 block enforce the sign
-    convention, and singleton (zero) columns are paired into c = 0
-    blocks.
+    decomposition of the symmetrized input 0.5 (A - A^T); column swaps
+    inside each 2x2 block enforce the sign convention, and singleton
+    (zero) columns are paired into c = 0 blocks.
 
     Returns ``(B, gamma)``: the orthogonal matrix and the couplings,
     so that B^T A B = skew_block_matrix(gamma, K).
 
     An A already in that form within the Schur route's block tolerance
-    (the ``kept`` of ``_skew_part``) skips the Schur form: B is the
-    identity and gamma its snapped block values.  Near such an A, B stays near the
-    identity, where the Schur form may return any rotation within each
-    block and any basis of tied blocks.
-
-    A may also be the ``_SkewPart`` that ``_skew_part`` returned for a
-    matrix, as ``canonical_decompose`` passes it after its own test of
-    that matrix: the validation, symmetrization and block test are then
-    not repeated.
+    skips the Schur form: B is the identity and gamma its snapped block
+    values.  Near such an A, B stays near the identity, where the Schur
+    form may return any rotation within each block and any basis of tied
+    blocks.
 
     Raises
     ------
@@ -455,12 +451,24 @@ def skew_canonical_form(A):
     NotSkewSymmetricError
         If ||A + A^T||_F > STRUCTURE_RTOL (1 + ||A||_F).
     """
-    part = A if isinstance(A, _SkewPart) else _skew_part(A)
-    if part.kept is not None:
-        return part.kept
-    A, reorder_tol = part.A_skew, part.tol
+    A = np.atleast_2d(np.asarray(A, dtype=float))
     K = A.shape[0]
-    T, Q = _real_schur(A)
+    if A.shape != (K, K):
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("skew canonical form: input matrix contains non-finite entries")
+    # The defect is read off the symmetrized A_skew, so A is transposed
+    # once: ||A + A^T||_F = 2 ||A - A_skew||_F in exact arithmetic.
+    norm_a = np.linalg.norm(A)
+    A_skew = 0.5 * (A - A.T)
+    defect = 2.0 * np.linalg.norm(A - A_skew)
+    if defect > STRUCTURE_RTOL * (1.0 + norm_a):
+        raise NotSkewSymmetricError(f"||A + A^T||_F = {defect:.3e} exceeds tolerance")
+    reorder_tol = COUPLING_SNAP * max(1.0, norm_a)
+    kept = _canonical_couplings(A_skew, reorder_tol)
+    if kept is not None:
+        return np.eye(K), np.array([_snap_coupling(c) for c in kept])
+    T, Q = _real_schur(A_skew)
 
     # The Schur form of a skew-symmetric matrix is block diagonal: 2x2
     # skew blocks carrying +/-c on the off diagonal, 1x1 zeros elsewhere.
@@ -489,40 +497,6 @@ def skew_canonical_form(A):
     B = Q[:, order]
     gamma = np.array([_snap_coupling(c) for c, _ in pairs])
     return B, gamma
-
-
-class _SkewPart(NamedTuple):
-    """A validated skew-symmetric input: ``_skew_part``'s result."""
-
-    A_skew: np.ndarray
-    tol: float
-    kept: tuple | None
-
-
-def _skew_part(A):
-    """Validate a square real A and return its ``_SkewPart (A_skew, tol, kept)``.
-
-    A_skew = 0.5 (A - A^T) is the symmetrized input, tol the block
-    tolerance of the canonical form and kept the ``(I, gamma)`` of an
-    A_skew already in that form, else None.  The skew defect is derived
-    from A_skew, so A is transposed once: ||A + A^T||_F = 2 ||A - A_skew||_F
-    in exact arithmetic.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    K = A.shape[0]
-    if A.shape != (K, K):
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("skew canonical form: input matrix contains non-finite entries")
-    norm_a = np.linalg.norm(A)
-    A_skew = 0.5 * (A - A.T)
-    defect = 2.0 * np.linalg.norm(A - A_skew)
-    if defect > STRUCTURE_RTOL * (1.0 + norm_a):
-        raise NotSkewSymmetricError(f"||A + A^T||_F = {defect:.3e} exceeds tolerance")
-    tol = COUPLING_SNAP * max(1.0, norm_a)
-    c = _canonical_couplings(A_skew, tol)
-    kept = None if c is None else (np.eye(K), np.array([_snap_coupling(ck) for ck in c]))
-    return _SkewPart(A_skew, tol, kept)
 
 
 def _snap_coupling(c):

@@ -8,29 +8,29 @@ a coupling c_k in [0, 1] that measures how close the plane is to a complex
 line, is what makes the Cramer-Rao bound optimizable in closed form.
 
 A variation space is handed around as an ``rlinalg.RBasis``: the bounds
-depend on the space only, through any real-orthonormal basis of it.
+depend on the space only, through any real-orthonormal basis of it.  A
+``CanonicalDecomposition`` is such a basis, the canonical one, together
+with its couplings, so it goes wherever a basis does.
 ``canonical_decompose`` takes one basis as a stack of one: a stack of
 bases (one RBasis with leading batch axes) goes through the same code
 and returns the stacked decomposition.
 
 A model gradient takes its complex lines first: column pairs (g, +/-j g)
 span complex lines C g, which have coupling 1.  One complex QR of the
-lines gives the pairs (q_1, -j q_1, q_2, -j q_2, ...); the other columns
-are orthonormalized and put in canonical form on their own block, and the
-whole basis comes out canonical.  A linear model's gradient (A, jA) is
-all lines: ``canonical_decompose`` reads that form off the basis
-(``RBasis.pairs``) and keeps it with c = 1 exactly, without forming
-Im{U^H U}, and its orthonormality check and compression spectra run on
-the r x r complex Q as well.  A basis with other columns is kept after
-one block test of Im{U^H U}.  A gradient without complex lines, or whose
-full rank that route does not certify, goes through ``r_orthonormalize``
-and the real Schur form, as do the azimuth-only spans of ``models``.
+lines gives the pairs (q_1, -j q_1, q_2, -j q_2, ...) with c = 1 exactly;
+the other columns are orthonormalized and decomposed on their own block,
+and ``variation_space`` returns the whole basis as a decomposition, which
+``canonical_decompose`` returns unchanged.  A linear model's gradient
+(A, jA) is all lines: its orthonormality check and compression spectra
+run on the r x r complex Q (``RBasis.pairs``).  A gradient without
+complex lines, or whose full rank that route does not certify, goes
+through ``r_orthonormalize``, and ``canonical_decompose`` takes the real
+Schur form of its Im{U^H U}, as for the azimuth-only spans of ``models``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,7 +38,6 @@ import numpy as np
 from .rlinalg import (
     RBasis,
     RankDeficientError,
-    _skew_part,
     full_rank_certified,
     project_r,
     r_orthonormalize,
@@ -65,54 +64,59 @@ class ParametricChannelModel:
 
 
 @dataclass(frozen=True)
-class CanonicalDecomposition:
-    """Canonical basis V = (v_1, w_1, ..., [v_lone]) with couplings c.
+class CanonicalDecomposition(RBasis):
+    """Canonical basis U = (v_1, w_1, ..., [v_lone]) of a variation space,
+    with its couplings c.
 
-    The columns are real-orthonormal, pairs (v_k, w_k) satisfy
-    v_k^H w_k = -j c_k, and distinct pairs (and the lone vector, present
-    iff the dimension is odd) are mutually complex-orthogonal.  A stacked
-    decomposition has V (..., n, N_p) and c (..., N_p // 2).
+    A decomposition is the checked real-orthonormal basis of its space
+    (an ``RBasis``, so it goes wherever a basis does) plus the couplings:
+    pairs (v_k, w_k) satisfy v_k^H w_k = -j c_k, and distinct pairs (and
+    the lone vector, present iff the dimension is odd) are mutually
+    complex-orthogonal.  ``V`` and ``n_params`` read U and its dimension.
+    A stacked decomposition has U (..., n, N_p) and c (..., N_p // 2).
 
-    ``basis`` is the ``RBasis`` of V.  ``canonical_decompose`` sets it
-    from the checked basis it decomposes (that basis itself when V is its
-    U); a decomposition built from raw arrays checks V on first access.
+    Built from arrays, U is checked as any RBasis is, and c must have
+    shape U.shape[:-2] + (N_p // 2,).  ``variation_space`` and
+    ``canonical_decompose`` build it from a basis they have checked.
     """
 
-    V: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        if np.shape(self.c)[-1] != self.n_params // 2:
-            raise ValueError(
-                f"expected {self.n_params // 2} couplings, got {np.shape(self.c)[-1]}"
-            )
+        super().__post_init__()
+        c = np.asarray(self.c, dtype=float)
+        expected = self.U.shape[:-2] + (self.dim // 2,)
+        if c.shape != expected:
+            raise ValueError(f"couplings of shape {c.shape} do not fit a basis of shape "
+                             f"{self.U.shape}: expected shape {expected}")
+        object.__setattr__(self, "c", c)
+
+    @property
+    def V(self):
+        return self.U
 
     @property
     def n_params(self):
-        return self.V.shape[-1]
-
-    @cached_property
-    def basis(self):
-        return RBasis(self.V)
+        return self.dim
 
     @property
     def epsilon(self):
         """1 if the dimension is odd (a lone unpaired vector), else 0."""
-        return self.n_params % 2
+        return self.dim % 2
 
     def pair(self, k):
         """The k-th pair (v_k, w_k)."""
-        return self.V[..., 2 * k], self.V[..., 2 * k + 1]
+        return self.U[..., 2 * k], self.U[..., 2 * k + 1]
 
     @property
     def lone_vector(self):
         if not self.epsilon:
             return None
-        return self.V[..., -1]
+        return self.U[..., -1]
 
     def gamma_matrix(self):
         """Imaginary part of V^H V in exact arithmetic."""
-        return skew_block_matrix(self.c, self.n_params)
+        return skew_block_matrix(self.c, self.dim)
 
 
 def _complex_lines(grad):
@@ -154,21 +158,23 @@ def _complex_lines(grad):
 
 
 def _linear_basis(grad):
-    """Canonical ``RBasis`` of the span of a gradient, complex lines first, or None.
+    """``CanonicalDecomposition`` of the span of a gradient, complex lines
+    first, or None.
 
     The complex lines (``_complex_lines``) span the complex span of their
     first columns A_l.  One complex QR A_l = QR, its columns signed to a
     positive diagonal of R, gives the pairs (q_1, -j q_1, q_2, -j q_2, ...):
     each spans the complex line C q_k and distinct pairs are complex-
-    orthogonal, so they are canonical with every coupling 1.  The odd
-    columns are exactly -1j times the even ones, the form that
+    orthogonal, so they are canonical with every coupling exactly 1.  The
+    odd columns are exactly -1j times the even ones, the form that
     ``RBasis.pairs`` recognizes when no other column is left.
 
     The other columns D are projected off span_C(Q) (twice), then
     real-orthonormalized (N x |D|, R_D) and canonically decomposed on
     their own |D| x |D| block: a vector complex-orthogonal to span_C(Q)
     has no coupling with it.  So the basis (q_1, -j q_1, ..., U_D B_D) is
-    canonical as a whole, and ``canonical_decompose`` keeps it.
+    canonical as a whole, with couplings (1, ..., 1, c_D): the block's
+    own couplings follow the lines' in descending order.
 
     None, so that the general route decides the rank and raises as for
     any gradient, when no complex line is found, when D fails its own
@@ -204,10 +210,13 @@ def _linear_basis(grad):
     U = np.empty_like(grad)
     U[:, 0:2 * r:2] = Q * (diag / np.abs(diag))
     U[:, 1:2 * r:2] = -1j * U[:, 0:2 * r:2]
+    c = np.ones(r)
     if D.shape[1]:
-        U[:, 2 * r:] = canonical_decompose(space).V
+        block = canonical_decompose(space)
+        U[:, 2 * r:] = block.U
+        c = np.concatenate([c, block.c])
     try:
-        return RBasis(U)
+        return CanonicalDecomposition(U, c)
     except ValueError:      # orthonormality lost to rounding: the general route
         return None
 
@@ -239,11 +248,12 @@ def variation_space(model, theta):
     ``models.physical_model``, takes the complex lines first
     (``_linear_basis``): one complex QR for the lines, a real
     orthonormalization and a skew canonical form for the other columns
-    only, and a basis that is already canonical, so ``canonical_decompose``
-    keeps it.  A linear model's basis is (q_1, -j q_1, ...) from the QR
+    only.  Its basis comes out canonical and is returned as a
+    ``CanonicalDecomposition``, which ``canonical_decompose`` returns
+    unchanged.  A linear model's basis is (q_1, -j q_1, ...) from the QR
     alone.  Any other gradient, and one whose full rank the lines route
     does not certify, goes through ``r_orthonormalize``, which decides
-    the rank and raises.
+    the rank and raises, and returns a plain ``RBasis``.
 
     Raises
     ------
@@ -270,44 +280,38 @@ def canonical_decompose(basis):
     """Decompose a variation space into complex-orthogonal coupled planes.
 
     ``basis`` is an ``RBasis`` of the space, or a stack of them (one
-    basis is a stack of one).  Computes the canonical form of Im{U^H U}
-    per slice and rotates the basis: V = U B.  Im{U^H U} and U B are one
-    stacked product each, so each slice has the bits of its own call.
-    The couplings c are the descending block values; the real span of V
-    equals that of U.
+    basis is a stack of one).  A ``CanonicalDecomposition``, as
+    ``variation_space`` returns for a gradient with complex lines, is
+    returned unchanged.  Any other basis gets the canonical form
+    ``skew_canonical_form`` of Im{U^H U} per slice and is rotated:
+    V = U B.  Im{U^H U} and U B are one stacked product each, so each
+    slice has the bits of its own call.  The couplings c are the
+    descending block values; the real span of V equals that of U, and
+    B, orthogonal, keeps V real-orthonormal without a new check.
 
-    Each slice is validated, symmetrized and tested once, as
-    ``skew_canonical_form`` does it (``rlinalg._skew_part``).  A slice
-    whose Im{U^H U} is already canonical (``_SkewPart.kept``) keeps
-    B = I, so V == U (an exact zero entry may change its sign in the
-    product).  ``skew_canonical_form`` runs
-    only for the slices that need a Schur form, on their validated
-    ``_SkewPart``.  Under tied couplings any rotation of the tied
-    pairs would do as well; keeping the given basis is a choice, and it
-    makes V (and the pilots) a continuous function of U near such a basis.
+    A slice whose Im{U^H U} is already canonical keeps B = I, so V == U
+    (an exact zero entry may change its sign in the product).  Under
+    tied couplings any rotation of the tied pairs would do as well;
+    keeping the given basis is a choice, and it makes V (and the pilots)
+    a continuous function of U near such a basis.
 
     A basis (q_1, -j q_1, q_2, -j q_2, ...) (``RBasis.pairs``, the
     closed form of a linear model) is canonical by construction: it is
-    kept with every coupling exactly 1, without forming Im{U^H U}.
-
-    The decomposition's ``basis`` is ``basis`` itself when V is U, else
-    the basis V = U B, which B, orthogonal, keeps real-orthonormal.
+    kept, V is U, with every coupling exactly 1, without forming
+    Im{U^H U}.
     """
+    if isinstance(basis, CanonicalDecomposition):
+        return basis
     U = basis.U
     if basis.pairs is not None:
-        V, c = U, np.ones(U.shape[:-2] + (U.shape[-1] // 2,))
-    else:
-        A = np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U)
-        B = np.empty(A.shape)
-        gamma = np.empty(A.shape[:-2] + (A.shape[-1] // 2,))
-        for i in np.ndindex(A.shape[:-2]):      # no slice in an empty stack
-            part = _skew_part(A[i])
-            B[i], gamma[i] = skew_canonical_form(part) if part.kept is None else part.kept
-        V, c = U @ B, np.clip(gamma, 0.0, 1.0)
-        basis = RBasis._derived(V)
-    decomp = CanonicalDecomposition(V=V, c=c)
-    decomp.__dict__["basis"] = basis        # set the cached property: no second check
-    return decomp
+        return CanonicalDecomposition._derived(
+            U, c=np.ones(U.shape[:-2] + (U.shape[-1] // 2,)))
+    A = np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U)
+    B = np.empty(A.shape)
+    gamma = np.empty(A.shape[:-2] + (A.shape[-1] // 2,))
+    for i in np.ndindex(A.shape[:-2]):      # no slice in an empty stack
+        B[i], gamma[i] = skew_canonical_form(A[i])
+    return CanonicalDecomposition._derived(U @ B, c=np.clip(gamma, 0.0, 1.0))
 
 
 def verify_eigenspace_property(decomp):
@@ -318,15 +322,18 @@ def verify_eigenspace_property(decomp):
     composed operator has matrix -A^2 with A = Im{U^H U}, which is
     positive semi-definite with eigenvalues c_k^2; at c_k = 1 the pair
     spans a complex line where the composition is the identity.)
-    Returns the per-pair residuals and their maximum.
+    Returns the per-pair residuals and their maximum.  A stacked
+    decomposition raises ValueError: decompose each basis of the stack.
     """
-    E = RBasis(decomp.V)
-    jE = RBasis(1j * decomp.V)
+    if decomp.U.ndim > 2:
+        raise ValueError("expected one decomposition, got a stack of batch shape "
+                         f"{decomp.U.shape[:-2]}: decompose each basis of the stack")
+    jE = RBasis(1j * decomp.U)
     residuals = []
     for k, c in enumerate(decomp.c):
         v, w = decomp.pair(k)
-        rv = np.linalg.norm(project_r(E, project_r(jE, v)) - c**2 * v)
-        rw = np.linalg.norm(project_r(E, project_r(jE, w)) - c**2 * w)
+        rv = np.linalg.norm(project_r(decomp, project_r(jE, v)) - c**2 * v)
+        rw = np.linalg.norm(project_r(decomp, project_r(jE, w)) - c**2 * w)
         residuals.append(max(rv, rw))
     residuals = np.array(residuals)
     return {

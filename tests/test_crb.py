@@ -514,11 +514,12 @@ class TestComplexPairRoute:
         def fail(*args, **kwargs):
             raise AssertionError("canonical form on a pair-structured basis")
 
-        monkeypatch.setattr(var, "skew_canonical_form", fail)
-        monkeypatch.setattr(var, "_skew_part", fail)
-        monkeypatch.setattr(np, "imag", fail)
         basis = pair_basis(model)
-        decomp = canonical_decompose(basis)
+        built = RBasis(basis.U)             # a basis built by hand takes the pairs branch
+        monkeypatch.setattr(var, "skew_canonical_form", fail)
+        monkeypatch.setattr(np, "imag", fail)
+        assert canonical_decompose(basis) is basis
+        decomp = canonical_decompose(built)
         assert decomp.V is basis.U
         assert decomp.c.shape == (model.n_params // 2,) and np.all(decomp.c == 1.0)
         stacked = canonical_decompose(RBasis(np.stack([basis.U, basis.U])))
@@ -557,12 +558,17 @@ class TestComplexPairRoute:
         eigs, singular = compression_spectra(basis, Ms)
         ref_eigs, ref_singular = previous_compression_spectra(basis, Ms)
         assert np.array_equal(eigs, ref_eigs) and np.array_equal(singular, ref_singular)
-        # The real route forms Im{U^H U} and tests it once; that form is
-        # canonical, so the basis is kept through V = U @ I, a new array.
+        # The real route forms Im{U^H U} and puts it through
+        # skew_canonical_form once; that form is canonical, so it takes no
+        # Schur form and the basis is kept through V = U @ I, a new array.
+        import pilotspace.rlinalg as rl
+
         calls = []
-        real_test = var._skew_part
-        monkeypatch.setattr(var, "_skew_part",
-                            lambda A: calls.append(A) or real_test(A))
+        real_form = var.skew_canonical_form
+        monkeypatch.setattr(var, "skew_canonical_form",
+                            lambda A: calls.append(A) or real_form(A))
+        monkeypatch.setattr(rl, "_real_schur",
+                            lambda A: pytest.fail("Schur form of a canonical Im{U^H U}"))
         decomp = canonical_decompose(basis)
         assert len(calls) == 1
         assert decomp.V is not basis.U and np.array_equal(decomp.V, U @ np.eye(6))
@@ -991,13 +997,20 @@ def singular_line_cases():
             pytest.param(G, random_complex(rng, 7, 2), id="undersized")]
 
 
-def real_route_order(G):
-    """A column order of G that _all_lines does not pair (None for one line,
-    whose two columns pair in either order)."""
-    from pilotspace.crb import _all_lines
+def all_lines(G):
+    """Whether variation._complex_lines pairs every column of G: its first
+    columns number half of them."""
+    from pilotspace.variation import _complex_lines
 
+    lines = _complex_lines(G)
+    return lines is not None and 2 * np.arange(G.shape[1])[lines[0]].size == G.shape[1]
+
+
+def real_route_order(G):
+    """A column order of G that does not pair every column (None for one
+    line, whose two columns pair in either order)."""
     order = np.roll(np.arange(G.shape[1]), -1)
-    return order if _all_lines(G[:, order]) is None else None
+    return None if all_lines(G[:, order]) else order
 
 
 @pytest.fixture
@@ -1023,9 +1036,7 @@ class TestCrbDirectComplexRoute:
 
     @pytest.mark.parametrize("G, M", complex_line_cases() + singular_line_cases())
     def test_matches_the_real_route(self, G, M, factor_calls):
-        from pilotspace.crb import _all_lines
-
-        assert _all_lines(G) is not None
+        assert all_lines(G)
         noise = NoiseModel(0.7)
         k = G.shape[1]
         rep = crb_direct(constant_gradient_model(G), np.zeros(k), M, noise)

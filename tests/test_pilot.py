@@ -177,9 +177,10 @@ class TestDesignObservationMatrix:
         assert len(calls) == 1
 
     def test_achieved_crb_reuses_the_decomposed_basis(self, monkeypatch):
-        # The basis canonical_decompose was given (LS: V is its U) or its
-        # rotation V = U B is not checked again, and the bound keeps the bits
-        # of a freshly checked RBasis(V).
+        # The decomposition is the basis of the bound: the one variation_space
+        # returns (LS, physical) or the rotation V = U B of a random basis is
+        # not checked again, and the bound keeps the bits of a freshly
+        # checked RBasis(V).
         from pilotspace.models import PathSet
 
         rng = np.random.default_rng(60)
@@ -199,7 +200,7 @@ class TestDesignObservationMatrix:
             monkeypatch.setattr(RBasis, "__post_init__", no_check)
             assert design.achieved_crb == ref
             monkeypatch.undo()
-        assert canonical_decompose(ls_basis).basis is ls_basis
+        assert canonical_decompose(ls_basis) is ls_basis
 
     def test_raw_decomposition_is_checked_once(self, monkeypatch):
         from pilotspace.variation import CanonicalDecomposition
@@ -209,13 +210,13 @@ class TestDesignObservationMatrix:
         monkeypatch.setattr(RBasis, "__post_init__", lambda self: calls.append(1) or real(self))
         _, dec = random_decomposition(np.random.default_rng(61), 6, 4)
         calls.clear()
-        raw = CanonicalDecomposition(V=dec.V.copy(), c=dec.c.copy())
-        design = design_observation_matrix(raw, 1.1)
-        assert design.achieved_crb == design.achieved_crb and raw.basis is raw.basis
+        raw = CanonicalDecomposition(dec.V.copy(), dec.c.copy())
         assert len(calls) == 1
-        bad = CanonicalDecomposition(V=2.0 * dec.V, c=dec.c)
+        design = design_observation_matrix(raw, 1.1)
+        assert design.achieved_crb == design.achieved_crb
+        assert len(calls) == 1
         with pytest.raises(ValueError, match="real-orthonormal"):
-            design_observation_matrix(bad, 1.1).achieved_crb
+            CanonicalDecomposition(2.0 * dec.V, dec.c)
 
     def test_rejects_bad_power(self):
         rng = np.random.default_rng(20)

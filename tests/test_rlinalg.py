@@ -20,7 +20,6 @@ from pilotspace.rlinalg import (
     RBasis,
     _positive_triangle,
     _real_schur,
-    _skew_part,
     compression_matrix,
     condition_bound,
     full_rank_certified,
@@ -470,8 +469,8 @@ class TestSkewCanonicalForm:
 
 class TestSkewValidation:
     """The skew defect is read off A_skew = 0.5 (A - A^T): the verdicts and
-    messages are those of ||A + A^T||_F away from the threshold, for
-    skew_canonical_form and for the block test of _skew_part alike."""
+    messages are those of ||A + A^T||_F away from the threshold, and
+    skew_canonical_form runs the test before its block test."""
 
     @pytest.mark.parametrize("K", [2, 5, 12, 40])
     def test_verdicts_and_messages(self, K):
@@ -485,14 +484,13 @@ class TestSkewValidation:
             if abs(defect / threshold - 1.0) < 1e-6:
                 continue            # at the threshold a rounding may flip it
             verdicts.add(defect > threshold)
-            for form in (skew_canonical_form, lambda A: _skew_part(A).kept):
-                if defect > threshold:
-                    with pytest.raises(NotSkewSymmetricError) as err:
-                        form(A)
-                    assert str(err.value) == (
-                        f"||A + A^T||_F = {defect:.3e} exceeds tolerance")
-                else:
-                    form(A)
+            if defect > threshold:
+                with pytest.raises(NotSkewSymmetricError) as err:
+                    skew_canonical_form(A)
+                assert str(err.value) == (
+                    f"||A + A^T||_F = {defect:.3e} exceeds tolerance")
+            else:
+                skew_canonical_form(A)
         assert verdicts == {False, True}
 
     def test_schur_form_runs_on_the_symmetrized_input(self, monkeypatch):
@@ -505,8 +503,7 @@ class TestSkewValidation:
         W = rng.normal(size=(9, 9))
         A = W - W.T
         A[2, 5] += 1e-13
-        assert _skew_part(A).kept is None and inputs == []
-        skew_canonical_form(A)
+        skew_canonical_form(A)          # not canonical: one Schur form
         assert len(inputs) == 1 and np.array_equal(inputs[0], 0.5 * (A - A.T))
 
 

@@ -1,5 +1,7 @@
 """Tests for variation spaces and the canonical coupled-plane decomposition."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import ortho_group
@@ -15,6 +17,7 @@ from pilotspace.rlinalg import (
     stacked_real,
 )
 from pilotspace.variation import (
+    CanonicalDecomposition,
     ParametricChannelModel,
     canonical_decompose,
     variation_space,
@@ -296,9 +299,10 @@ class TestComplexLinesRoute:
         P, P_ref = real_projector(decomp.V), real_projector(general.V)
         assert np.linalg.norm(P - P_ref) <= 1e-10
         assert np.abs(decomp.c - general.c).max() <= 1e-10
-        # The lines come first with coupling 1, and the basis is kept.
+        # The lines come first with coupling 1, and the basis is its
+        # decomposition.
         assert np.abs(decomp.c[:n_paths] - 1.0).max() <= 1e-12
-        assert np.array_equal(decomp.V, basis.U @ np.eye(model.n_params))
+        assert decomp is basis
         rng = np.random.default_rng(n_tx + n_paths)
         P_power, sigma2 = rng.uniform(0.5, 2.0), rng.uniform(0.1, 1.0)
         design = design_observation_matrix(decomp, P_power, sigma2)
@@ -517,8 +521,9 @@ class TestEigenspaceProperty:
 
 
 class TestDecomposeValidatesOnce:
-    """canonical_decompose validates, symmetrizes and tests each slice once;
-    the slices that need a Schur form reuse that A_skew and tolerance."""
+    """canonical_decompose puts each slice through skew_canonical_form once;
+    only the slices not already canonical take a Schur form, of the
+    symmetrized input."""
 
     def test_each_slice_is_validated_once(self, monkeypatch):
         import pilotspace.rlinalg as rl
@@ -530,13 +535,9 @@ class TestDecomposeValidatesOnce:
         kept = canonical_decompose(generic[0]).V           # already canonical
         bases = RBasis(np.stack([generic.U[0], kept, generic.U[1]]))
         parts, schur_inputs = [], []
-        real_part, real_schur = var._skew_part, rl._real_schur
-
-        def twice(A):
-            raise AssertionError("a slice was validated a second time")
-
-        monkeypatch.setattr(var, "_skew_part", lambda A: parts.append(A) or real_part(A))
-        monkeypatch.setattr(rl, "_skew_part", twice)
+        real_form, real_schur = var.skew_canonical_form, rl._real_schur
+        monkeypatch.setattr(var, "skew_canonical_form",
+                            lambda A: parts.append(A) or real_form(A))
         monkeypatch.setattr(rl, "_real_schur",
                             lambda A: schur_inputs.append(A.copy()) or real_schur(A))
         dec = canonical_decompose(bases)
@@ -550,3 +551,120 @@ class TestDecomposeValidatesOnce:
             assert np.array_equal(dec.V[i], bases.U[i] @ B)
             assert np.array_equal(dec.c[i], np.clip(gamma, 0.0, 1.0))
         assert np.array_equal(dec.V[1], kept @ np.eye(5))
+
+
+def near_coincident_cases():
+    """physical_model with two paths Delta apart, as close as the complex-lines
+    route still certifies."""
+    return [pytest.param(n_tx, phi0, delta, id=f"near-{n_tx}-{phi0}-{delta}")
+            for n_tx, delta in ((16, 1e-4), (64, 1e-5)) for phi0 in (0.3, -1.0)]
+
+
+@pytest.fixture
+def counted_schur(monkeypatch):
+    """The real Schur forms that skew_canonical_form runs."""
+    import pilotspace.rlinalg as rl
+
+    calls = []
+    real = rl._real_schur
+    monkeypatch.setattr(rl, "_real_schur", lambda A: calls.append(A.shape) or real(A))
+    return calls
+
+
+class TestDecompositionIsTheBasis:
+    """A gradient with complex lines gets its decomposition from variation_space,
+    which canonical_decompose returns unchanged.  The re-derivation that the
+    pipeline no longer runs is checked here: the canonical form of Im{V^H V}
+    keeps V, with the couplings c."""
+
+    @staticmethod
+    def assert_canonical(decomp, monkeypatch, counted_schur):
+        from pilotspace.rlinalg import skew_canonical_form
+
+        assert isinstance(decomp, CanonicalDecomposition)
+        A = np.imag(np.conj(decomp.V.T) @ decomp.V)
+        counted_schur.clear()
+        B, gamma = skew_canonical_form(A)
+        assert counted_schur == [] and np.array_equal(B, np.eye(decomp.n_params))
+        assert np.abs(np.clip(gamma, 0.0, 1.0) - decomp.c).max(initial=0.0) <= 1e-12
+
+        def fail(*args):
+            raise AssertionError("canonical_decompose re-derived a decomposition")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "imag", fail)
+            assert canonical_decompose(decomp) is decomp
+
+    @pytest.mark.parametrize("n_tx, n_paths", physical_cases())
+    def test_physical_models(self, n_tx, n_paths, monkeypatch, counted_schur):
+        model, theta = physical_case(n_tx, n_paths, seed=65)
+        decomp = variation_space(model, theta)
+        assert np.all(decomp.c[:n_paths] == 1.0)
+        self.assert_canonical(decomp, monkeypatch, counted_schur)
+
+    @pytest.mark.parametrize("n_tx, phi0, delta", near_coincident_cases())
+    def test_near_coincident_azimuths(self, n_tx, phi0, delta, monkeypatch, counted_schur):
+        from pilotspace.models import physical_model
+
+        gains = (1.0, 0.6 * np.exp(0.7j))
+        theta = np.ravel([[b.real, b.imag, phi] for b, phi in zip(gains, [phi0, phi0 + delta])])
+        decomp = variation_space(physical_model(UlaGeometry(n_tx), 2), theta)
+        assert decomp.c[-1] > 0.999     # the two derivative columns nearly coincide
+        self.assert_canonical(decomp, monkeypatch, counted_schur)
+
+    @pytest.mark.parametrize("model", linear_cases()[::3])
+    def test_linear_models(self, model, monkeypatch, counted_schur):
+        decomp = variation_space(model, np.zeros(model.n_params))
+        assert np.all(decomp.c == 1.0) and decomp.pairs is not None
+        self.assert_canonical(decomp, monkeypatch, counted_schur)
+
+    def test_other_gradients_return_a_plain_basis(self):
+        G = random_complex(np.random.default_rng(66), 6, 3)
+        basis = variation_space(constant_gradient_model(G), np.zeros(3))
+        assert type(basis) is RBasis
+        assert type(canonical_decompose(basis)) is CanonicalDecomposition
+
+
+class TestDecompositionShapes:
+    """A decomposition is checked as a basis, and its couplings against it."""
+
+    @pytest.mark.parametrize("V_shape, c_shape", [((3, 16, 6), (1, 3)), ((16, 6), (3, 3)),
+                                                  ((16, 6), (2,)), ((2, 16, 5), (2, 3))])
+    def test_couplings_must_fit_the_basis(self, V_shape, c_shape):
+        V = np.broadcast_to(np.eye(16, V_shape[-1], dtype=complex), V_shape)
+        with pytest.raises(ValueError, match=re.escape(
+                f"couplings of shape {c_shape} do not fit a basis of shape {V_shape}")):
+            CanonicalDecomposition(V, np.zeros(c_shape))
+
+    def test_fitting_couplings_pass(self):
+        V = np.broadcast_to(np.eye(16, 5, dtype=complex), (3, 16, 5))
+        decomp = CanonicalDecomposition(V, np.zeros((3, 2)))
+        assert decomp.V is decomp.U and decomp.n_params == 5 and decomp.epsilon == 1
+
+    @staticmethod
+    def stack():
+        from pilotspace.models import physical_variation_space
+
+        return physical_variation_space(UlaGeometry(16),
+                                        [[0.1, 0.5], [-0.7, 0.3], [0.2, 0.25]])
+
+    def test_eigenspace_check_refuses_a_stack(self):
+        stack = self.stack()
+        with pytest.raises(ValueError, match=r"one decomposition, got a stack of batch "
+                                             r"shape \(3,\)"):
+            verify_eigenspace_property(canonical_decompose(stack))
+        for i in range(3):          # each slice, decomposed on its own, passes
+            one = canonical_decompose(stack[i])
+            assert verify_eigenspace_property(one)["max_residual"] <= 1e-10
+
+    def test_certificates_refuse_a_stacked_design(self):
+        from pilotspace.pilot import design_observation_matrix, verify_optimality_certificates
+
+        stack = self.stack()
+        design = design_observation_matrix(canonical_decompose(stack), 1.0)
+        with pytest.raises(ValueError, match=r"one design, got a stack of batch shape \(3,\)"):
+            verify_optimality_certificates(design)
+        for i in range(3):          # each slice, designed on its own, passes
+            one = design_observation_matrix(canonical_decompose(stack[i]), 1.0)
+            cert = verify_optimality_certificates(one)
+            assert cert["diagonal_residual"] <= 1e-10 and cert["dk_residual"] <= 1e-10
