@@ -22,7 +22,6 @@ be written);
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -73,7 +72,7 @@ def load_run_config(path, seed_override=None):
     section = doc.get("experiment", {})
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: 'experiment' must be an object")
-    unknown = set(section) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(section) - set(ExperimentConfig._fields)
     if unknown:
         raise ConfigError(f"{path}: unknown experiment key(s) {sorted(unknown)}")
     if seed_override is not None:

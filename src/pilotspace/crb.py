@@ -39,7 +39,6 @@ sweeps can pass through singular configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -48,6 +47,7 @@ from .rlinalg import (
     COUPLING_SNAP,
     RANK_CERT_MARGIN,
     _checked_observations,
+    _record,
     cholesky_in_place,
     compression_matrix,
     condition_bound,
@@ -68,7 +68,7 @@ def _check_finite_positive(name, value):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-@dataclass(frozen=True)
+@_record
 class NoiseModel:
     """I.i.d. circular complex Gaussian observation noise of variance sigma2."""
 
@@ -78,7 +78,7 @@ class NoiseModel:
         _check_finite_positive("sigma2", self.sigma2)
 
 
-@dataclass(frozen=True)
+@_record
 class CrbReport:
     """Cramer-Rao bound value with identifiability diagnostics.
 
@@ -93,7 +93,7 @@ class CrbReport:
     min_eig_compression: float | None = None
 
 
-@dataclass(frozen=True)
+@_record
 class IdentifiabilityReport:
     identifiable: bool
     min_eig: float
@@ -104,7 +104,7 @@ class IdentifiabilityReport:
     message: str
 
 
-@dataclass(frozen=True)
+@_record
 class CrbMinResult:
     """Minimal CRB over all observation matrices of power P.
 

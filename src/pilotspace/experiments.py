@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,7 +86,7 @@ from .models import (
     steering_matrix,
 )
 from .pilot import design_observation_matrix
-from .rlinalg import RankDeficientError, numerical_rank
+from .rlinalg import RankDeficientError, _record, numerical_rank
 from .variation import canonical_decompose
 
 AC_STRATEGY = "AngleConstrained"
@@ -130,7 +129,7 @@ def _finite_sequence(name, value):
 _FIELD_CHECKS = {"int": _integer, "float": _finite, "tuple": _finite_sequence}
 
 
-@dataclass(frozen=True)
+@_record
 class ExperimentConfig:
     """Shared configuration of the single-path and multipath sweeps.
 
@@ -152,16 +151,17 @@ class ExperimentConfig:
     max_redraws: int = 100
 
     def __post_init__(self):
+        kinds = self.__annotations__        # strings (PEP 563)
         for kind, check in _FIELD_CHECKS.items():
-            for f in fields(self):
-                if f.type == kind:      # annotations are strings (PEP 563)
-                    object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "tuple" and not value:
-                raise ValueError(f"{f.name} must not be empty")
-            if f.type != "tuple" and f.name != "seed" and not value > 0:
-                raise ValueError(f"{f.name} must be positive, got {value}")
+            for name in self._fields:
+                if kinds[name] == kind:
+                    object.__setattr__(self, name, check(name, getattr(self, name)))
+        for name in self._fields:
+            value = getattr(self, name)
+            if kinds[name] == "tuple" and not value:
+                raise ValueError(f"{name} must not be empty")
+            if kinds[name] != "tuple" and name != "seed" and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.endfire_margin_deg >= 90.0:
@@ -181,7 +181,7 @@ class ExperimentConfig:
         return UlaGeometry(self.n_antennas)
 
 
-@dataclass(frozen=True)
+@_record
 class CurveRow:
     strategy: str
     delta_deg: float
@@ -190,7 +190,7 @@ class CurveRow:
     trials: int
 
 
-@dataclass(frozen=True)
+@_record
 class CurveTable:
     rows: tuple
 

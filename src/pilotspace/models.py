@@ -10,16 +10,15 @@ orthogonal, which the pilot designs exploit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .rlinalg import RankDeficientError, r_orthonormalize
+from .rlinalg import RankDeficientError, _record, r_orthonormalize
 from .variation import ParametricChannelModel
 
 
-@dataclass(frozen=True)
+@_record
 class UlaGeometry:
     """Centered half-wavelength ULA with n_antennas elements."""
 
@@ -41,7 +40,7 @@ class UlaGeometry:
         return offsets
 
 
-@dataclass(frozen=True)
+@_record
 class PathSet:
     """Complex gains and azimuths of a multipath channel (finite values)."""
 

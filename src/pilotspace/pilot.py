@@ -19,7 +19,6 @@ minimizes the CRB by projected gradient descent on the power sphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,11 +30,11 @@ from .crb import (
     _spectra,
     crb_via_variation_space,
 )
-from .rlinalg import COUPLING_SNAP, real_gram
+from .rlinalg import COUPLING_SNAP, _record, real_gram
 from .variation import CanonicalDecomposition
 
 
-@dataclass(frozen=True)
+@_record(hidden=("decomp",))
 class PilotDesign:
     """Optimal observation matrix.
 
@@ -56,7 +55,7 @@ class PilotDesign:
     power: float
     C_norm: float
     sigma2: float
-    decomp: CanonicalDecomposition = field(repr=False, compare=False)
+    decomp: CanonicalDecomposition
 
     @property
     def n_columns(self):
@@ -68,7 +67,7 @@ class PilotDesign:
                                              NoiseModel(self.sigma2)).value)
 
 
-@dataclass(frozen=True)
+@_record
 class OracleResult:
     value: float
     converged: bool

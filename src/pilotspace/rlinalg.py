@@ -39,9 +39,17 @@ All functions are pure and operate on immutable inputs.
 The LAPACK routines used here (``d/ztrtri``, ``d/ztrtrs``, ``d/zpotrf``,
 ``dgees``) are called on scipy's f2py extension ``scipy.linalg._flapack``, the
 module whose functions ``scipy.linalg.lapack`` re-exports.  It is loaded
-without importing the ``scipy.linalg`` package, whose import costs more
-than the rest of ``import pilotspace`` together, and registered under
-its own name, so a later ``import scipy.linalg`` shares the same module.
+from scipy's directory without importing any scipy package: not
+``scipy.linalg``, whose import costs more than the rest of ``import
+pilotspace`` together, and not ``scipy`` itself, whose ``__init__`` imports
+scipy's test utilities.  ``scipy`` is imported only when the extension
+fails to load without its library setup.  The module is registered under
+its own name, so a later ``import scipy.linalg`` shares it.
+
+Every record type of the package (``RBasis`` here, the reports, configs
+and designs of the other modules) is a ``_record``: a frozen value class
+whose methods are built from its annotations by closures, with no code
+generation, so defining the classes costs little of the import.
 """
 
 from __future__ import annotations
@@ -50,7 +58,6 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -58,27 +65,43 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 
-def _load_flapack():
-    """scipy's ``scipy.linalg._flapack`` extension, without ``scipy.linalg``.
-
-    Imports only the top-level ``scipy`` package (which runs scipy's
-    platform library setup), then loads the extension file from its
-    ``linalg`` directory under its own name and registers it in
-    ``sys.modules``.  Reuses the registered module when one exists.
-    """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    import scipy
-    path = (Path(scipy.__file__).parent / "linalg"
+def _flapack_from_file(name):
+    """The extension ``name`` = ``scipy.linalg._flapack`` loaded from the file
+    in scipy's ``linalg`` directory, with no scipy package imported."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    path = (Path(spec.submodule_search_locations[0]) / "linalg"
             / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}")
     if not path.is_file():
         raise ImportError(f"scipy's LAPACK extension not found at {path}", name=name,
                           path=str(path))
     loader = importlib.machinery.ExtensionFileLoader(name, str(path))
-    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
-    module = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
     loader.exec_module(module)
+    return module
+
+
+def _load_flapack():
+    """scipy's ``scipy.linalg._flapack`` extension, without scipy's packages.
+
+    Locates scipy with ``importlib.util.find_spec``, which runs no
+    ``scipy/__init__.py``, loads the extension file from its ``linalg``
+    directory under its own name and registers it in ``sys.modules``.
+    Only when that load raises ImportError or OSError (a distribution
+    whose extension needs the library setup of scipy's ``__init__``) is
+    the top-level ``scipy`` package imported and the load tried again.
+    Reuses the registered module when one exists.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        module = _flapack_from_file(name)
+    except (ImportError, OSError):
+        import scipy  # noqa: F401  (its __init__ sets up the platform's libraries)
+        module = _flapack_from_file(name)
     sys.modules[name] = module
     return module
 
@@ -96,6 +119,90 @@ COUPLING_SNAP = 1e-12      # couplings below this are snapped to exactly 0
 # (orthonormality of an RBasis, skew symmetry of a canonical-form input),
 # relative to the size of the matrix.
 STRUCTURE_RTOL = 1e-10
+
+
+def _record(cls=None, *, hidden=()):
+    """Class decorator: a frozen record of the fields ``cls`` annotates.
+
+    The fields are the names in the class annotations, after those of a
+    record base class; a class attribute of a field's name is its default.
+    The decorator adds ``_fields`` (the tuple of field names), an
+    ``__init__`` that takes each field by position or keyword, fills in
+    the defaults, raises TypeError on a missing, unknown or repeated
+    argument and then calls ``__post_init__`` if the class has one; a
+    ``__setattr__`` and ``__delattr__`` that raise AttributeError (set a
+    field in ``__post_init__`` with ``object.__setattr__``); and
+    ``__eq__``, ``__hash__`` and ``__repr__`` over the fields, without
+    the ``hidden`` ones.  The methods are closures over the field names,
+    so no source is generated and compiled as ``dataclasses`` does, at
+    about 1 ms a class.  Used as ``@_record`` or ``@_record(hidden=...)``.
+    """
+    if cls is None:
+        return lambda cls: _record(cls, hidden=hidden)
+    inherited = getattr(cls, "_fields", ())
+    names = inherited + tuple(name for name in cls.__dict__.get("__annotations__", {})
+                              if name not in inherited)
+    known = frozenset(names)
+    defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+    shown = tuple(name for name in names if name not in hidden)
+    post_init = hasattr(cls, "__post_init__")
+    title = f"{cls.__qualname__}()"
+
+    def by_keyword(args, kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{title} takes {len(names)} positional arguments but "
+                            f"{len(args)} were given")
+        values = dict(zip(names, args))
+        for name in kwargs:
+            if name in values:
+                raise TypeError(f"{title} got multiple values for argument {name!r}")
+        values.update(kwargs)
+        return values
+
+    def completed(kwargs):
+        unknown = kwargs.keys() - known
+        if unknown:
+            raise TypeError(f"{title} got unexpected keyword argument(s) "
+                            + ", ".join(map(repr, sorted(unknown))))
+        missing = [name for name in names if name not in kwargs and name not in defaults]
+        if missing:
+            raise TypeError(f"{title} missing required argument(s) "
+                            + ", ".join(map(repr, missing)))
+        return {**defaults, **kwargs}
+
+    def __init__(self, *args, **kwargs):
+        if args:
+            kwargs = by_keyword(args, kwargs)
+        if kwargs.keys() != known:
+            kwargs = completed(kwargs)
+        self.__dict__.update(kwargs)
+        if post_init:
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (tuple(getattr(self, name) for name in shown)
+                == tuple(getattr(other, name) for name in shown))
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in shown))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    for method in (__init__, __setattr__, __delattr__, __eq__, __hash__, __repr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls._fields = names
+    return cls
 
 
 class RankDeficientError(ValueError):
@@ -120,7 +227,7 @@ class NotSkewSymmetricError(ValueError):
     """Input to the skew canonical form is not (numerically) skew-symmetric."""
 
 
-@dataclass(frozen=True)
+@_record
 class RBasis:
     """Matrix U with real-orthonormal columns: Re{U^H U} = Id.
 
@@ -186,25 +293,33 @@ class RBasis:
         return Q if np.array_equal(U[..., 1::2], -1j * Q) else None
 
     def __getitem__(self, index):
-        """The bases at ``index`` of a stack's batch axes, as an RBasis.
+        """The bases at ``index`` of a stack's batch axes, of the stack's type.
 
         Each slice of a checked stack is real-orthonormal, so the result
-        is not checked again; the index never reaches the two matrix axes.
+        is not checked again.  Every field is sliced on the batch axes,
+        which lead every field as they lead U (a decomposition's
+        couplings too); the index never reaches the trailing axes.
         """
         if self.U.ndim == 2:
             raise TypeError("a single basis has no batch axes to index")
         index = index if isinstance(index, tuple) else (index,)
-        return RBasis._derived(self.U[index + (slice(None), slice(None))])
+        batch = self.U.ndim - 2
+        fields = {}
+        for name in self._fields:
+            value = getattr(self, name)
+            fields[name] = value[index + (slice(None),) * (value.ndim - batch)]
+        return type(self)._derived(**fields)
 
     @classmethod
     def _derived(cls, U, **fields):
         """The basis of a complex U derived from a checked basis, without
-        a new check: a slice of a checked stack, or the product of a checked
-        basis with a real orthogonal matrix (``canonical_decompose``, which
-        passes a subclass's other ``fields``)."""
+        a new check: a slice of a checked stack, the product of a checked
+        basis with a real orthogonal matrix (``canonical_decompose``), or
+        a basis whose blocks were checked on their own (``variation``'s
+        complex-lines route).  A subclass's other ``fields`` are set as
+        given."""
         basis = object.__new__(cls)
-        for name, value in dict(U=U, **fields).items():
-            object.__setattr__(basis, name, value)
+        basis.__dict__.update(U=U, **fields)
         return basis
 
 

@@ -20,8 +20,9 @@ span complex lines C g, which have coupling 1.  One complex QR of the
 lines gives the pairs (q_1, -j q_1, q_2, -j q_2, ...) with c = 1 exactly;
 the other columns are orthonormalized and decomposed on their own block,
 and ``variation_space`` returns the whole basis as a decomposition, which
-``canonical_decompose`` returns unchanged.  A linear model's gradient
-(A, jA) is all lines: its orthonormality check and compression spectra
+``canonical_decompose`` returns unchanged; of its orthonormality only
+the cross block between the lines and the other columns is checked.  A
+linear model's gradient (A, jA) is all lines: its compression spectra
 run on the r x r complex Q (``RBasis.pairs``).  A gradient without
 complex lines, or whose full rank that route does not certify, goes
 through ``r_orthonormalize``, and ``canonical_decompose`` takes the real
@@ -30,14 +31,15 @@ Schur form of its Im{U^H U}, as for the azimuth-only spans of ``models``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .rlinalg import (
+    STRUCTURE_RTOL,
     RBasis,
     RankDeficientError,
+    _record,
     full_rank_certified,
     project_r,
     r_orthonormalize,
@@ -46,7 +48,7 @@ from .rlinalg import (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class ParametricChannelModel:
     """Differentiable map from N_p real parameters to a channel in C^{N_d}.
 
@@ -63,7 +65,7 @@ class ParametricChannelModel:
     name: str = "model"
 
 
-@dataclass(frozen=True)
+@_record
 class CanonicalDecomposition(RBasis):
     """Canonical basis U = (v_1, w_1, ..., [v_lone]) of a variation space,
     with its couplings c.
@@ -185,6 +187,11 @@ def _linear_basis(grad):
     T's realification restricted to real coordinates of D, so its
     sigma_max / sigma_min is at most T's.  Q's columns are signed only
     after T passes, so a zero diagonal entry never reaches the signs.
+
+    The basis is not checked as a whole: the lines come from a Householder
+    QR and U_D from ``r_orthonormalize``, which checked it, so only the
+    cross block Q^H U_D is, against the ``RBasis`` tolerance; None when it
+    fails.  Without D there is nothing to check.
     """
     lines = _complex_lines(grad)
     if lines is None:
@@ -215,10 +222,13 @@ def _linear_basis(grad):
         block = canonical_decompose(space)
         U[:, 2 * r:] = block.U
         c = np.concatenate([c, block.c])
-    try:
-        return CanonicalDecomposition(U, c)
-    except ValueError:      # orthonormality lost to rounding: the general route
-        return None
+        # Re{U^H U} - I is zero up to rounding on the line block (Householder)
+        # and on U_D's (checked by r_orthonormalize); the cross block holds
+        # the real and imaginary parts of Q^H U_D, twice.
+        cross = np.conj(U[:, 0:2 * r:2].T) @ block.U
+        if np.sqrt(2.0) * np.linalg.norm(cross) > STRUCTURE_RTOL * U.shape[1]:
+            return None     # orthonormality lost to rounding: the general route
+    return CanonicalDecomposition._derived(U, c=c)
 
 
 def _model_gradient(model, theta):

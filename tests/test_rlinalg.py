@@ -1,6 +1,5 @@
 """Tests for the real-inner-product linear algebra kernel."""
 
-import dataclasses
 import importlib.machinery
 import os
 import subprocess
@@ -19,6 +18,7 @@ from pilotspace.rlinalg import (
     RankDeficientError,
     RBasis,
     _positive_triangle,
+    _record,
     _real_schur,
     compression_matrix,
     condition_bound,
@@ -745,6 +745,42 @@ class TestLapackLoader:
         proc = _run_python(code)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_loads_the_extension_and_no_scipy_package(self):
+        code = (
+            "import sys, pilotspace\n"
+            "loaded = [m for m in ('scipy', 'scipy.linalg', 'dataclasses') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "assert 'scipy.linalg._flapack' in sys.modules\n"
+            "import scipy.linalg\n"
+            "assert scipy.linalg.lapack.dtrtri is pilotspace.rlinalg._flapack.dtrtri\n"
+        )
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_failed_first_load_imports_scipy_and_loads_again(self):
+        # The extension's first load fails as on a distribution whose
+        # extension needs scipy's library setup: rlinalg imports scipy
+        # and loads the same file again.
+        code = (
+            "import importlib.machinery, sys\n"
+            "loader = importlib.machinery.ExtensionFileLoader\n"
+            "create, loads = loader.create_module, []\n"
+            "def create_module(self, spec):\n"
+            "    if spec.name == 'scipy.linalg._flapack':\n"
+            "        loads.append('scipy' in sys.modules)\n"
+            "        if len(loads) == 1:\n"
+            "            raise ImportError('needs scipy')\n"
+            "    return create(self, spec)\n"
+            "loader.create_module = create_module\n"
+            "import pilotspace.rlinalg as rl\n"
+            "assert loads == [False, True], loads\n"
+            "assert 'scipy' in sys.modules and 'scipy.linalg' not in sys.modules\n"
+            "assert rl._flapack is sys.modules['scipy.linalg._flapack']\n"
+            "assert abs(rl.condition_bound(rl.np.eye(3)) - 3.0) < 1e-12\n"
+        )
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+
     def test_missing_extension_file_names_path(self, monkeypatch):
         import pilotspace.rlinalg as rl
 
@@ -947,6 +983,72 @@ class TestRBasisValidation:
         assert basis.U.shape == (0, 4, k) and R.shape == (0, k, k)
 
 
+@_record
+class _Point:
+    x: int
+    y: float = 2.0
+
+    def __post_init__(self):
+        if self.x < 0:
+            raise ValueError("x must be nonnegative")
+        object.__setattr__(self, "y", float(self.y))
+
+
+@_record(hidden=("note",))
+class _NamedPoint(_Point):
+    name: str = "p"
+    note: object = None
+
+
+class TestRecord:
+    """The frozen record type of every pilotspace class with fields."""
+
+    def test_arguments_by_position_keyword_and_default(self):
+        for point in (_Point(1, 3), _Point(1, y=3), _Point(y=3, x=1)):
+            assert vars(point) == {"x": 1, "y": 3.0}
+        assert vars(_Point(1)) == {"x": 1, "y": 2.0}
+        assert _Point._fields == ("x", "y")
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((), {}, "missing required argument.* 'x'"),
+        ((), {"y": 1.0}, "missing required argument.* 'x'"),
+        ((1,), {"z": 0}, "unexpected keyword argument.* 'z'"),
+        ((1, 2.0, 3), {}, "takes 2 positional arguments but 3 were given"),
+        ((1,), {"x": 2}, "multiple values for argument 'x'"),
+    ])
+    def test_bad_arguments_raise_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            _Point(*args, **kwargs)
+
+    def test_post_init_runs(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _Point(-1)
+
+    def test_frozen(self):
+        point = _Point(1)
+        with pytest.raises(AttributeError):
+            point.x = 2
+        with pytest.raises(AttributeError):
+            point.z = 2
+        with pytest.raises(AttributeError):
+            del point.x
+        assert vars(point) == {"x": 1, "y": 2.0}
+
+    def test_equality_hash_and_repr(self):
+        assert _Point(1) == _Point(1, 2.0) and hash(_Point(1)) == hash(_Point(1, 2.0))
+        assert _Point(1) != _Point(2)
+        assert _Point(1) != _NamedPoint(1)
+        assert repr(_Point(1)) == "_Point(x=1, y=2.0)"
+
+    def test_subclass_fields_follow_the_base_fields(self):
+        point = _NamedPoint(1, 2, "q", note=[1])
+        assert _NamedPoint._fields == ("x", "y", "name", "note")
+        assert point.y == 2.0       # the base's __post_init__ is inherited
+        # A hidden field is neither shown nor compared.
+        assert repr(point) == "_NamedPoint(x=1, y=2.0, name='q')"
+        assert point == _NamedPoint(1, 2, "q")
+
+
 class TestRBasisStructure:
     """Everything read off U is derived from it: the shape and the pair factor."""
 
@@ -959,7 +1061,7 @@ class TestRBasisStructure:
         return RBasis(U)
 
     def test_u_is_the_only_field(self):
-        assert [f.name for f in dataclasses.fields(RBasis)] == ["U"]
+        assert RBasis._fields == ("U",)
         basis = RBasis(np.eye(4, 3, dtype=complex))
         assert (basis.ambient_dim, basis.dim) == (4, 3)
         with pytest.raises(AttributeError):

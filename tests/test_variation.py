@@ -346,6 +346,28 @@ class TestComplexLinesRoute:
         schur = recorded_routes["_real_schur"]
         assert len(schur) <= 1 and all(shape[0] <= n_paths for shape in schur)
 
+    @pytest.mark.parametrize("n_tx, n_paths", physical_cases())
+    def test_basis_passes_the_full_check(self, n_tx, n_paths):
+        # The route checks only the cross block of the lines and U_D; the
+        # whole basis passes the RBasis orthonormality check.
+        model, theta = physical_case(n_tx, n_paths, seed=60)
+        RBasis(variation_space(model, theta).U)
+
+    @pytest.mark.parametrize("n_tx", [96, 128, 192])
+    def test_ls_basis_passes_the_full_check(self, n_tx):
+        from pilotspace.models import ls_model
+
+        RBasis(variation_space(ls_model(n_tx), np.zeros(2 * n_tx)).U)
+
+    def test_failed_cross_check_falls_back(self, monkeypatch):
+        import pilotspace.variation as var
+
+        model, theta = physical_case(64, 3, seed=60)
+        monkeypatch.setattr(var, "STRUCTURE_RTOL", 0.0)
+        basis = variation_space(model, theta)
+        assert type(basis) is RBasis
+        assert np.array_equal(basis.U, general_route(model, theta, monkeypatch).U)
+
     def test_adjacent_pairs_of_either_sign(self, monkeypatch):
         # (g, j g) and (g, -j g) among other columns: the route pairs
         # adjacent columns only, and a pair that matches in the first row
@@ -656,6 +678,24 @@ class TestDecompositionShapes:
         for i in range(3):          # each slice, decomposed on its own, passes
             one = canonical_decompose(stack[i])
             assert verify_eigenspace_property(one)["max_residual"] <= 1e-10
+
+    def test_slice_of_a_stacked_decomposition_keeps_its_couplings(self, monkeypatch):
+        import pilotspace.variation as var
+
+        decomp = canonical_decompose(self.stack())
+
+        def fail(*args):
+            raise AssertionError("a slice was put in canonical form again")
+
+        monkeypatch.setattr(var, "skew_canonical_form", fail)
+        for index in (1, (2,), slice(0, 2)):
+            one = decomp[index]
+            assert type(one) is CanonicalDecomposition
+            assert np.array_equal(one.U, decomp.U[index])
+            assert np.array_equal(one.c, decomp.c[index])
+            assert canonical_decompose(one) is one
+        with pytest.raises(IndexError):
+            decomp[0, 1]        # the stack has one batch axis; c's last is a matrix axis
 
     def test_certificates_refuse_a_stacked_design(self):
         from pilotspace.pilot import design_observation_matrix, verify_optimality_certificates
