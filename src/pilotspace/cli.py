@@ -16,7 +16,8 @@ without ``--output``, ``--report`` or ``--plot-script`` naming the
 ``--azimuths`` for ``--model ls``;
 ``design`` and ``experiment`` leave none of their files when one cannot
 be written);
-2 rank-deficient variation space in ``design``, and argparse usage errors.
+2 rank-deficient variation space in ``design``, ``crb`` or ``identify``,
+and argparse usage errors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ import numpy as np
 
 from . import fileio
 from .crb import NoiseModel, check_identifiability, crb_min, crb_via_variation_space
-from .experiments import DrawError, ExperimentConfig, run_multipath, run_single_path
+from .experiments import (
+    DrawError,
+    ExperimentConfig,
+    finite_number,
+    is_number,
+    run_multipath,
+    run_single_path,
+)
 from .models import (
     UlaGeometry,
     angle_constrained_model,
@@ -208,9 +216,9 @@ def _derived_report_path(matrix_path):
 
 def _load_theta(path):
     values = fileio.read_json(path)
-    if not isinstance(values, list) or not all(map(fileio.is_number, values)):
+    if not isinstance(values, list) or not all(map(is_number, values)):
         raise ConfigError(f"{path}: theta must be a JSON array of numbers")
-    if not all(map(fileio.finite_number, values)):
+    if not all(map(finite_number, values)):
         raise ConfigError(
             f"{path}: theta has non-finite entries (NaN, Infinity or beyond double range)"
         )

@@ -25,10 +25,11 @@ eigenvalues of each compression with its singularity verdict.
 and call it with a stack of one (a stack of bases is refused: index it,
 or call the kernel), and the multipath experiment calls it once per
 group of channels, with a stack of true bases and the pilot matrices of
-every channel and Delta value at once.  On a linear model's closed-form basis
-(q_1, -j q_1, ...), which the basis reports as ``RBasis.pairs``, the
-variation space is the complex span of Q, and the kernel takes the
-spectrum of the r x r Hermitian Q^H M M^H Q, each eigenvalue twice: the classical training-based bound
+every channel and Delta value at once.  It alone picks the algebra: on
+a linear model's closed-form basis (q_1, -j q_1, ...), recognized
+bitwise once per call, the variation space is the complex span of Q,
+and the kernel takes the spectrum of the r x r Hermitian Q^H M M^H Q,
+each eigenvalue twice: the classical training-based bound
 sigma^2 Tr[(Q^H M M^H Q)^{-1}] in r x r complex algebra.
 
 Non-identifiability (singular Fisher matrix / singular compression) is
@@ -259,6 +260,19 @@ def crb_direct(model, theta, M, noise):
     return CrbReport(value=value, identifiable=True)
 
 
+def _pair_factor(U):
+    """Q = U[..., 0::2] when U = (q_1, -j q_1, q_2, -j q_2, ...) exactly, else None.
+
+    The test is bitwise: U[..., 1::2] == -1j * U[..., 0::2], the expression
+    with which ``variation_space`` builds the basis of a linear model.  An
+    odd column count, or a first pair that fails the test, returns at once.
+    """
+    if U.shape[-1] % 2 or not np.array_equal(U[..., 1], -1j * U[..., 0]):
+        return None
+    Q = U[..., 0::2]
+    return Q if np.array_equal(U[..., 1::2], -1j * Q) else None
+
+
 def compression_spectra(basis, Ms):
     """Spectra of the compressions Re{U^H M M^H U} of a stack of matrices.
 
@@ -268,14 +282,15 @@ def compression_spectra(basis, Ms):
     boolean ``_is_singular`` verdicts, whose absolute floor scales with
     each energy ||M||_F^2.  Each slice has the bits of a stack of one.
 
-    A basis (q_1, -j q_1, q_2, -j q_2, ...) (``RBasis.pairs``: the
-    closed-form basis of a linear model) spans the complex span of
-    Q, and its compression is the real form of the r x r Hermitian
-    Y = Q^H M M^H Q, whose spectrum is that of Y with every eigenvalue
-    twice.  Such a basis takes Y's ``eigvalsh`` instead of the 2r x 2r
-    real compression; every other basis takes ``compression_matrix``.
+    A basis (q_1, -j q_1, q_2, -j q_2, ...) (``_pair_factor``, tested
+    once per call: the closed-form basis of a linear model) spans the
+    complex span of Q, and its compression is the real form of the r x r
+    Hermitian Y = Q^H M M^H Q, whose spectrum is that of Y with every
+    eigenvalue twice.  Such a basis takes Y's ``eigvalsh`` instead of the
+    2r x 2r real compression; every other basis takes
+    ``compression_matrix``.
     """
-    Q = basis.pairs
+    Q = _pair_factor(basis.U)
     if Q is None:
         eigs = np.linalg.eigvalsh(compression_matrix(basis, Ms))
     else:

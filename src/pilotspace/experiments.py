@@ -78,7 +78,6 @@ import numbers
 import numpy as np
 
 from .crb import _is_singular, compression_spectra
-from .fileio import finite_number
 from .models import (
     UlaGeometry,
     PathSet,
@@ -103,6 +102,23 @@ STACK_TRIALS = 3
 
 class DrawError(RuntimeError):
     """The configuration admits no channel within its draw or redraw budget."""
+
+
+def is_number(value):
+    """True for a real number that is not a bool: a JSON number, or a NumPy
+    integer or floating scalar."""
+    # int and float first: the numbers.Real ABC check is ~5x slower.
+    return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
+
+
+def finite_number(value):
+    """True for a number (see ``is_number``) that is finite as a double."""
+    if not is_number(value):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 def _integer(name, value):

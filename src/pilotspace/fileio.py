@@ -11,17 +11,15 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
 
 import numpy as np
 
+from .experiments import finite_number, is_number
+
 
 def format_float(x):
-    """Exact-round-trip decimal text for a double (handles inf)."""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
+    """Exact-round-trip decimal text for a double ("inf" and "-inf" included)."""
+    return repr(float(x))
 
 
 def matrix_to_json_obj(M):
@@ -34,23 +32,6 @@ def matrix_to_json_obj(M):
         "data": [[[float(M[i, j].real), float(M[i, j].imag)] for j in range(cols)]
                  for i in range(rows)],
     }
-
-
-def is_number(value):
-    """True for a real number that is not a bool: a JSON number, or a NumPy
-    integer or floating scalar."""
-    # int and float first: the numbers.Real ABC check is ~5x slower.
-    return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
-
-
-def finite_number(value):
-    """True for a number (see ``is_number``) that is finite as a double."""
-    if not is_number(value):
-        return False
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:
-        return False
 
 
 def _is_count(value):

@@ -227,18 +227,19 @@ def _span_generators(geom, azimuths):
 
 def _steering_span(geom, azimuths, origin):
     azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))
+    if azimuths.shape[-1] < 1:
+        raise ValueError("need at least one azimuth")
     if not np.all(np.isfinite(azimuths)):
         raise ValueError("azimuths must be finite")
     try:
         basis, _ = r_orthonormalize(_span_generators(geom, azimuths))
-    except (RankDeficientError, ValueError) as err:
-        null_space = getattr(err, "null_space", None)
+    except RankDeficientError as err:
         raise RankDeficientError(
             f"{origin} variation space is rank deficient for azimuths "
             f"{np.degrees(azimuths).tolist()} deg: "
-            f"{_collapsing_generators(null_space)} ({err})",
-            rank=getattr(err, "rank", None),
-            null_space=null_space,
+            f"{_collapsing_generators(err.null_space)} ({err})",
+            rank=err.rank,
+            null_space=err.null_space,
         ) from err
     return basis
 

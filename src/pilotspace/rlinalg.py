@@ -18,10 +18,6 @@ in that setting:
   form.
 * ``RBasis`` -- a checked real-orthonormal basis, or a stack of them;
   indexing a stack's batch axes gives the slices without a new check.
-  A basis (q_1, -j q_1, q_2, -j q_2, ...), as a linear model's closed
-  form builds it, is recognized bitwise once per basis (``RBasis.pairs``)
-  and checked through the complex r x r Gram Q^H Q; ``variation`` and
-  ``crb`` read the same factor to keep such a basis in r x r algebra.
 * ``project_r`` / ``compression_matrix`` -- orthogonal projection onto a
   real-orthonormal span and the compression of M M^H to it (of one
   matrix M or a stack of them; ``real_gram``, ``numerical_rank`` and
@@ -58,7 +54,6 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -233,9 +228,7 @@ class RBasis:
 
     A stack of bases is one RBasis whose U has leading batch axes,
     each slice real-orthonormal; an empty stack passes with defect 0.
-    The shape and the pair factor ``pairs`` are read off U.  The defect
-    ||Re(U^H U) - I||_F of a basis with ``pairs`` is sqrt(2) ||Q^H Q - I||_F
-    in exact arithmetic, and is computed so, from the r x r complex Gram.
+    The shape is read off U.
 
     Attributes
     ----------
@@ -253,14 +246,8 @@ class RBasis:
         if not np.all(np.isfinite(U)):
             raise ValueError("basis matrix contains non-finite entries")
         object.__setattr__(self, "U", U)
-        Q = self.pairs
-        if Q is None:
-            gram, scale = real_gram(U) - np.eye(self.dim), 1.0
-        else:
-            # Re(U^H U) - I is the real form of Q^H Q - I: each entry twice.
-            gram = np.conj(np.swapaxes(Q, -1, -2)) @ Q - np.eye(Q.shape[-1])
-            scale = np.sqrt(2.0)
-        defect = scale * np.linalg.norm(gram, axis=(-2, -1)).max(initial=0.0)
+        gram = real_gram(U) - np.eye(self.dim)
+        defect = np.linalg.norm(gram, axis=(-2, -1)).max(initial=0.0)
         if defect > STRUCTURE_RTOL * self.dim:
             raise ValueError(
                 f"columns are not real-orthonormal: ||Re(U^H U) - I||_F = {defect:.3e}"
@@ -275,22 +262,6 @@ class RBasis:
     def dim(self):
         """Number of basis vectors (real dimension of the span)."""
         return self.U.shape[-1]
-
-    @cached_property
-    def pairs(self):
-        """Q = U[..., 0::2] when U = (q_1, -j q_1, q_2, -j q_2, ...) exactly, else None.
-
-        The test is bitwise: U[..., 1::2] == -1j * U[..., 0::2], the expression
-        that builds the closed-form basis of a linear model.  Such a basis spans
-        the complex span of Q, so its real Gram and compressions are the real
-        forms of the complex r x r matrices Q^H Q and Q^H M M^H Q.  An odd
-        column count, or a first pair that fails the test, returns at once.
-        """
-        U = self.U
-        if U.shape[-1] % 2 or not np.array_equal(U[..., 1], -1j * U[..., 0]):
-            return None
-        Q = U[..., 0::2]
-        return Q if np.array_equal(U[..., 1::2], -1j * Q) else None
 
     def __getitem__(self, index):
         """The bases at ``index`` of a stack's batch axes, of the stack's type.
@@ -333,12 +304,11 @@ def skew_block_matrix(gamma, size):
     return G
 
 
-def real_gram(X, Y=None):
-    """Re{X^H Y} for complex matrices or stacks of them (Y defaults to X)."""
+def real_gram(X):
+    """Re{X^H X} for a complex matrix or a stack of them."""
     X = np.asarray(X)
-    Y = X if Y is None else np.asarray(Y)
-    return (np.swapaxes(X.real, -1, -2) @ Y.real
-            + np.swapaxes(X.imag, -1, -2) @ Y.imag)
+    return (np.swapaxes(X.real, -1, -2) @ X.real
+            + np.swapaxes(X.imag, -1, -2) @ X.imag)
 
 
 def stacked_real(G):

@@ -22,8 +22,8 @@ the other columns are orthonormalized and decomposed on their own block,
 and ``variation_space`` returns the whole basis as a decomposition, which
 ``canonical_decompose`` returns unchanged; of its orthonormality only
 the cross block between the lines and the other columns is checked.  A
-linear model's gradient (A, jA) is all lines: its compression spectra
-run on the r x r complex Q (``RBasis.pairs``).  A gradient without
+linear model's gradient (A, jA) is all lines, and its basis is
+(q_1, -j q_1, ...) alone.  A gradient without
 complex lines, or whose full rank that route does not certify, goes
 through ``r_orthonormalize``, and ``canonical_decompose`` takes the real
 Schur form of its Im{U^H U}, as for the azimuth-only spans of ``models``.
@@ -168,8 +168,9 @@ def _linear_basis(grad):
     positive diagonal of R, gives the pairs (q_1, -j q_1, q_2, -j q_2, ...):
     each spans the complex line C q_k and distinct pairs are complex-
     orthogonal, so they are canonical with every coupling exactly 1.  The
-    odd columns are exactly -1j times the even ones, the form that
-    ``RBasis.pairs`` recognizes when no other column is left.
+    odd columns are exactly -1j times the even ones, the form in which
+    ``crb.compression_spectra`` compresses a basis of lines only in r x r
+    complex algebra.
 
     The other columns D are projected off span_C(Q) (twice), then
     real-orthonormalized (N x |D|, R_D) and canonically decomposed on
@@ -300,22 +301,16 @@ def canonical_decompose(basis):
     B, orthogonal, keeps V real-orthonormal without a new check.
 
     A slice whose Im{U^H U} is already canonical keeps B = I, so V == U
-    (an exact zero entry may change its sign in the product).  Under
-    tied couplings any rotation of the tied pairs would do as well;
+    (an exact zero entry may change its sign in the product); a basis
+    (q_1, -j q_1, q_2, -j q_2, ...) built by hand rather than by
+    ``variation_space`` is one, with couplings within rounding of 1.
+    Under tied couplings any rotation of the tied pairs would do as well;
     keeping the given basis is a choice, and it makes V (and the pilots)
     a continuous function of U near such a basis.
-
-    A basis (q_1, -j q_1, q_2, -j q_2, ...) (``RBasis.pairs``, the
-    closed form of a linear model) is canonical by construction: it is
-    kept, V is U, with every coupling exactly 1, without forming
-    Im{U^H U}.
     """
     if isinstance(basis, CanonicalDecomposition):
         return basis
     U = basis.U
-    if basis.pairs is not None:
-        return CanonicalDecomposition._derived(
-            U, c=np.ones(U.shape[:-2] + (U.shape[-1] // 2,)))
     A = np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U)
     B = np.empty(A.shape)
     gamma = np.empty(A.shape[:-2] + (A.shape[-1] // 2,))

@@ -266,6 +266,36 @@ class TestCrbCommand:
         assert payload["nm_given"] == 1 and payload["nm_required"] == 2
 
     @pytest.mark.parametrize("command", ["crb", "identify"])
+    @pytest.mark.parametrize("theta, rank", [([1.0, 0.0, 0.1, 0.0, 0.0, 0.3], 5),
+                                             ([1.0, 0.0, 0.1, 0.5, 0.2, 0.1], 4)],
+                             ids=["zero-gain", "equal-azimuths"])
+    def test_rank_deficient_theta_exit_2(self, tmp_path, capsys, command, theta, rank):
+        m_path = tmp_path / "M.json"
+        fileio.write_matrix(m_path, np.eye(8, 3))
+        theta_path = tmp_path / "theta.json"
+        theta_path.write_text(json.dumps(theta))
+        code = run_cli(command, "--model", "physical", "--nt", "8",
+                       "--theta", str(theta_path), "--m", str(m_path))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: dim_R(variation space) < N_p for model 'physical': "
+                                "columns are linearly dependent over R: numerical rank "
+                                f"{rank} < 6\n")
+
+    @pytest.mark.parametrize("command", ["crb", "identify"])
+    def test_coincident_azimuths_exit_2(self, tmp_path, capsys, command):
+        m_path = tmp_path / "M.json"
+        fileio.write_matrix(m_path, np.eye(8, 3))
+        code = run_cli(command, "--model", "physical", "--nt", "8", "--azimuths", "10,10",
+                       "--m", str(m_path))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: estimated variation space is rank deficient "
+                                       "for azimuths [10.0, 10.0] deg: collapsing generators")
+
+    @pytest.mark.parametrize("command", ["crb", "identify"])
     def test_non_finite_sigma2_exit_1(self, tmp_path, capsys, command):
         m = tmp_path / "M.json"
         fileio.write_matrix(m, np.eye(4))

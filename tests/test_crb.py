@@ -509,21 +509,24 @@ class TestComplexPairRoute:
 
     @pytest.mark.parametrize("model", pair_route_cases()[::3])
     def test_decompose_keeps_the_basis(self, model, monkeypatch):
-        import pilotspace.variation as var
+        import pilotspace.rlinalg as rl
 
         def fail(*args, **kwargs):
-            raise AssertionError("canonical form on a pair-structured basis")
+            raise AssertionError("Schur form on a pair-structured basis")
 
         basis = pair_basis(model)
-        built = RBasis(basis.U)             # a basis built by hand takes the pairs branch
-        monkeypatch.setattr(var, "skew_canonical_form", fail)
-        monkeypatch.setattr(np, "imag", fail)
-        assert canonical_decompose(basis) is basis
-        decomp = canonical_decompose(built)
-        assert decomp.V is basis.U
-        assert decomp.c.shape == (model.n_params // 2,) and np.all(decomp.c == 1.0)
+        assert canonical_decompose(basis) is basis      # the model's own decomposition
+        # A basis built by hand is already canonical: no Schur form, B = I.
+        monkeypatch.setattr(rl, "_real_schur", fail)
+        eps = np.finfo(float).eps
+        decomp = canonical_decompose(RBasis(basis.U))
+        assert np.array_equal(decomp.V, basis.U)
+        assert decomp.c.shape == (model.n_params // 2,)
+        assert np.abs(decomp.c - 1.0).max() <= 4 * eps
         stacked = canonical_decompose(RBasis(np.stack([basis.U, basis.U])))
-        assert stacked.c.shape == (2, model.n_params // 2) and np.all(stacked.c == 1.0)
+        assert np.array_equal(stacked.V, np.stack([basis.U, basis.U]))
+        assert stacked.c.shape == (2, model.n_params // 2)
+        assert np.abs(stacked.c - 1.0).max() <= 4 * eps
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_non_orthonormal_pairs_raise_with_complex_defect(self, stacked):

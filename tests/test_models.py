@@ -247,6 +247,15 @@ class TestEstimatedVariationSpace:
         with pytest.raises(RankDeficientError):
             estimated_variation_space(UlaGeometry(16), [math.pi / 2])
 
+    @pytest.mark.parametrize("azimuths", [[], np.zeros((2, 0))], ids=["one", "stack"])
+    def test_span_rejects_no_azimuth(self, azimuths):
+        # The angle-constrained model's message, not a rank deficiency: an
+        # empty span has no generator to collapse.
+        for build in (estimated_variation_space, physical_variation_space):
+            with pytest.raises(ValueError, match="^need at least one azimuth$") as err:
+                build(UlaGeometry(8), azimuths)
+            assert not isinstance(err.value, RankDeficientError)
+
     def test_matches_physical_space_at_truth(self):
         geom = UlaGeometry(32)
         azimuths = np.array([0.15, -0.6])

@@ -377,9 +377,7 @@ class TestNumericalRank:
 
 class TestRealGram:
     def test_matches_complex_product(self):
-        rng = np.random.default_rng(11)
-        X, Y = random_complex(rng, 7, 3), random_complex(rng, 7, 4)
-        assert np.allclose(real_gram(X, Y), np.real(np.conj(X.T) @ Y), rtol=1e-13, atol=1e-13)
+        X = random_complex(np.random.default_rng(11), 7, 3)
         assert np.allclose(real_gram(X), np.real(np.conj(X.T) @ X), rtol=1e-13, atol=1e-13)
 
     def test_real_input(self):
@@ -387,11 +385,9 @@ class TestRealGram:
         assert np.allclose(real_gram(X), X.T @ X, rtol=1e-14, atol=1e-14)
 
     def test_stack_equals_per_matrix(self):
-        rng = np.random.default_rng(13)
-        X, Y = random_complex(rng, 4, 7, 3), random_complex(rng, 4, 7, 2)
-        assert real_gram(X, Y).shape == (4, 3, 2)
+        X = random_complex(np.random.default_rng(13), 4, 7, 3)
+        assert real_gram(X).shape == (4, 3, 3)
         for i in range(4):
-            assert np.array_equal(real_gram(X, Y)[i], real_gram(X[i], Y[i]))
             assert np.array_equal(real_gram(X)[i], real_gram(X[i]))
 
 
@@ -757,6 +753,19 @@ class TestLapackLoader:
         proc = _run_python(code)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_loads_no_file_format_module(self):
+        # Only the CLI reads and writes files: the library leaves fileio and
+        # json unimported, and fileio reads its number tests from experiments.
+        code = (
+            "import sys, pilotspace\n"
+            "loaded = [m for m in ('pilotspace.fileio', 'json') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "import pilotspace.fileio as fileio\n"
+            "assert fileio.finite_number is pilotspace.experiments.finite_number\n"
+        )
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+
     def test_failed_first_load_imports_scipy_and_loads_again(self):
         # The extension's first load fails as on a distribution whose
         # extension needs scipy's library setup: rlinalg imports scipy
@@ -1050,7 +1059,9 @@ class TestRecord:
 
 
 class TestRBasisStructure:
-    """Everything read off U is derived from it: the shape and the pair factor."""
+    """Everything read off U is derived from it.  The pair factor of a basis
+    (q_1, -j q_1, ...) is not: only ``crb.compression_spectra`` reads it, by
+    its own bitwise test."""
 
     def pair_stack(self):
         rng = np.random.default_rng(16)
@@ -1068,24 +1079,44 @@ class TestRBasisStructure:
             basis.dim = 2
 
     def test_pairs_of_a_pair_basis(self):
+        from pilotspace.crb import _pair_factor
+
         basis = self.pair_stack()
-        assert np.array_equal(basis.pairs, basis.U[..., 0::2])
-        assert basis.pairs is basis.pairs
+        assert not hasattr(basis, "pairs")
+        assert np.array_equal(_pair_factor(basis.U), basis.U[..., 0::2])
         for s in range(2):
-            assert np.array_equal(basis[s].pairs, basis.U[s, :, 0::2])
+            assert np.array_equal(_pair_factor(basis[s].U), basis.U[s, :, 0::2])
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_no_pairs(self, k):
+        from pilotspace.crb import _pair_factor
+
         rng = np.random.default_rng(k)
         basis = r_orthonormalize(random_complex(rng, 2, 6, k))[0]
-        assert basis.pairs is None and basis[1].pairs is None
+        assert _pair_factor(basis.U) is None and _pair_factor(basis[1].U) is None
 
     def test_pair_test_runs_once_per_basis(self, monkeypatch):
-        from pilotspace.crb import compression_spectra
-        from pilotspace.variation import canonical_decompose
+        import pilotspace.crb as crb
+        from pilotspace.models import ls_model
+        from pilotspace.variation import canonical_decompose, variation_space
 
-        basis = self.pair_stack()
+        calls = []
+        pair_factor = crb._pair_factor
+        monkeypatch.setattr(crb, "_pair_factor", lambda U: calls.append(U.shape)
+                            or pair_factor(U))
+        # Building, checking and decomposing a basis runs no pair test.
+        model_basis = variation_space(ls_model(7), np.zeros(14))
+        canonical_decompose(model_basis)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "array_equal", lambda *a: pytest.fail("pair test"))
+            basis = self.pair_stack()
+            canonical_decompose(basis)
+            r_orthonormalize(random_complex(np.random.default_rng(18), 2, 7, 3))
+        assert calls == []
+        # Each compression_spectra call tests once, the one-basis forms too.
         Ms = random_complex(np.random.default_rng(17), 2, 7, 3)
-        monkeypatch.setattr(np, "array_equal", lambda *a: pytest.fail("tested again"))
-        assert np.all(canonical_decompose(basis).c == 1.0)
-        assert compression_spectra(basis, Ms)[0].shape == (2, 6)
+        assert crb.compression_spectra(basis, Ms)[0].shape == (2, 6)
+        assert calls == [(2, 7, 6)]
+        crb.crb_via_variation_space(model_basis, Ms[0], crb.NoiseModel(1.0))
+        crb.check_identifiability(model_basis, Ms[0])
+        assert calls == [(2, 7, 6), (7, 14), (7, 14)]
