@@ -44,12 +44,13 @@ give the Proposed pilots, and one call of ``crb.compression_spectra``
 compresses the (T, B) pilot stack against each channel's own true basis,
 the (T, 1) stack of true bases broadcast as in numpy
 (``proposed_strategy_bound``).  Each stacked kernel gives every slice
-the bits of its call on that slice alone; only the real Schur form
-inside the canonical decomposition runs per slice, and an
-already-canonical slice (every L = 1 span) skips it.  That matters: where
-an estimated space has repeated or zero couplings the pilots depend on
-which basis of that subspace the Schur form returns, so any change of
-rounding before it would move the Proposed curve at Delta > 0.
+the bits of its call on that slice alone.  The canonical decomposition
+is one ``skew_canonical_form`` call per stack of spaces; inside it only
+the real Schur form runs per slice, and an already-canonical slice
+(every L = 1 span) skips it.  That matters: where an estimated space has
+repeated or zero couplings the pilots depend on which basis of that
+subspace the Schur form returns, so any change of rounding before it
+would move the Proposed curve at Delta > 0.
 
 ``run_multipath`` evaluates its trials in rounds: each round draws the
 channel of every pending trial from the trial's own rng stream, groups
@@ -67,7 +68,10 @@ The multipath generator is a deliberately simplified clustered model:
 the number of clusters is uniform on {1..7}, main-cluster azimuths are
 uniform with a separation floor, and per-cluster mean powers decay
 exponentially with cluster index (normalized to unit total).  Trials
-are deterministic given (seed, trial index).
+are deterministic given (seed, trial index).  The separation test of a
+candidate runs on its at most 7 azimuths in Python floats, after one
+``np.sin``: the double arithmetic of a pairwise array test, so the same
+candidates are accepted.
 """
 
 from __future__ import annotations
@@ -303,7 +307,7 @@ def _strategy_bounds(geom, gains, azimuths, estimates):
     h = np.array([E_t @ b for E_t, b in zip(E[:, 0], gains)])
     ac_coefficient, ac_bias = ac_strategy_bound(h, E[:, row_of])
     # The azimuth-only span at each row: the true space, then the
-    # estimated ones.  Slices of the checked stack are not checked again.
+    # estimated ones.  Slices of the stack are not checked again.
     spaces = physical_variation_space(geom, rows)
     Ms = design_observation_matrix(canonical_decompose(spaces), 1.0).M[:, row_of]
     return ac_coefficient, ac_bias, proposed_strategy_bound(spaces[:, :1], Ms)
@@ -372,19 +376,22 @@ def generate_clustered_channel(rng, config):
     L = int(rng.integers(1, 8))
     floor = math.radians(config.separation_floor_deg)
     margin = math.radians(config.endfire_margin_deg)
-
-    iu = np.triu_indices(L, 1)
+    max_sine, min_sine_gap = math.cos(margin), math.sin(floor)
 
     def admissible(cand):
-        sines = np.sin(cand)
-        if np.max(np.abs(sines)) > math.cos(margin):
+        # At most 7 azimuths: Python floats after one np.sin, the double
+        # arithmetic of the pairwise array test without its dispatch.
+        sines = np.sin(cand).tolist()
+        if max(map(abs, sines)) > max_sine:
             return False
-        if L == 1:
-            return True
-        diff = np.abs(cand[:, None] - cand[None, :])[iu]
-        if np.min(np.minimum(diff, 2.0 * np.pi - diff)) < floor:
-            return False
-        return bool(np.min(np.abs(sines[:, None] - sines[None, :])[iu]) >= math.sin(floor))
+        phis = cand.tolist()
+        for i in range(L):
+            for j in range(i + 1, L):
+                gap = abs(phis[i] - phis[j])
+                if (min(gap, 2.0 * math.pi - gap) < floor
+                        or abs(sines[i] - sines[j]) < min_sine_gap):
+                    return False
+        return True
 
     azimuths = None
     for _ in range(config.max_redraws):

@@ -13,22 +13,24 @@ in that setting:
   full-rank certificate.  ``triangle_rank``, the numerical rank of a QR
   triangle, takes its SVD only when ``full_rank_certified`` fails.
 * ``skew_canonical_form`` -- real Schur decomposition of a skew-symmetric
-  matrix, reordered into the canonical 2x2 block form with nonnegative,
-  descending couplings; an input already in that form skips the Schur
-  form.
+  matrix (or of each matrix in a stack), reordered into the canonical 2x2
+  block form with nonnegative, descending couplings; an input already in
+  that form skips the Schur form.
 * ``RBasis`` -- a checked real-orthonormal basis, or a stack of them;
   indexing a stack's batch axes gives the slices without a new check.
-* ``project_r`` / ``compression_matrix`` -- orthogonal projection onto a
-  real-orthonormal span and the compression of M M^H to it (of one
-  matrix M or a stack of them; ``real_gram``, ``numerical_rank`` and
-  ``solve_right`` take stacks too).
+* ``project_r`` / ``compression_matrix`` -- orthogonal projection onto
+  a real-orthonormal span (of one basis) and the compression of M M^H to
+  it (of one matrix M or a stack of them; ``real_gram``,
+  ``numerical_rank`` and ``solve_right`` take stacks too).
 
 A stack is an array with leading batch axes, and one matrix is a stack
 of one.  Every stacked kernel gives each slice the bits of its call on
 that slice alone: numpy's stacked ``qr``, ``svd``, ``eigvalsh`` and
 ``matmul`` factor slice by slice, and the LAPACK calls made here
-(``d/ztrtri``, ``d/ztrtrs``, ``dgees``) run once per slice.  The leading
-axes of a basis stack and of a matrix stack broadcast as in numpy.
+(``d/ztrtri``, ``d/ztrtrs``, ``dgees``) run once per slice, inside one
+call per stack; ``dgees``'s workspace query runs once per matrix order.
+The leading axes of a basis stack and of a matrix stack broadcast as in
+numpy.
 
 All functions are pure and operate on immutable inputs.
 
@@ -285,9 +287,10 @@ class RBasis:
     def _derived(cls, U, **fields):
         """The basis of a complex U derived from a checked basis, without
         a new check: a slice of a checked stack, the product of a checked
-        basis with a real orthogonal matrix (``canonical_decompose``), or
-        a basis whose blocks were checked on their own (``variation``'s
-        complex-lines route).  A subclass's other ``fields`` are set as
+        basis with a real orthogonal matrix (``canonical_decompose``), a
+        basis whose blocks were checked on their own (``variation``'s
+        complex-lines route), or the second pass of ``r_orthonormalize``
+        on a full-rank input.  A subclass's other ``fields`` are set as
         given."""
         basis = object.__new__(cls)
         basis.__dict__.update(U=U, **fields)
@@ -400,14 +403,28 @@ def solve_right(X, R):
     ``scipy.linalg.solve_triangular(R, X.T, trans="T")`` passes to the
     same routine, so the result is bit-identical to that wrapper's
     without its validation or the ``scipy.linalg`` import.  Stacks X
-    (..., n, k) and R (..., k, k) are solved slice by slice.
+    (..., n, k) and R (..., k, k), of equal batch shapes, are solved
+    slice by slice into one array.  Shapes that do not fit raise
+    ValueError before LAPACK runs.
     """
+    if X.ndim < 2 or R.shape != X.shape[:-2] + (X.shape[-1],) * 2:
+        raise ValueError(f"solve_right: R of shape {R.shape} does not fit X of shape "
+                         f"{X.shape}: expected X (..., n, k) and R (..., k, k) with "
+                         "the same batch shape")
     if X.size == 0:      # LAPACK rejects a zero leading dimension
         return np.empty(X.shape, dtype=np.result_type(X, R, 1.0))
-    if X.ndim > 2:
-        flat = zip(X.reshape(-1, *X.shape[-2:]), R.reshape(-1, *R.shape[-2:]))
-        return np.array([solve_right(x, r) for x, r in flat]).reshape(X.shape)
     trtrs = _flapack.ztrtrs if np.iscomplexobj(X) else _flapack.dtrtrs
+    if X.ndim == 2:
+        return _solve_one(trtrs, X, R)
+    Y = np.empty(X.shape, dtype=np.result_type(X, R, 1.0))
+    flat = Y.reshape(-1, *X.shape[-2:])
+    for i, (x, r) in enumerate(zip(X.reshape(flat.shape), R.reshape(-1, *R.shape[-2:]))):
+        flat[i] = _solve_one(trtrs, x, r)
+    return Y
+
+
+def _solve_one(trtrs, X, R):
+    """X R^{-1} for one matrix X and triangle R, by ``trtrs``."""
     if R.flags.f_contiguous:
         Y, info = trtrs(R, X.T, lower=0, trans=1)
     else:
@@ -435,6 +452,8 @@ def r_orthonormalize(G):
     bits of one call per slice, and one matrix is a stack of one: each
     pass is one stacked QR, then a rank test and a triangular solve per
     slice, and the result is one RBasis stack (empty for an empty stack).
+    The basis is returned without the ``RBasis`` Gram check, which the
+    tests run on its output.
 
     Parameters
     ----------
@@ -479,28 +498,41 @@ def r_orthonormalize(G):
         )
     # Two passes ("twice is enough"): the second repairs the loss of
     # orthonormality that a single pass suffers on ill-conditioned input.
+    # Full numerical rank bounds cond(G) by 1 / RANK_RTOL, so the first
+    # pass leaves U within O(eps cond(G)) << 1 of orthonormal and the
+    # second within O(eps).
     U = solve_right(G, R1)
     R2 = _positive_triangle(U)
     U = solve_right(U, R2)
-    return RBasis(U), R2 @ R1
+    return RBasis._derived(U), R2 @ R1
 
 
 def _no_select(x, y=None):
     return None
 
 
+# dgees's optimal workspace for each matrix order: the query depends on the
+# order alone, so it runs once per order.
+_DGEES_LWORK = {}
+
+
 def _real_schur(A):
     """Real Schur form A = Q T Q^T of a finite real square matrix.
 
     Calls LAPACK ``dgees`` on scipy's extension module, with the
-    workspace query and the arguments that ``scipy.linalg.schur(A,
+    workspace size and the arguments that ``scipy.linalg.schur(A,
     output="real")`` passes to the same routine, so T and Q are
     bit-identical to that wrapper's without its validation or the
-    ``scipy.linalg`` import.
+    ``scipy.linalg`` import.  The wrapper queries the workspace on every
+    call; here the query runs on the first matrix of each order, and its
+    answer is kept in ``_DGEES_LWORK``.
     """
-    work = _flapack.dgees(_no_select, A, lwork=-1)[-2]
+    K = A.shape[0]
+    lwork = _DGEES_LWORK.get(K)
+    if lwork is None:
+        lwork = _DGEES_LWORK[K] = int(_flapack.dgees(_no_select, A, lwork=-1)[-2][0])
     T, _, _, _, Q, _, info = _flapack.dgees(
-        _no_select, A, lwork=int(work[0]), overwrite_a=False, sort_t=0
+        _no_select, A, lwork=lwork, overwrite_a=False, sort_t=0
     )
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gees")
@@ -510,7 +542,8 @@ def _real_schur(A):
 
 
 def skew_canonical_form(A):
-    """Canonical 2x2 block form of a real skew-symmetric matrix.
+    """Canonical 2x2 block form of a real skew-symmetric matrix, or of each
+    matrix of a stack.
 
     Computes an orthogonal B such that B^T A B is block diagonal with
     blocks [[0, -c_k], [c_k, 0]], c_k >= 0 sorted descending, and a
@@ -528,6 +561,14 @@ def skew_canonical_form(A):
     form may return any rotation within each block and any basis of tied
     blocks.
 
+    A stack A (..., K, K) gives B (..., K, K) and gamma (..., K // 2),
+    each slice with the bits of its own call; one matrix is a stack of
+    one.  The finiteness test, the symmetrization and the canonical-input
+    test run once on the whole stack, the norm and skew defect of each
+    slice as in a call on it alone, and only the slices that are not
+    already canonical take a Schur form.  An error on a stack names the
+    first slice that fails.
+
     Raises
     ------
     ValueError
@@ -537,32 +578,62 @@ def skew_canonical_form(A):
         If ||A + A^T||_F > STRUCTURE_RTOL (1 + ||A||_F).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    K = A.shape[0]
-    if A.shape != (K, K):
+    K = A.shape[-1]
+    if A.shape[-2] != K:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("skew canonical form: input matrix contains non-finite entries")
+    if not np.isfinite(A).all():
+        raise ValueError("skew canonical form: input matrix contains non-finite entries"
+                         + _first_failing_slice(np.isfinite(A).all(axis=(-2, -1))))
     # The defect is read off the symmetrized A_skew, so A is transposed
     # once: ||A + A^T||_F = 2 ||A - A_skew||_F in exact arithmetic.
-    norm_a = np.linalg.norm(A)
-    A_skew = 0.5 * (A - A.T)
-    defect = 2.0 * np.linalg.norm(A - A_skew)
-    if defect > STRUCTURE_RTOL * (1.0 + norm_a):
-        raise NotSkewSymmetricError(f"||A + A^T||_F = {defect:.3e} exceeds tolerance")
-    reorder_tol = COUPLING_SNAP * max(1.0, norm_a)
-    kept = _canonical_couplings(A_skew, reorder_tol)
-    if kept is not None:
-        return np.eye(K), np.array([_snap_coupling(c) for c in kept])
-    T, Q = _real_schur(A_skew)
+    A_skew = 0.5 * (A - np.swapaxes(A, -1, -2))
+    excess = A - A_skew
+    slices = list(np.ndindex(A.shape[:-2]))
+    norm_a = np.array([np.linalg.norm(A[i]) for i in slices]).reshape(A.shape[:-2])
+    defect = 2.0 * np.array([np.linalg.norm(excess[i]) for i in slices]).reshape(norm_a.shape)
+    skew = defect <= STRUCTURE_RTOL * (1.0 + norm_a)
+    if not skew.all():
+        first = np.unravel_index(np.argmin(skew), skew.shape)
+        raise NotSkewSymmetricError(f"||A + A^T||_F = {defect[first]:.3e} exceeds tolerance"
+                                    + _first_failing_slice(skew))
+    reorder_tol = COUPLING_SNAP * np.maximum(1.0, norm_a)
+    gamma, canonical = _canonical_couplings(A_skew, reorder_tol)
+    B = np.broadcast_to(np.eye(K), A.shape).copy()
+    for i in slices:
+        if not canonical[i]:
+            B[i], gamma[i] = _schur_canonical_form(A_skew[i], float(reorder_tol[i]))
+    # Couplings below the snap are exactly 0.  Those of a real-orthonormal
+    # Gram's imaginary part cannot exceed 1, so a floating-point excess is
+    # absorbed; larger values are legitimate for general skew-symmetric
+    # input and kept as they are.
+    gamma[gamma < COUPLING_SNAP] = 0.0
+    gamma[(1.0 < gamma) & (gamma <= 1.0 + COUPLING_SNAP)] = 1.0
+    return B, gamma
 
+
+def _first_failing_slice(ok):
+    """'' for one matrix; for a stack, ' in slice i' naming the first False
+    entry of the per-slice verdicts ``ok``."""
+    if ok.ndim == 0:
+        return ""
+    index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+    return f" in slice {index[0] if len(index) == 1 else index}"
+
+
+def _schur_canonical_form(A_skew, reorder_tol):
+    """``(B, gamma)`` of one skew-symmetric A_skew from its real Schur form,
+    before the couplings are snapped; ``reorder_tol`` is the block tolerance."""
+    K = A_skew.shape[0]
+    T, Q = _real_schur(A_skew)
     # The Schur form of a skew-symmetric matrix is block diagonal: 2x2
     # skew blocks carrying +/-c on the off diagonal, 1x1 zeros elsewhere.
+    below, above = T.diagonal(-1).tolist(), T.diagonal(1).tolist()
     pairs = []       # (c, [i, j]) column index pairs in Q
     singles = []
     i = 0
     while i < K:
-        if i + 1 < K and abs(T[i + 1, i]) > reorder_tol:
-            c = 0.5 * (T[i + 1, i] - T[i, i + 1])
+        if i + 1 < K and abs(below[i]) > reorder_tol:
+            c = 0.5 * (below[i] - above[i])
             if c >= 0:
                 pairs.append((c, [i, i + 1]))
             else:
@@ -579,46 +650,42 @@ def skew_canonical_form(A):
 
     pairs.sort(key=lambda pc: -pc[0])
     order = [idx for _, cols in pairs for idx in cols] + singles
-    B = Q[:, order]
-    gamma = np.array([_snap_coupling(c) for c, _ in pairs])
-    return B, gamma
-
-
-def _snap_coupling(c):
-    if c < COUPLING_SNAP:
-        return 0.0
-    # Couplings of a real-orthonormal Gram imaginary part cannot
-    # exceed 1; absorb floating-point excess.  Larger values are
-    # legitimate for general skew-symmetric input and kept as-is.
-    if 1.0 < c <= 1.0 + COUPLING_SNAP:
-        return 1.0
-    return c
+    return Q[:, order], [c for c, _ in pairs]
 
 
 def _canonical_couplings(A, tol):
-    """Block values c_k = A[2k+1, 2k] of a skew-symmetric A that is already
-    in canonical form within ``tol``, else None.
+    """Block values c_k = A[..., 2k+1, 2k] of each slice of a stack of
+    skew-symmetric matrices, and whether each slice is already in canonical
+    form within its ``tol``.
 
     Canonical within tol: every entry outside the 2x2 diagonal blocks
     (and the trailing zero when the dimension is odd) is at most tol in
     magnitude, no c_k is below -tol and no c_k exceeds its predecessor by
     more than tol.
     """
-    # In the flattened K x K matrix, the block entries (2k+1, 2k) and
+    # In each flattened K x K slice, the block entries (2k+1, 2k) and
     # (2k, 2k+1) sit at K + 2k(K+1) and 1 + 2k(K+1).  Basic slices and
-    # array methods keep the test to a few microseconds at K = 21.
-    K = A.shape[0]
-    c = A.ravel()[K::2 * K + 2]
-    rest = A.flatten()
-    rest[K::2 * K + 2] = rest[1::2 * K + 2] = 0.0
-    if (abs(rest).max(initial=0.0) <= tol and (c >= -tol).all()
-            and (c[1:] <= c[:-1] + tol).all()):
-        return c
-    return None
+    # array methods test the whole stack at once.
+    K = A.shape[-1]
+    rest = A.reshape(A.shape[:-2] + (K * K,)).copy()
+    c = rest[..., K::2 * K + 2].copy()
+    rest[..., K::2 * K + 2] = rest[..., 1::2 * K + 2] = 0.0
+    tol = tol[..., None]
+    canonical = ((abs(rest) <= tol).all(axis=-1) & (c >= -tol).all(axis=-1)
+                 & (c[..., 1:] <= c[..., :-1] + tol).all(axis=-1))
+    return c, canonical
 
 
 def project_r(basis, z):
-    """Orthogonal projection of z onto span_R(U): U Re{U^H z}."""
+    """Orthogonal projection of z onto span_R(U): U Re{U^H z}.
+
+    ``basis`` is one basis: a stack raises ValueError, not an answer for
+    a slice.
+    """
+    if basis.U.ndim > 2:
+        raise ValueError(
+            f"expected one basis, got a stack of bases of shape {basis.U.shape[:-2]}: "
+            "project onto each basis of the stack (basis[i])")
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     if flat.shape[0] != basis.ambient_dim:

@@ -190,7 +190,7 @@ def _linear_basis(grad):
     after T passes, so a zero diagonal entry never reaches the signs.
 
     The basis is not checked as a whole: the lines come from a Householder
-    QR and U_D from ``r_orthonormalize``, which checked it, so only the
+    QR and U_D from the second pass of ``r_orthonormalize``, so only the
     cross block Q^H U_D is, against the ``RBasis`` tolerance; None when it
     fails.  Without D there is nothing to check.
     """
@@ -224,7 +224,7 @@ def _linear_basis(grad):
         U[:, 2 * r:] = block.U
         c = np.concatenate([c, block.c])
         # Re{U^H U} - I is zero up to rounding on the line block (Householder)
-        # and on U_D's (checked by r_orthonormalize); the cross block holds
+        # and on U_D's (r_orthonormalize's second pass); the cross block holds
         # the real and imaginary parts of Q^H U_D, twice.
         cross = np.conj(U[:, 0:2 * r:2].T) @ block.U
         if np.sqrt(2.0) * np.linalg.norm(cross) > STRUCTURE_RTOL * U.shape[1]:
@@ -294,9 +294,9 @@ def canonical_decompose(basis):
     basis is a stack of one).  A ``CanonicalDecomposition``, as
     ``variation_space`` returns for a gradient with complex lines, is
     returned unchanged.  Any other basis gets the canonical form
-    ``skew_canonical_form`` of Im{U^H U} per slice and is rotated:
-    V = U B.  Im{U^H U} and U B are one stacked product each, so each
-    slice has the bits of its own call.  The couplings c are the
+    ``skew_canonical_form`` of Im{U^H U} and is rotated: V = U B.
+    Im{U^H U}, its canonical form and U B are one stacked call each, so
+    each slice has the bits of its own call.  The couplings c are the
     descending block values; the real span of V equals that of U, and
     B, orthogonal, keeps V real-orthonormal without a new check.
 
@@ -311,11 +311,7 @@ def canonical_decompose(basis):
     if isinstance(basis, CanonicalDecomposition):
         return basis
     U = basis.U
-    A = np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U)
-    B = np.empty(A.shape)
-    gamma = np.empty(A.shape[:-2] + (A.shape[-1] // 2,))
-    for i in np.ndindex(A.shape[:-2]):      # no slice in an empty stack
-        B[i], gamma[i] = skew_canonical_form(A[i])
+    B, gamma = skew_canonical_form(np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U))
     return CanonicalDecomposition._derived(U @ B, c=np.clip(gamma, 0.0, 1.0))
 
 

@@ -497,6 +497,83 @@ class TestGenerateClusteredChannel:
                 generate_clustered_channel(rng, config)
 
 
+def vectorized_clustered_channel(rng, config, attempts):
+    """The clustered draw with the pairwise array form of the admissibility
+    test: the oracle of the Python-float test in generate_clustered_channel.
+    Appends the number of candidates drawn to ``attempts``."""
+    L = int(rng.integers(1, 8))
+    floor = math.radians(config.separation_floor_deg)
+    margin = math.radians(config.endfire_margin_deg)
+    iu = np.triu_indices(L, 1)
+
+    def admissible(cand):
+        sines = np.sin(cand)
+        if np.max(np.abs(sines)) > math.cos(margin):
+            return False
+        if L == 1:
+            return True
+        diff = np.abs(cand[:, None] - cand[None, :])[iu]
+        if np.min(np.minimum(diff, 2.0 * np.pi - diff)) < floor:
+            return False
+        return bool(np.min(np.abs(sines[:, None] - sines[None, :])[iu]) >= math.sin(floor))
+
+    for attempt in range(1, config.max_redraws + 1):
+        cand = rng.uniform(0.0, 2.0 * np.pi, size=L)
+        cand = np.mod(cand + np.pi, 2.0 * np.pi) - np.pi
+        if admissible(cand):
+            break
+    else:
+        attempts.append(config.max_redraws)
+        raise DrawError(
+            f"could not draw {L} azimuths separated by {config.separation_floor_deg} deg "
+            f"in {config.max_redraws} attempts"
+        )
+    attempts.append(attempt)
+    mean_powers = np.exp(-config.cluster_decay * np.arange(L))
+    mean_powers /= mean_powers.sum()
+    magnitudes = np.maximum(np.sqrt(mean_powers * rng.exponential(1.0, size=L)),
+                            config.min_gain)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=L)
+    return PathSet(gains=magnitudes * np.exp(1j * phases), azimuths=cand)
+
+
+class TestDrawsEqualVectorizedTest:
+    """Every accept or reject decision, and so every draw, equals that of the
+    pairwise array test, over the streams of run_multipath's trials."""
+
+    @staticmethod
+    def draws(draw, rng, config):
+        out = []
+        for _ in range(2):          # a trial's draw, then a redraw from its stream
+            try:
+                paths = draw(rng, config)
+            except DrawError as err:
+                out.append(str(err))
+                break
+            out.append((paths.gains.tobytes(), paths.azimuths.tobytes()))
+            rng.uniform(-1.0, 1.0, size=paths.n_paths)
+        return out, rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed, floor, max_redraws", [
+        (7, 2.0, 100), (3, 2.0, 100),
+        (7, 25.0, 20), (3, 40.0, 20)])          # wide floors: many redraws, some failures
+    def test_trials_0_to_499(self, seed, floor, max_redraws):
+        config = ExperimentConfig(seed=seed, separation_floor_deg=floor,
+                                  max_redraws=max_redraws)
+        attempts, failures = [], 0
+        for t in range(500):
+            got = self.draws(generate_clustered_channel,
+                             np.random.default_rng([seed, t]), config)
+            want = self.draws(lambda rng, cfg: vectorized_clustered_channel(rng, cfg, attempts),
+                              np.random.default_rng([seed, t]), config)
+            assert got == want
+            failures += isinstance(got[0][-1], str)
+        # Candidates were rejected (at the default floor by the endfire
+        # margin), and only the wide floors exhaust a budget.
+        assert sum(attempts) > len(attempts)
+        assert (failures > 0) == (floor > 2.0)
+
+
 class TestRunMultipath:
     def test_deterministic(self, multipath_outcome):
         (table, diag), config = multipath_outcome

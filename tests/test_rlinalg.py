@@ -605,6 +605,199 @@ class TestCanonicalShortcut:
             assert np.linalg.norm(T - skew_block_matrix(gamma, K)) <= 1e-12
 
 
+def ula_span_forms(L, batch):
+    """Im{U^H U} of azimuth-only ULA spans with L paths, a stack of ``batch``:
+    couplings tied at 1 (one complex line per path) and zero couplings."""
+    from pilotspace.models import UlaGeometry, physical_variation_space
+
+    rng = np.random.default_rng([41, L])
+    azimuths = np.sort(rng.uniform(-1.0, 1.0, size=batch + (L,)), axis=-1)
+    azimuths += 0.2 * np.arange(L)
+    U = physical_variation_space(UlaGeometry(16), azimuths).U
+    return np.imag(np.conj(np.swapaxes(U, -1, -2)) @ U)
+
+
+def random_skew(rng, *shape):
+    W = rng.normal(size=shape)
+    return W - np.swapaxes(W, -1, -2)
+
+
+class TestStackedSkewCanonicalForm:
+    """A stack (..., K, K) gives each slice the bits of the call on that
+    slice alone, and only the slices not already canonical take a Schur form."""
+
+    @staticmethod
+    def assert_equals_slices(A, schur_calls):
+        B, gamma = skew_canonical_form(A)
+        assert B.shape == A.shape and gamma.shape == A.shape[:-2] + (A.shape[-1] // 2,)
+        n_schur = len(schur_calls)
+        for i in np.ndindex(A.shape[:-2]):
+            B_i, gamma_i = skew_canonical_form(A[i].copy())
+            assert np.array_equal(B[i], B_i) and np.array_equal(gamma[i], gamma_i)
+        # The stacked call ran the Schur forms that the per-slice calls ran.
+        assert len(schur_calls) == 2 * n_schur
+        return B, gamma
+
+    @pytest.mark.parametrize("batch", [(1,), (3,), (2, 3)])
+    @pytest.mark.parametrize("K", [5, 6])
+    def test_random_and_canonical_slices(self, batch, K, schur_calls):
+        rng = np.random.default_rng([42, K, len(batch)])
+        A = random_skew(rng, *batch, K, K)
+        canonical, _ = canonical_input(rng, K)
+        flat = A.reshape(-1, K, K)
+        flat[1::2] = canonical                # every other slice is canonical
+        B, _ = self.assert_equals_slices(A, schur_calls)
+        assert len(schur_calls) == 2 * len(flat[0::2])
+        assert np.array_equal(B.reshape(-1, K, K)[1::2], np.broadcast_to(np.eye(K), flat[1::2].shape))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_ula_spans_with_tied_and_zero_couplings(self, L, schur_calls):
+        A = ula_span_forms(L, (2, 3))
+        _, gamma = self.assert_equals_slices(A, schur_calls)
+        assert np.abs(gamma[..., :L] - 1.0).max() <= 1e-12
+        assert np.abs(gamma[..., L:]).max(initial=0.0) <= 1e-12
+        if L == 1:
+            assert schur_calls == []          # a one-path span is canonical
+
+    def test_one_matrix_is_a_stack_of_one(self):
+        rng = np.random.default_rng(43)
+        for K in (1, 2, 7):
+            A = random_skew(rng, K, K)
+            B, gamma = skew_canonical_form(A)
+            B_1, gamma_1 = skew_canonical_form(A[None])
+            assert B.shape == (K, K) and gamma.shape == (K // 2,)
+            assert np.array_equal(B_1[0], B) and np.array_equal(gamma_1[0], gamma)
+
+    @pytest.mark.parametrize("shape", [(0, 5, 5), (0, 3, 4, 4), (2, 0, 1, 1)])
+    def test_empty_stack(self, shape, schur_calls):
+        B, gamma = skew_canonical_form(np.zeros(shape))
+        assert B.shape == shape and gamma.shape == shape[:-2] + (shape[-1] // 2,)
+        assert schur_calls == []
+
+    def test_non_skew_slice_is_named(self):
+        rng = np.random.default_rng(44)
+        A = random_skew(rng, 3, 4, 4)
+        A[1, 0, 3] += 1.0
+        with pytest.raises(NotSkewSymmetricError) as single:
+            skew_canonical_form(A[1])
+        with pytest.raises(NotSkewSymmetricError) as stacked:
+            skew_canonical_form(A)
+        assert str(stacked.value) == f"{single.value} in slice 1"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_slice_is_named(self, bad):
+        rng = np.random.default_rng(45)
+        A = random_skew(rng, 2, 3, 5, 5)
+        A[0, 2, 1, 1] = bad              # also fails the skew test: finiteness first
+        A[1, 2, 0, 4] = bad
+        with pytest.raises(ValueError, match=r"non-finite entries in slice \(0, 2\)$") as err:
+            skew_canonical_form(A)
+        assert not isinstance(err.value, NotSkewSymmetricError)
+
+    def test_non_square_stack(self):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(3, 4, 5\)"):
+            skew_canonical_form(np.zeros((3, 4, 5)))
+
+
+class TestDgeesWorkspace:
+    """The workspace query runs once per matrix order, with the bits of a
+    query on every call (scipy.linalg.schur's)."""
+
+    def test_queried_once_per_order(self, monkeypatch):
+        import pilotspace.rlinalg as rl
+
+        real, queries = rl._flapack, []
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            @staticmethod
+            def dgees(*args, **kwargs):
+                if kwargs.get("lwork") == -1:
+                    queries.append(args[1].shape[0])
+                return real.dgees(*args, **kwargs)
+
+        monkeypatch.setattr(rl, "_flapack", Counting())
+        monkeypatch.setattr(rl, "_DGEES_LWORK", {})
+        rng = np.random.default_rng(46)
+        for K in (3, 7, 21, 3, 7, 21, 21, 1):
+            A = random_skew(rng, K, K)
+            T, Q = _real_schur(A)
+            T_ref, Q_ref = scipy.linalg.schur(A, output="real", check_finite=False)
+            assert np.array_equal(T, T_ref) and np.array_equal(Q, Q_ref)
+        assert queries == [3, 7, 21, 1]
+        for K, lwork in rl._DGEES_LWORK.items():
+            assert lwork == int(real.dgees(rl._no_select, np.zeros((K, K)), lwork=-1)[-2][0])
+
+
+class TestSolveRightShapes:
+    """Shapes that do not fit raise ValueError naming both, before LAPACK runs."""
+
+    @pytest.mark.parametrize("x_shape, r_shape", [
+        ((2, 5, 2), (3, 2, 2)),       # batch shapes differ (the first two R's would do)
+        ((3, 5, 2), (1, 2, 2)),       # batch shapes differ (no broadcast)
+        ((5, 2), (3, 3)),             # k differs
+    ])
+    def test_mismatch_raises(self, x_shape, r_shape, capfd):
+        X = np.ones(x_shape)
+        R = np.broadcast_to(np.eye(r_shape[-1]), r_shape).copy()
+        with pytest.raises(ValueError) as err:
+            solve_right(X, R)
+        assert str(r_shape) in str(err.value) and str(x_shape) in str(err.value)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_stack_equals_each_slice(self, kind):
+        rng = np.random.default_rng([47, len(kind)])
+        k = 4
+        R = np.triu(rng.normal(size=(2, 3, k, k))) + 3 * np.eye(k)
+        X = rng.normal(size=(2, 3, 9, k)) if kind == "real" else random_complex(rng, 2, 3, 9, k)
+        Y = solve_right(X, R)
+        assert Y.shape == X.shape and Y.dtype == np.result_type(X, 1.0)
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(Y[i], solve_right(X[i], R[i]))
+
+
+class TestOrthonormalizeFormsNoGram:
+    """r_orthonormalize returns its second-pass basis unchecked; the full
+    RBasis check runs on its output in the tests."""
+
+    def test_no_second_gram(self, monkeypatch):
+        import pilotspace.rlinalg as rl
+
+        checks = []
+        real_check, real_gram_ = RBasis.__post_init__, rl.real_gram
+        monkeypatch.setattr(RBasis, "__post_init__",
+                            lambda self: checks.append("check") or real_check(self))
+        monkeypatch.setattr(rl, "real_gram", lambda X: checks.append("gram") or real_gram_(X))
+        rng = np.random.default_rng(48)
+        for G in (random_complex(rng, 9, 4), random_complex(rng, 2, 3, 9, 4)):
+            basis, _ = r_orthonormalize(G)
+            assert checks == []
+            RBasis(basis.U)                      # the patch sees a check
+            assert checks == ["check", "gram"]
+            checks.clear()
+
+    @pytest.mark.parametrize("cond", [1e6, 3e9, 5e9, 9e9])
+    @pytest.mark.parametrize("k", [2, 6, 21])
+    def test_near_the_certificate_margin(self, cond, k):
+        # cond 3e9 is certified; at 5e9 and 9e9 the certificate fails and the
+        # SVD finds full rank (below 1 / RANK_RTOL = 1e10).
+        rng = np.random.default_rng([49, k])
+        n = 64
+        Q1, _ = np.linalg.qr(rng.normal(size=(2 * n, k)))
+        Q2, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        S = (Q1 * np.geomspace(1.0, 1.0 / cond, k)) @ Q2.T
+        G = S[:n] + 1j * S[n:]
+        assert full_rank_certified(_positive_triangle(G)) == (cond < 4e9)
+        basis, R = r_orthonormalize(G)
+        RBasis(basis.U)
+        defect = np.linalg.norm(real_gram(basis.U) - np.eye(k))
+        assert defect <= 1e-3 * STRUCTURE_RTOL * k
+        assert np.linalg.norm(basis.U @ R - G) <= 1e-12 * np.linalg.norm(G)
+
+
 def _steering_span_inputs():
     """(G, A) pairs shaped like a multipath trial's: G the 64 x 3L steering
     span, A = Im{U^H U} of its real-orthonormal basis U."""
@@ -834,6 +1027,14 @@ class TestProjectR:
         assert naive_r_inner(project_r(basis, z), w) == pytest.approx(
             naive_r_inner(z, project_r(basis, w)), rel=1e-9, abs=1e-12
         )
+
+    def test_stack_refused(self):
+        rng = np.random.default_rng(7)
+        stack, _ = r_orthonormalize(random_complex(rng, 2, 3, 6, 4))
+        with pytest.raises(ValueError, match=r"stack of bases of shape \(2, 3\).*basis\[i\]"):
+            project_r(stack, np.ones(6))
+        z = random_complex(rng, 6)
+        assert np.array_equal(project_r(stack[1, 2], z), project_r(RBasis(stack.U[1, 2]), z))
 
     def test_dimension_mismatch(self, basis):
         with pytest.raises(ValueError, match="ambient dim"):

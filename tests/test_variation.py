@@ -9,12 +9,14 @@ from scipy.stats import ortho_group
 from pilotspace.crb import _pair_factor
 from pilotspace.models import UlaGeometry, steering_derivative, steering_vector
 from pilotspace.rlinalg import (
+    STRUCTURE_RTOL,
     RankDeficientError,
     RBasis,
     condition_bound,
     full_rank_certified,
     project_r,
     r_orthonormalize,
+    real_gram,
     stacked_real,
 )
 from pilotspace.variation import (
@@ -543,10 +545,60 @@ class TestEigenspaceProperty:
             assert verify_eigenspace_property(dec)["max_residual"] <= 1e-7
 
 
+class TestOrthonormalizeOutputPassesTheFullCheck:
+    """r_orthonormalize returns its basis without the RBasis Gram check; the
+    check passes on what it returns, far inside its tolerance."""
+
+    @staticmethod
+    def assert_full_check(U):
+        RBasis(U)
+        k = U.shape[-1]
+        defect = np.linalg.norm(real_gram(U) - np.eye(k), axis=(-2, -1)).max(initial=0.0)
+        assert defect <= 1e-3 * STRUCTURE_RTOL * k
+
+    @pytest.mark.parametrize("n_tx, n_paths", physical_cases())
+    def test_physical_gradients(self, n_tx, n_paths, monkeypatch):
+        # The complex-lines route's derivative block, the general route's
+        # whole gradient (unless it is rank deficient there) and the
+        # azimuth-only span at the same azimuths.
+        import pilotspace.models as models
+        import pilotspace.variation as var
+
+        outputs = []
+        for module in (var, models):
+            monkeypatch.setattr(module, "r_orthonormalize",
+                                lambda G, _real=r_orthonormalize:
+                                outputs.append(_real(G)) or outputs[-1])
+        model, theta = physical_case(n_tx, n_paths, seed=60)
+        variation_space(model, theta)
+        general = general_route(model, theta, monkeypatch)
+        try:
+            models.physical_variation_space(UlaGeometry(n_tx), theta[2::3])
+        except RankDeficientError:
+            pass
+        assert len(outputs) >= 1 + (type(general) is RBasis)
+        for basis, _ in outputs:
+            self.assert_full_check(basis.U)
+
+    def test_multipath_stacks(self, monkeypatch):
+        import pilotspace.models as models
+        from pilotspace.experiments import ExperimentConfig, run_multipath
+
+        outputs = []
+        real = models.r_orthonormalize
+        monkeypatch.setattr(models, "r_orthonormalize",
+                            lambda G: outputs.append(real(G)) or outputs[-1])
+        for seed in range(700000, 700010):
+            run_multipath(ExperimentConfig(n_trials=10, seed=seed))
+        assert len(outputs) >= 10
+        for basis, _ in outputs:
+            self.assert_full_check(basis.U)
+
+
 class TestDecomposeValidatesOnce:
-    """canonical_decompose puts each slice through skew_canonical_form once;
+    """canonical_decompose puts the stack through skew_canonical_form once;
     only the slices not already canonical take a Schur form, of the
-    symmetrized input."""
+    symmetrized input, and each slice has the bits of its own call."""
 
     def test_each_slice_is_validated_once(self, monkeypatch):
         import pilotspace.rlinalg as rl
@@ -560,16 +612,17 @@ class TestDecomposeValidatesOnce:
         parts, schur_inputs = [], []
         real_form, real_schur = var.skew_canonical_form, rl._real_schur
         monkeypatch.setattr(var, "skew_canonical_form",
-                            lambda A: parts.append(A) or real_form(A))
+                            lambda A: parts.append(A.copy()) or real_form(A))
         monkeypatch.setattr(rl, "_real_schur",
                             lambda A: schur_inputs.append(A.copy()) or real_schur(A))
         dec = canonical_decompose(bases)
         monkeypatch.undo()
-        assert len(parts) == 3 and len(schur_inputs) == 2
-        for A, schur_input in zip([parts[0], parts[2]], schur_inputs):
+        assert len(parts) == 1 and parts[0].shape == (3, 5, 5)
+        assert len(schur_inputs) == 2
+        for A, schur_input in zip([parts[0][0], parts[0][2]], schur_inputs):
             assert np.array_equal(schur_input, 0.5 * (A - A.T))
         # Each slice has the bits of the public skew_canonical_form on its input.
-        for i, A in enumerate(parts):
+        for i, A in enumerate(parts[0]):
             B, gamma = skew_canonical_form(A)
             assert np.array_equal(dec.V[i], bases.U[i] @ B)
             assert np.array_equal(dec.c[i], np.clip(gamma, 0.0, 1.0))
