@@ -32,14 +32,7 @@ import numpy as np
 
 from . import fileio
 from .crb import NoiseModel, check_identifiability, crb_min, crb_via_variation_space
-from .experiments import (
-    DrawError,
-    ExperimentConfig,
-    finite_number,
-    is_number,
-    run_multipath,
-    run_single_path,
-)
+from .experiments import DrawError, ExperimentConfig, run_multipath, run_single_path
 from .models import (
     UlaGeometry,
     angle_constrained_model,
@@ -48,7 +41,7 @@ from .models import (
     physical_model,
 )
 from .pilot import design_observation_matrix, verify_optimality_certificates
-from .rlinalg import RankDeficientError
+from .rlinalg import RankDeficientError, finite_number, is_number
 from .variation import canonical_decompose, variation_space
 
 CONFIG_SCHEMA_VERSION = 1
@@ -96,8 +89,6 @@ def _parse_azimuths_deg(text):
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as err:
         raise ConfigError(f"cannot parse azimuth list '{text}': {err}") from err
-    if not values:
-        raise ConfigError("azimuth list is empty")
     return np.radians(values)
 
 
@@ -106,9 +97,12 @@ def _variation_basis(args, theta=None, M=None):
     for the linear models), or for ``physical`` without it, estimated from
     ``--azimuths``.  ``physical`` takes its azimuths from one of the two,
     never both, and ``ls`` takes none.  ``M``'s row count is checked
-    against ``--nt`` after the flags and before any basis is built.
+    against ``--nt`` after the flags and before any basis is built.  A
+    model is built only where its variation space is the answer: not for
+    ``physical`` with ``--azimuths``.
     """
     geom = UlaGeometry(args.nt)
+    model = None
     if args.model == "physical" and theta is not None:
         if args.azimuths is not None:
             raise ConfigError("--azimuths and --theta both give the azimuths of "
@@ -121,18 +115,18 @@ def _variation_basis(args, theta=None, M=None):
             raise ConfigError("--azimuths does not apply to model 'ls', whose "
                               "variation space has no azimuths: drop it")
         model = ls_model(args.nt)
-    elif args.azimuths is not None:
-        azimuths = _parse_azimuths_deg(args.azimuths)
-        model = (physical_model(geom, azimuths.shape[0]) if args.model == "physical"
-                 else angle_constrained_model(geom, azimuths))
-    else:
+    elif args.azimuths is None:
         raise ConfigError(f"--azimuths is required for model '{args.model}'")
+    else:
+        azimuths = _parse_azimuths_deg(args.azimuths)
+        if args.model != "physical":
+            model = angle_constrained_model(geom, azimuths)
     if M is not None and M.shape[0] != args.nt:
         raise ConfigError(
             f"{args.m}: M has {M.shape[0]} rows, but the model's ambient "
             f"dimension is {args.nt}"
         )
-    if args.model == "physical" and theta is None:
+    if model is None:
         return estimated_variation_space(geom, azimuths)
     return variation_space(model, np.zeros(model.n_params) if theta is None else theta)
 

@@ -47,8 +47,11 @@ from numpy.linalg import LinAlgError
 from .rlinalg import (
     COUPLING_SNAP,
     RANK_CERT_MARGIN,
+    _check_finite_positive,
     _checked_observations,
+    _count,
     _record,
+    _refuse_stack,
     cholesky_in_place,
     compression_matrix,
     condition_bound,
@@ -63,15 +66,14 @@ from .variation import _complex_lines, _model_gradient
 EIG_RTOL = 1e-10
 
 
-def _check_finite_positive(name, value):
-    """ValueError naming ``name`` unless ``value`` is finite and positive."""
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 @_record
 class NoiseModel:
-    """I.i.d. circular complex Gaussian observation noise of variance sigma2."""
+    """I.i.d. circular complex Gaussian observation noise of variance sigma2.
+
+    ``sigma2`` is stored as given; ValueError unless it is a finite number
+    above 0 (a bool, a string, None, NaN, +/-inf, 0 or a negative value is
+    refused).
+    """
 
     sigma2: float
 
@@ -122,14 +124,6 @@ class CrbMinResult:
     sigma2: float
     lower_bound: float
     upper_bound: float
-
-
-def _one_matrix(M):
-    """M as a complex 2-D array; ValueError naming the shape of a stack."""
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    if M.ndim > 2:
-        raise ValueError(f"expected one observation matrix M, got shape {M.shape}")
-    return M
 
 
 def _fisher(grad, M, noise):
@@ -227,7 +221,8 @@ def crb_direct(model, theta, M, noise):
     count or has non-finite entries.
     """
     grad = _model_gradient(model, theta)
-    M = _checked_observations(_one_matrix(M), grad.shape[0])
+    _refuse_stack(M, "observation matrix M", "evaluate each matrix of the stack (M[i])")
+    M = _checked_observations(M, grad.shape[0])
     lines = _complex_lines(grad)
     all_lines = lines is not None and grad[0, lines[1]].size == 0
     if all_lines:
@@ -324,11 +319,9 @@ def _one_spectrum(basis, M):
 
     A stack of bases or of M raises ValueError, not an answer for a slice.
     """
-    if basis.U.ndim > 2:
-        raise ValueError(
-            f"expected one basis, got a stack of bases of shape {basis.U.shape[:-2]}: "
-            "index the stack (basis[i]) or call compression_spectra")
-    M = _one_matrix(M)
+    _refuse_stack(basis.U, "basis", "index the stack (basis[i]) or call compression_spectra")
+    _refuse_stack(M, "observation matrix M", "index the stack (M[i]) or call compression_spectra")
+    M = _checked_observations(M, basis.ambient_dim)
     eigs, singular = compression_spectra(basis, M[None])
     return M, eigs[0], singular[0]
 
@@ -389,14 +382,20 @@ def crb_min(c, n_params, noise, power):
 
     Evaluates (2 sigma^2 / P) (sum_k 1/sqrt(1 + c_k) + eps/2)^2 with
     eps = n_params mod 2, and attaches the universal bounds.
+
+    Raises ValueError unless ``power`` is a finite number above 0 (not a
+    bool), ``n_params`` an integer of at least 1 (not a bool), and ``c``
+    holds n_params // 2 couplings in [0, 1] up to COUPLING_SNAP (NaN and
+    +/-inf are outside).
     """
     _check_finite_positive("power", power)
+    n_params = _count("n_params", n_params)
     c = np.asarray(c, dtype=float).ravel()
     if c.shape[0] != n_params // 2:
         raise ValueError(
             f"expected {n_params // 2} couplings for {n_params} parameters, got {c.shape[0]}"
         )
-    if np.any(c < -COUPLING_SNAP) or np.any(c > 1.0 + COUPLING_SNAP):
+    if not np.all((c >= -COUPLING_SNAP) & (c <= 1.0 + COUPLING_SNAP)):
         raise ValueError("couplings must lie in [0, 1]")
     c = np.clip(c, 0.0, 1.0)
     epsilon = n_params % 2

@@ -77,7 +77,6 @@ candidates are accepted.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -89,7 +88,7 @@ from .models import (
     steering_matrix,
 )
 from .pilot import design_observation_matrix
-from .rlinalg import RankDeficientError, _record, numerical_rank
+from .rlinalg import RankDeficientError, _integer, _record, finite_number, numerical_rank
 from .variation import canonical_decompose
 
 AC_STRATEGY = "AngleConstrained"
@@ -106,29 +105,6 @@ STACK_TRIALS = 3
 
 class DrawError(RuntimeError):
     """The configuration admits no channel within its draw or redraw budget."""
-
-
-def is_number(value):
-    """True for a real number that is not a bool: a JSON number, or a NumPy
-    integer or floating scalar."""
-    # int and float first: the numbers.Real ABC check is ~5x slower.
-    return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
-
-
-def finite_number(value):
-    """True for a number (see ``is_number``) that is finite as a double."""
-    if not is_number(value):
-        return False
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:
-        return False
-
-
-def _integer(name, value):
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _finite(name, value):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .experiments import finite_number, is_number
+from .rlinalg import finite_number, is_number
 
 
 def format_float(x):

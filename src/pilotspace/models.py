@@ -14,19 +14,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .rlinalg import RankDeficientError, _record, r_orthonormalize
+from .rlinalg import RankDeficientError, _count, _record, _refuse_stack, r_orthonormalize
 from .variation import ParametricChannelModel
 
 
 @_record
 class UlaGeometry:
-    """Centered half-wavelength ULA with n_antennas elements."""
+    """Centered half-wavelength ULA with n_antennas elements.
+
+    ``n_antennas`` is stored as an int; ValueError unless it is an integer
+    (a Python or NumPy integer, not a bool) of at least 1.
+    """
 
     n_antennas: int
 
     def __post_init__(self):
-        if self.n_antennas < 1:
-            raise ValueError("need at least one antenna")
+        object.__setattr__(self, "n_antennas", _count("n_antennas", self.n_antennas))
 
     @cached_property
     def offsets(self):
@@ -50,7 +53,7 @@ class PathSet:
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=complex).ravel()
         azimuths = np.asarray(self.azimuths, dtype=float).ravel()
-        if gains.shape[0] != azimuths.shape[0] or gains.shape[0] < 1:
+        if gains.shape[0] != azimuths.shape[0] or gains.shape[0] == 0:
             raise ValueError("need one gain per azimuth, at least one path")
         if not (np.all(np.isfinite(gains)) and np.all(np.isfinite(azimuths))):
             raise ValueError("gains and azimuths must be finite")
@@ -129,11 +132,10 @@ def ls_model(n_tx):
     """Least squares model: parameters are Re/Im of the channel entries.
 
     h = (Id, j Id) theta with theta = [Re h; Im h]; the gradient is
-    constant and the variation space is all of C^{N_t}.
+    constant and the variation space is all of C^{N_t}.  ValueError unless
+    ``n_tx`` is an integer (not a bool) of at least 1.
     """
-    if n_tx < 1:
-        raise ValueError("n_tx must be >= 1")
-    return _linear_model(np.eye(n_tx), "ls")
+    return _linear_model(np.eye(_count("n_tx", n_tx)), "ls")
 
 
 def physical_model(geom, n_paths):
@@ -142,10 +144,10 @@ def physical_model(geom, n_paths):
     theta = [Re b_1, Im b_1, phi_1, ..., Re b_L, Im b_L, phi_L]; the
     gradient columns per path are e(phi_l), j e(phi_l), b_l de/dphi_l.
     A zero gain makes the azimuth column vanish (rank deficiency is
-    surfaced by variation_space, not silently repaired).
+    surfaced by variation_space, not silently repaired).  ValueError
+    unless ``n_paths`` is an integer (not a bool) of at least 1.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    n_paths = _count("n_paths", n_paths)
     n_tx = geom.n_antennas
 
     def split(theta):
@@ -176,18 +178,28 @@ def physical_model(geom, n_paths):
     )
 
 
+def _checked_azimuths(azimuths):
+    """Azimuths as a float array (at least 1-D, a stack of lists allowed);
+    ValueError when a list is empty or an entry is not finite."""
+    azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))
+    if azimuths.shape[-1] == 0:
+        raise ValueError("need at least one azimuth")
+    if not np.all(np.isfinite(azimuths)):
+        raise ValueError("azimuths must be finite")
+    return azimuths
+
+
 def angle_constrained_model(geom, fixed_azimuths):
     """Linear gains-only model with azimuths frozen at estimates.
 
     h = (E, jE) theta with E the steering matrix of the fixed azimuths
-    and theta = [Re b; Im b].
+    and theta = [Re b; Im b].  ValueError on an empty azimuth list, on
+    non-finite azimuths and on a stack of lists (a 2-D array: one model
+    per row).
     """
-    fixed_azimuths = np.atleast_1d(np.asarray(fixed_azimuths, dtype=float))
-    if fixed_azimuths.shape[0] < 1:
-        raise ValueError("need at least one azimuth")
-    if not np.all(np.isfinite(fixed_azimuths)):
-        raise ValueError("azimuths must be finite")
-    return _linear_model(steering_matrix(geom, fixed_azimuths), "angle_constrained")
+    E = steering_matrix(geom, _checked_azimuths(fixed_azimuths))
+    _refuse_stack(E, "azimuth list", "build one model per row (azimuths[i])")
+    return _linear_model(E, "angle_constrained")
 
 
 # Generators of the steering span, per path, in column order.
@@ -226,11 +238,7 @@ def _span_generators(geom, azimuths):
 
 
 def _steering_span(geom, azimuths, origin):
-    azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))
-    if azimuths.shape[-1] < 1:
-        raise ValueError("need at least one azimuth")
-    if not np.all(np.isfinite(azimuths)):
-        raise ValueError("azimuths must be finite")
+    azimuths = _checked_azimuths(azimuths)
     try:
         basis, _ = r_orthonormalize(_span_generators(geom, azimuths))
     except RankDeficientError as err:

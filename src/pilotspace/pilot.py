@@ -23,18 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .crb import (
-    NoiseModel,
-    _check_finite_positive,
-    _crb_report,
-    _spectra,
-    crb_via_variation_space,
-)
-from .rlinalg import COUPLING_SNAP, _record, real_gram
+from .crb import NoiseModel, _crb_report, _spectra, crb_via_variation_space
+from .rlinalg import COUPLING_SNAP, _check_finite_positive, _record, _refuse_stack, real_gram
 from .variation import CanonicalDecomposition
 
 
-@_record(hidden=("decomp",))
+@_record
 class PilotDesign:
     """Optimal observation matrix.
 
@@ -89,6 +83,10 @@ def design_observation_matrix(decomp, power, sigma2=1.0):
         Frobenius-norm-squared budget ||M||_F^2.
     sigma2 : float
         Noise variance of the design's ``achieved_crb`` (computed on access).
+
+    Raises ValueError unless ``power`` and ``sigma2`` are finite numbers
+    above 0 (a bool, a string, None, NaN, +/-inf, 0 or a negative value is
+    refused); both are stored as floats.
     """
     _check_finite_positive("power", power)
     _check_finite_positive("sigma2", sigma2)
@@ -139,9 +137,7 @@ def verify_optimality_certificates(design):
     A stacked design raises ValueError naming its batch shape.
     """
     M, decomp = design.M, design.decomp
-    if M.ndim > 2:
-        raise ValueError(f"expected one design, got a stack of batch shape {M.shape[:-2]}: "
-                         "design each slice on its own")
+    _refuse_stack(M, "design", "design each slice on its own")
     c = decomp.c
     n = 2 * c.shape[0]
     P, C = design.power, design.C_norm

@@ -48,6 +48,13 @@ Every record type of the package (``RBasis`` here, the reports, configs
 and designs of the other modules) is a ``_record``: a frozen value class
 whose methods are built from its annotations by closures, with no code
 generation, so defining the classes costs little of the import.
+
+The input rules of the package's entry points are implemented once, at
+the end of this module, and called wherever they apply: one matrix, not
+a stack (``_refuse_stack``); numbers and counts (``is_number``,
+``finite_number``, ``_integer``, ``_count``); a finite positive sigma^2
+or P (``_check_finite_positive``); an observation matrix
+(``_checked_observations``).
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -118,7 +126,7 @@ COUPLING_SNAP = 1e-12      # couplings below this are snapped to exactly 0
 STRUCTURE_RTOL = 1e-10
 
 
-def _record(cls=None, *, hidden=()):
+def _record(cls):
     """Class decorator: a frozen record of the fields ``cls`` annotates.
 
     The fields are the names in the class annotations, after those of a
@@ -129,19 +137,15 @@ def _record(cls=None, *, hidden=()):
     argument and then calls ``__post_init__`` if the class has one; a
     ``__setattr__`` and ``__delattr__`` that raise AttributeError (set a
     field in ``__post_init__`` with ``object.__setattr__``); and
-    ``__eq__``, ``__hash__`` and ``__repr__`` over the fields, without
-    the ``hidden`` ones.  The methods are closures over the field names,
-    so no source is generated and compiled as ``dataclasses`` does, at
-    about 1 ms a class.  Used as ``@_record`` or ``@_record(hidden=...)``.
+    ``__eq__``, ``__hash__`` and ``__repr__`` over the fields.  The
+    methods are closures over the field names, so no source is generated
+    and compiled as ``dataclasses`` does, at about 1 ms a class.
     """
-    if cls is None:
-        return lambda cls: _record(cls, hidden=hidden)
     inherited = getattr(cls, "_fields", ())
     names = inherited + tuple(name for name in cls.__dict__.get("__annotations__", {})
                               if name not in inherited)
     known = frozenset(names)
     defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
-    shown = tuple(name for name in names if name not in hidden)
     post_init = hasattr(cls, "__post_init__")
     title = f"{cls.__qualname__}()"
 
@@ -185,14 +189,14 @@ def _record(cls=None, *, hidden=()):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (tuple(getattr(self, name) for name in shown)
-                == tuple(getattr(other, name) for name in shown))
+        return (tuple(getattr(self, name) for name in names)
+                == tuple(getattr(other, name) for name in names))
 
     def __hash__(self):
-        return hash(tuple(getattr(self, name) for name in shown))
+        return hash(tuple(getattr(self, name) for name in names))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({fields})"
 
     for method in (__init__, __setattr__, __delattr__, __eq__, __hash__, __repr__):
@@ -467,6 +471,9 @@ def r_orthonormalize(G):
 
     Raises
     ------
+    ValueError
+        If G (or each matrix of a stack) has no row or no column, or has
+        non-finite entries.
     RankDeficientError
         If the columns are real-linearly dependent (numerical rank below
         k at relative threshold RANK_RTOL); ``null_space`` holds the
@@ -474,6 +481,9 @@ def r_orthonormalize(G):
         with the rank of each slice and no null space.
     """
     G = np.atleast_2d(np.asarray(G, dtype=complex))
+    if not (G.shape[-2] and G.shape[-1]):
+        raise ValueError("input matrix must have at least one row and one column, "
+                         f"got shape {G.shape}")
     if not np.all(np.isfinite(G)):
         raise ValueError("input matrix contains non-finite entries")
     k = G.shape[-1]
@@ -682,10 +692,7 @@ def project_r(basis, z):
     ``basis`` is one basis: a stack raises ValueError, not an answer for
     a slice.
     """
-    if basis.U.ndim > 2:
-        raise ValueError(
-            f"expected one basis, got a stack of bases of shape {basis.U.shape[:-2]}: "
-            "project onto each basis of the stack (basis[i])")
+    _refuse_stack(basis.U, "basis", "project onto each basis of the stack (basis[i])")
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     if flat.shape[0] != basis.ambient_dim:
@@ -709,6 +716,8 @@ def compression_matrix(basis, M):
     return 0.5 * (C + np.swapaxes(C, -1, -2))     # (..., dim, dim)
 
 
+# The input rules of the package's entry points, one implementation each.
+
 def _checked_observations(M, rows):
     """M as a complex array (at least 2-D); ValueError if it has not ``rows``
     rows (the ambient dimension) or has non-finite entries."""
@@ -718,3 +727,52 @@ def _checked_observations(M, rows):
     if not np.all(np.isfinite(M)):
         raise ValueError("observation matrix M contains non-finite entries")
     return M
+
+
+def _refuse_stack(array, what, hint):
+    """ValueError naming the batch shape when ``array`` is a stack of
+    matrices (more than two axes) where one ``what`` is expected; ``hint``
+    says what to pass instead."""
+    if np.ndim(array) > 2:
+        raise ValueError(f"expected one {what}, got a stack of batch shape "
+                         f"{np.shape(array)[:-2]}: {hint}")
+
+
+def is_number(value):
+    """True for a real number that is not a bool: a JSON number, or a NumPy
+    integer or floating scalar."""
+    # int and float first: the numbers.Real ABC check is ~5x slower.
+    return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
+
+
+def finite_number(value):
+    """True for a number (see ``is_number``) that is finite as a double."""
+    if not is_number(value):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+def _integer(name, value):
+    """``value`` as an int; ValueError unless it is an integer, not a bool."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _count(name, value):
+    """``value`` as an int; ValueError unless it is an integer (``_integer``)
+    of at least 1."""
+    value = _integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _check_finite_positive(name, value):
+    """ValueError naming ``name`` unless ``value`` is a finite number
+    (``finite_number``: not a bool, a string or None) above 0."""
+    if not (finite_number(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")

@@ -40,6 +40,7 @@ from .rlinalg import (
     RBasis,
     RankDeficientError,
     _record,
+    _refuse_stack,
     full_rank_certified,
     project_r,
     r_orthonormalize,
@@ -326,9 +327,7 @@ def verify_eigenspace_property(decomp):
     Returns the per-pair residuals and their maximum.  A stacked
     decomposition raises ValueError: decompose each basis of the stack.
     """
-    if decomp.U.ndim > 2:
-        raise ValueError("expected one decomposition, got a stack of batch shape "
-                         f"{decomp.U.shape[:-2]}: decompose each basis of the stack")
+    _refuse_stack(decomp.U, "decomposition", "decompose each basis of the stack")
     jE = RBasis(1j * decomp.U)
     residuals = []
     for k, c in enumerate(decomp.c):

@@ -100,6 +100,28 @@ class TestDesignCommand:
         assert capsys.readouterr().err == "error: azimuths must be finite\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("model", ["physical", "angle-constrained"])
+    def test_empty_azimuth_list_exit_1(self, capsys, model):
+        # The library's message: the CLI has no empty-list check of its own.
+        code = run_cli("design", "--model", model, "--azimuths=,", "--nt", "8", "--power", "1")
+        assert code == 1
+        assert capsys.readouterr().err == "error: need at least one azimuth\n"
+
+    def test_azimuths_route_builds_no_physical_model(self, tmp_path, monkeypatch):
+        # --model physical --azimuths answers with the azimuth-only span, so
+        # the physical model is never built.
+        import pilotspace.cli
+
+        def refuse(*args):
+            raise AssertionError("physical_model was called")
+
+        monkeypatch.setattr(pilotspace.cli, "physical_model", refuse)
+        model = ["--model", "physical", "--nt", "16", "--azimuths=-30,5"]
+        out = tmp_path / "M.json"
+        assert run_cli("design", *model, "--power", "1", "--output", str(out)) == 0
+        for command in ("crb", "identify"):
+            assert run_cli(command, *model, "--m", str(out)) == 0
+
     def test_negative_first_azimuth(self, tmp_path, capsys):
         # After a space, argparse reads "-30,5,41" as a flag; the "=" form
         # that the help text shows passes it as the value.

@@ -1146,8 +1146,9 @@ class TestOneBasisForms:
         noise = NoiseModel(1.0)
         for form in (lambda basis: crb_via_variation_space(basis, M, noise),
                      lambda basis: check_identifiability(basis, M)):
-            with pytest.raises(ValueError, match=r"stack of bases of shape \(3,\): "
-                               r"index the stack \(basis\[i\]\) or call compression_spectra"):
+            with pytest.raises(ValueError, match=r"^expected one basis, got a stack of batch "
+                               r"shape \(3,\): index the stack \(basis\[i\]\) or call "
+                               r"compression_spectra$"):
                 form(stack)
         # Each slice is one basis, answered with the bits of the stacked kernel.
         eigs, singular = compression_spectra(stack, M)
@@ -1159,19 +1160,21 @@ class TestOneBasisForms:
 
     @pytest.mark.parametrize("shape", [(1, 4, 4), (2, 4, 3)])
     def test_stack_of_observation_matrices_is_refused(self, shape):
-        # The one-matrix forms name M's shape, as all three forms did not
-        # before: a numpy TypeError, or a row count read off the batch axis.
+        # The one-matrix forms name M's batch shape, as all three forms did
+        # not before: a numpy TypeError, or a row count read off the batch axis.
         from pilotspace.models import ls_model
 
         model = ls_model(4)
         basis = variation_space(model, np.zeros(8))
         M = random_complex(np.random.default_rng(821), *shape)
         noise = NoiseModel(1.0)
-        match = rf"one observation matrix M, got shape \({shape[0]}, 4, {shape[2]}\)"
-        for form in (lambda: crb_via_variation_space(basis, M, noise),
-                     lambda: check_identifiability(basis, M),
-                     lambda: crb_direct(model, np.zeros(8), M, noise)):
-            with pytest.raises(ValueError, match=match):
+        head = rf"^expected one observation matrix M, got a stack of batch shape \({shape[0]},\): "
+        spectra = r"index the stack \(M\[i\]\) or call compression_spectra$"
+        for form, hint in ((lambda: crb_via_variation_space(basis, M, noise), spectra),
+                           (lambda: check_identifiability(basis, M), spectra),
+                           (lambda: crb_direct(model, np.zeros(8), M, noise),
+                            r"evaluate each matrix of the stack \(M\[i\]\)$")):
+            with pytest.raises(ValueError, match=head + hint):
                 form()
         # Each matrix of the stack is answered on its own.
         for M_i in M:

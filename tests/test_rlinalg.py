@@ -2,6 +2,7 @@
 
 import importlib.machinery
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -948,13 +949,17 @@ class TestLapackLoader:
 
     def test_import_loads_no_file_format_module(self):
         # Only the CLI reads and writes files: the library leaves fileio and
-        # json unimported, and fileio reads its number tests from experiments.
+        # json unimported.  The number tests are rlinalg's, one object
+        # wherever they are read.
         code = (
             "import sys, pilotspace\n"
             "loaded = [m for m in ('pilotspace.fileio', 'json') if m in sys.modules]\n"
             "assert not loaded, loaded\n"
-            "import pilotspace.fileio as fileio\n"
-            "assert fileio.finite_number is pilotspace.experiments.finite_number\n"
+            "import pilotspace.fileio as fileio, pilotspace.cli as cli\n"
+            "from pilotspace import experiments, rlinalg\n"
+            "assert fileio.finite_number is experiments.finite_number is rlinalg.finite_number\n"
+            "assert fileio.is_number is cli.is_number is rlinalg.is_number\n"
+            "assert cli.finite_number is rlinalg.finite_number\n"
         )
         proc = _run_python(code)
         assert proc.returncode == 0, proc.stderr
@@ -1031,7 +1036,8 @@ class TestProjectR:
     def test_stack_refused(self):
         rng = np.random.default_rng(7)
         stack, _ = r_orthonormalize(random_complex(rng, 2, 3, 6, 4))
-        with pytest.raises(ValueError, match=r"stack of bases of shape \(2, 3\).*basis\[i\]"):
+        with pytest.raises(ValueError, match=r"^expected one basis, got a stack of batch "
+                           r"shape \(2, 3\): project onto each basis of the stack \(basis\[i\]\)$"):
             project_r(stack, np.ones(6))
         z = random_complex(rng, 6)
         assert np.array_equal(project_r(stack[1, 2], z), project_r(RBasis(stack.U[1, 2]), z))
@@ -1192,6 +1198,13 @@ class TestRBasisValidation:
         basis, R = r_orthonormalize(np.zeros((0, 4, k), dtype=complex))
         assert basis.U.shape == (0, 4, k) and R.shape == (0, k, k)
 
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 2), (3, 4, 0)])
+    def test_orthonormalize_refuses_an_empty_matrix(self, shape):
+        # Named before the QR runs, which failed on it in numpy's reshape.
+        with pytest.raises(ValueError, match=r"^input matrix must have at least one row and "
+                           rf"one column, got shape {re.escape(str(shape))}$"):
+            r_orthonormalize(np.zeros(shape, dtype=complex))
+
 
 @_record
 class _Point:
@@ -1204,7 +1217,7 @@ class _Point:
         object.__setattr__(self, "y", float(self.y))
 
 
-@_record(hidden=("note",))
+@_record
 class _NamedPoint(_Point):
     name: str = "p"
     note: object = None
@@ -1254,9 +1267,10 @@ class TestRecord:
         point = _NamedPoint(1, 2, "q", note=[1])
         assert _NamedPoint._fields == ("x", "y", "name", "note")
         assert point.y == 2.0       # the base's __post_init__ is inherited
-        # A hidden field is neither shown nor compared.
-        assert repr(point) == "_NamedPoint(x=1, y=2.0, name='q')"
-        assert point == _NamedPoint(1, 2, "q")
+        # A subclass's fields are shown and compared as the base's are.
+        assert repr(point) == "_NamedPoint(x=1, y=2.0, name='q', note=[1])"
+        assert point == _NamedPoint(1, 2, "q", note=[1])
+        assert point != _NamedPoint(1, 2, "q")
 
 
 class TestRBasisStructure:
