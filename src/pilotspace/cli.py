@@ -23,7 +23,6 @@ and argparse usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -62,10 +61,10 @@ def load_run_config(path, seed_override=None):
         raise ConfigError(f"{path}: top level must be an object")
     if "schema_version" not in doc:
         raise ConfigError(f"{path}: missing required key 'schema_version'")
-    if doc["schema_version"] != CONFIG_SCHEMA_VERSION:
+    version = doc["schema_version"]
+    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:    # not true, not 1.0
         raise ConfigError(
-            f"{path}: unsupported schema_version {doc['schema_version']} "
-            f"(expected {CONFIG_SCHEMA_VERSION})"
+            f"{path}: unsupported schema_version {version!r} (expected {CONFIG_SCHEMA_VERSION})"
         )
     unknown_top = set(doc) - {"schema_version", "experiment"}
     if unknown_top:
@@ -145,19 +144,19 @@ def _write_all(*outputs):
         raise
 
 
-def _write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
+def _check_side_file(flag, path, output, what):
+    """Refuse the side file ``path`` of option ``flag`` without an
+    ``--output`` (``what`` then goes to stdout) or when it names the
+    ``--output`` file."""
+    if path and not output:
+        raise ConfigError(f"{flag} needs --output (without it {what} goes to stdout)")
+    if path and _same_file(path, output):
+        raise ConfigError(f"{flag} {path} and --output {output} name the same file")
 
 
 def cmd_design(args):
-    if args.report and not args.output:
-        raise ConfigError("--report needs --output (without it the design goes to stdout)")
-    if args.output:
-        report_path = args.report or _derived_report_path(args.output)
-        if _same_file(report_path, args.output):
-            raise ConfigError(f"--report {report_path} and --output {args.output} "
-                              "name the same file")
+    report_path = args.report or (_derived_report_path(args.output) if args.output else None)
+    _check_side_file("--report", report_path, args.output, "the design")
     decomp = canonical_decompose(_variation_basis(args))
     design = design_observation_matrix(decomp, args.power, sigma2=args.sigma2)
     certs = verify_optimality_certificates(design)
@@ -189,8 +188,8 @@ def cmd_design(args):
                    (fileio.write_json, report_path, report))
         print(f"wrote {args.output} and {report_path}", file=sys.stderr)
     else:
-        print(json.dumps({"matrix": fileio.matrix_to_json_obj(design.M), "report": report},
-                         indent=1))
+        sys.stdout.write(fileio.json_text({"matrix": fileio.matrix_to_json_obj(design.M),
+                                           "report": report}))
     return 0
 
 
@@ -231,35 +230,31 @@ def _crb_inputs(args):
 def cmd_crb(args):
     basis, M, noise = _crb_inputs(args)
     report = crb_via_variation_space(basis, M, noise)
-    print(json.dumps({
+    sys.stdout.write(fileio.json_text({
         "crb": "inf" if math.isinf(report.value) else report.value,
         "identifiable": report.identifiable,
         "min_eig": report.min_eig_compression,
         "nm_required": math.ceil(basis.dim / 2),
         "nm_given": M.shape[1],
-    }, indent=1))
+    }))
     return 0
 
 
 def cmd_identify(args):
     basis, M, _ = _crb_inputs(args)
     verdict = check_identifiability(basis, M)
-    print(json.dumps({
+    sys.stdout.write(fileio.json_text({
         "identifiable": verdict.identifiable,
         "min_eig": verdict.min_eig,
         "nm_required": verdict.n_obs_required,
         "nm_given": verdict.n_obs_given,
         "message": verdict.message,
-    }, indent=1))
+    }))
     return 0
 
 
 def cmd_experiment(args):
-    if args.plot_script and not args.output:
-        raise ConfigError("--plot-script needs --output (without it the CSV goes to stdout)")
-    if args.plot_script and _same_file(args.plot_script, args.output):
-        raise ConfigError(f"--plot-script {args.plot_script} and --output {args.output} "
-                          "name the same file")
+    _check_side_file("--plot-script", args.plot_script, args.output, "the CSV")
     config = load_run_config(args.config, seed_override=args.seed)
     if args.kind == "single-path":
         table = run_single_path(config)
@@ -272,7 +267,7 @@ def cmd_experiment(args):
     if args.output:
         outputs = [(fileio.write_curve_table, args.output, table)]
         if args.plot_script:
-            outputs.append((_write_text, args.plot_script,
+            outputs.append((fileio.write_text, args.plot_script,
                             fileio.gnuplot_script(args.output, table)))
         _write_all(*outputs)
         for _, path, _ in outputs:

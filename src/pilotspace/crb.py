@@ -302,15 +302,18 @@ def _spectra(C, energy):
     return eigs, _is_singular(eigs[..., 0], eigs[..., -1], energy)
 
 
+def _crb_values(eigs, singular, scale):
+    """Basis-form bounds (scale/2) sum 1/lambda of ascending compression
+    spectra ``eigs`` (..., dim), +inf where ``singular`` (...): the CRB at
+    scale sigma^2, the Proposed coefficient at scale ||M_b||_F^2."""
+    safe = np.where(singular[..., None], 1.0, eigs)
+    return np.where(singular, math.inf, 0.5 * scale * np.sum(1.0 / safe, axis=-1))
+
+
 def _crb_report(eigs, singular, noise):
     """Basis-form report of one ascending compression spectrum and its verdict."""
-    min_eig = float(eigs[0])
-    if singular:
-        return CrbReport(
-            value=math.inf, identifiable=False, min_eig_compression=min_eig
-        )
-    value = 0.5 * noise.sigma2 * float(np.sum(1.0 / eigs))
-    return CrbReport(value=value, identifiable=True, min_eig_compression=min_eig)
+    return CrbReport(value=float(_crb_values(eigs, singular, noise.sigma2)),
+                     identifiable=not singular, min_eig_compression=float(eigs[0]))
 
 
 def _one_spectrum(basis, M):

@@ -36,14 +36,17 @@ every row of estimates that differs from them (a row equal to the true
 azimuths of every channel, as at Delta = 0, reuses them): it gives each
 true channel h = E b (one matrix-vector product per channel, as in a
 call on that channel alone) and the E_hat stack of the AC bounds, which
-come from one batched SVD (``ac_strategy_bound``).  One stacked
-``r_orthonormalize`` gives the true and the estimated variation spaces,
-then one stacked canonical decomposition and one stacked pilot design
-give the Proposed pilots, and one call of ``crb.compression_spectra``
-(the kernel behind every basis-form CRB and identifiability verdict)
-compresses the (T, B) pilot stack against each channel's own true basis,
-the (T, 1) stack of true bases broadcast as in numpy
-(``proposed_strategy_bound``).  Each stacked kernel gives every slice
+come from one batched SVD (``ac_strategy_bound``).  The variation
+spaces evaluate the same steering columns a second time, inside
+``physical_variation_space``, so a kernel call makes two steering
+calls.  One stacked ``r_orthonormalize`` gives the true and the
+estimated variation spaces, then one stacked canonical decomposition
+and one stacked pilot design give the Proposed pilots, and one call of
+``crb.compression_spectra`` (the kernel behind every basis-form CRB and
+identifiability verdict) compresses the (T, B) pilot stack against each
+channel's own true basis, the (T, 1) stack of true bases broadcast as in
+numpy (``proposed_strategy_bound``), whose bound ``crb._crb_values``
+takes from the spectra as it does the basis-form CRB.  Each stacked kernel gives every slice
 the bits of its call on that slice alone.  The canonical decomposition
 is one ``skew_canonical_form`` call per stack of spaces; inside it only
 the real Schur form runs per slice, and an already-canonical slice
@@ -80,7 +83,7 @@ import math
 
 import numpy as np
 
-from .crb import _is_singular, compression_spectra
+from .crb import _crb_values, _is_singular, compression_spectra
 from .models import (
     UlaGeometry,
     PathSet,
@@ -259,9 +262,7 @@ def proposed_strategy_bound(true_basis, Ms):
     singular compression gives +inf.
     """
     eigs, singular = compression_spectra(true_basis, Ms)
-    safe = np.where(singular[..., None], 1.0, eigs)
-    energy = np.linalg.norm(Ms, axis=(-2, -1)) ** 2
-    return np.where(singular, math.inf, 0.5 * energy * np.sum(1.0 / safe, axis=-1))
+    return _crb_values(eigs, singular, np.linalg.norm(Ms, axis=(-2, -1)) ** 2)
 
 
 def _strategy_bounds(geom, gains, azimuths, estimates):

@@ -4,6 +4,9 @@ Matrices are serialized as nested arrays of [re, im] pairs (row-major)
 with an explicit dims header.  Floats go through ``repr``, the shortest
 decimal that round-trips IEEE doubles exactly, so matrices written and
 read back compare bit-equal and reruns produce byte-identical files.
+Every file goes through ``write_text``, which translates no newline, so
+the bytes are those of Linux on every platform; ``json_text`` is the one
+JSON layout, of files and of the CLI's answers alike.
 """
 
 from __future__ import annotations
@@ -64,10 +67,19 @@ def matrix_from_json_obj(obj):
     return M
 
 
+def write_text(path, text):
+    """Write ``text`` to ``path`` as it is, with no newline translation."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+def json_text(obj):
+    """The JSON layout of every file and answer: indent 1, one final newline."""
+    return json.dumps(obj, indent=1) + "\n"
+
+
 def write_matrix(path, M):
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json_obj(M), fh, indent=1)
-        fh.write("\n")
+    write_json(path, matrix_to_json_obj(M))
 
 
 def read_json(path):
@@ -88,9 +100,7 @@ def read_matrix(path):
 
 
 def write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+    write_text(path, json_text(obj))
 
 
 CSV_HEADER = "strategy,delta_deg,psnr_db,relative_bound,relative_bound_db,trials"
@@ -113,8 +123,7 @@ def curve_table_csv(table):
 
 
 def write_curve_table(path, table):
-    with open(path, "w", newline="") as fh:
-        fh.write(curve_table_csv(table))
+    write_text(path, curve_table_csv(table))
 
 
 def gnuplot_script(csv_path, table):

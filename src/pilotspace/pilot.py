@@ -239,6 +239,4 @@ def brute_force_optimal_crb(
     best = int(np.argmin(f))
     value = float(f[best])
     converged = bool(np.isfinite(value) and last_improvement[best] < 1e-9)
-    if not np.isfinite(value):
-        converged = False
     return OracleResult(value=value, converged=converged, n_restarts=n_restarts)

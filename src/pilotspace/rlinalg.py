@@ -137,7 +137,8 @@ def _record(cls):
     argument and then calls ``__post_init__`` if the class has one; a
     ``__setattr__`` and ``__delattr__`` that raise AttributeError (set a
     field in ``__post_init__`` with ``object.__setattr__``); and
-    ``__eq__``, ``__hash__`` and ``__repr__`` over the fields.  The
+    ``__eq__`` (array fields by ``np.array_equal``, the others by ``==``),
+    ``__hash__`` and ``__repr__`` over the fields.  The
     methods are closures over the field names, so no source is generated
     and compiled as ``dataclasses`` does, at about 1 ms a class.
     """
@@ -189,8 +190,12 @@ def _record(cls):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (tuple(getattr(self, name) for name in names)
-                == tuple(getattr(other, name) for name in names))
+        for name in names:
+            a, b = getattr(self, name), getattr(other, name)
+            arrays = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+            if a is not b and not (np.array_equal(a, b) if arrays else a == b):
+                return False
+        return True
 
     def __hash__(self):
         return hash(tuple(getattr(self, name) for name in names))
@@ -408,37 +413,33 @@ def solve_right(X, R):
     same routine, so the result is bit-identical to that wrapper's
     without its validation or the ``scipy.linalg`` import.  Stacks X
     (..., n, k) and R (..., k, k), of equal batch shapes, are solved
-    slice by slice into one array.  Shapes that do not fit raise
-    ValueError before LAPACK runs.
+    slice by slice in one C-ordered copy of X; one matrix is a stack of
+    one.  Shapes that do not fit raise ValueError before LAPACK runs.
     """
     if X.ndim < 2 or R.shape != X.shape[:-2] + (X.shape[-1],) * 2:
         raise ValueError(f"solve_right: R of shape {R.shape} does not fit X of shape "
                          f"{X.shape}: expected X (..., n, k) and R (..., k, k) with "
                          "the same batch shape")
-    if X.size == 0:      # LAPACK rejects a zero leading dimension
-        return np.empty(X.shape, dtype=np.result_type(X, R, 1.0))
-    trtrs = _flapack.ztrtrs if np.iscomplexobj(X) else _flapack.dtrtrs
-    if X.ndim == 2:
-        return _solve_one(trtrs, X, R)
-    Y = np.empty(X.shape, dtype=np.result_type(X, R, 1.0))
-    flat = Y.reshape(-1, *X.shape[-2:])
-    for i, (x, r) in enumerate(zip(X.reshape(flat.shape), R.reshape(-1, *R.shape[-2:]))):
-        flat[i] = _solve_one(trtrs, x, r)
+    Y = np.array(X, dtype=np.result_type(X, R, 1.0), order="C")
+    if Y.size:      # LAPACK rejects a zero leading dimension
+        trtrs = _flapack.ztrtrs if np.iscomplexobj(Y) else _flapack.dtrtrs
+        for y, r in zip(Y.reshape(-1, *X.shape[-2:]), R.reshape(-1, *R.shape[-2:])):
+            _solve_in_place(trtrs, y, r)
     return Y
 
 
-def _solve_one(trtrs, X, R):
-    """X R^{-1} for one matrix X and triangle R, by ``trtrs``."""
+def _solve_in_place(trtrs, Y, R):
+    """Overwrite one C-ordered matrix Y with Y R^{-1}, by ``trtrs`` on Y^T
+    (the Fortran-ordered right-hand side it solves in place)."""
     if R.flags.f_contiguous:
-        Y, info = trtrs(R, X.T, lower=0, trans=1)
+        _, info = trtrs(R, Y.T, lower=0, trans=1, overwrite_b=1)
     else:
         # trtrs expects Fortran order: solve with the transposed (lower) view.
-        Y, info = trtrs(R.T, X.T, lower=1, trans=0)
+        _, info = trtrs(R.T, Y.T, lower=1, trans=0, overwrite_b=1)
     if info > 0:
         raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    return Y.T
 
 
 def r_orthonormalize(G):

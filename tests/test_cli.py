@@ -823,3 +823,112 @@ class TestRunConfigValidation:
         path.write_text(json.dumps({"schema_version": 1, "experiment": {"seed": 3}}))
         assert load_run_config(path).seed == 3
         assert load_run_config(path, seed_override=11).seed == 11
+
+
+# A 4 x 2 observation matrix file, for commands that read M before the
+# refusal under test.
+MATRIX_TEXT = json.dumps(fileio.matrix_to_json_obj(np.ones((4, 2))))
+
+
+class TestRefusals:
+    """Each refused input exits 1 with its one message.  ``{name}`` in an
+    argument or a message is the path of the file ``name`` in ``files``."""
+
+    @pytest.mark.parametrize("files, argv, message", [
+        ({"run.json": "[]"}, ["experiment", "single-path", "--config", "{run.json}"],
+         "{run.json}: top level must be an object"),
+        ({"run.json": '{"schema_version": 2}'},
+         ["experiment", "single-path", "--config", "{run.json}"],
+         "{run.json}: unsupported schema_version 2 (expected 1)"),
+        ({"run.json": '{"schema_version": true}'},
+         ["experiment", "single-path", "--config", "{run.json}"],
+         "{run.json}: unsupported schema_version True (expected 1)"),
+        ({"run.json": '{"schema_version": 1.0}'},
+         ["experiment", "single-path", "--config", "{run.json}"],
+         "{run.json}: unsupported schema_version 1.0 (expected 1)"),
+        ({"run.json": '{"schema_version": "1"}'},
+         ["experiment", "single-path", "--config", "{run.json}"],
+         "{run.json}: unsupported schema_version '1' (expected 1)"),
+        ({"run.json": '{"schema_version": 1, "experiment": [1]}'},
+         ["experiment", "single-path", "--config", "{run.json}"],
+         "{run.json}: 'experiment' must be an object"),
+        ({}, ["design", "--model", "physical", "--nt", "4", "--azimuths=10,x", "--power", "1"],
+         "cannot parse azimuth list '10,x': could not convert string to float: 'x'"),
+        ({}, ["design", "--model", "angle-constrained", "--nt", "4", "--power", "1"],
+         "--azimuths is required for model 'angle-constrained'"),
+        ({"M.json": MATRIX_TEXT, "theta.json": "[1, 0, 0.1, 2]"},
+         ["crb", "--model", "physical", "--nt", "4", "--theta", "{theta.json}",
+          "--m", "{M.json}"],
+         "theta length 4 is not a multiple of 3"),
+        ({"M.json": MATRIX_TEXT, "theta.json": '{"theta": [1, 0, 0.1]}'},
+         ["crb", "--model", "physical", "--nt", "4", "--theta", "{theta.json}",
+          "--m", "{M.json}"],
+         "{theta.json}: theta must be a JSON array of numbers"),
+        ({"M.json": MATRIX_TEXT, "theta.json": "[1, 0, true]"},
+         ["identify", "--model", "physical", "--nt", "4", "--theta", "{theta.json}",
+          "--m", "{M.json}"],
+         "{theta.json}: theta must be a JSON array of numbers"),
+        ({"M.json": "[[1, 0]]"},
+         ["identify", "--model", "ls", "--nt", "1", "--m", "{M.json}"],
+         "{M.json}: not a complex_matrix JSON object"),
+        ({"M.json": '{"type": "real_matrix", "rows": 1, "cols": 1, "data": [[1]]}'},
+         ["crb", "--model", "ls", "--nt", "1", "--m", "{M.json}"],
+         "{M.json}: not a complex_matrix JSON object"),
+    ], ids=["config-not-object", "schema-2", "schema-true", "schema-float", "schema-string",
+            "experiment-not-object", "azimuths-unparsable", "azimuths-missing",
+            "theta-length", "theta-object", "theta-bool", "matrix-list", "matrix-type"])
+    def test_exit_1_with_message(self, tmp_path, capsys, files, argv, message):
+        def fill(text):
+            for name in files:
+                text = text.replace(f"{{{name}}}", str(tmp_path / name))
+            return text
+
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert run_cli(*map(fill, argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {fill(message)}\n"
+        assert captured.out == ""
+
+
+class TestWrittenText:
+    """What the CLI prints and writes is ``fileio``'s text, byte for byte."""
+
+    def test_derived_report_path_without_json_suffix(self, tmp_path, capsys):
+        out = tmp_path / "M.out"
+        assert run_cli("design", "--model", "ls", "--nt", "2", "--power", "1",
+                       "--output", str(out)) == 0
+        report = tmp_path / "M.out.report.json"
+        assert sorted(tmp_path.iterdir()) == [out, report]
+        assert capsys.readouterr().err == f"wrote {out} and {report}\n"
+
+    @pytest.mark.parametrize("bound, in_db", [(100.0, "20.0"), (math.inf, "inf"),
+                                              (0.0, "-inf")])
+    def test_csv_db_column(self, bound, in_db):
+        from pilotspace.experiments import CurveRow, CurveTable
+        table = CurveTable((CurveRow("Proposed", 1.0, 10.0, bound, 3),))
+        assert fileio.curve_table_csv(table).splitlines()[1] == (
+            f"Proposed,1.0,10.0,{bound!r},{in_db},3")
+
+    def test_stdout_is_json_text(self, tmp_path, capsys):
+        model = ["--model", "physical", "--nt", "8", "--azimuths=-30,5,41"]
+        m_path = tmp_path / "M.json"
+        assert run_cli("design", *model, "--power", "1.0") == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == fileio.json_text(payload)
+        fileio.write_matrix(m_path, fileio.matrix_from_json_obj(payload["matrix"]))
+        for command in ("crb", "identify"):
+            assert run_cli(command, *model, "--m", str(m_path)) == 0
+            out = capsys.readouterr().out
+            assert out == fileio.json_text(json.loads(out))
+
+    def test_no_carriage_return_in_files(self, tmp_path, config_file):
+        assert run_cli("design", "--model", "ls", "--nt", "2", "--power", "1",
+                       "--output", str(tmp_path / "M.json")) == 0
+        assert run_cli("experiment", "single-path", "--config", str(config_file),
+                       "--output", str(tmp_path / "sp.csv"),
+                       "--plot-script", str(tmp_path / "sp.gp")) == 0
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != config_file}
+        assert sorted(written) == ["M.json", "M.report.json", "sp.csv", "sp.gp"]
+        assert all(b"\r" not in data and data.endswith(b"\n") for data in written.values())

@@ -1,6 +1,7 @@
 """Tests for the concrete channel models and their gradients."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,21 @@ class TestDegeneracyDiagnosis:
         # Full precision: the two azimuths print differently.
         for phi in azimuths:
             assert repr(math.degrees(phi)) in message
+
+    @pytest.mark.parametrize("span, origin", [(physical_variation_space, "physical"),
+                                              (estimated_variation_space, "estimated")])
+    @pytest.mark.parametrize("azimuths, failing", [
+        ([[0.0, 0.5], [0.5, 0.5]], 1),
+        ([[0.5, 0.5], [0.2, 0.2], [0.0, 0.5]], 2),
+    ], ids=["one-of-two", "two-of-three"])
+    def test_stacked_collapse_message(self, span, origin, azimuths, failing):
+        # The stacked rank test keeps no null space, so no generator is named.
+        message = (f"{origin} variation space is rank deficient for azimuths "
+                   f"{np.degrees(azimuths).tolist()} deg: near-degenerate generator set "
+                   f"(columns of {failing} of {len(azimuths)} stacked matrices are "
+                   "linearly dependent over R)")
+        with pytest.raises(RankDeficientError, match=f"^{re.escape(message)}$"):
+            span(UlaGeometry(8), np.array(azimuths))
 
     def test_endfire_names_the_derivative(self):
         with pytest.raises(RankDeficientError, match=r"de/dphi\(phi_1\) at azimuth indices \[1\]"):

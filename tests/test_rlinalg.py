@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pilotspace.crb import NoiseModel, crb_min
+from pilotspace.models import PathSet, ls_model
+from pilotspace.pilot import design_observation_matrix
 from pilotspace.rlinalg import (
     RANK_CERT_MARGIN,
     RANK_RTOL,
@@ -35,6 +38,7 @@ from pilotspace.rlinalg import (
     stacked_real,
     triangle_rank,
 )
+from pilotspace.variation import canonical_decompose, variation_space
 
 
 def random_complex(rng, *shape):
@@ -833,10 +837,12 @@ class TestDirectLapackMatchesScipy:
         rng = np.random.default_rng([30, k])
         R = np.array(np.triu(rng.normal(size=(k, k))) + 3 * np.eye(k), order=order)
         X = rng.normal(size=(40, k)) if kind == "real" else random_complex(rng, 40, k)
+        X_given = X.copy()
         got = solve_right(X, R)
         want = self.scipy_solve_right(X, R)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+        assert np.array_equal(X, X_given)       # solved in place in a copy, not in X
 
     def test_solve_right_multipath_shapes(self):
         for G, _ in _steering_span_inputs():
@@ -1262,6 +1268,24 @@ class TestRecord:
         assert _Point(1) != _Point(2)
         assert _Point(1) != _NamedPoint(1)
         assert repr(_Point(1)) == "_Point(x=1, y=2.0)"
+        # Array fields compare by value, not by the truth of an elementwise ==.
+        assert _NamedPoint(1, note=np.arange(3.0)) == _NamedPoint(1, note=np.arange(3.0))
+        assert _NamedPoint(1, note=np.arange(3.0)) != _NamedPoint(1, note=np.arange(1.0, 4.0))
+        assert _NamedPoint(1, note=np.arange(3.0)) != _NamedPoint(1, note=np.arange(2.0))
+        assert _NamedPoint(1, note=np.arange(3.0)) != _NamedPoint(1, note=None)
+        assert PathSet([1, 2], [0.1, 0.2]) == PathSet([1, 2], [0.1, 0.2])
+        assert not PathSet([1, 2], [0.1, 0.2]) != PathSet([1, 2], [0.1, 0.2])
+        assert PathSet([1, 2], [0.1, 0.2]) != PathSet([1, 2], [0.1, 0.3])
+        decomp = canonical_decompose(variation_space(ls_model(4), np.zeros(8)))
+        # PilotDesign holds arrays and the nested decomposition record.
+        design = design_observation_matrix(decomp, 1.0)
+        assert design == design_observation_matrix(decomp, 1.0)
+        assert design != design_observation_matrix(decomp, 2.0)
+        noise = NoiseModel(1.0)
+        assert crb_min(decomp.c, 8, noise, 1.0) == crb_min(decomp.c, 8, noise, 1.0)
+        assert crb_min(decomp.c, 8, noise, 1.0) != crb_min(decomp.c, 8, noise, 2.0)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(design)
 
     def test_subclass_fields_follow_the_base_fields(self):
         point = _NamedPoint(1, 2, "q", note=[1])
@@ -1271,6 +1295,28 @@ class TestRecord:
         assert repr(point) == "_NamedPoint(x=1, y=2.0, name='q', note=[1])"
         assert point == _NamedPoint(1, 2, "q", note=[1])
         assert point != _NamedPoint(1, 2, "q")
+
+
+class TestRefusals:
+    """Each malformed input of a basis or of an orthonormalization, and its message."""
+
+    @pytest.mark.parametrize("build, value, message", [
+        (RBasis, np.ones(3), "basis matrix must be 2-D (or a stack of 2-D matrices) and "
+         "nonempty, got shape (3,)"),
+        (RBasis, np.zeros((0, 2)), "basis matrix must be 2-D (or a stack of 2-D matrices) "
+         "and nonempty, got shape (0, 2)"),
+        (RBasis, np.zeros((2, 4, 0)), "basis matrix must be 2-D (or a stack of 2-D "
+         "matrices) and nonempty, got shape (2, 4, 0)"),
+        (RBasis, np.array([[np.nan], [0.0]]), "basis matrix contains non-finite entries"),
+        (r_orthonormalize, np.array([[np.nan], [1.0]]), "input matrix contains non-finite "
+         "entries"),
+        (r_orthonormalize, np.array([[[1.0, 2j], [3.0, np.inf]]]), "input matrix contains "
+         "non-finite entries"),
+    ], ids=["basis-1d", "basis-no-rows", "basis-stack-no-columns", "basis-nan",
+            "orthonormalize-nan", "orthonormalize-stack-inf"])
+    def test_message(self, build, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(value)
 
 
 class TestRBasisStructure:
