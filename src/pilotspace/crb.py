@@ -317,16 +317,17 @@ def _crb_report(eigs, singular, noise):
 
 
 def _one_spectrum(basis, M):
-    """M as a complex 2-D array, and the compression spectrum and verdict of
-    one basis and M (``compression_spectra`` on a stack of one).
+    """The column count of M, and the compression spectrum and verdict of
+    one basis and M (``compression_spectra`` on a stack of one, which
+    checks M; a 1-D M is one row).
 
     A stack of bases or of M raises ValueError, not an answer for a slice.
     """
     _refuse_stack(basis.U, "basis", "index the stack (basis[i]) or call compression_spectra")
     _refuse_stack(M, "observation matrix M", "index the stack (M[i]) or call compression_spectra")
-    M = _checked_observations(M, basis.ambient_dim)
+    M = np.atleast_2d(M)
     eigs, singular = compression_spectra(basis, M[None])
-    return M, eigs[0], singular[0]
+    return M.shape[1], eigs[0], singular[0]
 
 
 def crb_via_variation_space(basis, M, noise):
@@ -348,9 +349,8 @@ def check_identifiability(basis, M):
     the necessary observation count ceil(N_p / 2).  ValueError on a stack
     of bases or of M.
     """
-    M, eigs, singular = _one_spectrum(basis, M)
+    n_given, eigs, singular = _one_spectrum(basis, M)
     min_eig, max_eig = float(eigs[0]), float(eigs[-1])
-    n_given = M.shape[1]
     n_required = math.ceil(basis.dim / 2)
     count_ok = n_given >= n_required
     verdict = count_ok and not singular

@@ -31,17 +31,18 @@ neither P_t nor ||h||, so the sweeps design unit-power pilots.
 Both sweeps go through one kernel, ``_strategy_bounds``: for T
 channels with L paths each and a (T, B, L) array of azimuth estimates
 (one row per Delta) it evaluates every layer once for the whole
-(channel, Delta) stack.  One steering call covers the true azimuths and
-every row of estimates that differs from them (a row equal to the true
-azimuths of every channel, as at Delta = 0, reuses them): it gives each
-true channel h = E b (one matrix-vector product per channel, as in a
-call on that channel alone) and the E_hat stack of the AC bounds, which
-come from one batched SVD (``ac_strategy_bound``).  The variation
-spaces evaluate the same steering columns a second time, inside
-``physical_variation_space``, so a kernel call makes two steering
-calls.  One stacked ``r_orthonormalize`` gives the true and the
-estimated variation spaces, then one stacked canonical decomposition
-and one stacked pilot design give the Proposed pilots, and one call of
+(channel, Delta) stack.  One evaluation of the steering columns E, dE
+covers the true azimuths and every row of estimates that differs from
+them (a row equal to the true azimuths of every channel, as at Delta =
+0, reuses them): it gives each true channel h = E b (one matrix-vector
+product per channel, as in a call on that channel alone), the E_hat
+stack of the AC bounds, which come from one batched SVD
+(``ac_strategy_bound``), and the span generators of every variation
+space, which ``models._span_basis`` (the builder behind
+``physical_variation_space``) orthonormalizes in one stacked
+``r_orthonormalize`` call: the true and the estimated variation
+spaces.  Then one stacked canonical decomposition and one stacked pilot
+design give the Proposed pilots, and one call of
 ``crb.compression_spectra`` (the kernel behind every basis-form CRB and
 identifiability verdict) compresses the (T, B) pilot stack against each
 channel's own true basis, the (T, 1) stack of true bases broadcast as in
@@ -84,12 +85,7 @@ import math
 import numpy as np
 
 from .crb import _crb_values, _is_singular, compression_spectra
-from .models import (
-    UlaGeometry,
-    PathSet,
-    physical_variation_space,
-    steering_matrix,
-)
+from .models import UlaGeometry, PathSet, _span_basis, _steering_columns
 from .pilot import design_observation_matrix
 from .rlinalg import RankDeficientError, _integer, _record, finite_number, numerical_rank
 from .variation import canonical_decompose
@@ -279,13 +275,14 @@ def _strategy_bounds(geom, gains, azimuths, estimates):
     # differ from them; row_of[b] is the row of Delta column b.
     rows = np.concatenate([azimuths[:, None], estimates[:, ~reuse]], axis=1)
     row_of = np.where(reuse, 0, np.cumsum(~reuse))
-    E = steering_matrix(geom, rows)
+    E, dE = _steering_columns(geom, rows)
     # One matrix-vector product per channel: a stacked product rounds differently.
     h = np.array([E_t @ b for E_t, b in zip(E[:, 0], gains)])
     ac_coefficient, ac_bias = ac_strategy_bound(h, E[:, row_of])
-    # The azimuth-only span at each row: the true space, then the
-    # estimated ones.  Slices of the stack are not checked again.
-    spaces = physical_variation_space(geom, rows)
+    # The azimuth-only span at each row (``physical_variation_space`` of
+    # the same columns): the true space, then the estimated ones.  Slices
+    # of the stack are not checked again.
+    spaces = _span_basis(E, dE, rows, "physical")
     Ms = design_observation_matrix(canonical_decompose(spaces), 1.0).M[:, row_of]
     return ac_coefficient, ac_bias, proposed_strategy_bound(spaces[:, :1], Ms)
 

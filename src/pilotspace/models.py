@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .rlinalg import RankDeficientError, _count, _record, _refuse_stack, r_orthonormalize
-from .variation import ParametricChannelModel
+from .variation import ParametricChannelModel, _checked_theta
 
 
 @_record
@@ -68,11 +68,18 @@ class PathSet:
 
     def theta(self):
         """Parameter vector [Re b_1, Im b_1, phi_1, ...] of the physical model."""
-        out = np.empty(3 * self.n_paths)
-        out[0::3] = self.gains.real
-        out[1::3] = self.gains.imag
-        out[2::3] = self.azimuths
-        return out
+        return _per_path(self.gains.real, self.gains.imag, self.azimuths)
+
+
+def _per_path(first, second, third):
+    """The per-path layout (first_1, second_1, third_1, first_2, ...): a
+    (..., 3L) array from three (..., L) arrays, in their ``np.result_type``."""
+    out = np.empty(first.shape[:-1] + (3 * first.shape[-1],),
+                   dtype=np.result_type(first, second, third))
+    out[..., 0::3] = first
+    out[..., 1::3] = second
+    out[..., 2::3] = third
+    return out
 
 
 def steering_matrix(geom, azimuths):
@@ -111,12 +118,13 @@ def steering_derivative(geom, azimuth):
 
 
 def _linear_model(A, name):
-    """Linear model h = A (theta_re + j theta_im); its gradient (A, jA) is constant."""
+    """Linear model h = A (theta_re + j theta_im); its gradient (A, jA) is
+    constant.  ``evaluate`` refuses a theta without 2 n entries."""
     n_dims, n = A.shape
     grad = np.hstack([A, 1j * A])
 
     def evaluate(theta):
-        theta = np.asarray(theta, dtype=float)
+        theta = _checked_theta(theta, 2 * n)
         return A @ (theta[:n] + 1j * theta[n:])
 
     return ParametricChannelModel(
@@ -145,13 +153,13 @@ def physical_model(geom, n_paths):
     gradient columns per path are e(phi_l), j e(phi_l), b_l de/dphi_l.
     A zero gain makes the azimuth column vanish (rank deficiency is
     surfaced by variation_space, not silently repaired).  ValueError
-    unless ``n_paths`` is an integer (not a bool) of at least 1.
+    unless ``n_paths`` is an integer (not a bool) of at least 1, and from
+    ``evaluate`` and ``gradient`` unless theta has 3 n_paths entries.
     """
     n_paths = _count("n_paths", n_paths)
-    n_tx = geom.n_antennas
 
     def split(theta):
-        theta = np.asarray(theta, dtype=float)
+        theta = _checked_theta(theta, 3 * n_paths)
         gains = theta[0::3] + 1j * theta[1::3]
         azimuths = theta[2::3]
         return gains, azimuths
@@ -163,14 +171,10 @@ def physical_model(geom, n_paths):
     def gradient(theta):
         gains, azimuths = split(theta)
         E, dE = _steering_columns(geom, azimuths)
-        cols = np.empty((n_tx, 3 * n_paths), dtype=complex)
-        cols[:, 0::3] = E
-        cols[:, 1::3] = 1j * E
-        cols[:, 2::3] = gains * dE
-        return cols
+        return _per_path(E, 1j * E, gains * dE)
 
     return ParametricChannelModel(
-        n_dims=n_tx,
+        n_dims=geom.n_antennas,
         n_params=3 * n_paths,
         evaluate=evaluate,
         gradient=gradient,
@@ -226,21 +230,14 @@ def _collapsing_generators(null_space):
     return f"collapsing generators {', '.join(names)} at azimuth indices {paths}"
 
 
-def _span_generators(geom, azimuths):
-    """The generators of ``_SPAN_GENERATORS`` for each path, in column order:
-    (N_t, 3L), or a stack (..., N_t, 3L) for azimuths (..., L)."""
-    E, dE = _steering_columns(geom, azimuths)
-    G = np.empty(E.shape[:-1] + (3 * azimuths.shape[-1],), dtype=complex)
-    G[..., 0::3] = E
-    G[..., 1::3] = -1j * E
-    G[..., 2::3] = dE
-    return G
-
-
-def _steering_span(geom, azimuths, origin):
-    azimuths = _checked_azimuths(azimuths)
+def _span_basis(E, dE, azimuths, origin):
+    """``RBasis`` of the real span of the generators of ``_SPAN_GENERATORS``,
+    built per path from steering columns E, dE (``_steering_columns``) at
+    ``azimuths`` (..., L): one ``r_orthonormalize`` call for a stack.  A
+    rank collapse raises RankDeficientError naming the ``origin`` space,
+    the azimuths and the collapsing generators."""
     try:
-        basis, _ = r_orthonormalize(_span_generators(geom, azimuths))
+        basis, _ = r_orthonormalize(_per_path(E, -1j * E, dE))
     except RankDeficientError as err:
         raise RankDeficientError(
             f"{origin} variation space is rank deficient for azimuths "
@@ -265,7 +262,8 @@ def physical_variation_space(geom, azimuths):
     a stack of bases from one ``r_orthonormalize`` call, which raises
     when any slice is rank deficient.
     """
-    return _steering_span(geom, azimuths, origin="physical")
+    azimuths = _checked_azimuths(azimuths)
+    return _span_basis(*_steering_columns(geom, azimuths), azimuths, "physical")
 
 
 def estimated_variation_space(geom, estimated_azimuths):
@@ -279,4 +277,5 @@ def estimated_variation_space(geom, estimated_azimuths):
     (near-)coincident or endfire estimates, where the generators
     degenerate.
     """
-    return _steering_span(geom, estimated_azimuths, origin="estimated")
+    azimuths = _checked_azimuths(estimated_azimuths)
+    return _span_basis(*_steering_columns(geom, azimuths), azimuths, "estimated")

@@ -307,12 +307,13 @@ class RBasis:
 
 
 def skew_block_matrix(gamma, size):
-    """Block-diagonal Gamma with blocks [[0, -c], [c, 0]] and a 0 if size is odd."""
-    G = np.zeros((size, size))
-    for k, c in enumerate(np.atleast_1d(gamma)):
-        i = 2 * k
-        G[i, i + 1] = -c
-        G[i + 1, i] = c
+    """Block-diagonal Gamma with blocks [[0, -c], [c, 0]] and a 0 if size is
+    odd; couplings (..., size // 2) give a stack (..., size, size)."""
+    c = np.atleast_1d(gamma)
+    i = 2 * np.arange(c.shape[-1])
+    G = np.zeros(c.shape[:-1] + (size, size))
+    G[..., i, i + 1] = -c
+    G[..., i + 1, i] = c
     return G
 
 

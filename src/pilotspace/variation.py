@@ -233,16 +233,20 @@ def _linear_basis(grad):
     return CanonicalDecomposition._derived(U, c=c)
 
 
+def _checked_theta(theta, n_params):
+    """theta as a flat float array; ValueError unless it has ``n_params``
+    entries.  The one length rule of a model's parameter vector."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    if theta.shape[0] != n_params:
+        raise ValueError(f"theta has length {theta.shape[0]}, model expects {n_params}")
+    return theta
+
+
 def _model_gradient(model, theta):
     """The complex gradient of ``model`` at ``theta``; ValueError unless
     theta has N_p entries and the gradient has shape (N_d, N_p) and finite
     entries."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.shape[0] != model.n_params:
-        raise ValueError(
-            f"theta has length {theta.shape[0]}, model expects {model.n_params}"
-        )
-    grad = np.asarray(model.gradient(theta), dtype=complex)
+    grad = np.asarray(model.gradient(_checked_theta(theta, model.n_params)), dtype=complex)
     if grad.shape != (model.n_dims, model.n_params):
         raise ValueError(f"gradient shape {grad.shape} inconsistent with model dims")
     if not np.all(np.isfinite(grad)):

@@ -702,10 +702,10 @@ class TestExperimentCommand:
         import pilotspace.experiments
         from pilotspace.rlinalg import RankDeficientError
 
-        def degenerate(geom, azimuths):
+        def degenerate(E, dE, azimuths, origin):
             raise RankDeficientError("degenerate")
 
-        monkeypatch.setattr(pilotspace.experiments, "physical_variation_space", degenerate)
+        monkeypatch.setattr(pilotspace.experiments, "_span_basis", degenerate)
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"schema_version": 1,
                                     "experiment": {"n_trials": 1, "max_redraws": 3}}))

@@ -1158,6 +1158,22 @@ class TestOneBasisForms:
         assert len(set(values)) == 3
         assert [check_identifiability(stack[i], M).min_eig for i in range(3)] == list(eigs[:, 0])
 
+    def test_observations_are_checked_once(self, count_calls):
+        # Both routes of the kernel: the pair route of an LS basis and the
+        # real route of a physical span, which checks M in compression_matrix.
+        import pilotspace.rlinalg
+        from pilotspace.models import UlaGeometry, ls_model, physical_variation_space
+
+        checks = count_calls(pilotspace.rlinalg, "_checked_observations")
+        M = random_complex(np.random.default_rng(822), 16, 3)
+        for basis in (variation_space(ls_model(16), np.zeros(32)),
+                      physical_variation_space(UlaGeometry(16), [0.1, 0.5])):
+            for form in (lambda: crb_via_variation_space(basis, M, NoiseModel(1.0)),
+                         lambda: check_identifiability(basis, M)):
+                checks.clear()
+                form()
+                assert len(checks) == 1
+
     @pytest.mark.parametrize("shape", [(1, 4, 4), (2, 4, 3)])
     def test_stack_of_observation_matrices_is_refused(self, shape):
         # The one-matrix forms name M's batch shape, as all three forms did

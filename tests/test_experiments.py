@@ -857,10 +857,10 @@ class TestBatchedTrial:
     def test_redraws_exhausted_is_a_draw_error(self, monkeypatch):
         import pilotspace.experiments
 
-        def degenerate(geom, azimuths):
+        def degenerate(E, dE, azimuths, origin):
             raise RankDeficientError("degenerate")
 
-        monkeypatch.setattr(pilotspace.experiments, "physical_variation_space", degenerate)
+        monkeypatch.setattr(pilotspace.experiments, "_span_basis", degenerate)
         with pytest.raises(DrawError, match="after 2 redraws"):
             run_multipath(ExperimentConfig(n_trials=1, max_redraws=2))
 
@@ -929,18 +929,21 @@ class TestStackedKernelsEqualBatchOfOne:
 
 def doom_rows(monkeypatch, modulus):
     """Make the variation space of about one azimuth row in ``modulus``
-    degenerate, in the stacked and in the one-channel calls alike."""
+    degenerate, in the stacked and in the one-channel calls alike: both
+    build their spans through ``models._span_basis``."""
+    import pilotspace.experiments
     import pilotspace.models
 
-    real = pilotspace.models._steering_span
+    real = pilotspace.models._span_basis
 
-    def span(geom, azimuths, origin):
+    def span(E, dE, azimuths, origin):
         rows = np.asarray(azimuths)
         if np.any(np.floor(np.abs(rows[..., 0]) * 1e4) % modulus == 0):
             raise RankDeficientError("forced degenerate row")
-        return real(geom, azimuths, origin)
+        return real(E, dE, azimuths, origin)
 
-    monkeypatch.setattr(pilotspace.models, "_steering_span", span)
+    for module in (pilotspace.models, pilotspace.experiments):
+        monkeypatch.setattr(module, "_span_basis", span)
 
 
 def assert_same_run(config):
@@ -997,3 +1000,21 @@ class TestStackedRun:
                   for d in config.delta_deg]
         expected = _curve_rows(config, *np.moveaxis(np.array(bounds), 0, -1), trials=1)
         assert run_single_path(config).rows == expected.rows
+
+
+class TestOneSteeringEvaluation:
+    """A kernel call evaluates the steering columns of its azimuth rows once:
+    h, the E_hat stack and the span stack are built from the same columns."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_single_path(ExperimentConfig()),
+        lambda: run_multipath(ExperimentConfig(n_trials=3, seed=7)),
+    ], ids=["single-path", "multipath"])
+    def test_one_steering_call_per_kernel_call(self, run, count_calls):
+        import pilotspace.experiments
+        import pilotspace.models
+
+        steering = count_calls(pilotspace.models, "steering_matrix")
+        kernel = count_calls(pilotspace.experiments, "_strategy_bounds")
+        run()
+        assert len(kernel) > 0 and len(steering) == len(kernel)

@@ -377,6 +377,21 @@ class TestWellSeparatedSteering:
 
 
 class TestDomainTypes:
+    @pytest.mark.parametrize("make", [
+        lambda: ls_model(3),
+        lambda: angle_constrained_model(UlaGeometry(8), [0.1, -0.4, 0.7]),
+        lambda: physical_model(UlaGeometry(8), 2),
+    ], ids=["ls", "angle-constrained", "physical"])
+    def test_evaluate_refuses_wrong_theta_length(self, make):
+        # The rule of the gradient: a 9-entry theta of a 2-path physical
+        # model is not the 3-path channel, a shorter one no broadcast error.
+        model = make()
+        assert model.n_params == 6
+        for n in (5, 7, 8, 9):
+            with pytest.raises(ValueError, match=f"^theta has length {n}, model expects 6$"):
+                model.evaluate(np.zeros(n))
+        assert model.evaluate(np.zeros(6)).shape == (model.n_dims,)
+
     def test_pathset_validation(self):
         with pytest.raises(ValueError, match="azimuths"):
             PathSet(gains=[1.0], azimuths=[4.0])

@@ -908,6 +908,11 @@ class TestLapackLoader:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_second_load_reuses_the_registered_module(self):
+        import pilotspace.rlinalg as rl
+
+        assert rl._load_flapack() is sys.modules["scipy.linalg._flapack"]
+
     def test_cli_design_leaves_scipy_linalg_unimported(self, tmp_path):
         # runpy.run_module is what ``python -m pilotspace.cli`` runs.
         code = (

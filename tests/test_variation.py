@@ -751,6 +751,14 @@ class TestDecompositionShapes:
         with pytest.raises(IndexError):
             decomp[0, 1]        # the stack has one batch axis; c's last is a matrix axis
 
+    def test_stacked_gamma_matrix(self):
+        # Couplings (3, 2) give Gamma (3, 6, 6), each slice that of its slice.
+        decomp = canonical_decompose(self.stack())
+        gamma = decomp.gamma_matrix()
+        assert gamma.shape == (3, 6, 6)
+        assert np.array_equal(gamma, np.stack([decomp[i].gamma_matrix() for i in range(3)]))
+        assert decomp.lone_vector is None        # N_p = 6 is even: no unpaired vector
+
     def test_certificates_refuse_a_stacked_design(self):
         from pilotspace.pilot import design_observation_matrix, verify_optimality_certificates
 
