@@ -171,7 +171,7 @@ def cmd_design(args):
         "c": [float(v) for v in decomp.c],
         "epsilon": decomp.epsilon,
         "C": design.C_norm,
-        "achieved_crb": certs["achieved_crb"],
+        "achieved_crb": design.achieved_crb,
         "crb_min": ref.value,
         "crb_min_lower_bound": ref.lower_bound,
         "crb_min_upper_bound": ref.upper_bound,

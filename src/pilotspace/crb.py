@@ -23,9 +23,12 @@ takes a stack of observation matrices and returns the ascending
 eigenvalues of each compression with its singularity verdict.
 ``crb_via_variation_space`` and ``check_identifiability`` take one basis
 and call it with a stack of one (a stack of bases is refused: index it,
-or call the kernel), and the multipath experiment calls it once per
-group of channels, with a stack of true bases and the pilot matrices of
-every channel and Delta value at once.  It alone picks the algebra: on
+or call the kernel); a design's CRB (``pilot.PilotDesign.achieved_crb``,
+which the CLI's design report carries) is ``crb_via_variation_space`` on
+its decomposition, and no other module takes a compression's spectrum.
+The multipath experiment calls the kernel once per group of channels,
+with a stack of true bases and the pilot matrices of every channel and
+Delta value at once.  It alone picks the algebra: on
 a linear model's closed-form basis (q_1, -j q_1, ...), recognized
 bitwise once per call, the variation space is the complex span of Q,
 and the kernel takes the spectrum of the r x r Hermitian Q^H M M^H Q,
@@ -45,9 +48,9 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .rlinalg import (
-    COUPLING_SNAP,
     RANK_CERT_MARGIN,
     _check_finite_positive,
+    _checked_couplings,
     _checked_observations,
     _count,
     _record,
@@ -295,25 +298,12 @@ def compression_spectra(basis, Ms):
     return eigs, _is_singular(eigs[..., 0], eigs[..., -1], np.linalg.norm(Ms, axis=(-2, -1)) ** 2)
 
 
-def _spectra(C, energy):
-    """Ascending eigenvalues of compressions C (..., dim, dim) and their
-    ``_is_singular`` verdicts at observation energies ``energy`` (...)."""
-    eigs = np.linalg.eigvalsh(C)
-    return eigs, _is_singular(eigs[..., 0], eigs[..., -1], energy)
-
-
 def _crb_values(eigs, singular, scale):
     """Basis-form bounds (scale/2) sum 1/lambda of ascending compression
     spectra ``eigs`` (..., dim), +inf where ``singular`` (...): the CRB at
     scale sigma^2, the Proposed coefficient at scale ||M_b||_F^2."""
     safe = np.where(singular[..., None], 1.0, eigs)
     return np.where(singular, math.inf, 0.5 * scale * np.sum(1.0 / safe, axis=-1))
-
-
-def _crb_report(eigs, singular, noise):
-    """Basis-form report of one ascending compression spectrum and its verdict."""
-    return CrbReport(value=float(_crb_values(eigs, singular, noise.sigma2)),
-                     identifiable=not singular, min_eig_compression=float(eigs[0]))
 
 
 def _one_spectrum(basis, M):
@@ -337,7 +327,8 @@ def crb_via_variation_space(basis, M, noise):
     orthogonal change of basis U -> U B.  ValueError on a stack of bases or of M.
     """
     _, eigs, singular = _one_spectrum(basis, M)
-    return _crb_report(eigs, singular, noise)
+    return CrbReport(value=float(_crb_values(eigs, singular, noise.sigma2)),
+                     identifiable=not singular, min_eig_compression=float(eigs[0]))
 
 
 def check_identifiability(basis, M):
@@ -398,9 +389,7 @@ def crb_min(c, n_params, noise, power):
         raise ValueError(
             f"expected {n_params // 2} couplings for {n_params} parameters, got {c.shape[0]}"
         )
-    if not np.all((c >= -COUPLING_SNAP) & (c <= 1.0 + COUPLING_SNAP)):
-        raise ValueError("couplings must lie in [0, 1]")
-    c = np.clip(c, 0.0, 1.0)
+    c = np.clip(_checked_couplings(c), 0.0, 1.0)
     epsilon = n_params % 2
     sigma2 = noise.sigma2
     value = (2.0 * sigma2 / power) * (np.sum(1.0 / np.sqrt(1.0 + c)) + epsilon / 2.0) ** 2

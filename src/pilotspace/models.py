@@ -45,12 +45,19 @@ class UlaGeometry:
 
 @_record
 class PathSet:
-    """Complex gains and azimuths of a multipath channel (finite values)."""
+    """Complex gains and azimuths of a multipath channel (finite values).
+
+    One channel: ``gains`` and ``azimuths`` are scalars or 1-D lists; a
+    stack of lists (more than one axis) raises ValueError.
+    """
 
     gains: np.ndarray
     azimuths: np.ndarray
 
     def __post_init__(self):
+        hint = "build one PathSet per row (gains[i], azimuths[i])"
+        _refuse_stack(self.gains, "gain list", hint, ndim=1)
+        _refuse_stack(self.azimuths, "azimuth list", hint, ndim=1)
         gains = np.asarray(self.gains, dtype=complex).ravel()
         azimuths = np.asarray(self.azimuths, dtype=float).ravel()
         if gains.shape[0] != azimuths.shape[0] or gains.shape[0] == 0:
@@ -201,9 +208,9 @@ def angle_constrained_model(geom, fixed_azimuths):
     non-finite azimuths and on a stack of lists (a 2-D array: one model
     per row).
     """
-    E = steering_matrix(geom, _checked_azimuths(fixed_azimuths))
-    _refuse_stack(E, "azimuth list", "build one model per row (azimuths[i])")
-    return _linear_model(E, "angle_constrained")
+    azimuths = _checked_azimuths(fixed_azimuths)
+    _refuse_stack(azimuths, "azimuth list", "build one model per row (azimuths[i])", ndim=1)
+    return _linear_model(steering_matrix(geom, azimuths), "angle_constrained")
 
 
 # Generators of the steering span, per path, in column order.

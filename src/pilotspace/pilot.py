@@ -9,11 +9,14 @@ observation matrix has one column per pair,
 plus sqrt(P/C) v_lone for odd dimension, where C = 2 sum_l 1/sqrt(1+c_l)
 (+1 if odd).  This is the minimal column count for identifiability.
 
+A design's CRB has one writer, ``PilotDesign.achieved_crb``, which is
+``crb.crb_via_variation_space`` on the design's decomposition.
 ``verify_optimality_certificates`` checks the first-order optimality
 conditions (diagonal compression in the canonical basis, vanishing
-cross terms d_k, closed-form per-column powers), and
-``brute_force_optimal_crb`` is an independent numerical oracle that
-minimizes the CRB by projected gradient descent on the power sphere.
+cross terms d_k, closed-form per-column powers) from the entries of
+the compression, not its spectrum, and ``brute_force_optimal_crb`` is
+an independent numerical oracle that minimizes the CRB by projected
+gradient descent on the power sphere.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .crb import NoiseModel, _crb_report, _spectra, crb_via_variation_space
+from .crb import NoiseModel, crb_via_variation_space
 from .rlinalg import COUPLING_SNAP, _check_finite_positive, _record, _refuse_stack, real_gram
 from .variation import CanonicalDecomposition
 
@@ -129,10 +132,10 @@ def verify_optimality_certificates(design):
       and u_k- is undefined),
     * ``column_powers`` -- measured ||M^H u_k+||^2 against the closed form
       2P / (C sqrt(1+c_k)), plus the lone-direction power P/C when present,
-    * ``total_power`` -- sum of the measured powers,
-    * ``achieved_crb`` -- the CRB of the design at its noise level, from
-      the spectrum of the same compression C (``design.achieved_crb``
-      computes it on its own).
+    * ``total_power`` -- sum of the measured powers.
+
+    These are entries of X = M^H V and of C = ``real_gram(X)``, not a
+    spectrum: the design's CRB is ``design.achieved_crb``.
 
     A stacked design raises ValueError naming its batch shape.
     """
@@ -155,14 +158,12 @@ def verify_optimality_certificates(design):
         measured = np.append(measured, diag[-1])
         expected = np.append(expected, P / C)
 
-    eigs, singular = _spectra(0.5 * (comp + comp.T), np.linalg.norm(M, axis=(-2, -1)) ** 2)
     return {
         "diagonal_residual": diagonal_residual,
         "dk_residual": float(np.abs(d).max()) if d.size else 0.0,
         "column_powers": measured,
         "column_powers_expected": expected,
         "total_power": float(np.sum(measured)),
-        "achieved_crb": _crb_report(eigs, singular, NoiseModel(design.sigma2)).value,
     }
 
 

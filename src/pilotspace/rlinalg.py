@@ -254,8 +254,7 @@ class RBasis:
         if U.ndim < 2 or U.shape[-2] < 1 or U.shape[-1] < 1:
             raise ValueError("basis matrix must be 2-D (or a stack of 2-D matrices) and "
                              f"nonempty, got shape {U.shape}")
-        if not np.all(np.isfinite(U)):
-            raise ValueError("basis matrix contains non-finite entries")
+        _check_finite("basis matrix", U)
         object.__setattr__(self, "U", U)
         gram = real_gram(U) - np.eye(self.dim)
         defect = np.linalg.norm(gram, axis=(-2, -1)).max(initial=0.0)
@@ -486,8 +485,7 @@ def r_orthonormalize(G):
     if not (G.shape[-2] and G.shape[-1]):
         raise ValueError("input matrix must have at least one row and one column, "
                          f"got shape {G.shape}")
-    if not np.all(np.isfinite(G)):
-        raise ValueError("input matrix contains non-finite entries")
+    _check_finite("input matrix", G)
     k = G.shape[-1]
     R1 = _positive_triangle(G)
     rank = np.array([triangle_rank(R) for R in R1.reshape(-1, *R1.shape[-2:])])
@@ -593,9 +591,7 @@ def skew_canonical_form(A):
     K = A.shape[-1]
     if A.shape[-2] != K:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("skew canonical form: input matrix contains non-finite entries"
-                         + _first_failing_slice(np.isfinite(A).all(axis=(-2, -1))))
+    _check_finite("skew canonical form: input matrix", A)
     # The defect is read off the symmetrized A_skew, so A is transposed
     # once: ||A + A^T||_F = 2 ||A - A_skew||_F in exact arithmetic.
     A_skew = 0.5 * (A - np.swapaxes(A, -1, -2))
@@ -726,18 +722,34 @@ def _checked_observations(M, rows):
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.shape[-2] != rows:
         raise ValueError(f"M has {M.shape[-2]} rows, expected ambient dim {rows}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("observation matrix M contains non-finite entries")
+    _check_finite("observation matrix M", M)
     return M
 
 
-def _refuse_stack(array, what, hint):
+def _check_finite(what, A):
+    """ValueError ``<what> contains non-finite entries`` unless every entry
+    of the matrix A, or of each matrix of a stack, is finite; on a stack
+    the message names the first failing slice (``_first_failing_slice``)."""
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError(f"{what} contains non-finite entries" + _first_failing_slice(finite))
+
+
+def _checked_couplings(c):
+    """The float array ``c``, as given; ValueError unless every coupling
+    lies in [0, 1] within COUPLING_SNAP (NaN and +/-inf lie outside)."""
+    if not np.all((c >= -COUPLING_SNAP) & (c <= 1.0 + COUPLING_SNAP)):
+        raise ValueError("couplings must lie in [0, 1]")
+    return c
+
+
+def _refuse_stack(array, what, hint, ndim=2):
     """ValueError naming the batch shape when ``array`` is a stack of
-    matrices (more than two axes) where one ``what`` is expected; ``hint``
-    says what to pass instead."""
-    if np.ndim(array) > 2:
+    ``ndim``-axis objects (matrices by default, more than two axes) where
+    one ``what`` is expected; ``hint`` says what to pass instead."""
+    if np.ndim(array) > ndim:
         raise ValueError(f"expected one {what}, got a stack of batch shape "
-                         f"{np.shape(array)[:-2]}: {hint}")
+                         f"{np.shape(array)[:-ndim]}: {hint}")
 
 
 def is_number(value):

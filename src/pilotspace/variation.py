@@ -39,6 +39,8 @@ from .rlinalg import (
     STRUCTURE_RTOL,
     RBasis,
     RankDeficientError,
+    _check_finite,
+    _checked_couplings,
     _record,
     _refuse_stack,
     full_rank_certified,
@@ -79,8 +81,10 @@ class CanonicalDecomposition(RBasis):
     A stacked decomposition has U (..., n, N_p) and c (..., N_p // 2).
 
     Built from arrays, U is checked as any RBasis is, and c must have
-    shape U.shape[:-2] + (N_p // 2,).  ``variation_space`` and
-    ``canonical_decompose`` build it from a basis they have checked.
+    shape U.shape[:-2] + (N_p // 2,) and lie in [0, 1] within
+    COUPLING_SNAP (``rlinalg._checked_couplings``, as ``crb.crb_min``'s
+    couplings).  ``variation_space`` and ``canonical_decompose`` build it
+    from a basis and couplings they have checked.
     """
 
     c: np.ndarray
@@ -92,7 +96,7 @@ class CanonicalDecomposition(RBasis):
         if c.shape != expected:
             raise ValueError(f"couplings of shape {c.shape} do not fit a basis of shape "
                              f"{self.U.shape}: expected shape {expected}")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _checked_couplings(c))
 
     @property
     def V(self):
@@ -249,8 +253,7 @@ def _model_gradient(model, theta):
     grad = np.asarray(model.gradient(_checked_theta(theta, model.n_params)), dtype=complex)
     if grad.shape != (model.n_dims, model.n_params):
         raise ValueError(f"gradient shape {grad.shape} inconsistent with model dims")
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("gradient contains non-finite entries")
+    _check_finite("gradient", grad)
     return grad
 
 

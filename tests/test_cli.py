@@ -13,7 +13,16 @@ import pilotspace.crb
 from pilotspace import fileio
 from pilotspace.cli import ConfigError, load_run_config, main
 from pilotspace.experiments import ExperimentConfig, run_multipath
-from pilotspace.models import UlaGeometry, steering_derivative, steering_vector
+from pilotspace.models import (
+    UlaGeometry,
+    angle_constrained_model,
+    estimated_variation_space,
+    ls_model,
+    steering_derivative,
+    steering_vector,
+)
+from pilotspace.pilot import design_observation_matrix
+from pilotspace.variation import canonical_decompose, variation_space
 
 
 def run_cli(*argv):
@@ -139,26 +148,53 @@ class TestDesignCommand:
         assert exit_.value.code == 0
         assert "--azimuths=-30,5,41" in capsys.readouterr().out
 
-    def test_one_compression_of_the_design(self, tmp_path, monkeypatch):
-        # achieved_crb and the certificates share one real_gram(M^H V).
+    def test_one_compression_of_the_design(self, tmp_path, monkeypatch, count_calls):
+        # The report's achieved_crb is the kernel's bound (one
+        # compression_spectra call); the certificates read the entries of
+        # one real_gram(M^H V) of their own.  Only pilot's binding of
+        # real_gram is counted: every RBasis check calls it as well.
         import pilotspace.pilot
 
-        calls = []
-
-        def count(module, name):
-            real = getattr(module, name)
-
-            def counted(*args):
-                calls.append(name)
-                return real(*args)
-
-            monkeypatch.setattr(module, name, counted)
-
-        count(pilotspace.pilot, "real_gram")
-        count(pilotspace.crb, "compression_matrix")
+        spectra = count_calls(pilotspace.crb, "compression_spectra")
+        grams = []
+        real_gram = pilotspace.pilot.real_gram
+        monkeypatch.setattr(pilotspace.pilot, "real_gram",
+                            lambda X: grams.append(X) or real_gram(X))
         assert run_cli("design", "--model", "physical", "--nt", "64", "--azimuths=-30,5,41",
                        "--power", "1", "--output", str(tmp_path / "M.json")) == 0
-        assert calls == ["real_gram"]
+        assert (len(spectra), len(grams)) == (1, 1)
+
+    # At nt 64, azimuths -30, 5, 41 and power 1.7 the angle-constrained
+    # bound of the real compression's spectrum and that of the kernel's
+    # r x r complex one differ in their last bits.
+    @pytest.mark.parametrize("model, azimuths", [
+        ("ls", None), ("angle-constrained", "-30,5,41"), ("physical", "-30,5,41"),
+    ])
+    def test_report_carries_the_design_bound(self, tmp_path, capsys, model, azimuths):
+        nt, power, sigma2 = (4 if model == "ls" else 64), 1.7, 0.5
+        argv = ["--model", model, "--nt", str(nt), "--sigma2", str(sigma2)]
+        if azimuths:
+            argv.append(f"--azimuths={azimuths}")
+            radians = np.radians([float(a) for a in azimuths.split(",")])
+        out = tmp_path / "M.json"
+        assert run_cli("design", *argv, "--power", str(power), "--output", str(out)) == 0
+        report = json.loads((tmp_path / "M.report.json").read_text())
+        if model == "ls":
+            basis = variation_space(ls_model(nt), np.zeros(2 * nt))
+        elif model == "angle-constrained":
+            basis = variation_space(angle_constrained_model(UlaGeometry(nt), radians),
+                                    np.zeros(2 * radians.size))
+        else:
+            basis = estimated_variation_space(UlaGeometry(nt), radians)
+        design = design_observation_matrix(canonical_decompose(basis), power, sigma2=sigma2)
+        assert np.array_equal(fileio.read_matrix(out), design.M)
+        assert report["achieved_crb"] == design.achieved_crb
+        if model != "physical":
+            # physical --azimuths compresses the undecomposed span in crb,
+            # so only the linear models' two answers share their bits.
+            capsys.readouterr()
+            assert run_cli("crb", *argv, "--m", str(out)) == 0
+            assert json.loads(capsys.readouterr().out)["crb"] == report["achieved_crb"]
 
     def test_duplicate_azimuths_exit_2(self, capsys):
         code = run_cli(

@@ -2,18 +2,22 @@
 
 Each rule has one implementation (in ``rlinalg``; the azimuth lists' in
 ``models``): a positive finite scalar (sigma^2, P), a count, couplings in
-[0, 1] and an azimuth list.  Every entry point that takes such an input
-refuses a bad one with ValueError and the rule's message, and gives a good
-one of any integer or floating type the result of a Python float or int.
+[0, 1], an azimuth list and a matrix's finite entries.  Every entry point
+that takes such an input refuses a bad one with ValueError and the rule's
+message, and gives a good one of any integer or floating type the result
+of a Python float or int.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from pilotspace.crb import NoiseModel, crb_min
+from pilotspace import rlinalg
+from pilotspace.crb import NoiseModel, crb_direct, crb_min
 from pilotspace.models import (
+    PathSet,
     UlaGeometry,
     angle_constrained_model,
     ls_model,
@@ -21,7 +25,13 @@ from pilotspace.models import (
     physical_variation_space,
 )
 from pilotspace.pilot import design_observation_matrix
-from pilotspace.variation import canonical_decompose
+from pilotspace.rlinalg import RBasis, compression_matrix, r_orthonormalize, skew_canonical_form
+from pilotspace.variation import (
+    CanonicalDecomposition,
+    ParametricChannelModel,
+    canonical_decompose,
+    variation_space,
+)
 
 GEOM = UlaGeometry(8)
 DECOMP = canonical_decompose(physical_variation_space(GEOM, [0.1, 0.5]))     # 6 parameters
@@ -80,6 +90,27 @@ def test_coupling_outside_the_unit_interval_refused(value):
         crb_min([0.5, value], 4, NOISE, 1.0)
 
 
+@pytest.mark.parametrize("value", NOT_FINITE + [None, -1.0, -0.5, 1.5, 2.0])
+def test_decomposition_coupling_outside_the_unit_interval_refused(value):
+    # Such couplings used to give NaN pilots (NaN, +/-inf) or a design that
+    # no real-orthonormal basis has (2.0, -0.5).
+    with pytest.raises(ValueError, match=r"^couplings must lie in \[0, 1\]$"):
+        CanonicalDecomposition(np.eye(8, 4, dtype=complex), [0.5, value])
+
+
+def test_decomposition_couplings_within_the_snap_kept_as_given():
+    c = np.array([1.0 + 0.5 * rlinalg.COUPLING_SNAP, -0.5 * rlinalg.COUPLING_SNAP])
+    assert np.array_equal(CanonicalDecomposition(np.eye(8, 4, dtype=complex), c).c, c)
+
+
+def test_canonical_decompose_runs_no_coupling_check(count_calls):
+    # Its couplings come out of the canonical form, clipped to [0, 1].
+    calls = count_calls(rlinalg, "_checked_couplings")
+    canonical_decompose(physical_variation_space(GEOM, [0.1, 0.5]))
+    canonical_decompose(physical_variation_space(GEOM, [[0.1, 0.5], [0.2, 0.6]]))
+    assert calls == []
+
+
 @pytest.mark.parametrize("entry", AZIMUTH_LISTS)
 @pytest.mark.parametrize("azimuths, message", [
     ([], "need at least one azimuth"),
@@ -98,6 +129,56 @@ def test_stack_of_azimuth_lists_refused_by_the_model():
                        r"shape \(2,\): build one model per row \(azimuths\[i\]\)$"):
         angle_constrained_model(GEOM, rows)
     assert physical_variation_space(GEOM, rows).U.shape == (2, 8, 6)
+
+
+@pytest.mark.parametrize("gains, azimuths, what", [
+    ([[1.0, 2.0], [3.0, 4.0]], [[0.1, 0.2], [0.3, 0.4]], "gain"),
+    ([1.0, 2.0], [[0.1, 0.2]], "azimuth"),
+])
+def test_stack_of_paths_refused_by_the_path_set(gains, azimuths, what):
+    # A 2 x 2 stack used to flatten into one 4-path channel.
+    shape = np.shape(gains if what == "gain" else azimuths)[:-1]
+    message = (f"expected one {what} list, got a stack of batch shape {shape}: "
+               "build one PathSet per row (gains[i], azimuths[i])")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PathSet(gains=gains, azimuths=azimuths)
+    assert PathSet(gains=1.0, azimuths=0.2).n_paths == 1
+
+
+def _gradient_model(G):
+    return ParametricChannelModel(n_dims=G.shape[0], n_params=G.shape[1],
+                                  evaluate=lambda theta: G @ theta, gradient=lambda theta: G)
+
+
+# Entry point -> (call with a matrix or a stack of them, a good matrix, the
+# name the message gives the matrix, whether the entry point takes a stack).
+MATRICES = {
+    "RBasis": (RBasis, np.eye(4, 2, dtype=complex), "basis matrix", True),
+    "r_orthonormalize": (r_orthonormalize, np.eye(4, 2, dtype=complex), "input matrix", True),
+    "skew_canonical_form": (skew_canonical_form, np.array([[0.0, -1.0], [1.0, 0.0]]),
+                            "skew canonical form: input matrix", True),
+    "compression_matrix": (lambda M: compression_matrix(DECOMP, M), np.ones((8, 3), complex),
+                           "observation matrix M", True),
+    "crb_direct-M": (lambda M: crb_direct(ls_model(4), np.zeros(8), M, NOISE),
+                     np.eye(4, dtype=complex), "observation matrix M", False),
+    "variation_space": (lambda G: variation_space(_gradient_model(G), np.zeros(2)),
+                        np.eye(4, 2, dtype=complex), "gradient", False),
+}
+
+
+@pytest.mark.parametrize("entry", MATRICES)
+@pytest.mark.parametrize("value", NOT_FINITE)
+def test_non_finite_matrix_refused(entry, value):
+    call, good, what, stacks = MATRICES[entry]
+    bad = good.copy()
+    bad[-1, 0] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} contains non-finite entries$"):
+        call(bad)
+    if stacks:
+        stack = np.stack([good, good, bad, bad]).reshape(2, 2, *good.shape)
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} contains non-finite "
+                                             r"entries in slice \(1, 0\)$"):
+            call(stack)
 
 
 GOOD_SCALARS = [2, 2.0, np.int64(2), np.float64(2.0)]

@@ -343,8 +343,9 @@ class TestCertificatesEqualPerPairLoop:
         np.testing.assert_allclose(certs["column_powers"], measured_ref, rtol=0, atol=tol)
         assert np.array_equal(certs["column_powers_expected"], expected_ref)
         assert certs["total_power"] == pytest.approx(np.sum(measured_ref), rel=0, abs=tol)
-        # The same compression gives the design's CRB.
-        assert certs["achieved_crb"] == pytest.approx(design.achieved_crb, rel=1e-14)
+        # Entries only: the design's CRB is design.achieved_crb.
+        assert set(certs) == {"diagonal_residual", "dk_residual", "column_powers",
+                              "column_powers_expected", "total_power"}
         if perturb:
             assert d_ref > 1e-3 or np.all(design.decomp.c >= 1.0 - COUPLING_SNAP)
 

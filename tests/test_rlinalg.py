@@ -1316,7 +1316,7 @@ class TestRefusals:
         (r_orthonormalize, np.array([[np.nan], [1.0]]), "input matrix contains non-finite "
          "entries"),
         (r_orthonormalize, np.array([[[1.0, 2j], [3.0, np.inf]]]), "input matrix contains "
-         "non-finite entries"),
+         "non-finite entries in slice 0"),
     ], ids=["basis-1d", "basis-no-rows", "basis-stack-no-columns", "basis-nan",
             "orthonormalize-nan", "orthonormalize-stack-inf"])
     def test_message(self, build, value, message):
