@@ -231,7 +231,7 @@ def cmd_crb(args):
     basis, M, noise = _crb_inputs(args)
     report = crb_via_variation_space(basis, M, noise)
     sys.stdout.write(fileio.json_text({
-        "crb": "inf" if math.isinf(report.value) else report.value,
+        "crb": report.value,
         "identifiable": report.identifiable,
         "min_eig": report.min_eig_compression,
         "nm_required": math.ceil(basis.dim / 2),

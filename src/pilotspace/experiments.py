@@ -24,9 +24,10 @@ pSNR = P_t ||h||^2 / sigma^2:
 
 The pSNR axis is swept by varying sigma^2 at fixed transmit power and
 fixed channel, so pilot designs are constant along a sweep and each
-strategy reduces to a coefficient, CRB * P_t / sigma^2 (relative CRB
-times pSNR), plus an optional bias floor.  The coefficients depend on
-neither P_t nor ||h||, so the sweeps design unit-power pilots.
+strategy reduces to a (coefficient, bias floor) pair: the coefficient
+CRB * P_t / sigma^2 (relative CRB times pSNR), and a floor that is 0 for
+the Proposed strategy.  The coefficients depend on neither P_t nor
+||h||, so the sweeps design unit-power pilots.
 
 Both sweeps go through one kernel, ``_strategy_bounds``: for T
 channels with L paths each and a (T, B, L) array of azimuth estimates
@@ -64,9 +65,12 @@ space, estimated space or E_hat degenerates is redrawn in the next
 round, so curves, redraw counts and ``DrawError`` (the lowest failing
 trial's) are those of drawing the trials one after another.  The
 single-path sweep is one kernel call with one channel per Delta, and
-``relative_bias`` is a batch of one of ``ac_strategy_bound``.  The curves
-average (n_trials, nDelta) coefficient and bias arrays with one
-broadcast over the pSNR grid.
+``relative_bias`` is a batch of one of ``ac_strategy_bound``.  The kernel
+returns one (T, S, 2, B) array, the [coefficient, bias floor] of each
+strategy of ``STRATEGIES``; each group of trials writes its rows into the
+run's (n_trials, S, 2, nDelta) array.  The curves apply one rule to
+every strategy, the trial mean of max(bias, coefficient / pSNR), with
+one broadcast over strategies, Delta values and the pSNR grid.
 
 The multipath generator is a deliberately simplified clustered model:
 the number of clusters is uniform on {1..7}, main-cluster azimuths are
@@ -92,6 +96,9 @@ from .variation import canonical_decompose
 
 AC_STRATEGY = "AngleConstrained"
 PROPOSED_STRATEGY = "Proposed"
+# The strategy axis of every bounds array (..., S, 2, B): strategy s holds
+# its [coefficient, bias floor] rows; the Proposed floor is 0.
+STRATEGIES = (AC_STRATEGY, PROPOSED_STRATEGY)
 
 
 # Trials per kernel call.  Each stacked trial holds about 0.4 MB of
@@ -124,6 +131,14 @@ def _finite_sequence(name, value):
 _FIELD_CHECKS = {"int": _integer, "float": _finite, "tuple": _finite_sequence}
 
 
+def _psnr_linear(db):
+    """The pSNR 10^(dB/10) of a grid entry; +inf past the largest double."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 @_record
 class ExperimentConfig:
     """Shared configuration of the single-path and multipath sweeps.
@@ -132,7 +147,10 @@ class ExperimentConfig:
     ``int`` fields take integers, ``float`` fields finite numbers (bools
     are neither) and ``tuple`` fields sequences of finite numbers, stored
     as tuples of floats; then every tuple must be nonempty and every
-    scalar but ``seed`` positive.
+    scalar but ``seed`` positive.  A sweep needs ``n_antennas >= 2`` (one
+    antenna has no azimuth derivative, so every span is rank deficient),
+    and every pSNR 10^(dB/10) must be a finite double above 0: the grid
+    lies within about -3236 to 3082 dB.
     """
 
     n_antennas: int = 64
@@ -159,6 +177,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.n_antennas < 2:
+            raise ValueError("n_antennas must be at least 2 for a sweep (one antenna "
+                             f"has no azimuth derivative), got {self.n_antennas}")
+        for db in self.psnr_grid_db:
+            if not 0.0 < _psnr_linear(db) < math.inf:
+                raise ValueError("psnr_grid_db entries must give a pSNR 10^(dB/10) that "
+                                 f"is a finite double above 0, got {db} dB")
         if self.endfire_margin_deg >= 90.0:
             raise ValueError(
                 "separation_floor_deg + max|delta_deg| must be below 90 deg, "
@@ -265,8 +290,9 @@ def _strategy_bounds(geom, gains, azimuths, estimates):
     """Strategy bounds of T channels of L paths, for B rows of azimuth estimates each.
 
     ``gains`` and ``azimuths`` are (T, L), ``estimates`` (T, B, L).
-    Returns ``(ac_coefficient, ac_bias, proposed_coefficient)``, (T, B)
-    arrays, each entry with the bits of a call on its channel alone.
+    Returns a (T, S, 2, B) array: the [coefficient, bias floor] of each
+    strategy of ``STRATEGIES``, each entry with the bits of a call on its
+    channel alone.
     Raises RankDeficientError when any channel's true variation space, or
     any of its rows' E_hat or estimated variation space, degenerates.
     """
@@ -278,43 +304,34 @@ def _strategy_bounds(geom, gains, azimuths, estimates):
     E, dE = _steering_columns(geom, rows)
     # One matrix-vector product per channel: a stacked product rounds differently.
     h = np.array([E_t @ b for E_t, b in zip(E[:, 0], gains)])
-    ac_coefficient, ac_bias = ac_strategy_bound(h, E[:, row_of])
+    bounds = np.zeros((len(gains), len(STRATEGIES), 2, row_of.size))
+    bounds[:, 0, 0], bounds[:, 0, 1] = ac_strategy_bound(h, E[:, row_of])
     # The azimuth-only span at each row (``physical_variation_space`` of
     # the same columns): the true space, then the estimated ones.  Slices
     # of the stack are not checked again.
     spaces = _span_basis(E, dE, rows, "physical")
     Ms = design_observation_matrix(canonical_decompose(spaces), 1.0).M[:, row_of]
-    return ac_coefficient, ac_bias, proposed_strategy_bound(spaces[:, :1], Ms)
+    bounds[:, 1, 0] = proposed_strategy_bound(spaces[:, :1], Ms)
+    return bounds
 
 
-def _curve_rows(config, ac_coefficient, ac_bias, proposed_coefficient, trials):
-    """Curve rows from (n, nDelta) coefficient and bias arrays.
+def _curve_rows(config, bounds, trials):
+    """Curve rows from an (n, S, 2, nDelta) bounds array.
 
     Each row holds the mean over the n samples of max(bias, coefficient
-    / pSNR), one broadcast over samples, Delta values and the pSNR grid.
+    / pSNR), one rule and one broadcast over samples, strategies, Delta
+    values and the pSNR grid.
     """
-    psnr_lin = np.array([10.0 ** (db / 10.0) for db in config.psnr_grid_db])
-    n = ac_coefficient.shape[0]
-    means = {
-        AC_STRATEGY: np.sum(
-            np.maximum(ac_bias[..., None], ac_coefficient[..., None] / psnr_lin), axis=0
-        ) / n,
-        PROPOSED_STRATEGY: np.sum(proposed_coefficient[..., None] / psnr_lin, axis=0) / n,
-    }
-    rows = []
-    for i, delta in enumerate(config.delta_deg):
-        for strategy, mean in means.items():
-            for db, value in zip(config.psnr_grid_db, mean[i]):
-                rows.append(
-                    CurveRow(
-                        strategy=strategy,
-                        delta_deg=float(delta),
-                        psnr_db=float(db),
-                        relative_bound=float(value),
-                        trials=trials,
-                    )
-                )
-    return CurveTable(rows=tuple(rows))
+    psnr_lin = np.array([_psnr_linear(db) for db in config.psnr_grid_db])
+    coefficient, bias = np.moveaxis(bounds, 2, 0)[..., None]
+    with np.errstate(over="ignore"):    # a bound past the largest double is +inf
+        means = np.sum(np.maximum(bias, coefficient / psnr_lin), axis=0) / len(bounds)
+    return CurveTable(rows=tuple(
+        CurveRow(strategy=strategy, delta_deg=float(delta), psnr_db=float(db),
+                 relative_bound=float(value), trials=trials)
+        for i, delta in enumerate(config.delta_deg)
+        for strategy, mean in zip(STRATEGIES, means)
+        for db, value in zip(config.psnr_grid_db, mean[i])))
 
 
 def run_single_path(config):
@@ -326,8 +343,8 @@ def run_single_path(config):
     azimuths = np.array([[math.radians(delta)] for delta in config.delta_deg])
     bounds = _strategy_bounds(config.geometry, np.ones(azimuths.shape, dtype=complex),
                               azimuths, np.zeros(azimuths.shape + (1,)))
-    # Three (nDelta, 1) arrays -> (1, nDelta): one sample of each Delta.
-    return _curve_rows(config, *(b.T for b in bounds), trials=1)
+    # (nDelta, S, 2, 1) -> (1, S, 2, nDelta): one sample of each Delta.
+    return _curve_rows(config, np.swapaxes(bounds, 0, -1), trials=1)
 
 
 def generate_clustered_channel(rng, config):
@@ -387,22 +404,25 @@ def generate_clustered_channel(rng, config):
     return PathSet(gains=magnitudes * np.exp(1j * phases), azimuths=azimuths)
 
 
-def _group_bounds(geom, draws):
-    """Bounds of draws ``(trial, paths, estimates)`` that share L: one (3, B)
-    array per draw, or None for a draw whose spaces or E_hat degenerate.
+def _group_bounds(geom, draws, bounds):
+    """Write the bounds of draws ``(trial, paths, estimates)`` that share L
+    into their trials' rows of the run's (n_trials, S, 2, nDelta) ``bounds``;
+    returns the trials whose spaces or E_hat degenerate.
 
     One ``_strategy_bounds`` call for the group; when it raises, each draw
-    is evaluated alone, so only the degenerate draws come back None.
+    is evaluated alone, so only the degenerate draws are returned.
     """
+    trials = [t for t, _, _ in draws]
     try:
-        bounds = _strategy_bounds(geom, np.array([paths.gains for _, paths, _ in draws]),
-                                  np.array([paths.azimuths for _, paths, _ in draws]),
-                                  np.array([est for _, _, est in draws]))
+        bounds[trials] = _strategy_bounds(
+            geom, np.array([paths.gains for _, paths, _ in draws]),
+            np.array([paths.azimuths for _, paths, _ in draws]),
+            np.array([est for _, _, est in draws]))
     except RankDeficientError:
         if len(draws) == 1:
-            return [None]
-        return [b for draw in draws for b in _group_bounds(geom, [draw])]
-    return list(np.stack(bounds, axis=1))
+            return trials
+        return [t for draw in draws for t in _group_bounds(geom, [draw], bounds)]
+    return []
 
 
 def run_multipath(config):
@@ -417,7 +437,7 @@ def run_multipath(config):
     geom = config.geometry
     radians = np.array([math.radians(d) for d in config.delta_deg])
     rngs = [np.random.default_rng([config.seed, t]) for t in range(config.n_trials)]
-    bounds = np.empty((config.n_trials, 3, len(radians)))
+    bounds = np.empty((config.n_trials, len(STRATEGIES), 2, len(radians)))
     failures = {}
     redraws = 0
     pending = range(config.n_trials)
@@ -437,12 +457,9 @@ def run_multipath(config):
         stacks = [draws[i:i + STACK_TRIALS]
                   for draws in groups.values() for i in range(0, len(draws), STACK_TRIALS)]
         for draws in stacks:
-            for (t, _, _), trial_bounds in zip(draws, _group_bounds(geom, draws)):
-                if trial_bounds is None:
-                    pending.append(t)
-                else:
-                    bounds[t] = trial_bounds
-                    redraws += redraw
+            failed = _group_bounds(geom, draws, bounds)
+            pending += failed
+            redraws += redraw * (len(draws) - len(failed))
         # Trials above a failed one cannot change the outcome.
         pending = [t for t in pending if t < min(failures, default=config.n_trials)]
         if not pending:
@@ -454,5 +471,5 @@ def run_multipath(config):
         )
     if failures:
         raise failures[min(failures)]
-    table = _curve_rows(config, *np.moveaxis(bounds, 1, 0), trials=config.n_trials)
+    table = _curve_rows(config, bounds, trials=config.n_trials)
     return table, {"redraws": redraws}

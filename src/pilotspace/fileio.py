@@ -6,7 +6,8 @@ decimal that round-trips IEEE doubles exactly, so matrices written and
 read back compare bit-equal and reruns produce byte-identical files.
 Every file goes through ``write_text``, which translates no newline, so
 the bytes are those of Linux on every platform; ``json_text`` is the one
-JSON layout, of files and of the CLI's answers alike.
+JSON layout, of files and of the CLI's answers alike, and writes a
+non-finite float as its ``repr`` string ("inf", "-inf" or "nan").
 """
 
 from __future__ import annotations
@@ -73,9 +74,24 @@ def write_text(path, text):
         fh.write(text)
 
 
+def _strict(obj):
+    """``obj`` with each non-finite float replaced by its repr string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return format_float(obj)
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def json_text(obj):
-    """The JSON layout of every file and answer: indent 1, one final newline."""
-    return json.dumps(obj, indent=1) + "\n"
+    """The JSON layout of every file and answer: indent 1, one final newline.
+
+    A non-finite float is written as its repr, the string "inf", "-inf" or
+    "nan", so every text is strict JSON (no ``Infinity`` or ``NaN``).
+    """
+    return json.dumps(_strict(obj), indent=1, allow_nan=False) + "\n"
 
 
 def write_matrix(path, M):

@@ -377,8 +377,10 @@ class TestCrbCommand:
 
     def test_non_finite_matrix_exit_1(self, tmp_path, capsys):
         # Python's json reads NaN/Infinity literals; they must not reach LAPACK.
+        # (fileio writes a non-finite entry as a string, so the file is written by hand.)
         m_path = tmp_path / "m.json"
-        fileio.write_matrix(m_path, np.array([[np.nan + 0j], [1.0]]))
+        m_path.write_text('{"type": "complex_matrix", "rows": 2, "cols": 1, '
+                          '"data": [[[NaN, 0.0]], [[1.0, 0.0]]]}')
         theta = tmp_path / "theta.json"
         theta.write_text("[0.0, 0.0, 0.0, 0.0]")
         code = run_cli(
@@ -822,6 +824,27 @@ class TestRunConfigValidation:
         assert run_cli("experiment", "single-path", "--config", str(path)) == 1
         assert capsys.readouterr().err == f"error: {path}: {lib.value}\n"
 
+    @pytest.mark.parametrize("kind", ["single-path", "multipath"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("psnr_grid_db", [0, 4000], "psnr_grid_db entries must give a pSNR 10^(dB/10) "
+                                    "that is a finite double above 0, got 4000.0 dB"),
+        ("psnr_grid_db", [0, -4000], "psnr_grid_db entries must give a pSNR 10^(dB/10) "
+                                     "that is a finite double above 0, got -4000.0 dB"),
+        ("n_antennas", 1, "n_antennas must be at least 2 for a sweep (one antenna has "
+                          "no azimuth derivative), got 1"),
+    ], ids=["psnr-overflow", "psnr-zero", "one-antenna"])
+    def test_sweep_range_exit_1(self, tmp_path, capsys, kind, key, value, message):
+        # A pSNR of 10^400 overflows a double and one of 10^-400 is 0, and a
+        # one-antenna array has no azimuth derivative: the config refuses
+        # them, so both sweeps exit 1 before any kernel runs.
+        with pytest.raises(ValueError) as lib:
+            ExperimentConfig(**{key: value})
+        assert str(lib.value) == message
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schema_version": 1, "experiment": {key: value}}))
+        assert run_cli("experiment", kind, "--config", str(path)) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
     def test_endfire_margin_exit_1(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"schema_version": 1,
@@ -958,6 +981,29 @@ class TestWrittenText:
             assert run_cli(command, *model, "--m", str(m_path)) == 0
             out = capsys.readouterr().out
             assert out == fileio.json_text(json.loads(out))
+
+    @pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "-inf"),
+                                             (math.nan, "nan"), (np.float64(-math.inf), "-inf")],
+                             ids=["inf", "-inf", "nan", "numpy-inf"])
+    def test_non_finite_float_is_its_repr(self, value, text):
+        assert fileio.json_text({"x": [value, (1.5, value)]}) == (
+            f'{{\n "x": [\n  "{text}",\n  [\n   1.5,\n   "{text}"\n  ]\n ]\n}}\n')
+        finite = {"x": [0.1, np.float64(2.5), (1e308, -0.0)], "n": 3, "ok": True}
+        assert fileio.json_text(finite) == json.dumps(finite, indent=1) + "\n"
+
+    def test_infinite_report_is_strict_json(self, tmp_path, capsys):
+        # A power of 1e-320 makes every bound of the design +inf; the report
+        # and the stdout answer write it as "inf", never as Infinity.
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        argv = ["design", "--model", "ls", "--nt", "2", "--power", "1e-320"]
+        assert run_cli(*argv, "--output", str(tmp_path / "M.json")) == 0
+        assert run_cli(*argv) == 0
+        stdout = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        report = json.loads((tmp_path / "M.report.json").read_text(), parse_constant=refuse)
+        assert report["achieved_crb"] == report["crb_min"] == "inf"
+        assert stdout["report"] == report
 
     def test_no_carriage_return_in_files(self, tmp_path, config_file):
         assert run_cli("design", "--model", "ls", "--nt", "2", "--power", "1",

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pilotspace.experiments import (
     AC_STRATEGY,
     PROPOSED_STRATEGY,
     STACK_TRIALS,
+    STRATEGIES,
     DrawError,
     ExperimentConfig,
     _curve_rows,
@@ -44,6 +46,11 @@ from pilotspace.rlinalg import RANK_RTOL, RankDeficientError, numerical_rank, r_
 from pilotspace.variation import canonical_decompose, variation_space
 
 SINGLE_PATH_RATIO = 2 * (1 / math.sqrt(2) + 0.5) ** 2  # Proposed/AC floor ratio
+# The benchmark's stored seed-7 curves and its tolerance for them
+# (REFERENCE_RTOL in bench/workloads.py).
+REFERENCE_CURVES = (Path(__file__).resolve().parents[1]
+                    / "bench" / "reference" / "multipath_seed7.json")
+REFERENCE_RTOL = 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +82,18 @@ class TestExperimentConfig:
     def test_negative_draw_parameter_rejected(self, key):
         with pytest.raises(ValueError, match=f"{key} must be positive"):
             ExperimentConfig(**{key: -1.0})
+
+    def test_psnr_grid_extremes(self):
+        # The widest integer grid whose pSNR values are finite doubles above
+        # 0 runs without a warning: a bound past the largest double is +inf.
+        for refused in (-3237, 3083):
+            with pytest.raises(ValueError, match="psnr_grid_db entries must give"):
+                ExperimentConfig(psnr_grid_db=(refused,))
+        config = ExperimentConfig(psnr_grid_db=(-3236, 3082), n_trials=2)
+        for table in (run_single_path(config), run_multipath(config)[0]):
+            for r in table.rows:
+                assert (r.relative_bound == math.inf) == (r.psnr_db == -3236.0)
+                assert r.relative_bound > 0
 
     def test_numpy_and_range_inputs(self):
         # Stored as Python ints and tuples of floats, so equal to the plain form.
@@ -141,12 +160,24 @@ def ac_bound(paths, est, config):
     return coefficient[0], bias[0]
 
 
+def strategy_array(ac_coefficient, ac_bias, proposed_coefficient):
+    """The (S, 2, B) bounds array of one channel, laid out as ``STRATEGIES``:
+    each strategy's [coefficient, bias floor], the Proposed floor 0."""
+    assert STRATEGIES == (AC_STRATEGY, PROPOSED_STRATEGY)
+    return np.array([[ac_coefficient, ac_bias],
+                     [proposed_coefficient, np.zeros_like(proposed_coefficient)]])
+
+
 def channel_bounds(paths, estimates, config):
     """(AC coefficient, AC bias, Proposed coefficient) arrays of one channel
-    and its rows of estimates (B, L), from one kernel call on that channel."""
+    and its rows of estimates (B, L), from one kernel call on that channel,
+    whose (1, S, 2, B) array gives the Proposed strategy an exact 0 floor."""
     bounds = _strategy_bounds(config.geometry, paths.gains[None], paths.azimuths[None],
                               np.asarray(estimates, dtype=float)[None])
-    return tuple(b[0] for b in bounds)
+    (ac_coefficient, ac_bias), (proposed_coefficient, proposed_bias) = bounds[0]
+    assert bounds.shape == (1, len(STRATEGIES), 2, len(estimates))
+    assert np.all(proposed_bias == 0.0)
+    return ac_coefficient, ac_bias, proposed_coefficient
 
 
 def trial_bounds(paths, est, config):
@@ -200,8 +231,8 @@ def serial_trial(config, trial_index):
 def serial_run_multipath(config):
     """run_multipath as the serial loop computed it: trial after trial."""
     outcomes = [serial_trial(config, t) for t in range(config.n_trials)]
-    columns = (np.array(c) for c in zip(*(bounds for bounds, _ in outcomes)))
-    table = _curve_rows(config, *columns, trials=config.n_trials)
+    bounds = np.array([strategy_array(*trial) for trial, _ in outcomes])
+    table = _curve_rows(config, bounds, trials=config.n_trials)
     return table, {"redraws": sum(redraw for _, redraw in outcomes)}
 
 
@@ -816,7 +847,8 @@ class TestBatchedTrial:
                 # One decomposition per (trial, Delta), trial-major, in Delta order.
                 stacked = list(decompositions)
                 for i, t in enumerate(group):
-                    ac_coef, ac_bias, pr_coef = (b[i] for b in bounds)
+                    (ac_coef, ac_bias), (pr_coef, pr_bias) = bounds[i]
+                    assert np.all(pr_bias == 0.0)
                     batched = stacked[i * n_delta:(i + 1) * n_delta]
                     decompositions.clear()
                     previous = _previous_trial(config, t)
@@ -994,12 +1026,33 @@ class TestStackedRun:
 
     def test_single_path_equals_serial(self):
         config = ExperimentConfig(delta_deg=(0.0, 0.3, 2.0, 7.0, -3.0))
-        bounds = [serial_trial_bounds(config.geometry,
-                                      PathSet(gains=[1.0], azimuths=[math.radians(d)]),
-                                      np.zeros((1, 1)))
+        bounds = [strategy_array(*serial_trial_bounds(
+                      config.geometry, PathSet(gains=[1.0], azimuths=[math.radians(d)]),
+                      np.zeros((1, 1))))
                   for d in config.delta_deg]
-        expected = _curve_rows(config, *np.moveaxis(np.array(bounds), 0, -1), trials=1)
+        # One (S, 2, 1) array per Delta -> (1, S, 2, nDelta): one sample of each Delta.
+        expected = _curve_rows(config, np.concatenate(bounds, axis=-1)[None], trials=1)
         assert run_single_path(config).rows == expected.rows
+
+
+class TestReferenceCurves:
+    """``run_multipath`` reproduces the benchmark's stored seed-7 curves:
+    configs 700000..700009, 10 trials each."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return json.loads(REFERENCE_CURVES.read_text())
+
+    @pytest.mark.parametrize("op", range(10))
+    def test_matches_stored_curves(self, reference, op):
+        stored = reference["ops"][op]
+        assert stored["config_seed"] == 700_000 + op
+        table, _ = run_multipath(ExperimentConfig(n_trials=reference["n_trials"],
+                                                  seed=stored["config_seed"]))
+        got = {(r.strategy, r.delta_deg, r.psnr_db): r.relative_bound for r in table.rows}
+        assert len(got) == len(table.rows) == len(stored["rows"])
+        for strategy, delta, db, value in stored["rows"]:
+            assert got[(strategy, delta, db)] == pytest.approx(value, rel=REFERENCE_RTOL, abs=0)
 
 
 class TestOneSteeringEvaluation:
